@@ -1,8 +1,10 @@
 """Shared numerical kernels: monotone-CDF inversion, quadrature, finite differences.
 
-All quantile evaluations in the package go through the same safeguarded
-Newton/bisection engine operating inside a bracket, with geometric bracket
-growth when no finite bound is known a priori.
+Quantiles that scipy does not provide (the reflected-BM kernel, pushed-forward
+marginals) and the inverses of other monotone maps (the Wiener time change and
+space map) go through the same safeguarded Newton/bisection engine operating
+inside a bracket, with geometric bracket growth when no finite bound is known
+a priori.
 """
 
 from __future__ import annotations
@@ -60,8 +62,13 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
     p : target probabilities (scalar or array).
     lo, hi : initial bracket, already valid (see `grow_bracket`).
     x0 : optional starting guess, clipped into the bracket.
-    f_tol : stop when ``|cdf(x) - p| <= f_tol`` everywhere (0 disables).
-    x_rel_tol : stop when the bracket is this small relative to ``|x|``.
+    f_tol : stop where ``|cdf(x) - p| <= f_tol * min(p, 1 - p)``, relative to
+        the smaller tail probability (0 disables).  For targets outside
+        (0, 1), met when a monotone map that is not a CDF is inverted, only
+        the bracket-width test applies.
+    x_rel_tol : stop where the bracket is this small relative to ``|x|``.
+    max_iter : raise `NumericsError` if some root has not converged after
+        this many iterations.
 
     Returns
     -------
@@ -76,12 +83,13 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
     else:
         x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), p_arr.shape), lo, hi).astype(float).copy()
 
+    f_scale = f_tol * np.minimum(p_arr, 1.0 - p_arr)
     for _ in range(max_iter):
         f = cdf(x) - p_arr
         lo = np.where(f <= 0.0, x, lo)
         hi = np.where(f > 0.0, x, hi)
         width = hi - lo
-        done = (np.abs(f) <= f_tol) | (width <= x_rel_tol * (np.abs(x) + 1e-30))
+        done = (np.abs(f) <= f_scale) | (width <= x_rel_tol * (np.abs(x) + 1e-30))
         if np.all(done):
             break
         if pdf is not None:
@@ -95,6 +103,9 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
         x_bisect = 0.5 * (lo + hi)
         x_next = np.where(ok, x_newton, x_bisect)
         x = np.where(done, x, x_next)
+    else:
+        raise NumericsError(f"monotone inversion did not converge in {max_iter} iterations "
+                            f"({int(np.sum(~done))} of {done.size} roots open)")
     return float(x[0]) if scalar else x.reshape(np.shape(p))
 
 

@@ -240,7 +240,7 @@ class Ncx2Kernel:
         twoc = self._twoc(t - s)
         x = np.asarray(x, dtype=float)
         pos = np.clip(x, 0.0, None)
-        out = twoc * special.chi2nc_pdf(twoc * pos, self.df, float(self._lam(t - s, y)))
+        out = twoc * special.chi2nc_pdf(twoc * pos, self.df, self._lam(t - s, y))
         return np.where(x < 0.0, 0.0, out)
 
     def cdf(self, s, y, t, x):
@@ -248,13 +248,13 @@ class Ncx2Kernel:
         twoc = self._twoc(t - s)
         x = np.asarray(x, dtype=float)
         pos = np.clip(x, 0.0, None)
-        out = special.chi2nc_cdf(twoc * pos, self.df, float(self._lam(t - s, y)))
+        out = special.chi2nc_cdf(twoc * pos, self.df, self._lam(t - s, y))
         return np.where(x < 0.0, 0.0, out)
 
     def quantile(self, s, y, t, p):
         _check_order(s, t)
         twoc = self._twoc(t - s)
-        return special.chi2nc_quantile(p, self.df, float(self._lam(t - s, y))) / twoc
+        return special.chi2nc_quantile(p, self.df, self._lam(t - s, y)) / twoc
 
     def sample(self, s, y, t, rng, size=None):
         _check_order(s, t)
@@ -266,7 +266,7 @@ class Ncx2Kernel:
     def pdf_dx(self, s, y, t, x):
         twoc = self._twoc(t - s)
         z = twoc * np.asarray(x, dtype=float)
-        return twoc ** 2 * special._chi2nc_pdf_dz(z, self.df, float(self._lam(t - s, y)))
+        return twoc ** 2 * special._chi2nc_pdf_dz(z, self.df, self._lam(t - s, y))
 
 
 class SqrtNcx2Kernel:

@@ -90,7 +90,7 @@ def _criterion_1() -> list[CheckResult]:
                 a = special.chi2nc_pdf(z, nu, lam)
                 b = special.chi2nc_pdf_bessel_form(z, nu, lam)
                 worst_rel = max(worst_rel, abs(a - b) / abs(b))
-    checks.append(_check("mixture vs Bessel-series density (rel)", worst_rel, 1e-8))
+    checks.append(_check("scipy (Boost) vs Bessel-series density (rel)", worst_rel, 1e-8))
     return checks
 
 

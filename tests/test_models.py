@@ -117,6 +117,18 @@ class TestKernelBasics:
             lo, hi, abs_tol=1e-9, rel_tol=1e-9, points=[y, x])
         assert abs(composed - direct) <= 1e-5
 
+    @pytest.mark.parametrize("name", ["cir", "rayleigh", "bessel"])
+    def test_vector_conditioning_state_matches_loop(self, name):
+        # the noncentrality of the cir-family kernels is an array for a vector y
+        k = build(name).kernel
+        s, t, x, p = 0.5, 1.5, 1.1, 0.35
+        ys = np.array([0.3, 1.2, 2.5])
+        for method, arg in (("pdf", x), ("cdf", x), ("quantile", p), ("pdf_dx", x)):
+            fn = getattr(k, method)
+            loop = np.array([float(fn(s, y, t, arg)) for y in ys])
+            np.testing.assert_array_equal(fn(s, ys, t, arg), loop)
+            np.testing.assert_array_equal(fn(s, ys, t, np.full(3, arg)), loop)
+
 
 class TestBackwardEquation:
     @pytest.mark.parametrize("name", ["bm", "ou"])

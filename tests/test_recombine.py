@@ -109,6 +109,19 @@ class TestRecombination:
               - float(proc.transition_cdf(s, z1, t, z2 - h))) / (2.0 * h)
         assert fd == pytest.approx(float(proc.transition_pdf(s, z1, t, z2)), rel=1e-4)
 
+    @pytest.mark.parametrize("name, params, x0", [
+        ("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, 1.2),
+        ("rayleigh", {"a": 2.625, "b": -0.5}, 2.7),
+        ("bessel", {"delta": 1.5}, 1.0),
+    ])
+    def test_transition_vector_z1_matches_loop(self, name, params, x0):
+        proc = recombine(models.make_model(name, params, x0=x0), model_marginal_family(ou_model()))
+        s, t, z2 = 0.8, 1.4, 0.6
+        z1 = np.array([-0.4, 0.3, 1.1])
+        for method in (proc.transition_pdf, proc.transition_cdf):
+            loop = np.array([float(method(s, z, t, z2)) for z in z1])
+            np.testing.assert_array_equal(method(s, z1, t, z2), loop)
+
     def test_map_monotone(self):
         target = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
         proc = recombine(ou_model(), model_marginal_family(target))

@@ -1,14 +1,20 @@
 """Special-function kernel tests: frozen examples, oracles, and invariants."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import iv
+from scipy.special import iv, ndtr
 
-from diffcop import special
-from diffcop.errors import DomainError
+import diffcop
+from diffcop import copula, models, special
+from diffcop._numerics import invert_monotone_cdf
+from diffcop.errors import DomainError, NumericsError
 
 
 def invert_by_bracketed_bisection(cdf, p, lo=-60.0, hi=60.0, iters=200):
@@ -20,6 +26,50 @@ def invert_by_bracketed_bisection(cdf, p, lo=-60.0, hi=60.0, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# mpmath oracles, independent of scipy; the `mp30` fixture sets their precision
+
+
+@pytest.fixture
+def mp30():
+    with mp.workdps(30):
+        yield
+
+
+def mp_chi2nc_pdf(z, nu, lam):
+    """The Bessel-form noncentral chi-square density."""
+    z, nu, lam = mp.mpf(z), mp.mpf(nu), mp.mpf(lam)
+    return (mp.exp(-(z + lam) / 2) * (z / lam) ** ((nu - 2) / 4)
+            * mp.besseli((nu - 2) / 2, mp.sqrt(lam * z)) / 2)
+
+
+def mp_chi2nc_tail(z, nu, lam, upper):
+    """P(Z <= z), or P(Z > z) when ``upper``, as a Poisson mixture of regularized gammas."""
+    z, nu, h = mp.mpf(z), mp.mpf(nu), mp.mpf(lam) / 2
+    total, j = mp.mpf(0), 0
+    while True:
+        a = nu / 2 + j
+        g = (mp.gammainc(a, z / 2, mp.inf, regularized=True) if upper
+             else mp.gammainc(a, 0, z / 2, regularized=True))
+        term = mp.exp(j * mp.log(h) - h - mp.loggamma(j + 1)) * g
+        total += term
+        # the terms are unimodal in j, so past the Poisson mode a negligible one ends the sum
+        if j > h and term < mp.mpf(10) ** -35 * total:
+            return total
+        j += 1
+
+
+def mp_chi2nc_quantile(p, nu, lam, x0):
+    """Root of the mpmath CDF (of the survival function for p > 1/2), searched from x0.
+
+    The CDF is strictly increasing, so the root does not depend on x0.
+    """
+    upper = p > 0.5
+    target = 1 - mp.mpf(p) if upper else mp.mpf(p)
+    f = lambda x: mp_chi2nc_tail(x, nu, lam, upper) / target - 1
+    return mp.findroot(f, (mp.mpf(x0), mp.mpf(x0) * (1 + mp.mpf(10) ** -6)),
+                       solver="secant", tol=mp.mpf(10) ** -40)
 
 
 class TestTolerance:
@@ -83,6 +133,10 @@ class TestNormal:
     def test_quantile_domain(self, p):
         with pytest.raises(DomainError):
             special.norm_quantile(p)
+
+    def test_quantile_far_tail(self):
+        # the root of mpmath's ncdf at 1e-20; no clamp may move it
+        assert special.norm_quantile(1e-20) == pytest.approx(-9.262340089798408, rel=1e-14)
 
     def test_odd_symmetry(self):
         assert special.norm_quantile(0.3) == pytest.approx(-special.norm_quantile(0.7),
@@ -152,8 +206,7 @@ class TestChi2ncPdf:
         assert mean == pytest.approx(8.0, abs=1e-6)
 
     def test_against_scipy(self):
-        # probability-range arguments; the far tails are truncated by design
-        # (mixture weights below 1e-16 are dropped)
+        # probability-range arguments; the tails are checked against mpmath below
         for nu in (1.0, 2.5, 7.0, 120.0):
             for lam in (0.0, 0.3, 12.0, 300.0):
                 dist = stats.ncx2(nu, lam) if lam > 0 else stats.chi2(nu)
@@ -170,6 +223,34 @@ class TestChi2ncPdf:
                     b = special.chi2nc_pdf_bessel_form(z, nu, lam)
                     worst = max(worst, abs(a - b) / b)
         assert worst <= 1e-8
+
+    def test_left_tail_against_mpmath(self, mp30):
+        ref = float(mp_chi2nc_pdf(0.1, 6.25, 100.0))
+        assert ref == pytest.approx(1.461e-25, rel=1e-3, abs=0)
+        assert special.chi2nc_pdf(0.1, 6.25, 100.0) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_kernel_pdf_dx_against_mpmath(self, mp30):
+        # Ncx2Kernel.pdf_dx = d/dx [2c f(2c x; df, lam)], left tail to right tail
+        kern = models.Ncx2Kernel(6.25, 1.0, 0.8)
+        s, y, t = 0.5, 1.2, 1.5
+        twoc = kern._twoc(t - s)
+        lam = twoc * math.exp(-(t - s)) * y
+        worst = 0.0
+        for x in np.geomspace(1e-3, 20.0, 40):
+            ref = float(mp.diff(lambda xx: twoc * mp_chi2nc_pdf(twoc * xx, 6.25, lam), x))
+            if abs(ref) > 1e-50:
+                worst = max(worst, abs(kern.pdf_dx(s, y, t, x) - ref) / abs(ref))
+        assert worst <= 1e-12
+
+    def test_array_noncentrality_broadcasts(self):
+        lams = np.array([0.0, 2.0, 30.0])
+        for fn, arg in ((special.chi2nc_pdf, 3.0), (special.chi2nc_cdf, 3.0),
+                        (special.chi2nc_quantile, 0.4)):
+            loop = np.array([fn(arg, 4.0, lam) for lam in lams])
+            np.testing.assert_array_equal(fn(arg, 4.0, lams), loop)
+            np.testing.assert_array_equal(fn(np.full(3, arg), 4.0, lams), loop)
+        with pytest.raises(DomainError):
+            special.chi2nc_cdf(1.0, 4.0, np.array([1.0, -1.0]))
 
     def test_bessel_form_domain(self):
         with pytest.raises(DomainError):
@@ -225,9 +306,66 @@ class TestChi2ncCdfQuantile:
         with pytest.raises(DomainError):
             special.chi2nc_quantile(p, 3.0, 1.0)
 
+    @pytest.mark.parametrize("nu, lam", [(6.25, 100.0), (625.0, 12.0)])
+    @pytest.mark.parametrize("p", [1e-12, 1e-9, 1.0 - 1e-9])
+    def test_tail_quantile_against_mpmath(self, mp30, nu, lam, p):
+        q = special.chi2nc_quantile(p, nu, lam)
+        root = mp_chi2nc_quantile(p, nu, lam, q)
+        # a double p fixes its quantile only to within a few ulps of p, which
+        # the density at the root turns into a width in z
+        width = 4.0 * np.spacing(p) / float(mp_chi2nc_pdf(root, nu, lam))
+        assert abs(q - float(root)) <= 1e-12 * float(root) + width
+
     def test_large_noncentrality(self):
-        # the mixture stays stable at the noncentrality scale of the cir surfaces
+        # stable at the noncentrality scale of the cir surfaces
         p = special.chi2nc_cdf(12000.0, 625.0, 11500.0)
         assert 0.0 < p < 1.0
         q = special.chi2nc_quantile(0.5, 625.0, 11500.0)
         assert special.chi2nc_cdf(q, 625.0, 11500.0) == pytest.approx(0.5, abs=1e-10)
+
+
+class TestCopulaCorner:
+    def test_cir_from_transition_density_at_corner(self, mp30):
+        # c(u, v) = 2c_k f(2c_k xv; g, lam_k(xu)) / (2c_t f(2c_t xv; g, lam_t)), recomputed
+        # with mpmath quantiles.  The corner quantiles are defined only to a few
+        # ulps of u, v, which the density's slope there turns into ~1e-7.
+        model = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
+        s, t, g, u = 0.5, 1.5, 6.25, 1.0 - 1e-9
+
+        def twoc(r):
+            return 4.0 / (0.8 ** 2 * -math.expm1(-r))
+
+        def x_quantile(r):                      # marginal at time r from x0 = 1.2 at 0
+            lam = twoc(r) * math.exp(-r) * 1.2
+            q = special.chi2nc_quantile(u, g, lam)
+            return mp_chi2nc_quantile(u, g, lam, q) / twoc(r), lam
+
+        xu, _ = x_quantile(s)
+        xv, lam_t = x_quantile(t)
+        ck = twoc(t - s)
+        ref = (ck * mp_chi2nc_pdf(ck * xv, g, ck * mp.exp(-(t - s)) * xu)
+               / (twoc(t) * mp_chi2nc_pdf(twoc(t) * xv, g, lam_t)))
+        got = copula.from_transition(model, s, t).density(u, u)
+        assert got == pytest.approx(float(ref), rel=1e-6)
+
+
+class TestMonotoneInversion:
+    def test_unconverged_root_raises(self):
+        # three bisections of [-50, 50] stop at -6.25, whose cdf is 2.1e-10, not 0.3
+        with pytest.raises(NumericsError):
+            invert_monotone_cdf(ndtr, 0.3, -50.0, 50.0, max_iter=3)
+
+    def test_tolerance_relative_to_tail(self):
+        # an absolute f_tol of 1e-9 would accept any x whose cdf is below 1.001e-9
+        x = invert_monotone_cdf(ndtr, 1e-12, -50.0, 50.0, f_tol=1e-9)
+        assert ndtr(x) == pytest.approx(1e-12, rel=1e-9, abs=0)
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats would add about half to the time and 15 MB to the memory of `import diffcop`
+    src = str(Path(diffcop.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import diffcop; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
