@@ -52,9 +52,11 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
                         max_iter: int = 200):
     """Solve ``cdf(x) = p`` for nondecreasing ``cdf`` inside the bracket [lo, hi].
 
-    Vectorized safeguarded Newton: a Newton step (when ``pdf`` is supplied and
-    the step stays strictly inside the current bracket) is taken, otherwise the
-    bracket is bisected.  Monotonicity guarantees convergence.
+    Vectorized safeguarded Newton, as in rtsafe: a Newton step is taken when
+    ``pdf`` is supplied, the step stays strictly inside the current bracket and
+    it is at most half the step before last; otherwise the bracket is bisected.
+    So a flat or quantized ``cdf``, on which Newton would creep, costs at most
+    about two iterations per halving of the bracket.
 
     Parameters
     ----------
@@ -84,6 +86,7 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
         x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), p_arr.shape), lo, hi).astype(float).copy()
 
     f_scale = f_tol * np.minimum(p_arr, 1.0 - p_arr)
+    step_old = step = hi - lo
     for _ in range(max_iter):
         f = cdf(x) - p_arr
         lo = np.where(f <= 0.0, x, lo)
@@ -96,12 +99,13 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
             d = pdf(x)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 x_newton = x - f / d
-            ok = np.isfinite(x_newton) & (x_newton > lo) & (x_newton < hi) & (d > _TINY)
+            ok = (np.isfinite(x_newton) & (x_newton > lo) & (x_newton < hi) & (d > _TINY)
+                  & (np.abs(x_newton - x) <= 0.5 * step_old))
         else:
             x_newton = x
             ok = np.zeros_like(x, dtype=bool)
-        x_bisect = 0.5 * (lo + hi)
-        x_next = np.where(ok, x_newton, x_bisect)
+        x_next = np.where(ok, x_newton, 0.5 * (lo + hi))
+        step_old, step = step, np.abs(x_next - x)
         x = np.where(done, x, x_next)
     else:
         raise NumericsError(f"monotone inversion did not converge in {max_iter} iterations "

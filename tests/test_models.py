@@ -190,6 +190,15 @@ class TestRbmFolding:
             worst = max(worst, abs(float(rbm.kernel.pdf(s, y, t, x)) - folded))
         assert worst <= 1e-14
 
+    def test_quantile_at_probability_clamp(self):
+        # the folded cdf cancels to steps of one ulp of Phi(-y/sd) near x = 0, so
+        # Newton creeps there; the inversion must bisect and still return a root
+        k = models.make_model("rbm", {}, x0=0.3).kernel
+        quantum = np.spacing(special.norm_cdf(-0.3))
+        for p in (1e-15, 1e-20):
+            x = k.quantile(0.0, 0.3, 1.0, p)
+            assert 0.0 < x and float(k.cdf(0.0, 0.3, 1.0, x)) == pytest.approx(p, abs=2 * quantum)
+
 
 class TestMarginals:
     def test_bm_median(self):

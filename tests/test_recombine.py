@@ -122,6 +122,17 @@ class TestRecombination:
             loop = np.array([float(method(s, z, t, z2)) for z in z1])
             np.testing.assert_array_equal(method(s, z1, t, z2), loop)
 
+    def test_rbm_inverse_map_at_probability_clamp(self):
+        # target cdf values below 1e-15 are clamped there, then inverted through
+        # the rbm kernel, whose cdf is quantized at that level
+        target = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
+        proc = recombine(models.make_model("rbm", {}, x0=0.3), model_marginal_family(target))
+        zs = np.array([1e-12, 1e-5, 1e-3, 0.5])
+        xs = proc.inverse_map(1.0, zs)
+        assert xs[0] == xs[1] and np.all(np.diff(xs[1:]) > 0.0)
+        assert xs[0] == pytest.approx(1.31e-15, rel=0.15)
+        assert np.isfinite(float(proc.transition_pdf(0.5, 0.8, 1.0, 1e-9)))
+
     def test_map_monotone(self):
         target = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
         proc = recombine(ou_model(), model_marginal_family(target))
