@@ -26,7 +26,6 @@ import numpy as np
 
 from . import special
 from ._numerics import integrate, require
-from ._parallel import map_columns
 from .errors import DomainError
 from .models import Model
 
@@ -50,11 +49,15 @@ def _clamped(x, name: str) -> np.ndarray:
 class CopulaSurface:
     """Evaluable copula: density c(u,v), conditional C(v|u), CDF C(u,v).
 
-    Core callables receive a scalar u and a vector of v values; the public
-    methods broadcast arbitrary array arguments and clamp the unit square
-    corners at 1e-12.  When no conditional core is supplied it is obtained by
-    adaptive quadrature of the density; the CDF is always the quadrature of
-    the conditional over u.
+    A core callable ``core(u, v)`` receives two arrays that broadcast against
+    each other and returns their broadcast shape.  It applies the quantile
+    transform of each argument at that argument's own shape and evaluates the
+    kernel on the broadcast mesh, so ``core(u[None, :], v[:, None])`` solves
+    len(u) + len(v) quantiles for the whole grid.  The public methods clamp
+    the unit square corners at 1e-12 and return a float for scalar arguments.
+    When no conditional core is supplied it is obtained by adaptive
+    quadrature of the density; the CDF is always the quadrature of the
+    conditional over u.
     """
 
     def __init__(self, density_core: Callable, conditional_core: Callable | None = None,
@@ -70,17 +73,8 @@ class CopulaSurface:
         self.quad_abs_tol = quad_abs_tol
 
     def _eval(self, core: Callable, u, v):
-        if np.ndim(u) == 0 and np.ndim(v) == 0:
-            return float(np.atleast_1d(core(float(u), np.array([float(v)])))[0])
-        u_b, v_b = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        scalar = u_b.ndim == 0
-        u_flat = np.atleast_1d(u_b).ravel()
-        v_flat = np.atleast_1d(v_b).ravel()
-        out = np.empty_like(u_flat)
-        for u_val in np.unique(u_flat):
-            mask = u_flat == u_val
-            out[mask] = core(float(u_val), v_flat[mask])
-        return float(out[0]) if scalar else out.reshape(u_b.shape)
+        out = core(u, v)
+        return float(out) if np.ndim(out) == 0 else out
 
     def density(self, u, v):
         return self._eval(self._density_core, _clamped(u, "u"), _clamped(v, "v"))
@@ -90,14 +84,12 @@ class CopulaSurface:
         if self._conditional_core is not None:
             return self._eval(self._conditional_core, uc, vc)
 
-        def core(u_val, v_arr):
-            def strip(v_val):
-                f = lambda z: float(np.atleast_1d(self._density_core(u_val, np.array([z])))[0])
-                return integrate(f, 0.0, v_val, abs_tol=self.quad_abs_tol,
-                                 rel_tol=self.quad_abs_tol, points=[u_val])
-            return np.array([strip(v_val) for v_val in np.atleast_1d(v_arr)])
+        def strip(u_val, v_val):
+            f = lambda z: float(self._density_core(u_val, z))
+            return integrate(f, 0.0, v_val, abs_tol=self.quad_abs_tol,
+                             rel_tol=self.quad_abs_tol, points=[u_val])
 
-        return self._eval(core, uc, vc)
+        return self._eval(np.vectorize(strip, otypes=[float]), uc, vc)
 
     def cdf(self, u, v):
         u_b, v_b = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -136,15 +128,12 @@ def from_transition(model: Model, s: float, t: float) -> CopulaSurface:
     marg_s, marg_t = model.marginal(s), model.marginal(t)
     kernel = model.kernel
 
-    def dens(u_val, v_arr):
-        xu = marg_s.quantile(u_val)
-        xv = marg_t.quantile(v_arr)
-        return np.asarray(kernel.pdf(s, xu, t, xv) / marg_t.pdf(xv), dtype=float)
+    def dens(u, v):
+        xu, xv = marg_s.quantile(u), marg_t.quantile(v)
+        return kernel.pdf(s, xu, t, xv) / marg_t.pdf(xv)
 
-    def cond(u_val, v_arr):
-        xu = marg_s.quantile(u_val)
-        xv = marg_t.quantile(v_arr)
-        return np.asarray(kernel.cdf(s, xu, t, xv), dtype=float)
+    def cond(u, v):
+        return kernel.cdf(s, marg_s.quantile(u), t, marg_t.quantile(v))
 
     params = {"model": model.name, **dict(model.spec.params),
               "x0": model.x0, "t0": model.t0}
@@ -156,14 +145,12 @@ def _gaussian_rho_surface(rho: float, time_pair, provenance, params) -> CopulaSu
     require(0.0 <= rho < 1.0, f"correlation out of range: {rho}")
     w = math.sqrt(1.0 - rho * rho)
 
-    def dens(u_val, v_arr):
-        zu = special.norm_quantile(u_val)
-        zv = special.norm_quantile(v_arr)
+    def dens(u, v):
+        zu, zv = special.norm_quantile(u), special.norm_quantile(v)
         return special.norm_pdf((zv - rho * zu) / w) / (w * special.norm_pdf(zv))
 
-    def cond(u_val, v_arr):
-        zu = special.norm_quantile(u_val)
-        zv = special.norm_quantile(v_arr)
+    def cond(u, v):
+        zu, zv = special.norm_quantile(u), special.norm_quantile(v)
         return special.norm_cdf((zv - rho * zu) / w)
 
     return CopulaSurface(dens, cond, time_pair=time_pair,
@@ -217,15 +204,15 @@ def rbm_closed_form(s: float, t: float) -> CopulaSurface:
     rho = math.sqrt(s / t)
     w = math.sqrt(1.0 - rho * rho)
 
-    def dens(u_val, v_arr):
-        zu = special.norm_quantile((1.0 + u_val) / 2.0)
-        zv = special.norm_quantile((1.0 + v_arr) / 2.0)
+    def dens(u, v):
+        zu = special.norm_quantile((1.0 + u) / 2.0)
+        zv = special.norm_quantile((1.0 + v) / 2.0)
         return (special.norm_pdf((zv - rho * zu) / w)
                 + special.norm_pdf((zv + rho * zu) / w)) / (2.0 * w * special.norm_pdf(zv))
 
-    def cond(u_val, v_arr):
-        zu = special.norm_quantile((1.0 + u_val) / 2.0)
-        zv = special.norm_quantile((1.0 + v_arr) / 2.0)
+    def cond(u, v):
+        zu = special.norm_quantile((1.0 + u) / 2.0)
+        zv = special.norm_quantile((1.0 + v) / 2.0)
         return (special.norm_cdf((zv - rho * zu) / w)
                 + special.norm_cdf((zv + rho * zu) / w) - 1.0)
 
@@ -258,17 +245,17 @@ def cir_closed_form(alpha: float, gamma: float, x0: float, s: float, t: float) -
     lam_t = Bt * math.exp(-alpha * t) * x0
     decay = math.exp(-alpha * d)
 
-    def dens(u_val, v_arr):
-        xi_u = special.chi2nc_quantile(u_val, gamma, lam_s)
-        xi_v = special.chi2nc_quantile(v_arr, gamma, lam_t)
+    def dens(u, v):
+        xi_u = special.chi2nc_quantile(u, gamma, lam_s)
+        xi_v = special.chi2nc_quantile(v, gamma, lam_t)
         lam_tr = (A / Bs) * decay * xi_u
         num = A * special.chi2nc_pdf((A / Bt) * xi_v, gamma, lam_tr)
         den = Bt * special.chi2nc_pdf(xi_v, gamma, lam_t)
         return num / den
 
-    def cond(u_val, v_arr):
-        xi_u = special.chi2nc_quantile(u_val, gamma, lam_s)
-        xi_v = special.chi2nc_quantile(v_arr, gamma, lam_t)
+    def cond(u, v):
+        xi_u = special.chi2nc_quantile(u, gamma, lam_s)
+        xi_v = special.chi2nc_quantile(v, gamma, lam_t)
         return special.chi2nc_cdf((A / Bt) * xi_v, gamma, (A / Bs) * decay * xi_u)
 
     return CopulaSurface(dens, cond, time_pair=(s, t), provenance="closed_form",
@@ -277,8 +264,8 @@ def cir_closed_form(alpha: float, gamma: float, x0: float, s: float, t: float) -
 
 def independence_surface(time_pair=(1.0, 2.0)) -> CopulaSurface:
     """The independence copula, c = 1; used as a negative control."""
-    dens = lambda u_val, v_arr: np.ones_like(np.asarray(v_arr, dtype=float))
-    cond = lambda u_val, v_arr: np.asarray(v_arr, dtype=float)
+    dens = lambda u, v: np.ones(np.broadcast(u, v).shape)
+    cond = lambda u, v: np.broadcast_arrays(u, v)[1].copy()
     return CopulaSurface(dens, cond, time_pair=time_pair, provenance="independence")
 
 
@@ -290,15 +277,7 @@ def grid_eval(surface: CopulaSurface, n: int) -> np.ndarray:
     """n x n density matrix at cell midpoints; rows index v, columns index u."""
     require(n >= 2, "grid size n must be at least 2")
     mids = (np.arange(n) + 0.5) / n
-
-    def column(j):
-        return surface.density(mids[j], mids)
-
-    cols = map_columns(column, range(n))
-    out = np.empty((n, n))
-    for j, col in enumerate(cols):
-        out[:, j] = col
-    return out
+    return surface.density(mids[None, :], mids[:, None])
 
 
 def cdf_on_grid(surface: CopulaSurface, us, vs, abs_tol: float = 1e-9) -> np.ndarray:

@@ -144,13 +144,13 @@ class LognormalKernel:
 
     def pdf(self, s, y, t, x):
         x = np.asarray(x, dtype=float)
-        return self._g.pdf(s, math.log(y), t, np.log(x)) / x
+        return self._g.pdf(s, np.log(y), t, np.log(x)) / x
 
     def cdf(self, s, y, t, x):
-        return self._g.cdf(s, math.log(y), t, np.log(np.asarray(x, dtype=float)))
+        return self._g.cdf(s, np.log(y), t, np.log(np.asarray(x, dtype=float)))
 
     def quantile(self, s, y, t, p):
-        return np.exp(self._g.quantile(s, math.log(y), t, p))
+        return np.exp(self._g.quantile(s, np.log(y), t, p))
 
     def sample(self, s, y, t, rng, size=None):
         return np.exp(self._g.sample(s, np.log(np.asarray(y, dtype=float)), t, rng, size))
@@ -158,16 +158,19 @@ class LognormalKernel:
     def pdf_dx(self, s, y, t, x):
         x = np.asarray(x, dtype=float)
         sd = math.sqrt(self._g._var(s, t))
-        z = (np.log(x) - self._g._mean(s, t, math.log(y))) / sd
+        z = (np.log(x) - self._g._mean(s, t, np.log(y))) / sd
         f = special.norm_pdf(z) / (sd * x)
         return -f * (z / sd + 1.0) / x
 
     def cdf_dt(self, s, y, t, x):
-        return self._g.cdf_dt(s, math.log(y), t, np.log(np.asarray(x, dtype=float)))
+        return self._g.cdf_dt(s, np.log(y), t, np.log(np.asarray(x, dtype=float)))
 
 
 class FoldedGaussianKernel:
     """|y + sqrt(var) Z|: the reflected heat kernel on (0, infinity)."""
+
+    # below this h (1 + |c|) the cdf is summed as a series instead of differenced
+    _SERIES_BELOW = 0.03
 
     def __init__(self, var):
         self._var = var
@@ -180,25 +183,36 @@ class FoldedGaussianKernel:
         return np.where(x < 0.0, 0.0, out)
 
     def cdf(self, s, y, t, x):
+        """Phi(c + h) - Phi(c - h) with c = -y/sd, h = x/sd.
+
+        The difference cancels for small h; there the odd Taylor series
+        2 phi(c) [h + He2(c) h^3/3! + He4(c) h^5/5! + He6(c) h^7/7!]
+        (He_n the Hermite polynomials) is used instead.
+        """
         _check_order(s, t)
         x = np.asarray(x, dtype=float)
         sd = math.sqrt(self._var(s, t))
         out = special.norm_cdf((x - y) / sd) - special.norm_cdf((-x - y) / sd)
+        h, c = x / sd, -np.asarray(y, dtype=float) / sd
+        small = h * (1.0 + np.abs(c)) < self._SERIES_BELOW
+        h = np.where(small, h, 0.0)
+        c2, h2 = c * c, h * h
+        he2, he4, he6 = c2 - 1.0, (c2 - 6.0) * c2 + 3.0, ((c2 - 15.0) * c2 + 45.0) * c2 - 15.0
+        series = 2.0 * special.norm_pdf(c) * h * (
+            1.0 + h2 * (he2 / 6.0 + h2 * (he4 / 120.0 + h2 * he6 / 5040.0)))
+        out = np.where(small, series, out)
         return np.clip(np.where(x < 0.0, 0.0, out), 0.0, 1.0)
 
     def quantile(self, s, y, t, p):
         _check_order(s, t)
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         sd = math.sqrt(self._var(s, t))
-        cdf = lambda x: np.atleast_1d(self.cdf(s, y, t, x))
-        lo = np.zeros_like(p_arr)
-        hi0 = np.full_like(p_arr, abs(y) + 12.0 * sd)
-        lo, hi = grow_bracket(cdf, p_arr, lo, hi0)
-        out = invert_monotone_cdf(cdf, p_arr, lo, hi,
-                                  pdf=lambda x: np.atleast_1d(self.pdf(s, y, t, x)),
+        p_b, y_b = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(y, dtype=float))
+        p_arr, y_arr = np.atleast_1d(p_b), np.atleast_1d(y_b)
+        cdf = lambda x: self.cdf(s, y_arr, t, x)
+        lo, hi = grow_bracket(cdf, p_arr, np.zeros_like(p_arr), np.abs(y_arr) + 12.0 * sd)
+        out = invert_monotone_cdf(cdf, p_arr, lo, hi, pdf=lambda x: self.pdf(s, y_arr, t, x),
                                   f_tol=1e-13, x_rel_tol=1e-14)
-        out = np.atleast_1d(out)
-        return float(out[0]) if np.isscalar(p) or np.ndim(p) == 0 else out.reshape(np.shape(p))
+        return float(out[0]) if p_b.ndim == 0 else out.reshape(p_b.shape)
 
     def sample(self, s, y, t, rng, size=None):
         _check_order(s, t)

@@ -46,13 +46,12 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 class Tolerance:
     """Convergence policy for series and iterative inversions."""
 
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-14
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_iter >= 1):
-            raise DomainError("Tolerance requires abs_tol > 0, rel_tol > 0, max_iter >= 1")
+        if not (self.rel_tol > 0 and self.max_iter >= 1):
+            raise DomainError("Tolerance requires rel_tol > 0, max_iter >= 1")
 
 
 DEFAULT_TOLERANCE = Tolerance()

@@ -102,15 +102,50 @@ def _cdf_limits(marg: Marginal, interval, x) -> float:
     return float(marg.cdf(x))
 
 
-def _preimages(transform, pieces, t: float, q: float) -> list[float]:
-    points = []
-    for piece in pieces:
+def _piece_inverses(transform, pieces, t: float, q: np.ndarray) -> np.ndarray:
+    """Inverse of each level of ``q`` on every piece whose open range holds it.
+
+    Returns shape ``(len(pieces),) + q.shape``, NaN where a level lies outside
+    a piece's range.
+    """
+    flat = np.ravel(q)
+    out = np.full((len(pieces), flat.size), np.nan)
+    for k, piece in enumerate(pieces):
         lo_v, hi_v = _piece_range(transform, piece, t)
-        if lo_v < q < hi_v:
-            x = float(piece.inverse(t, q))
-            if piece.lo < x < piece.hi:
-                points.append(x)
-    return points
+        inside = (lo_v < flat) & (flat < hi_v)
+        if np.any(inside):
+            out[k, inside] = piece.inverse(t, flat[inside])
+    return out.reshape((len(pieces),) + np.shape(q))
+
+
+def _preimages(transform, pieces, t: float, q: np.ndarray) -> np.ndarray:
+    """`_piece_inverses` restricted to points strictly inside their piece."""
+    x = _piece_inverses(transform, pieces, t, q)
+    lo = np.reshape([p.lo for p in pieces], (-1,) + (1,) * np.ndim(q))
+    hi = np.reshape([p.hi for p in pieces], (-1,) + (1,) * np.ndim(q))
+    return np.where((lo < x) & (x < hi), x, np.nan)
+
+
+def _decompose(marg: Marginal, transform, pieces, t: float, q: np.ndarray):
+    """Preimages of the levels ``q`` and their normalized density weights.
+
+    Both arrays have shape ``(len(pieces),) + q.shape``; where a piece holds
+    no preimage of a level the point is NaN and the weight 0.
+    """
+    points = _preimages(transform, pieces, t, q)
+    found = ~np.isnan(points)
+    missing = ~np.any(found, axis=0)
+    if np.any(missing):
+        raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
+                          f"under the transform at time {t}")
+    x = points[found]
+    jac = np.abs(np.asarray(transform.jacobian(t, x), dtype=float))
+    vanish = ~np.isfinite(jac) | (jac < 1e-300)
+    if np.any(vanish):
+        raise DomainError(f"Jacobian vanishes at preimage x={x[vanish][0]:.6g} (time {t})")
+    raw = np.zeros(points.shape)
+    raw[found] = marg.pdf(x) / jac
+    return points, raw / raw.sum(axis=0)
 
 
 def preimage_weights(model: Model, transform: SpaceTimeTransform, t: float, q: float):
@@ -120,18 +155,9 @@ def preimage_weights(model: Model, transform: SpaceTimeTransform, t: float, q: f
     the Jacobian.
     """
     pieces = _clip_pieces(transform, model.interval)
-    marg = model.marginal(t)
-    points = _preimages(transform, pieces, t, q)
-    if not points:
-        raise DomainError(f"value q={q} has no preimage under the transform at time {t}")
-    raw = []
-    for x in points:
-        jac = abs(float(transform.jacobian(t, x)))
-        if not np.isfinite(jac) or jac < 1e-300:
-            raise DomainError(f"Jacobian vanishes at preimage x={x:.6g} (time {t})")
-        raw.append(float(marg.pdf(x)) / jac)
-    raw = np.asarray(raw)
-    return np.asarray(points), raw / raw.sum()
+    points, weights = _decompose(model.marginal(t), transform, pieces, t, float(q))
+    found = ~np.isnan(points)
+    return points[found], weights[found]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +258,8 @@ def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) 
 
     def pdf_scalar(q: float) -> float:
         total = 0.0
-        for x in _preimages(transform, pieces, t, q):
+        points = _preimages(transform, pieces, t, q)
+        for x in points[~np.isnan(points)]:
             jac = abs(float(transform.jacobian(t, x)))
             if jac < 1e-300:
                 raise DomainError(f"Jacobian vanishes at preimage x={x:.6g} (time {t})")
@@ -276,66 +303,48 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
     The returned surface lives at the transformed times (phi(s), phi(t)).
     """
     require(t > s > model.t0, f"need t0 < s < t, got t0={model.t0}, s={s}, t={t}")
+    pieces = _clip_pieces(transform, model.interval)
     marg_s, marg_t = model.marginal(s), model.marginal(t)
     push_s = pushforward_marginal(model, transform, s)
     push_t = pushforward_marginal(model, transform, t)
     kernel = model.kernel
-    q_cache_s: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    q_cache_t: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _decomposed(cache, push, time, level):
-        hit = cache.get(level)
-        if hit is None:
-            q = push.quantile(level)
-            hit = preimage_weights(model, transform, time, q)
-            cache[level] = hit
-        return hit
+    def filled(x):
+        # a piece without a preimage of some level borrows another piece's
+        # (with weight 0 there), so the kernel only sees states of the process
+        return np.where(np.isnan(x), np.nanmax(x, axis=0), x)
 
-    def dens(u_val, v_arr):
-        zs, ws = _decomposed(q_cache_s, push_s, s, u_val)
-        out = np.zeros_like(np.asarray(v_arr, dtype=float))
-        for i, v_val in enumerate(np.atleast_1d(v_arr)):
-            xs, wt = _decomposed(q_cache_t, push_t, t, float(v_val))
-            acc = 0.0
-            for z, wz in zip(zs, ws):
-                for x, wx in zip(xs, wt):
-                    acc += wz * wx * float(kernel.pdf(s, z, t, x)) / float(marg_t.pdf(x))
-            out[i] = acc
-        return out
+    def source_terms(u):
+        zs, ws = _decompose(marg_s, transform, pieces, s, np.asarray(push_s.quantile(u)))
+        return filled(zs), ws
 
-    q_level_t: dict[float, float] = {}
+    def dens(u, v):
+        zs, ws = source_terms(u)
+        xs, wt = _decompose(marg_t, transform, pieces, t, np.asarray(push_t.quantile(v)))
+        xs = filled(xs)
+        acc = 0.0
+        for z, wz in zip(zs, ws):
+            for x, wx in zip(xs, wt):
+                acc = acc + wz * wx * kernel.pdf(s, z, t, x) / marg_t.pdf(x)
+        return acc
 
-    def _target_level(v_val: float) -> float:
-        hit = q_level_t.get(v_val)
-        if hit is None:
-            hit = float(push_t.quantile(v_val))
-            q_level_t[v_val] = hit
-        return hit
-
-    def cond(u_val, v_arr):
-        zs, ws = _decomposed(q_cache_s, push_s, s, u_val)
-        pieces = _clip_pieces(transform, model.interval)
-        out = np.zeros_like(np.asarray(v_arr, dtype=float))
-        for i, v_val in enumerate(np.atleast_1d(v_arr)):
-            q_v = _target_level(float(v_val))
-            acc = 0.0
-            for z, wz in zip(zs, ws):
-                mass = 0.0
-                for piece in pieces:
-                    lo_v, hi_v = _piece_range(transform, piece, t)
-                    if q_v <= lo_v:
-                        continue
-                    lo_c = _cdf_limits_transition(kernel, model.interval, s, z, t, piece.lo)
-                    hi_c = _cdf_limits_transition(kernel, model.interval, s, z, t, piece.hi)
-                    if q_v >= hi_v:
-                        mass += hi_c - lo_c
-                        continue
-                    x_q = float(piece.inverse(t, q_v))
-                    val = float(kernel.cdf(s, z, t, x_q))
-                    mass += (val - lo_c) if piece.increasing else (hi_c - val)
-                acc += wz * mass
-            out[i] = min(max(acc, 0.0), 1.0)
-        return out
+    def cond(u, v):
+        zs, ws = source_terms(u)
+        q_v = np.asarray(push_t.quantile(v))
+        xq = filled(_piece_inverses(transform, pieces, t, q_v))
+        acc = 0.0
+        for z, wz in zip(zs, ws):
+            mass = 0.0
+            for piece, x_q in zip(pieces, xq):
+                lo_v, hi_v = _piece_range(transform, piece, t)
+                lo_c = _cdf_limits_transition(kernel, model.interval, s, z, t, piece.lo)
+                hi_c = _cdf_limits_transition(kernel, model.interval, s, z, t, piece.hi)
+                val = kernel.cdf(s, z, t, x_q)
+                part = (val - lo_c) if piece.increasing else (hi_c - val)
+                mass = mass + np.where(q_v <= lo_v, 0.0,
+                                       np.where(q_v >= hi_v, hi_c - lo_c, part))
+            acc = acc + wz * mass
+        return np.clip(acc, 0.0, 1.0)
 
     params = {"model": model.name, "transform": transform.name or "stt",
               **dict(model.spec.params), "x0": model.x0, "t0": model.t0}
@@ -350,7 +359,7 @@ def _cdf_limits_transition(kernel, interval, s, y, t, x) -> float:
         return 0.0
     if x >= hi:
         return 1.0
-    return float(kernel.cdf(s, y, t, x))
+    return kernel.cdf(s, y, t, x)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ def _check(name, measured, tolerance, comparator="<="):
     return CheckResult(name, bool(ok), float(measured), float(tolerance), comparator)
 
 
+def _mesh(grid: np.ndarray):
+    """Surface arguments (u, v) spanning grid x grid, u along columns."""
+    return grid[None, :], grid[:, None]
+
+
 # ---------------------------------------------------------------------------
 # 1. special functions
 # ---------------------------------------------------------------------------
@@ -186,10 +191,8 @@ def _criterion_3() -> list[CheckResult]:
         for (s, t) in time_pairs:
             cx = copula.from_transition(source, s, t)
             cy = copula.from_transition(target, float(chain.phi(s)), float(chain.phi(t)))
-            for u in grid:
-                dx = np.asarray(cx.density(u, grid))
-                dy = np.asarray(cy.density(u, grid))
-                worst = max(worst, float(np.max(np.abs(dx - dy))))
+            diff = cx.density(*_mesh(grid)) - cy.density(*_mesh(grid))
+            worst = max(worst, float(np.max(np.abs(diff))))
         checks.append(_check(f"chain {name}", worst, 1e-8))
     return checks
 
@@ -204,10 +207,7 @@ def _criterion_4() -> list[CheckResult]:
     surf = stt.nonmonotone_copula(bm, trans, 1.0, 2.0)
     ref = copula.rbm_closed_form(1.0, 2.0)
     pts = np.linspace(0.1, 0.9, 5)
-    worst = 0.0
-    for u in pts:
-        worst = max(worst, float(np.max(np.abs(
-            np.asarray(surf.density(u, pts)) - np.asarray(ref.density(u, pts))))))
+    worst = float(np.max(np.abs(surf.density(*_mesh(pts)) - ref.density(*_mesh(pts)))))
     checks = [_check("nonmonotone(|BM|) vs reflected-BM mixture", worst, 1e-10)]
 
     weight_err = 0.0
@@ -231,11 +231,8 @@ def _criterion_5() -> list[CheckResult]:
     surfaces = [copula.from_transition(
         models.make_model("ou", {"alpha": alpha, "beta": be, "sigma": sg}, x0=0.4), s, t)
         for (be, sg) in [(0.0, 1.0), (5.0, 0.3), (-2.0, 10.0)]]
-    worst_ou = 0.0
-    for u in grid:
-        rows = [np.asarray(sf.density(u, grid)) for sf in surfaces]
-        for row in rows[1:]:
-            worst_ou = max(worst_ou, float(np.max(np.abs(row - rows[0]))))
+    meshes = [sf.density(*_mesh(grid)) for sf in surfaces]
+    worst_ou = max(float(np.max(np.abs(m - meshes[0]))) for m in meshes[1:])
     checks = [_check("ou copula invariant under (beta, sigma)", worst_ou, 1e-12)]
 
     alpha_c, gamma = 0.6, 4.0
@@ -247,11 +244,8 @@ def _criterion_5() -> list[CheckResult]:
         surfaces.append(copula.from_transition(
             models.make_model("cir", {"alpha": alpha_c, "beta": be, "sigma": sg}, x0=x0),
             s, t))
-    worst_cir = 0.0
-    for u in grid:
-        rows = [np.asarray(sf.density(u, grid)) for sf in surfaces]
-        for row in rows[1:]:
-            worst_cir = max(worst_cir, float(np.max(np.abs(row - rows[0]))))
+    meshes = [sf.density(*_mesh(grid)) for sf in surfaces]
+    worst_cir = max(float(np.max(np.abs(m - meshes[0]))) for m in meshes[1:])
     checks.append(_check("cir copula invariant under (beta, sigma) at fixed gamma",
                          worst_cir, 1e-8))
     return checks
@@ -318,12 +312,9 @@ def _criterion_8() -> list[CheckResult]:
     cir625 = copula.cir_closed_form(alpha, 625.0, x0, s, t)
     ou = copula.ou_closed_form(alpha, s, t)
     grid = np.linspace(0.2, 0.8, 13)
-    cond_sup, dens_sup = 0.0, 0.0
-    for u in grid:
-        cond_sup = max(cond_sup, float(np.max(np.abs(
-            np.asarray(cir625.conditional(u, grid)) - np.asarray(ou.conditional(u, grid))))))
-        dens_sup = max(dens_sup, float(np.max(np.abs(
-            np.asarray(cir625.density(u, grid)) - np.asarray(ou.density(u, grid))))))
+    u, v = _mesh(grid)
+    cond_sup = float(np.max(np.abs(cir625.conditional(u, v) - ou.conditional(u, v))))
+    dens_sup = float(np.max(np.abs(cir625.density(u, v) - ou.density(u, v))))
     checks.append(_check("gamma=625 vs ou, conditional sup on [0.2,0.8]^2", cond_sup, 0.05))
     # raw-density sup reported for transparency; intrinsically ~0.135 at gamma=625
     checks.append(_check("gamma=625 vs ou, density sup (reported, not gated)",
@@ -333,17 +324,14 @@ def _criterion_8() -> list[CheckResult]:
     phi_inv = lambda tau: math.expm1(alpha * tau) / alpha
     rbm = copula.rbm_closed_form(phi_inv(s), phi_inv(t))
     pts = np.linspace(0.1, 0.9, 5)
-    worst = 0.0
-    for u in pts:
-        worst = max(worst, float(np.max(np.abs(
-            np.asarray(cir1.density(u, pts)) - np.asarray(rbm.density(u, pts))))))
+    worst = float(np.max(np.abs(cir1.density(*_mesh(pts)) - rbm.density(*_mesh(pts)))))
     checks.append(_check("gamma=1 equals time-changed reflected-BM copula", worst, 1e-8))
 
     cir625b = copula.cir_closed_form(alpha, 6.25, x0, s, t)
     hi_grid = np.linspace(0.9025, 0.9975, 10)
     lo_grid = np.linspace(0.0025, 0.0975, 10)
-    hi = max(float(np.max(cir625b.density(u, hi_grid))) for u in hi_grid)
-    lo = max(float(np.max(cir625b.density(u, lo_grid))) for u in lo_grid)
+    hi = float(np.max(cir625b.density(*_mesh(hi_grid))))
+    lo = float(np.max(cir625b.density(*_mesh(lo_grid))))
     checks.append(_check("gamma=6.25 corner asymmetry (ratio)", hi / lo, 2.0, ">="))
     return checks
 

@@ -23,6 +23,48 @@ def rbm_density_oracle(u, v, s, t):
     return trans / marg
 
 
+def _pushed_bessel():
+    cir = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
+    chain = stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8)
+    return copula.from_transition(stt.push_transition(cir, chain), 1.0, 2.0)
+
+
+def _quadrature_conditional():
+    closed = copula.gaussian_closed_form(1.0, 2.0)
+    return copula.CopulaSurface(closed._density_core, None, time_pair=(1.0, 2.0),
+                                provenance="closed_form")
+
+
+CATALOG = {
+    "bm": ({}, 0.0),
+    "bm_drift": ({"mu": 0.3, "sigma": 1.2}, 0.5),
+    "gbm": ({"mu": 0.1, "sigma": 0.4}, 1.0),
+    "ou": ({"alpha": 1.0, "beta": 0.5, "sigma": 0.9}, 0.2),
+    "rbm": ({}, 0.3),
+    "cir": ({"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, 1.2),
+    "cir_special": ({"alpha": 0.6, "sigma": 1.1}, 0.4),
+    "rayleigh": ({"a": 2.625, "b": -0.5}, 2.7),
+    "bessel": ({"delta": 1.5}, 1.0),
+}
+
+MESH_SURFACES = {
+    "gaussian": lambda: copula.gaussian_closed_form(1.0, 2.0),
+    "ou": lambda: copula.ou_closed_form(0.1, 30.0, 30.5),
+    "rbm": lambda: copula.rbm_closed_form(1.0, 2.0),
+    "cir_x0_zero": lambda: copula.cir_closed_form(0.1, 5.0, 0.0, 2.0, 12.0),
+    "cir_x0_positive": lambda: copula.cir_closed_form(0.1, 625.0, 10.0, 30.0, 30.5),
+    "independence": copula.independence_surface,
+    "quadrature_conditional": _quadrature_conditional,
+    "push_cir_to_bessel": _pushed_bessel,
+    "nonmonotone_abs_bm": lambda: stt.nonmonotone_copula(
+        models.make_model("bm", x0=0.0), stt.absolute_value(), 1.0, 2.0),
+    **{f"from_transition_{name}":
+       (lambda name=name: copula.from_transition(
+           models.make_model(name, CATALOG[name][0], x0=CATALOG[name][1]), 0.8, 1.5))
+       for name in CATALOG},
+}
+
+
 class TestFromTransition:
     def test_bm_center_value(self):
         bm = models.make_model("bm", x0=0.0)
@@ -297,9 +339,18 @@ class TestConditionalCdfGrid:
         assert float(surf.density(0.3, 0.9)) == 1.0
         assert float(surf.conditional(0.3, 0.9)) == 0.9
 
-    def test_grid_eval_deterministic_under_threads(self, monkeypatch):
-        surf = copula.gaussian_closed_form(1.0, 2.0)
-        serial = copula.grid_eval(surf, 16)
-        monkeypatch.setenv("DIFFCOP_THREADS", "4")
-        threaded = copula.grid_eval(surf, 16)
-        np.testing.assert_array_equal(serial, threaded)
+    @pytest.mark.parametrize("name", sorted(MESH_SURFACES))
+    def test_grid_eval_matches_pointwise(self, name):
+        # cores take broadcast (u, v) arrays: the mesh solves each quantile once,
+        # and must agree with one scalar call per cell
+        surf = MESH_SURFACES[name]()
+        n = 5
+        mids = (np.arange(n) + 0.5) / n
+        grid = copula.grid_eval(surf, n)
+        cond = surf.conditional(mids[None, :], mids[:, None])
+        assert grid.shape == cond.shape == (n, n)
+        for i, v in enumerate(mids):
+            for j, u in enumerate(mids):
+                assert grid[i, j] == pytest.approx(surf.density(u, v), rel=1e-14, abs=0.0)
+                assert cond[i, j] == pytest.approx(surf.conditional(u, v), rel=1e-14, abs=0.0)
+        assert isinstance(surf.density(0.3, 0.6), float)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -117,9 +118,9 @@ class TestKernelBasics:
             lo, hi, abs_tol=1e-9, rel_tol=1e-9, points=[y, x])
         assert abs(composed - direct) <= 1e-5
 
-    @pytest.mark.parametrize("name", ["cir", "rayleigh", "bessel"])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_vector_conditioning_state_matches_loop(self, name):
-        # the noncentrality of the cir-family kernels is an array for a vector y
+        # every kernel takes an array conditioning state y; copula meshes rely on it
         k = build(name).kernel
         s, t, x, p = 0.5, 1.5, 1.1, 0.35
         ys = np.array([0.3, 1.2, 2.5])
@@ -191,13 +192,43 @@ class TestRbmFolding:
         assert worst <= 1e-14
 
     def test_quantile_at_probability_clamp(self):
-        # the folded cdf cancels to steps of one ulp of Phi(-y/sd) near x = 0, so
-        # Newton creeps there; the inversion must bisect and still return a root
+        # far below the 1e-12 surface clamp the inversion must still return a root
         k = models.make_model("rbm", {}, x0=0.3).kernel
         quantum = np.spacing(special.norm_cdf(-0.3))
         for p in (1e-15, 1e-20):
             x = k.quantile(0.0, 0.3, 1.0, p)
             assert 0.0 < x and float(k.cdf(0.0, 0.3, 1.0, x)) == pytest.approx(p, abs=2 * quantum)
+
+    @staticmethod
+    def mp_folded_cdf(x, y, var):
+        """Phi((x - y)/sd) - Phi((-x - y)/sd) in 50-digit arithmetic."""
+        with mp.workdps(50):
+            sd = mp.sqrt(mp.mpf(var))
+            x, y = mp.mpf(x), mp.mpf(y)
+            return mp.ncdf((x - y) / sd) - mp.ncdf((-x - y) / sd)
+
+    @pytest.mark.parametrize("y", [0.0, 0.3, 1.0, 3.0, 8.0])
+    @pytest.mark.parametrize("sd", [0.1, 1.0, 3.0])
+    def test_cdf_near_origin_matches_mpmath(self, y, sd):
+        # the difference of two normal cdfs cancels as x -> 0; the kernel must
+        # stay accurate relative to the (tiny) probability all the same
+        k = build("rbm").kernel
+        var = sd * sd
+        x = sd * np.logspace(-16.0, 1.0, 52)
+        got = k.cdf(0.0, y, var, x)
+        for xi, g in zip(x, got):
+            ref = self.mp_folded_cdf(xi, y, var)
+            if ref >= 1e-300:
+                assert abs(g / float(ref) - 1.0) <= 1e-10, (xi, g, ref)
+            else:                          # below the normal doubles
+                assert 0.0 <= g <= 1e-290
+
+    @pytest.mark.parametrize("y", [0.0, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("p", [1e-15, 1e-12, 1e-9])
+    def test_quantile_in_left_tail_matches_mpmath(self, y, p):
+        k = build("rbm").kernel
+        root = k.quantile(0.0, y, 1.0, p)
+        assert abs(float(self.mp_folded_cdf(root, y, 1.0)) / p - 1.0) <= 1e-10
 
 
 class TestMarginals:
