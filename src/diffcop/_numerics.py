@@ -140,10 +140,6 @@ def central_diff(f: Callable, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def second_diff(f: Callable, x: float, h: float) -> float:
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
 def require(condition: bool, message: str) -> None:
     """Raise `DomainError` unless ``condition`` holds."""
     if not condition:

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from ._numerics import integrate, require
-from .errors import DomainError
+from ._numerics import require
+from .errors import DomainError, NumericsError
 from .models import Model
 
 __all__ = [
@@ -38,12 +38,63 @@ __all__ = [
 
 _CLAMP = 1e-12   # corner clamp before quantile evaluation
 
+_GL20, _GL10 = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(10)
+_GL_NODES = np.concatenate((_GL20[0], _GL10[0]))
+_GL_ABS_TOL, _GL_REL_TOL = 1e-13, 1e-11   # per integral
+_GL_MAX_ROUNDS, _GL_MAX_PANELS = 60, 200  # bisection depth; open panels per integral
 
-def _clamped(x, name: str) -> np.ndarray:
+
+def _unit(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must lie in [0, 1]")
-    return np.clip(arr, _CLAMP, 1.0 - _CLAMP)
+    return arr
+
+
+def _clamped(x, name: str) -> np.ndarray:
+    return np.clip(_unit(x, name), _CLAMP, 1.0 - _CLAMP)
+
+
+def _gauss_legendre(f: Callable, lo, hi, at) -> np.ndarray:
+    """Integrals of x -> f(x, at) over [lo, hi], one per element of the broadcast inputs.
+
+    Each integral starts as the panels [lo, at] and [at, hi]: copula integrands
+    concentrate near that diagonal at short lags.  Each round passes the 30
+    nodes of all open panels to ``f`` in one call, as (panels, 30) and
+    (panels, 1) arrays.  A panel's value is its 20-point rule, its error the
+    distance to the 10-point one.  Until an integral's errors sum to at most
+    max(abs_tol, rel_tol |I|), its panels whose error exceeds an equal share of
+    the budget left are bisected.  Each value owns its panels, so it does not
+    depend on the batch.  Raises `NumericsError` on a non-finite integrand or
+    a bisection too deep or too wide.
+    """
+    lo, hi, at = np.broadcast_arrays(lo, hi, at)
+    shape, n = lo.shape, lo.size
+    lo, hi, at = lo.ravel(), hi.ravel(), at.ravel()
+    cut = np.clip(at, lo, hi)
+    a, b, owner = np.concatenate((lo, cut)), np.concatenate((cut, hi)), np.tile(np.arange(n), 2)
+    a, b, owner = a[b > a], b[b > a], owner[b > a]
+    value, err_kept = np.zeros(n), np.zeros(n)
+    for _ in range(_GL_MAX_ROUNDS):
+        if owner.size == 0:
+            return value.reshape(shape)
+        half = 0.5 * (b - a)
+        fx = np.asarray(f((a + half)[:, None] + half[:, None] * _GL_NODES, at[owner][:, None]))
+        if not np.all(np.isfinite(fx)):
+            raise NumericsError("quadrature integrand is not finite")
+        g20 = half * (fx[:, :20] * _GL20[1]).sum(axis=1)
+        err = np.abs(g20 - half * (fx[:, 20:] * _GL10[1]).sum(axis=1))
+        tol = np.maximum(_GL_ABS_TOL, _GL_REL_TOL * np.abs(value + np.bincount(owner, g20, n)))
+        done = err_kept + np.bincount(owner, err, n) <= tol
+        share = (tol - err_kept) / np.maximum(np.bincount(owner, minlength=n), 1)
+        keep = done[owner] | (err <= share[owner])
+        value += np.bincount(owner[keep], g20[keep], n)
+        err_kept += np.bincount(owner[keep], err[keep], n)
+        a, b, owner, half = a[~keep], b[~keep], owner[~keep], half[~keep]
+        a, b, owner = np.concatenate((a, a + half)), np.concatenate((a + half, b)), np.tile(owner, 2)
+        if owner.size and np.bincount(owner).max() > _GL_MAX_PANELS:
+            raise NumericsError(f"quadrature needs over {_GL_MAX_PANELS} panels for one integral")
+    raise NumericsError(f"quadrature did not converge in {_GL_MAX_ROUNDS} bisections")
 
 
 class CopulaSurface:
@@ -55,14 +106,14 @@ class CopulaSurface:
     kernel on the broadcast mesh, so ``core(u[None, :], v[:, None])`` solves
     len(u) + len(v) quantiles for the whole grid.  The public methods clamp
     the unit square corners at 1e-12 and return a float for scalar arguments.
-    When no conditional core is supplied it is obtained by adaptive
-    quadrature of the density; the CDF is always the quadrature of the
-    conditional over u.
+    The CDF integrates the conditional over u and, without a conditional
+    core, the conditional integrates the density over v, both by adaptive
+    Gauss-Legendre rounds that pass the nodes of every point to one core call.
     """
 
     def __init__(self, density_core: Callable, conditional_core: Callable | None = None,
                  *, time_pair: tuple[float, float], provenance: str,
-                 params: dict | None = None, quad_abs_tol: float = 1e-8):
+                 params: dict | None = None):
         require(time_pair[1] > time_pair[0] > 0.0 or provenance == "independence",
                 f"need 0 < s < t, got {time_pair}")
         self._density_core = density_core
@@ -70,7 +121,6 @@ class CopulaSurface:
         self.time_pair = (float(time_pair[0]), float(time_pair[1]))
         self.provenance = provenance
         self.params = dict(params or {})
-        self.quad_abs_tol = quad_abs_tol
 
     def _eval(self, core: Callable, u, v):
         out = core(u, v)
@@ -83,29 +133,13 @@ class CopulaSurface:
         uc, vc = _clamped(u, "u"), _clamped(v, "v")
         if self._conditional_core is not None:
             return self._eval(self._conditional_core, uc, vc)
-
-        def strip(u_val, v_val):
-            f = lambda z: float(self._density_core(u_val, z))
-            return integrate(f, 0.0, v_val, abs_tol=self.quad_abs_tol,
-                             rel_tol=self.quad_abs_tol, points=[u_val])
-
-        return self._eval(np.vectorize(strip, otypes=[float]), uc, vc)
+        return self._eval(lambda u, v: _gauss_legendre(
+            lambda z, u: self._density_core(u, z), 0.0, v, u), uc, vc)
 
     def cdf(self, u, v):
-        u_b, v_b = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        scalar = u_b.ndim == 0
-        out = np.empty(np.atleast_1d(u_b).ravel().shape)
-        for i, (u_val, v_val) in enumerate(zip(np.atleast_1d(u_b).ravel(),
-                                               np.atleast_1d(v_b).ravel())):
-            require(0.0 <= u_val <= 1.0 and 0.0 <= v_val <= 1.0, "u, v must lie in [0, 1]")
-            if u_val <= 0.0 or v_val <= 0.0:
-                out[i] = 0.0
-                continue
-            cond = lambda w: float(self.conditional(w, min(v_val, 1.0)))
-            out[i] = integrate(cond, 0.0, min(u_val, 1.0),
-                               abs_tol=self.quad_abs_tol, rel_tol=self.quad_abs_tol,
-                               points=[v_val])
-        return float(out[0]) if scalar else out.reshape(u_b.shape)
+        u, v = _unit(u, "u"), _unit(v, "v")
+        return self._eval(lambda u, v: _gauss_legendre(
+            self.conditional, 0.0, np.where(v > 0.0, u, 0.0), v), u, v)
 
 
 def conditional(surface: CopulaSurface, u, v):
@@ -114,7 +148,7 @@ def conditional(surface: CopulaSurface, u, v):
 
 
 def cdf(surface: CopulaSurface, u, v):
-    """The copula CDF C_{s,t}(u, v) by adaptive quadrature of the conditional."""
+    """The copula CDF C_{s,t}(u, v), by Gauss-Legendre rounds over C_{t|s}(v|w) on [0, u]."""
     return surface.cdf(u, v)
 
 
@@ -280,35 +314,29 @@ def grid_eval(surface: CopulaSurface, n: int) -> np.ndarray:
     return surface.density(mids[None, :], mids[:, None])
 
 
-def cdf_on_grid(surface: CopulaSurface, us, vs, abs_tol: float = 1e-9) -> np.ndarray:
+def cdf_on_grid(surface: CopulaSurface, us, vs) -> np.ndarray:
     """Copula CDF on a sorted grid: C[i, j] = C(us[i], vs[j]).
 
-    The u-integral of the conditional is accumulated strip by strip, so each
-    boundary layer of the conditional is resolved once per v instead of once
-    per grid point.
+    The conditional of each v over each u-strip [us[i-1], us[i]] (us[-1] = 0)
+    is one integral of the same Gauss-Legendre rounds; strips are summed in u.
     """
     us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    vs = _unit(vs, "v")
     require(np.all(np.diff(us) > 0) and us[0] > 0.0 and us[-1] <= 1.0,
             "us must be strictly increasing in (0, 1]")
-    edges = np.concatenate(([0.0], us))
-    out = np.empty((us.size, vs.size))
-    for j, v in enumerate(vs):
-        strip = [integrate(lambda w: float(surface.conditional(w, v)),
-                           edges[k], edges[k + 1], abs_tol=abs_tol, rel_tol=1e-8)
-                 for k in range(us.size)]
-        out[:, j] = np.cumsum(strip)
-    return out
+    edges = np.concatenate(([0.0], us))[:, None]
+    strips = _gauss_legendre(surface.conditional, edges[:-1], edges[1:], vs[None, :])
+    return np.cumsum(strips, axis=0)
 
 
-def cell_masses(surface: CopulaSurface, m: int, abs_tol: float = 1e-9) -> np.ndarray:
+def cell_masses(surface: CopulaSurface, m: int) -> np.ndarray:
     """Exact copula mass of each cell of the m x m uniform grid.
 
     mass[i, j] = P(U in cell_j, V in cell_i); rows index v, columns index u.
     """
     edges = np.linspace(0.0, 1.0, m + 1)
     cdf_grid = np.zeros((m + 1, m + 1))            # [i_u, j_v]
-    cdf_grid[1:, 1:-1] = cdf_on_grid(surface, edges[1:], edges[1:-1], abs_tol=abs_tol)
+    cdf_grid[1:, 1:-1] = cdf_on_grid(surface, edges[1:], edges[1:-1])
     cdf_grid[1:, -1] = edges[1:]                   # C(u, 1) = u
     inc = np.diff(np.diff(cdf_grid, axis=0), axis=1)
     return inc.T

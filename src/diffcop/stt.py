@@ -93,13 +93,13 @@ def _piece_range(transform: SpaceTimeTransform, piece: MonotonePiece, t: float):
     return (va, vb) if va <= vb else (vb, va)
 
 
-def _cdf_limits(marg: Marginal, interval, x) -> float:
+def _cdf_limits(cdf: Callable, interval, x):
     lo, hi = interval
     if x <= lo:
         return 0.0
     if x >= hi:
         return 1.0
-    return float(marg.cdf(x))
+    return cdf(x)
 
 
 def _piece_inverses(transform, pieces, t: float, q: np.ndarray) -> np.ndarray:
@@ -126,18 +126,15 @@ def _preimages(transform, pieces, t: float, q: np.ndarray) -> np.ndarray:
     return np.where((lo < x) & (x < hi), x, np.nan)
 
 
-def _decompose(marg: Marginal, transform, pieces, t: float, q: np.ndarray):
-    """Preimages of the levels ``q`` and their normalized density weights.
+def _preimage_densities(marg: Marginal, transform, pieces, t: float, q: np.ndarray):
+    """Preimages of the levels ``q`` and their densities f_t(x)/|J_t(x)|.
 
     Both arrays have shape ``(len(pieces),) + q.shape``; where a piece holds
-    no preimage of a level the point is NaN and the weight 0.
+    no preimage of a level the point is NaN and the density 0.  A preimage on
+    a zero of the Jacobian raises `DomainError`, naming the point.
     """
     points = _preimages(transform, pieces, t, q)
     found = ~np.isnan(points)
-    missing = ~np.any(found, axis=0)
-    if np.any(missing):
-        raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
-                          f"under the transform at time {t}")
     x = points[found]
     jac = np.abs(np.asarray(transform.jacobian(t, x), dtype=float))
     vanish = ~np.isfinite(jac) | (jac < 1e-300)
@@ -145,6 +142,20 @@ def _decompose(marg: Marginal, transform, pieces, t: float, q: np.ndarray):
         raise DomainError(f"Jacobian vanishes at preimage x={x[vanish][0]:.6g} (time {t})")
     raw = np.zeros(points.shape)
     raw[found] = marg.pdf(x) / jac
+    return points, raw
+
+
+def _decompose(marg: Marginal, transform, pieces, t: float, q: np.ndarray):
+    """Preimages of the levels ``q`` and their normalized density weights.
+
+    Both arrays have shape ``(len(pieces),) + q.shape``; where a piece holds
+    no preimage of a level the point is NaN and the weight 0.
+    """
+    points, raw = _preimage_densities(marg, transform, pieces, t, q)
+    missing = np.all(np.isnan(points), axis=0)
+    if np.any(missing):
+        raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
+                          f"under the transform at time {t}")
     return points, raw / raw.sum(axis=0)
 
 
@@ -231,60 +242,33 @@ def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) 
     """Marginal of Y_{phi(t)} = psi(t, X_t); a mixture over monotone pieces."""
     pieces = _clip_pieces(transform, model.interval)
     marg = model.marginal(t)
-    interval = model.interval
-
-    def cdf_scalar(q: float) -> float:
-        total = 0.0
-        for piece in pieces:
-            lo_v, hi_v = _piece_range(transform, piece, t)
-            if q <= lo_v:
-                continue
-            if q >= hi_v:
-                total += (_cdf_limits(marg, interval, piece.hi)
-                          - _cdf_limits(marg, interval, piece.lo))
-                continue
-            x_q = float(piece.inverse(t, q))
-            if piece.increasing:
-                total += marg.cdf(x_q) - _cdf_limits(marg, interval, piece.lo)
-            else:
-                total += _cdf_limits(marg, interval, piece.hi) - marg.cdf(x_q)
-        return min(max(total, 0.0), 1.0)
+    ranges = [_piece_range(transform, piece, t) for piece in pieces]
+    ends = [(_cdf_limits(marg.cdf, model.interval, piece.lo),
+             _cdf_limits(marg.cdf, model.interval, piece.hi)) for piece in pieces]
 
     def cdf(q):
-        q_arr = np.asarray(q, dtype=float)
-        if q_arr.ndim == 0:
-            return cdf_scalar(float(q_arr))
-        return np.array([cdf_scalar(float(x)) for x in q_arr.ravel()]).reshape(q_arr.shape)
-
-    def pdf_scalar(q: float) -> float:
+        q = np.asarray(q, dtype=float)
+        x = _piece_inverses(transform, pieces, t, q)
+        inside = ~np.isnan(x)
+        f = np.zeros(x.shape)
+        f[inside] = marg.cdf(x[inside])      # only states of the process reach marg.cdf
         total = 0.0
-        points = _preimages(transform, pieces, t, q)
-        for x in points[~np.isnan(points)]:
-            jac = abs(float(transform.jacobian(t, x)))
-            if jac < 1e-300:
-                raise DomainError(f"Jacobian vanishes at preimage x={x:.6g} (time {t})")
-            total += float(marg.pdf(x)) / jac
-        return total
+        for piece, (lo_v, hi_v), (f_lo, f_hi), f_q in zip(pieces, ranges, ends, f):
+            part = (f_q - f_lo) if piece.increasing else (f_hi - f_q)
+            total = total + np.where(q <= lo_v, 0.0, np.where(q >= hi_v, f_hi - f_lo, part))
+        out = np.clip(total, 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def pdf(q):
-        q_arr = np.asarray(q, dtype=float)
-        if q_arr.ndim == 0:
-            return pdf_scalar(float(q_arr))
-        return np.array([pdf_scalar(float(x)) for x in q_arr.ravel()]).reshape(q_arr.shape)
+        out = _preimage_densities(marg, transform, pieces, t, q)[1].sum(axis=0)
+        return float(out) if out.ndim == 0 else out
 
-    x_mid = marg.quantile(0.5)
-    center = float(transform.psi(t, x_mid))
+    center = float(transform.psi(t, marg.quantile(0.5)))
 
     def quantile(p):
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        cdf_vec = lambda x: np.atleast_1d(cdf(x))
-        lo, hi = grow_bracket(cdf_vec, p_arr,
-                              np.full_like(p_arr, center - 1.0),
-                              np.full_like(p_arr, center + 1.0))
-        out = invert_monotone_cdf(cdf_vec, p_arr, lo, hi,
-                                  pdf=lambda x: np.atleast_1d(pdf(x)),
-                                  f_tol=1e-13, x_rel_tol=1e-14)
-        out = np.atleast_1d(out)
+        lo, hi = grow_bracket(cdf, p_arr, center - 1.0, center + 1.0)
+        out = invert_monotone_cdf(cdf, p_arr, lo, hi, pdf=pdf, f_tol=1e-13, x_rel_tol=1e-14)
         return float(out[0]) if np.ndim(p) == 0 else out.reshape(np.shape(p))
 
     return Marginal(t=float(transform.phi(t)), pdf=pdf, cdf=cdf, quantile=quantile)
@@ -335,11 +319,12 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
         acc = 0.0
         for z, wz in zip(zs, ws):
             mass = 0.0
+            kernel_cdf = lambda x: kernel.cdf(s, z, t, x)
             for piece, x_q in zip(pieces, xq):
                 lo_v, hi_v = _piece_range(transform, piece, t)
-                lo_c = _cdf_limits_transition(kernel, model.interval, s, z, t, piece.lo)
-                hi_c = _cdf_limits_transition(kernel, model.interval, s, z, t, piece.hi)
-                val = kernel.cdf(s, z, t, x_q)
+                lo_c = _cdf_limits(kernel_cdf, model.interval, piece.lo)
+                hi_c = _cdf_limits(kernel_cdf, model.interval, piece.hi)
+                val = kernel_cdf(x_q)
                 part = (val - lo_c) if piece.increasing else (hi_c - val)
                 mass = mass + np.where(q_v <= lo_v, 0.0,
                                        np.where(q_v >= hi_v, hi_c - lo_c, part))
@@ -351,15 +336,6 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
     return CopulaSurface(dens, cond,
                          time_pair=(float(transform.phi(s)), float(transform.phi(t))),
                          provenance="nonmonotone", params=params)
-
-
-def _cdf_limits_transition(kernel, interval, s, y, t, x) -> float:
-    lo, hi = interval
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    return kernel.cdf(s, y, t, x)
 
 
 # ---------------------------------------------------------------------------

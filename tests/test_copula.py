@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from diffcop import copula, models, special, stt
 from diffcop._numerics import integrate
-from diffcop.errors import DomainError
+from diffcop.errors import DomainError, NumericsError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -354,3 +355,94 @@ class TestConditionalCdfGrid:
                 assert grid[i, j] == pytest.approx(surf.density(u, v), rel=1e-14, abs=0.0)
                 assert cond[i, j] == pytest.approx(surf.conditional(u, v), rel=1e-14, abs=0.0)
         assert isinstance(surf.density(0.3, 0.6), float)
+
+
+# ---------------------------------------------------------------------------
+# Copula CDF by Gauss-Legendre rounds
+# ---------------------------------------------------------------------------
+
+CORNERS = np.array([0.02, 0.5, 0.98])
+
+
+def _mp_norm_quantile(p):
+    return mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+
+
+def _mp_gaussian_cdf(rho, u, v):
+    """C(u, v) = int_{-inf}^{Phi^-1(u)} phi(x) Phi((Phi^-1(v) - rho x)/w) dx."""
+    w, b = mpmath.sqrt(1 - rho ** 2), _mp_norm_quantile(v)
+    return mpmath.quad(lambda x: mpmath.npdf(x) * mpmath.ncdf((b - rho * x) / w),
+                       [-mpmath.inf, _mp_norm_quantile(u)])
+
+
+def _mp_rbm_cdf(rho, u, v):
+    """P(|Z1| <= h, |Z2| <= k) with h, k the half-normal quantiles of u, v."""
+    w = mpmath.sqrt(1 - rho ** 2)
+    h, k = _mp_norm_quantile((1 + mpmath.mpf(u)) / 2), _mp_norm_quantile((1 + mpmath.mpf(v)) / 2)
+    return mpmath.quad(lambda x: mpmath.npdf(x) * (mpmath.ncdf((k - rho * x) / w)
+                                                   - mpmath.ncdf((-k - rho * x) / w)),
+                       [-h, 0, h])
+
+
+@pytest.mark.parametrize("family,s,t", [("gaussian", 1.0, 2.0), ("gaussian", 1.0, 20.0),
+                                        ("gaussian", 1.0, 1.05), ("rbm", 1.0, 2.0),
+                                        ("rbm", 1.0, 20.0)])
+def test_cdf_matches_mpmath_at_corners(family, s, t):
+    surf = (copula.gaussian_closed_form if family == "gaussian" else copula.rbm_closed_form)(s, t)
+    oracle = _mp_gaussian_cdf if family == "gaussian" else _mp_rbm_cdf
+    with mpmath.workdps(30):
+        exact = np.array([[float(oracle(mpmath.sqrt(mpmath.mpf(s) / t), u, v)) for v in CORNERS]
+                          for u in CORNERS])
+    assert np.all(exact >= 1e-12)
+    for got in (copula.cdf_on_grid(surf, CORNERS, CORNERS),
+                surf.cdf(CORNERS[:, None], CORNERS[None, :])):
+        np.testing.assert_allclose(got, exact, rtol=1e-8, atol=0.0)
+
+
+BATCH_US, BATCH_VS = np.array([0.02, 0.5, 0.98]), np.array([0.02, 0.25, 0.75, 0.98])
+
+
+@pytest.mark.parametrize("name", ["gaussian", "rbm", "from_transition_ou", "nonmonotone_abs_bm"])
+def test_cdf_is_independent_of_the_batch(name):
+    # every value owns its panels, so the points sharing a call change nothing
+    surf = MESH_SURFACES[name]()
+    us, vs = BATCH_US, BATCH_VS
+    grid = copula.cdf_on_grid(surf, us, vs)
+    for j in range(vs.size):
+        np.testing.assert_array_equal(grid[:, j], copula.cdf_on_grid(surf, us, vs[j:j + 1])[:, 0])
+    mesh = surf.cdf(us[:, None], vs[None, :])
+    assert mesh[1, 2] == surf.cdf(us[1], vs[2])
+    assert mesh[2, 0] == surf.cdf(us[2], vs[0])
+
+
+def test_conditional_fallback_is_independent_of_the_batch():
+    surf = _quadrature_conditional()
+    mesh = surf.conditional(BATCH_US[:, None], BATCH_VS[None, :])
+    for i, u in enumerate(BATCH_US):
+        for j, v in enumerate(BATCH_VS):
+            assert mesh[i, j] == surf.conditional(u, v)
+
+
+def _bad_surface(conditional_core=None, density_core=None):
+    ones = lambda u, v: np.ones(np.broadcast(u, v).shape)
+    return copula.CopulaSurface(density_core or ones, conditional_core,
+                                time_pair=(1.0, 2.0), provenance="closed_form")
+
+
+@pytest.mark.parametrize("core", [
+    lambda u, v: np.full(np.broadcast(u, v).shape, np.nan),
+    lambda u, v: np.random.default_rng(1).random(np.broadcast(u, v).shape),
+    lambda u, v: (np.abs(u - 0.3) + 1e-300) ** -0.5 + 0.0 * v,   # beyond any bisection depth
+], ids=["nan", "noise", "singular"])
+def test_cdf_fails_loudly_on_a_broken_conditional(core):
+    surf = _bad_surface(conditional_core=core)
+    with pytest.raises(NumericsError):
+        surf.cdf(0.7, 0.5)
+    with pytest.raises(NumericsError):
+        copula.cdf_on_grid(surf, [0.5, 1.0], [0.4])
+
+
+def test_conditional_fallback_fails_loudly_on_a_nan_density():
+    surf = _bad_surface(density_core=lambda u, v: np.full(np.broadcast(u, v).shape, np.nan))
+    with pytest.raises(NumericsError):
+        surf.conditional(0.4, 0.7)

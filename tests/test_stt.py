@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diffcop import copula, models, stt
+from diffcop import copula, models, special, stt
 from diffcop._numerics import integrate
 from diffcop.errors import DomainError
 from diffcop.uniformize import ks_statistic
@@ -117,6 +117,32 @@ class TestBuiltinChains:
         piece = chain.pieces[0]
         y = float(chain.psi(0.8, 1.1))
         assert float(piece.inverse(0.8, y)) == pytest.approx(1.1, rel=1e-12)
+
+
+class TestPushforwardMarginal:
+    @pytest.mark.parametrize("name", ["absolute_value", "bm_to_special_cir"])
+    def test_vector_matches_scalar(self, name):
+        transform = (stt.absolute_value() if name == "absolute_value"
+                     else stt.builtin_chain(name, alpha=0.6, sigma=1.1))
+        marg = stt.pushforward_marginal(models.make_model("bm", x0=0.0), transform, 1.3)
+        q = np.array([[-0.5, 0.0, 1e-3, 0.4], [1.0, 2.5, 7.0, 40.0]])
+        for f in (marg.cdf, marg.pdf):
+            vec = f(q)
+            assert vec.shape == q.shape
+            np.testing.assert_array_equal(vec, [[f(float(x)) for x in row] for row in q])
+            assert isinstance(f(0.4), float)
+
+    def test_absolute_value_is_the_folded_normal(self):
+        t = 1.3
+        marg = stt.pushforward_marginal(models.make_model("bm", x0=0.0), stt.absolute_value(), t)
+        q = np.array([-1.0, 0.0, 0.05, 0.7, 2.0, 5.0])
+        z = np.maximum(q, 0.0) / math.sqrt(t)
+        np.testing.assert_allclose(marg.cdf(q), 2.0 * special.norm_cdf(z) - 1.0,
+                                   rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(marg.pdf(q), np.where(q > 0.0, 2.0 * special.norm_pdf(z)
+                                                         / math.sqrt(t), 0.0), rtol=1e-14)
+        p = np.array([0.01, 0.5, 0.99])
+        np.testing.assert_allclose(marg.cdf(marg.quantile(p)), p, rtol=1e-12)
 
 
 class TestNonmonotone:
