@@ -21,16 +21,17 @@ oracle:  with  c_r = 2*alpha / (sigma^2 (1 - e^{-alpha r})),
 
     2 c_{t-s} X_t | X_s = y   ~   chi2nc(4 beta/sigma^2,  2 c_{t-s} e^{-alpha(t-s)} y).
 
-Rayleigh and Bessel kernels are the exact monotone pushforwards of that law
-through Y = 2 sqrt(X)/sigma (algebraically simplified: the squared state is a
-scaled noncentral chi-square).
+A monotone map of a kernel is a kernel: `MappedKernel` holds the pushforward
+f^Y = f^X / |d psi/dx|.  gbm is the exp map of a log-Gaussian kernel, Rayleigh
+and Bessel the sqrt map of a cir-family kernel; `stt.push_transition` and the
+recombined process build theirs from it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln
@@ -40,8 +41,8 @@ from ._numerics import grow_bracket, invert_monotone_cdf, require
 from .errors import DomainError
 
 __all__ = [
-    "DiffusionSpec", "StationaryLaw", "Marginal", "Model", "PathEnsemble",
-    "make_model", "catalog_ids", "marginal", "sample_transition",
+    "DiffusionSpec", "StationaryLaw", "Marginal", "Kernel", "MappedKernel", "Model",
+    "PathEnsemble", "make_model", "catalog_ids", "marginal", "sample_transition",
     "simulate_paths", "euler_maruyama",
 ]
 
@@ -93,10 +94,27 @@ def _check_order(s: float, t: float) -> None:
 # Transition kernels
 # ---------------------------------------------------------------------------
 
+@runtime_checkable
+class Kernel(Protocol):
+    """Law of X_t given X_s = y for s < t, on broadcast arguments.
+
+    ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments of
+    ``pdf``; each is an analytic method, or None where the kernel has none.
+    """
+
+    pdf_dx: Callable | None
+    cdf_dt: Callable | None
+
+    def pdf(self, s, y, t, x): ...
+    def cdf(self, s, y, t, x): ...
+    def quantile(self, s, y, t, p): ...
+    def sample(self, s, y, t, rng, size=None): ...
+
+
 class GaussianKernel:
     """X_t | X_s = y  ~  Normal(mean(s,t,y), var(s,t))."""
 
-    def __init__(self, mean, var, dmean_dt=None, dvar_dt=None):
+    def __init__(self, mean, var, dmean_dt, dvar_dt):
         self._mean, self._var = mean, var
         self._dmean_dt, self._dvar_dt = dmean_dt, dvar_dt
 
@@ -128,42 +146,10 @@ class GaussianKernel:
         return -z * special.norm_pdf(z) / v
 
     def cdf_dt(self, s, y, t, x):
-        if self._dmean_dt is None or self._dvar_dt is None:
-            return None
         sd = math.sqrt(self._var(s, t))
         z = (np.asarray(x, dtype=float) - self._mean(s, t, y)) / sd
         dsd = self._dvar_dt(s, t) / (2.0 * sd)
         return -special.norm_pdf(z) * (self._dmean_dt(s, t, y) + z * dsd) / sd
-
-
-class LognormalKernel:
-    """exp of a Gaussian kernel acting on the log-state."""
-
-    def __init__(self, gaussian: GaussianKernel):
-        self._g = gaussian
-
-    def pdf(self, s, y, t, x):
-        x = np.asarray(x, dtype=float)
-        return self._g.pdf(s, np.log(y), t, np.log(x)) / x
-
-    def cdf(self, s, y, t, x):
-        return self._g.cdf(s, np.log(y), t, np.log(np.asarray(x, dtype=float)))
-
-    def quantile(self, s, y, t, p):
-        return np.exp(self._g.quantile(s, np.log(y), t, p))
-
-    def sample(self, s, y, t, rng, size=None):
-        return np.exp(self._g.sample(s, np.log(np.asarray(y, dtype=float)), t, rng, size))
-
-    def pdf_dx(self, s, y, t, x):
-        x = np.asarray(x, dtype=float)
-        sd = math.sqrt(self._g._var(s, t))
-        z = (np.log(x) - self._g._mean(s, t, np.log(y))) / sd
-        f = special.norm_pdf(z) / (sd * x)
-        return -f * (z / sd + 1.0) / x
-
-    def cdf_dt(self, s, y, t, x):
-        return self._g.cdf_dt(s, np.log(y), t, np.log(np.asarray(x, dtype=float)))
 
 
 class FoldedGaussianKernel:
@@ -225,7 +211,7 @@ class FoldedGaussianKernel:
         v = self._var(s, t)
         sd = math.sqrt(v)
         a, b = (x - y) / sd, (x + y) / sd
-        return (-a * special.norm_pdf(a) - b * special.norm_pdf(b)) / v
+        return np.where(x < 0.0, 0.0, (-a * special.norm_pdf(a) - b * special.norm_pdf(b)) / v)
 
     def cdf_dt(self, s, y, t, x):
         x = np.asarray(x, dtype=float)
@@ -239,6 +225,7 @@ class Ncx2Kernel:
 
     def __init__(self, df: float, alpha: float, sigma: float):
         self.df, self.alpha, self.sigma = df, alpha, sigma
+        self.cdf_dt = None
 
     def _twoc(self, dt: float) -> float:
         # 2 * c_r with c_r = 2 alpha / (sigma^2 (1 - e^{-alpha r})); alpha -> 0 limit 4/(sigma^2 r)
@@ -279,37 +266,94 @@ class Ncx2Kernel:
 
     def pdf_dx(self, s, y, t, x):
         twoc = self._twoc(t - s)
-        z = twoc * np.asarray(x, dtype=float)
-        return twoc ** 2 * special._chi2nc_pdf_dz(z, self.df, self._lam(t - s, y))
+        x = np.asarray(x, dtype=float)
+        z = twoc * np.where(x < 0.0, 1.0, x)
+        out = twoc ** 2 * special._chi2nc_pdf_dz(z, self.df, self._lam(t - s, y))
+        return np.where(x < 0.0, 0.0, out)
 
 
-class SqrtNcx2Kernel:
-    """Monotone sqrt-pushforward of an `Ncx2Kernel` (rayleigh / bessel state)."""
+class MappedKernel:
+    """Kernel of psi(t, X_t) for a map psi(t, .) strictly monotone on the states of X.
 
-    def __init__(self, core: Ncx2Kernel):
-        self.core = core
+    A call at (s, y, t, x) reads the base kernel at (s, inverse(s, y), t, u),
+    u = inverse(t, x): the pdf is the base pdf over |J|, J = jacobian(t, u, x)
+    = d psi/du, and the cdf the base cdf, or 1 minus it for a decreasing map.
+    States x outside the open ``image`` get pdf 0 and cdf 0 or 1 and never
+    reach the base kernel.  With ``phi_inv`` the base kernel is read at times
+    phi_inv(s), phi_inv(t).  ``djac_dx`` (dJ/du at (t, u, x)) gives the
+    analytic ``pdf_dx``; a ``static`` map, one that does not depend on time,
+    keeps the base ``cdf_dt``.
+    """
+
+    def __init__(self, base: Kernel, psi: Callable, inverse: Callable, jacobian: Callable,
+                 image: tuple[float, float], *, increasing: bool = True,
+                 phi_inv: Callable | None = None, djac_dx: Callable | None = None,
+                 static: bool = False):
+        self.base, self.psi, self.inverse, self.jacobian = base, psi, inverse, jacobian
+        self.image, self.increasing = image, increasing
+        self._phi_inv, self._djac_dx = phi_inv, djac_dx
+        step = min(1.0, 0.25 * (image[1] - image[0]))
+        self._inner = min(max(0.0, image[0] + step), image[1] - step)   # stands in for misses
+        self.pdf_dx = self._pdf_dx if djac_dx is not None and base.pdf_dx is not None else None
+        self.cdf_dt = self._cdf_dt if static and base.cdf_dt is not None else None
+
+    def _times(self, s, t):
+        if self._phi_inv is None:
+            return s, t
+        ts, tt = float(self._phi_inv(s)), float(self._phi_inv(t))
+        require(ts < tt, "time map is not increasing over the requested pair")
+        return ts, tt
+
+    def _source(self, s, y, t, x):
+        # (ts, xs, tt, xt) for the base kernel, x with the image misses replaced, the misses,
+        # and the misses above the image
+        ts, tt = self._times(s, t)
+        x = np.asarray(x, dtype=float)
+        above = x >= self.image[1]
+        miss = above | (x <= self.image[0])
+        x = np.where(miss, self._inner, x)
+        return ts, self.inverse(ts, y), tt, self.inverse(tt, x), x, miss, above
 
     def pdf(self, s, y, t, x):
-        x = np.asarray(x, dtype=float)
-        pos = np.clip(x, 0.0, None)
-        return np.where(x <= 0.0, 0.0, self.core.pdf(s, y * y, t, pos * pos) * 2.0 * pos)
+        ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
+        out = self.base.pdf(ts, xs, tt, xt) / np.abs(self.jacobian(tt, xt, x))
+        return np.where(miss, 0.0, out)
 
     def cdf(self, s, y, t, x):
-        x = np.asarray(x, dtype=float)
-        pos = np.clip(x, 0.0, None)
-        return self.core.cdf(s, y * y, t, pos * pos)
+        ts, xs, tt, xt, x, miss, above = self._source(s, y, t, x)
+        out = self.base.cdf(ts, xs, tt, xt)
+        return np.where(miss, above, out if self.increasing else 1.0 - out)
 
     def quantile(self, s, y, t, p):
-        return np.sqrt(self.core.quantile(s, y * y, t, p))
+        ts, tt = self._times(s, t)
+        p = np.asarray(p, dtype=float)
+        x = self.base.quantile(ts, self.inverse(ts, y), tt, p if self.increasing else 1.0 - p)
+        return self.psi(tt, x)
 
     def sample(self, s, y, t, rng, size=None):
-        return np.sqrt(self.core.sample(s, np.asarray(y, dtype=float) ** 2, t, rng, size))
+        ts, tt = self._times(s, t)
+        xs = self.inverse(ts, np.asarray(y, dtype=float))
+        return self.psi(tt, self.base.sample(ts, xs, tt, rng, size))
 
-    def pdf_dx(self, s, y, t, x):
-        x = np.asarray(x, dtype=float)
-        g = self.core.pdf(s, y * y, t, x * x)
-        gp = self.core.pdf_dx(s, y * y, t, x * x)
-        return 2.0 * g + 4.0 * x * x * gp
+    def _pdf_dx(self, s, y, t, x):
+        # d/dx [f(u) / |J(u)|] = (f'(u) - f(u) J'(u) / J(u)) / (J |J|), u = inverse(t, x)
+        ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
+        jac = self.jacobian(tt, xt, x)
+        f, fp = self.base.pdf(ts, xs, tt, xt), self.base.pdf_dx(ts, xs, tt, xt)
+        out = (fp - f * self._djac_dx(tt, xt, x) / jac) / (jac * np.abs(jac))
+        return np.where(miss, 0.0, out)
+
+    def _cdf_dt(self, s, y, t, x):
+        ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
+        out = self.base.cdf_dt(ts, xs, tt, xt)
+        return np.where(miss, 0.0, out if self.increasing else -out)
+
+
+def _sqrt_map(core: Ncx2Kernel) -> MappedKernel:
+    """Y = sqrt(X) over a cir-family kernel: the rayleigh and bessel kernels."""
+    return MappedKernel(core, lambda t, x: np.sqrt(x), lambda t, y: y * y,
+                        lambda t, x, y: 0.5 / y, (0.0, np.inf),
+                        djac_dx=lambda t, x, y: -0.25 / (x * y), static=True)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +365,7 @@ class Model:
     """A catalog diffusion bound to an initial condition (t0, x0)."""
 
     spec: DiffusionSpec
-    kernel: object
+    kernel: Kernel
     x0: float
     t0: float
     stationary: StationaryLaw | None = None
@@ -338,19 +382,13 @@ class Model:
         """Distribution of X_t given the initial condition; requires t > t0."""
         require(t > self.t0, f"marginal requires t > t0 = {self.t0}, got t = {t}")
         k, x0, t0 = self.kernel, self.x0, self.t0
-        pdf_dx = (lambda x: k.pdf_dx(t0, x0, t, x)) if hasattr(k, "pdf_dx") else None
-        cdf_dt = None
-        if hasattr(k, "cdf_dt"):
-            probe = k.cdf_dt(t0, x0, t, 0.5 * (x0 + 1.0) if np.isfinite(x0) else 1.0)
-            if probe is not None:
-                cdf_dt = lambda x, _t=t: k.cdf_dt(t0, x0, _t, x)
         return Marginal(
             t=t,
             pdf=lambda x: k.pdf(t0, x0, t, x),
             cdf=lambda x: k.cdf(t0, x0, t, x),
             quantile=lambda p: k.quantile(t0, x0, t, p),
-            pdf_dx=pdf_dx,
-            cdf_dt=cdf_dt,
+            pdf_dx=None if k.pdf_dx is None else (lambda x: k.pdf_dx(t0, x0, t, x)),
+            cdf_dt=None if k.cdf_dt is None else (lambda x: k.cdf_dt(t0, x0, t, x)),
         )
 
 
@@ -476,7 +514,10 @@ def _build_gbm(params, x0, t0):
                               var=lambda s, t: sg ** 2 * (t - s),
                               dmean_dt=lambda s, t, y: mu,
                               dvar_dt=lambda s, t: sg ** 2)
-    return Model(spec, LognormalKernel(log_kern), x0, t0)
+    kern = MappedKernel(log_kern, lambda t, x: np.exp(x), lambda t, y: np.log(y),
+                        lambda t, x, y: y, (0.0, np.inf),
+                        djac_dx=lambda t, x, y: y, static=True)
+    return Model(spec, kern, x0, t0)
 
 
 def _build_ou(params, x0, t0):
@@ -553,9 +594,9 @@ def _build_rayleigh(params, x0, t0):
                          drift=lambda x, t: a / np.asarray(x, float) + b * np.asarray(x, float),
                          diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
     # Y = sqrt(X) for a cir with alpha=-2b, sigma=2, beta=2a+1 (gamma = 2a+1)
-    core = Ncx2Kernel(2.0 * a + 1.0, -2.0 * b, 2.0)
+    kern = _sqrt_map(Ncx2Kernel(2.0 * a + 1.0, -2.0 * b, 2.0))
     stat = _sqrt_gamma_law(a + 0.5, 1.0 / (-b)) if b < 0.0 else None
-    return Model(spec, SqrtNcx2Kernel(core), x0, t0, stationary=stat)
+    return Model(spec, kern, x0, t0, stationary=stat)
 
 
 def _build_bessel(params, x0, t0):
@@ -566,8 +607,7 @@ def _build_bessel(params, x0, t0):
     spec = DiffusionSpec("bessel", p, (0.0, np.inf), (lower, "natural"),
                          drift=lambda x, t: delta / np.asarray(x, float),
                          diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
-    core = Ncx2Kernel(2.0 * delta + 1.0, 0.0, 2.0)
-    return Model(spec, SqrtNcx2Kernel(core), x0, t0)
+    return Model(spec, _sqrt_map(Ncx2Kernel(2.0 * delta + 1.0, 0.0, 2.0)), x0, t0)
 
 
 _BUILDERS = {

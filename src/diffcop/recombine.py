@@ -7,8 +7,9 @@ increasing target distributions F^Z_t, the recombined process
 
 has exactly the target marginals while keeping the copula (hence the whole
 serial-dependence structure) of X.  Paths of Z are simulated exactly by
-transforming exact paths of X; the transition density follows from the
-monotone pushforward formula
+transforming exact paths of X.  The recombination is a monotone space-time
+transformation, so the transition kernel of Z is the `models.MappedKernel` of
+the source kernel through the map, whose Jacobian is f^X_t(x) / f^Z_t(z):
 
     f^Z_{t|s}(z2 | z1) = f^X_{t|s}(x2 | x1) * f^Z_t(z2) / f^X_t(x2).
 
@@ -28,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from ._numerics import require
 from .errors import DomainError
-from .models import Model, PathEnsemble, _resolve_rng
+from .models import MappedKernel, Model, PathEnsemble, _resolve_rng
 
 __all__ = [
     "model_marginal_family", "tabulated_marginal_family",
@@ -90,7 +91,10 @@ def tabulated_marginal_family(xs, cdf_values) -> _TabulatedMarginalFamily:
 
 @dataclass(frozen=True)
 class RecombinedProcess:
-    """Z_t = (F^Z_t)^{-1}(F^X_t(X_t)): source copula, target marginals."""
+    """Z_t = (F^Z_t)^{-1}(F^X_t(X_t)): source copula, target marginals.
+
+    The transition ``kernel`` of Z is the `MappedKernel` of the source kernel through `map`.
+    """
 
     source: Model
     target: object          # marginal family: cdf(t, x), quantile(t, p), pdf(t, x)
@@ -114,18 +118,21 @@ class RecombinedProcess:
     def marginal_quantile(self, t: float, p):
         return self.target.quantile(t, p)
 
+    @property
+    def kernel(self) -> MappedKernel:
+        return MappedKernel(self.source.kernel, self.map, self.inverse_map, self._jacobian,
+                            (-np.inf, np.inf))
+
+    def _jacobian(self, t: float, x, z):
+        # dz/dx = f^X_t(x)/f^Z_t(z), infinite (density 0) where the target density is 0
+        with np.errstate(divide="ignore"):
+            return self.source.marginal(t).pdf(x) / np.asarray(self.target.pdf(t, z), dtype=float)
+
     def transition_pdf(self, s: float, z1, t: float, z2):
-        """Monotone pushforward of the source kernel through the map."""
-        x1 = self.inverse_map(s, z1)
-        x2 = self.inverse_map(t, z2)
-        num = np.asarray(self.source.kernel.pdf(s, x1, t, x2), dtype=float)
-        return num * np.asarray(self.target.pdf(t, z2), dtype=float) \
-            / np.asarray(self.source.marginal(t).pdf(x2), dtype=float)
+        return self.kernel.pdf(s, z1, t, z2)
 
     def transition_cdf(self, s: float, z1, t: float, z2):
-        x1 = self.inverse_map(s, z1)
-        x2 = self.inverse_map(t, z2)
-        return self.source.kernel.cdf(s, x1, t, x2)
+        return self.kernel.cdf(s, z1, t, z2)
 
     def sample_paths(self, times, n_paths: int, rng=None, seed=None) -> PathEnsemble:
         """Exact Z-paths: exact X-paths mapped pointwise through the recombination."""

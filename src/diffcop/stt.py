@@ -4,7 +4,7 @@ A space-time transformation (STT) is a pair (phi, psi): tau = phi(t) rescales
 time and y = psi(t, x) rescales state, with Jacobian J(t, x) = d psi / d x.
 Monotone STTs (psi(t, .) strictly monotone) map diffusions to diffusions and
 preserve the copula up to the time change; `push_transition` builds the exact
-transformed kernel.
+transformed kernel, a `models.MappedKernel` on the mapped times.
 
 Piecewise-monotone psi loses invertibility; the transformed process still has
 a copula density, the double weighted sum over preimages
@@ -27,7 +27,7 @@ with its constructive transformation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,7 @@ from ._numerics import (central_diff, grow_bracket, integrate,
                         invert_monotone_cdf, rel_step, require)
 from .copula import CopulaSurface
 from .errors import DomainError
-from .models import DiffusionSpec, Marginal, Model
+from .models import DiffusionSpec, MappedKernel, Marginal, Model
 
 __all__ = [
     "MonotonePiece", "SpaceTimeTransform",
@@ -68,7 +68,6 @@ class SpaceTimeTransform:
     jacobian: Callable                  # d psi / d x
     pieces: tuple[MonotonePiece, ...]
     name: str = ""
-    dphi: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -175,47 +174,6 @@ def preimage_weights(model: Model, transform: SpaceTimeTransform, t: float, q: f
 # Monotone pushforward of a transition kernel
 # ---------------------------------------------------------------------------
 
-class _PushforwardKernel:
-    """Exact kernel of Y_{phi(t)} = psi(t, X_t) for a monotone transform."""
-
-    def __init__(self, model: Model, transform: SpaceTimeTransform, piece: MonotonePiece):
-        self._model = model
-        self._T = transform
-        self._piece = piece
-
-    def _source_times(self, s: float, t: float) -> tuple[float, float]:
-        ts, tt = float(self._T.phi_inv(s)), float(self._T.phi_inv(t))
-        require(ts < tt, "time map is not increasing over the requested pair")
-        return ts, tt
-
-    def pdf(self, s, y, t, x):
-        ts, tt = self._source_times(s, t)
-        xs = self._piece.inverse(ts, y)
-        xt = self._piece.inverse(tt, np.asarray(x, dtype=float))
-        jac = np.abs(self._T.jacobian(tt, xt))
-        return self._model.kernel.pdf(ts, xs, tt, xt) / jac
-
-    def cdf(self, s, y, t, x):
-        ts, tt = self._source_times(s, t)
-        xs = self._piece.inverse(ts, y)
-        xt = self._piece.inverse(tt, np.asarray(x, dtype=float))
-        base = self._model.kernel.cdf(ts, xs, tt, xt)
-        return base if self._piece.increasing else 1.0 - base
-
-    def quantile(self, s, y, t, p):
-        ts, tt = self._source_times(s, t)
-        xs = self._piece.inverse(ts, y)
-        p = np.asarray(p, dtype=float)
-        q = self._model.kernel.quantile(ts, xs, tt, p if self._piece.increasing else 1.0 - p)
-        return self._T.psi(tt, q)
-
-    def sample(self, s, y, t, rng, size=None):
-        ts, tt = self._source_times(s, t)
-        xs = self._piece.inverse(ts, np.asarray(y, dtype=float))
-        draw = self._model.kernel.sample(ts, xs, tt, rng, size)
-        return self._T.psi(tt, draw)
-
-
 def push_transition(model: Model, transform: SpaceTimeTransform) -> Model:
     """Model of Y_{phi(t)} = psi(t, X_t); requires psi monotone on the interval."""
     pieces = _clip_pieces(transform, model.interval)
@@ -233,9 +191,11 @@ def push_transition(model: Model, transform: SpaceTimeTransform) -> Model:
         name=f"push({model.name},{transform.name or 'stt'})",
         params=dict(model.spec.params), interval=(lo_v, hi_v),
         boundaries=bounds, drift=None, diffusion=None)
-    y0 = float(transform.psi(model.t0, model.x0))
-    return Model(spec=spec, kernel=_PushforwardKernel(model, transform, piece),
-                 x0=y0, t0=float(transform.phi(model.t0)))
+    kernel = MappedKernel(model.kernel, transform.psi, piece.inverse,
+                          lambda t, x, y: transform.jacobian(t, x), (lo_v, hi_v),
+                          increasing=piece.increasing, phi_inv=transform.phi_inv)
+    return Model(spec=spec, kernel=kernel, x0=float(transform.psi(model.t0, model.x0)),
+                 t0=float(transform.phi(model.t0)))
 
 
 def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) -> Marginal:
@@ -348,7 +308,7 @@ def identity_transform() -> SpaceTimeTransform:
         psi=lambda t, x: np.asarray(x, dtype=float),
         jacobian=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         pieces=(MonotonePiece(-np.inf, np.inf, lambda t, y: np.asarray(y, dtype=float), True),),
-        name="identity", dphi=lambda t: 1.0)
+        name="identity")
 
 
 def absolute_value() -> SpaceTimeTransform:
@@ -358,7 +318,7 @@ def absolute_value() -> SpaceTimeTransform:
         jacobian=lambda t, x: np.sign(np.asarray(x, dtype=float)),
         pieces=(MonotonePiece(-np.inf, 0.0, lambda t, y: -np.asarray(y, dtype=float), False),
                 MonotonePiece(0.0, np.inf, lambda t, y: np.asarray(y, dtype=float), True)),
-        name="absolute_value", dphi=lambda t: 1.0)
+        name="absolute_value")
 
 
 def compose(outer: SpaceTimeTransform, inner: SpaceTimeTransform) -> SpaceTimeTransform:
@@ -382,14 +342,10 @@ def compose(outer: SpaceTimeTransform, inner: SpaceTimeTransform) -> SpaceTimeTr
                       (lambda p_: lambda t, z: p_.inverse(t, op.inverse(inner.phi(t), z)))(p),
                       p.increasing == op.increasing)
         for p in inner.pieces)
-    dphi = None
-    if outer.dphi is not None and inner.dphi is not None:
-        dphi = lambda t: outer.dphi(inner.phi(t)) * inner.dphi(t)
     return SpaceTimeTransform(
         phi=lambda t: outer.phi(inner.phi(t)),
         phi_inv=lambda tau: inner.phi_inv(outer.phi_inv(tau)),
-        psi=psi, jacobian=jac, pieces=pieces,
-        name=f"{outer.name}o{inner.name}", dphi=dphi)
+        psi=psi, jacobian=jac, pieces=pieces, name=f"{outer.name}o{inner.name}")
 
 
 def _chain_ou_to_bm(alpha: float, beta: float, sigma: float) -> SpaceTimeTransform:
@@ -402,7 +358,7 @@ def _chain_ou_to_bm(alpha: float, beta: float, sigma: float) -> SpaceTimeTransfo
             pieces=(MonotonePiece(-np.inf, np.inf,
                                   lambda t, y: sigma * np.asarray(y, dtype=float) + beta * t,
                                   True),),
-            name="ou_to_bm", dphi=lambda t: 1.0)
+            name="ou_to_bm")
 
     mean_level = beta / alpha
 
@@ -423,7 +379,7 @@ def _chain_ou_to_bm(alpha: float, beta: float, sigma: float) -> SpaceTimeTransfo
                               lambda t, y: mean_level
                               + sigma * math.exp(-alpha * t) * np.asarray(y, dtype=float),
                               True),),
-        name="ou_to_bm", dphi=lambda t: math.exp(2.0 * alpha * t))
+        name="ou_to_bm")
 
 
 def _chain_bm_to_special_cir(alpha: float, sigma: float) -> SpaceTimeTransform:
@@ -448,8 +404,7 @@ def _chain_bm_to_special_cir(alpha: float, sigma: float) -> SpaceTimeTransform:
         jacobian=lambda t, x: sigma ** 2 * np.asarray(x, dtype=float) / (2.0 * scale(t)),
         pieces=(MonotonePiece(-np.inf, 0.0, lambda t, y: -inv_pos(t, y), False),
                 MonotonePiece(0.0, np.inf, inv_pos, True)),
-        name="bm_to_special_cir",
-        dphi=(lambda t: 1.0) if alpha == 0.0 else (lambda t: 1.0 / scale(t)))
+        name="bm_to_special_cir")
 
 
 def _chain_cir_to_rayleigh(sigma: float) -> SpaceTimeTransform:
@@ -461,16 +416,13 @@ def _chain_cir_to_rayleigh(sigma: float) -> SpaceTimeTransform:
         pieces=(MonotonePiece(0.0, np.inf,
                               lambda t, y: (sigma * np.asarray(y, dtype=float) / 2.0) ** 2,
                               True),),
-        name="cir_to_rayleigh", dphi=lambda t: 1.0)
+        name="cir_to_rayleigh")
 
 
 def _chain_rayleigh_to_bessel(b: float) -> SpaceTimeTransform:
     if b == 0.0:
-        ident = identity_transform()
-        return SpaceTimeTransform(ident.phi, ident.phi_inv, ident.psi, ident.jacobian,
-                                  (MonotonePiece(0.0, np.inf,
-                                                 lambda t, y: np.asarray(y, dtype=float), True),),
-                                  name="rayleigh_to_bessel", dphi=ident.dphi)
+        piece = MonotonePiece(0.0, np.inf, lambda t, y: np.asarray(y, dtype=float), True)
+        return replace(identity_transform(), pieces=(piece,), name="rayleigh_to_bessel")
 
     def phi(t):
         return -math.expm1(-2.0 * b * t) / (2.0 * b)
@@ -487,7 +439,7 @@ def _chain_rayleigh_to_bessel(b: float) -> SpaceTimeTransform:
         jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float), math.exp(-b * t)),
         pieces=(MonotonePiece(0.0, np.inf,
                               lambda t, y: np.asarray(y, dtype=float) * math.exp(b * t), True),),
-        name="rayleigh_to_bessel", dphi=lambda t: math.exp(-2.0 * b * t))
+        name="rayleigh_to_bessel")
 
 
 def builtin_chain(name: str, **params) -> SpaceTimeTransform:
@@ -510,8 +462,7 @@ def builtin_chain(name: str, **params) -> SpaceTimeTransform:
         sigma = float(params.pop("sigma"))
         require(not params, f"unknown parameters {sorted(params)} for cir_to_bessel")
         chain = compose(_chain_rayleigh_to_bessel(-alpha / 2.0), _chain_cir_to_rayleigh(sigma))
-        return SpaceTimeTransform(chain.phi, chain.phi_inv, chain.psi, chain.jacobian,
-                                  chain.pieces, name="cir_to_bessel", dphi=chain.dphi)
+        return replace(chain, name="cir_to_bessel")
     raise DomainError(f"unknown chain '{name}'; known: {', '.join(_BUILTIN_CHAINS)}")
 
 
@@ -662,4 +613,4 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
     return SpaceTimeTransform(
         phi=phi, phi_inv=phi_inv, psi=psi, jacobian=jacobian,
         pieces=(MonotonePiece(lo_i, hi_i, inverse, True),),
-        name="wiener_stt", dphi=dphi)
+        name="wiener_stt")

@@ -1,14 +1,16 @@
 """Catalog model tests: kernels, marginals, stationary laws, samplers, CSV."""
 
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from diffcop import models, special
+from diffcop import models, special, stt
 from diffcop._numerics import central_diff, integrate, rel_step
 from diffcop.errors import DomainError
+from diffcop.recombine import model_marginal_family, recombine
 
 CATALOG = {
     "bm": ({}, 0.0),
@@ -129,6 +131,38 @@ class TestKernelBasics:
             loop = np.array([float(fn(s, y, t, arg)) for y in ys])
             np.testing.assert_array_equal(fn(s, ys, t, arg), loop)
             np.testing.assert_array_equal(fn(s, ys, t, np.full(3, arg)), loop)
+
+    @pytest.mark.parametrize("name", ["gbm", "rbm", "cir", "cir_special", "rayleigh", "bessel"])
+    def test_zero_below_the_state_space(self, name):
+        k = build(name).kernel
+        for fn in (k.pdf, k.cdf, k.pdf_dx):
+            assert float(fn(0.5, 1.0, 1.5, -1.0)) == 0.0
+            np.testing.assert_array_equal(fn(0.5, np.array([[0.3], [1.0]]), 1.5,
+                                             np.array([-2.0, -1e-3])), 0.0)
+
+
+class TestKernelProtocol:
+    def test_every_kernel_is_a_kernel(self):
+        cir, ou = build("cir"), build("ou")
+        chain = stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8)
+        kernels = [build(name).kernel for name in CATALOG] + [
+            stt.push_transition(cir, chain).kernel,
+            stt.push_transition(ou, stt.identity_transform()).kernel,
+            recombine(ou, model_marginal_family(cir)).kernel,
+        ]
+        for kernel in kernels:
+            assert isinstance(kernel, models.Kernel), type(kernel).__name__
+
+    def test_marginal_calls_no_kernel_method(self):
+        class Raising:
+            def _fail(self, *args, **kwargs):
+                raise AssertionError("kernel method called")
+            pdf = cdf = quantile = sample = pdf_dx = cdf_dt = _fail
+
+        marg = dataclasses.replace(build("ou"), kernel=Raising()).marginal(1.5)
+        for fn in (marg.pdf, marg.cdf, marg.quantile, marg.pdf_dx, marg.cdf_dt):
+            with pytest.raises(AssertionError):
+                fn(0.5)
 
 
 class TestBackwardEquation:

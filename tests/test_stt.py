@@ -81,6 +81,18 @@ class TestPushTransition:
             bm.kernel.pdf(0.5, 0.2, 1.5, 0.7), rel=1e-12)
         assert pushed.kernel.cdf(0.5, 0.0, 1.5, 0.0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_pushed_kernel_has_unit_mass_on_the_line(self):
+        cir = models.make_model("cir", CIR_P, x0=1.2)
+        pushed = stt.push_transition(cir, stt.builtin_chain("cir_to_bessel", alpha=1.0,
+                                                            sigma=0.8))
+        s, y, t = 0.5, 1.3, 0.9
+        pdf = lambda x: float(pushed.kernel.pdf(s, y, t, x))
+        mass = (integrate(pdf, -np.inf, 0.0, abs_tol=1e-10, rel_tol=1e-10)
+                + integrate(pdf, 0.0, np.inf, abs_tol=1e-10, rel_tol=1e-10))
+        assert mass == pytest.approx(1.0, abs=1e-8)
+        assert pushed.kernel.cdf(s, y, t, -1.0) == 0.0
+        assert pushed.kernel.cdf(s, y, t, np.inf) == 1.0
+
 
 class TestBuiltinChains:
     def test_unknown_chain(self):
