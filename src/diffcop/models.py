@@ -100,6 +100,7 @@ class Kernel(Protocol):
 
     ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments of
     ``pdf``; each is an analytic method, or None where the kernel has none.
+    At x = -inf and +inf the pdf is 0 and the cdf 0 and 1.
     """
 
     pdf_dx: Callable | None
@@ -118,16 +119,22 @@ class GaussianKernel:
         self._mean, self._var = mean, var
         self._dmean_dt, self._dvar_dt = dmean_dt, dvar_dt
 
+    def _z(self, s, y, t, x, sd):
+        # beyond |z| = 40 the pdf is 0 and the cdf 0 or 1 in double precision, so the
+        # clip changes no value and gives x = +-inf those limits (minimum/maximum cost
+        # about half of np.clip on scalars)
+        z = (np.asarray(x, dtype=float) - self._mean(s, t, y)) / sd
+        return np.minimum(np.maximum(z, -40.0), 40.0)
+
     def pdf(self, s, y, t, x):
         _check_order(s, t)
         sd = math.sqrt(self._var(s, t))
-        z = (np.asarray(x, dtype=float) - self._mean(s, t, y)) / sd
-        return special.norm_pdf(z) / sd
+        return special.norm_pdf(self._z(s, y, t, x, sd)) / sd
 
     def cdf(self, s, y, t, x):
         _check_order(s, t)
         sd = math.sqrt(self._var(s, t))
-        return special.norm_cdf((np.asarray(x, dtype=float) - self._mean(s, t, y)) / sd)
+        return special.norm_cdf(self._z(s, y, t, x, sd))
 
     def quantile(self, s, y, t, p):
         _check_order(s, t)
@@ -142,12 +149,12 @@ class GaussianKernel:
 
     def pdf_dx(self, s, y, t, x):
         v = self._var(s, t)
-        z = (np.asarray(x, dtype=float) - self._mean(s, t, y)) / math.sqrt(v)
+        z = self._z(s, y, t, x, math.sqrt(v))
         return -z * special.norm_pdf(z) / v
 
     def cdf_dt(self, s, y, t, x):
         sd = math.sqrt(self._var(s, t))
-        z = (np.asarray(x, dtype=float) - self._mean(s, t, y)) / sd
+        z = self._z(s, y, t, x, sd)
         dsd = self._dvar_dt(s, t) / (2.0 * sd)
         return -special.norm_pdf(z) * (self._dmean_dt(s, t, y) + z * dsd) / sd
 
@@ -161,10 +168,16 @@ class FoldedGaussianKernel:
     def __init__(self, var):
         self._var = var
 
+    @staticmethod
+    def _clip(x, y, sd):
+        # x = -inf takes the x < 0 branch; past |y| + 40 sd both folds have pdf 0 and
+        # cdf 1 in double precision, so the clip changes no value and gives x = +inf those
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), np.abs(y) + 40.0 * sd)
+
     def pdf(self, s, y, t, x):
         _check_order(s, t)
-        x = np.asarray(x, dtype=float)
         sd = math.sqrt(self._var(s, t))
+        x = self._clip(x, y, sd)
         out = (special.norm_pdf((x - y) / sd) + special.norm_pdf((x + y) / sd)) / sd
         return np.where(x < 0.0, 0.0, out)
 
@@ -176,8 +189,8 @@ class FoldedGaussianKernel:
         (He_n the Hermite polynomials) is used instead.
         """
         _check_order(s, t)
-        x = np.asarray(x, dtype=float)
         sd = math.sqrt(self._var(s, t))
+        x = self._clip(x, y, sd)
         out = special.norm_cdf((x - y) / sd) - special.norm_cdf((-x - y) / sd)
         h, c = x / sd, -np.asarray(y, dtype=float) / sd
         small = h * (1.0 + np.abs(c)) < self._SERIES_BELOW
@@ -240,9 +253,10 @@ class Ncx2Kernel:
         _check_order(s, t)
         twoc = self._twoc(t - s)
         x = np.asarray(x, dtype=float)
-        pos = np.clip(x, 0.0, None)
-        out = twoc * special.chi2nc_pdf(twoc * pos, self.df, self._lam(t - s, y))
-        return np.where(x < 0.0, 0.0, out)
+        miss = (x < 0.0) | (x == np.inf)
+        out = twoc * special.chi2nc_pdf(twoc * np.where(miss, 0.0, x), self.df,
+                                        self._lam(t - s, y))
+        return np.where(miss, 0.0, out)
 
     def cdf(self, s, y, t, x):
         _check_order(s, t)
@@ -265,6 +279,7 @@ class Ncx2Kernel:
         return 2.0 * rng.standard_gamma(self.df / 2.0 + mix) / twoc
 
     def pdf_dx(self, s, y, t, x):
+        """d pdf/dx; at x = 0 the right-hand limit (see `special._chi2nc_pdf_dz`)."""
         twoc = self._twoc(t - s)
         x = np.asarray(x, dtype=float)
         z = twoc * np.where(x < 0.0, 1.0, x)
@@ -656,11 +671,11 @@ class PathEnsemble:
 
     def to_csv(self, path) -> None:
         """Write `# paths=<n>,seed=<s>` then rows `time,p1,...,pn`."""
+        row = ",".join(["%.17g"] * (self.n_paths + 1)) + "\n"
         with open(path, "w") as fh:
             fh.write(f"# paths={self.n_paths},seed={self.seed}\n")
-            for i, t in enumerate(self.times):
-                row = ",".join(f"{v:.17g}" for v in self.paths[:, i])
-                fh.write(f"{t:.17g},{row}\n")
+            for t, column in zip(self.times, self.paths.T):
+                fh.write(row % (t, *column.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "PathEnsemble":

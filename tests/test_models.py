@@ -30,6 +30,19 @@ def build(name):
     return models.make_model(name, params, x0=x0)
 
 
+def every_kernel():
+    """Every catalog kernel, two pushed kernels and a recombined kernel, by label."""
+    cir, ou = build("cir"), build("ou")
+    chain = stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8)
+    return {**{name: build(name).kernel for name in CATALOG},
+            "pushed_cir_to_bessel": stt.push_transition(cir, chain).kernel,
+            "pushed_ou_identity": stt.push_transition(ou, stt.identity_transform()).kernel,
+            "recombined_ou_to_cir": recombine(ou, model_marginal_family(cir)).kernel}
+
+
+KERNELS = every_kernel()
+
+
 class TestCatalogValidation:
     def test_ids(self):
         assert set(models.catalog_ids()) == set(CATALOG)
@@ -143,15 +156,17 @@ class TestKernelBasics:
 
 class TestKernelProtocol:
     def test_every_kernel_is_a_kernel(self):
-        cir, ou = build("cir"), build("ou")
-        chain = stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8)
-        kernels = [build(name).kernel for name in CATALOG] + [
-            stt.push_transition(cir, chain).kernel,
-            stt.push_transition(ou, stt.identity_transform()).kernel,
-            recombine(ou, model_marginal_family(cir)).kernel,
-        ]
-        for kernel in kernels:
+        for kernel in KERNELS.values():
             assert isinstance(kernel, models.Kernel), type(kernel).__name__
+
+    @pytest.mark.parametrize("label", sorted(KERNELS))
+    def test_limits_at_infinity(self, label):
+        k = KERNELS[label]
+        edges = np.array([-np.inf, np.inf])
+        np.testing.assert_array_equal(k.pdf(0.5, 1.0, 1.5, edges), [0.0, 0.0])
+        np.testing.assert_array_equal(k.cdf(0.5, 1.0, 1.5, edges), [0.0, 1.0])
+        assert float(k.pdf(0.5, 1.0, 1.5, np.inf)) == 0.0
+        assert float(k.cdf(0.5, 1.0, 1.5, -np.inf)) == 0.0
 
     def test_marginal_calls_no_kernel_method(self):
         class Raising:
@@ -383,3 +398,12 @@ class TestPaths:
         np.testing.assert_array_equal(back.times, ens.times)
         np.testing.assert_array_equal(back.paths, ens.paths)
         assert back.seed == 9
+
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        paths = np.array([[-0.0, 5e-324, 1e-300], [1e300, 0.1, -2.5]])
+        ens = models.PathEnsemble(times=np.array([0.5, 1.0, 1.5]), paths=paths, seed=None)
+        ens.to_csv(tmp_path / "paths.csv")
+        expected = "# paths=2,seed=None\n" + "".join(
+            f"{t:.17g}," + ",".join(f"{v:.17g}" for v in paths[:, i]) + "\n"
+            for i, t in enumerate(ens.times))
+        assert (tmp_path / "paths.csv").read_bytes() == expected.encode()

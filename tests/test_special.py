@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import iv, ndtr
+from scipy.special import chndtrix, iv, ndtr
 
 import diffcop
 from diffcop import copula, models, special
@@ -38,8 +38,10 @@ def mp30():
 
 
 def mp_chi2nc_pdf(z, nu, lam):
-    """The Bessel-form noncentral chi-square density."""
+    """The Bessel-form noncentral chi-square density; the central one at lam = 0."""
     z, nu, lam = mp.mpf(z), mp.mpf(nu), mp.mpf(lam)
+    if lam == 0:
+        return z ** (nu / 2 - 1) * mp.exp(-z / 2) / (2 ** (nu / 2) * mp.gamma(nu / 2))
     return (mp.exp(-(z + lam) / 2) * (z / lam) ** ((nu - 2) / 4)
             * mp.besseli((nu - 2) / 2, mp.sqrt(lam * z)) / 2)
 
@@ -52,7 +54,7 @@ def mp_chi2nc_tail(z, nu, lam, upper):
         a = nu / 2 + j
         g = (mp.gammainc(a, z / 2, mp.inf, regularized=True) if upper
              else mp.gammainc(a, 0, z / 2, regularized=True))
-        term = mp.exp(j * mp.log(h) - h - mp.loggamma(j + 1)) * g
+        term = h ** j * mp.exp(-h - mp.loggamma(j + 1)) * g      # h ** 0 = 1 at lam = 0
         total += term
         # the terms are unimodal in j, so past the Poisson mode a negligible one ends the sum
         if j > h and term < mp.mpf(10) ** -35 * total:
@@ -242,6 +244,17 @@ class TestChi2ncPdf:
                 worst = max(worst, abs(kern.pdf_dx(s, y, t, x) - ref) / abs(ref))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("nu, limit", [(1.0, -np.inf), (2.0, None), (3.0, np.inf),
+                                           (4.0, None), (6.25, 0.0)])
+    def test_kernel_pdf_dx_at_origin_is_right_limit(self, nu, limit):
+        kern = models.Ncx2Kernel(nu, 1.0, 0.8)
+        got = kern.pdf_dx(0.5, 1.2, 1.5, 0.0)
+        if limit is None:                           # finite at nu = 2 and 4, continuous there
+            assert np.isfinite(got)
+            assert got == pytest.approx(kern.pdf_dx(0.5, 1.2, 1.5, 1e-9), rel=1e-6)
+        else:
+            assert got == limit
+
     def test_array_noncentrality_broadcasts(self):
         lams = np.array([0.0, 2.0, 30.0])
         for fn, arg in ((special.chi2nc_pdf, 3.0), (special.chi2nc_cdf, 3.0),
@@ -315,6 +328,44 @@ class TestChi2ncCdfQuantile:
         # the density at the root turns into a width in z
         width = 4.0 * np.spacing(p) / float(mp_chi2nc_pdf(root, nu, lam))
         assert abs(q - float(root)) <= 1e-12 * float(root) + width
+
+    @pytest.mark.parametrize("nu, lam", [(6.25, 100.0), (625.0, 12.0), (0.5, 3.0), (2.0, 0.0)])
+    def test_fixed_law_tail_quantiles_against_mpmath(self, mp30, nu, lam):
+        # the tail points of test_tail_quantile_against_mpmath, embedded in an
+        # array large enough for the fixed-law path
+        tails = np.array([1e-12, 1e-9, 1.0 - 1e-9])
+        p = np.concatenate([np.linspace(0.001, 0.999, special._FIXED_LAW_MIN_SIZE), tails])
+        q = special.chi2nc_quantile(p, nu, lam)[-3:]
+        for pi, qi in zip(tails, q):
+            root = mp_chi2nc_quantile(pi, nu, lam, qi)
+            width = 4.0 * np.spacing(pi) / float(mp_chi2nc_pdf(root, nu, lam))
+            assert abs(qi - float(root)) <= 1e-12 * float(root) + width
+
+    def test_unchecked_roots_come_from_chndtrix(self, monkeypatch):
+        # F is flat in double precision in the far upper tail, so no residual
+        # certifies a root there: those roots, and every root of a call whose
+        # table is not strictly increasing, are chndtrix's
+        calls = []
+
+        def recording(p, nu, lam):
+            calls.append(np.array(p, copy=True))
+            return chndtrix(p, nu, lam)
+
+        monkeypatch.setattr(special, "chndtrix", recording)
+        n = special._FIXED_LAW_MIN_SIZE
+        tails = np.array([1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15])
+        p = np.concatenate([np.linspace(0.01, 0.99, n), tails])
+        x = special.chi2nc_quantile(p, 625.0, 12.0)
+        assert len(calls) == 2                      # the node table, then the redone roots
+        np.testing.assert_array_equal(calls[1], tails)
+        np.testing.assert_array_equal(x[-3:], chndtrix(tails, 625.0, 12.0))
+        np.testing.assert_allclose(x[:n], chndtrix(p[:n], 625.0, 12.0), rtol=1e-12, atol=0)
+
+        calls.clear()
+        same = np.full(n, 0.3)                      # a table of one repeated node
+        np.testing.assert_array_equal(special.chi2nc_quantile(same, 625.0, 12.0),
+                                      chndtrix(same, 625.0, 12.0))
+        np.testing.assert_array_equal(calls[-1], same)
 
     def test_large_noncentrality(self):
         # stable at the noncentrality scale of the cir surfaces
