@@ -15,6 +15,10 @@ time change phi(t) = (e^{2 alpha t} - 1)/(2 alpha)), reflected Brownian
 motion (a two-term mixture of Gaussian copula kernels in half-normal
 quantiles), and the square-root mean-reverting (cir) family in noncentral
 chi-square form.
+
+CDFs, and conditionals of surfaces without a conditional core, are integrals
+of the surface computed by `_numerics.integrate`, the package's one adaptive
+Gauss-Legendre engine, with all points of a call in one batch.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from ._numerics import require
-from .errors import DomainError, NumericsError
+from ._numerics import integrate, require
+from .errors import DomainError
 from .models import Model
 
 __all__ = [
@@ -37,11 +41,6 @@ __all__ = [
 ]
 
 _CLAMP = 1e-12   # corner clamp before quantile evaluation
-
-_GL20, _GL10 = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(10)
-_GL_NODES = np.concatenate((_GL20[0], _GL10[0]))
-_GL_ABS_TOL, _GL_REL_TOL = 1e-13, 1e-11   # per integral
-_GL_MAX_ROUNDS, _GL_MAX_PANELS = 60, 200  # bisection depth; open panels per integral
 
 
 def _unit(x, name: str) -> np.ndarray:
@@ -55,48 +54,6 @@ def _clamped(x, name: str) -> np.ndarray:
     return np.clip(_unit(x, name), _CLAMP, 1.0 - _CLAMP)
 
 
-def _gauss_legendre(f: Callable, lo, hi, at) -> np.ndarray:
-    """Integrals of x -> f(x, at) over [lo, hi], one per element of the broadcast inputs.
-
-    Each integral starts as the panels [lo, at] and [at, hi]: copula integrands
-    concentrate near that diagonal at short lags.  Each round passes the 30
-    nodes of all open panels to ``f`` in one call, as (panels, 30) and
-    (panels, 1) arrays.  A panel's value is its 20-point rule, its error the
-    distance to the 10-point one.  Until an integral's errors sum to at most
-    max(abs_tol, rel_tol |I|), its panels whose error exceeds an equal share of
-    the budget left are bisected.  Each value owns its panels, so it does not
-    depend on the batch.  Raises `NumericsError` on a non-finite integrand or
-    a bisection too deep or too wide.
-    """
-    lo, hi, at = np.broadcast_arrays(lo, hi, at)
-    shape, n = lo.shape, lo.size
-    lo, hi, at = lo.ravel(), hi.ravel(), at.ravel()
-    cut = np.clip(at, lo, hi)
-    a, b, owner = np.concatenate((lo, cut)), np.concatenate((cut, hi)), np.tile(np.arange(n), 2)
-    a, b, owner = a[b > a], b[b > a], owner[b > a]
-    value, err_kept = np.zeros(n), np.zeros(n)
-    for _ in range(_GL_MAX_ROUNDS):
-        if owner.size == 0:
-            return value.reshape(shape)
-        half = 0.5 * (b - a)
-        fx = np.asarray(f((a + half)[:, None] + half[:, None] * _GL_NODES, at[owner][:, None]))
-        if not np.all(np.isfinite(fx)):
-            raise NumericsError("quadrature integrand is not finite")
-        g20 = half * (fx[:, :20] * _GL20[1]).sum(axis=1)
-        err = np.abs(g20 - half * (fx[:, 20:] * _GL10[1]).sum(axis=1))
-        tol = np.maximum(_GL_ABS_TOL, _GL_REL_TOL * np.abs(value + np.bincount(owner, g20, n)))
-        done = err_kept + np.bincount(owner, err, n) <= tol
-        share = (tol - err_kept) / np.maximum(np.bincount(owner, minlength=n), 1)
-        keep = done[owner] | (err <= share[owner])
-        value += np.bincount(owner[keep], g20[keep], n)
-        err_kept += np.bincount(owner[keep], err[keep], n)
-        a, b, owner, half = a[~keep], b[~keep], owner[~keep], half[~keep]
-        a, b, owner = np.concatenate((a, a + half)), np.concatenate((a + half, b)), np.tile(owner, 2)
-        if owner.size and np.bincount(owner).max() > _GL_MAX_PANELS:
-            raise NumericsError(f"quadrature needs over {_GL_MAX_PANELS} panels for one integral")
-    raise NumericsError(f"quadrature did not converge in {_GL_MAX_ROUNDS} bisections")
-
-
 class CopulaSurface:
     """Evaluable copula: density c(u,v), conditional C(v|u), CDF C(u,v).
 
@@ -107,8 +64,9 @@ class CopulaSurface:
     len(u) + len(v) quantiles for the whole grid.  The public methods clamp
     the unit square corners at 1e-12 and return a float for scalar arguments.
     The CDF integrates the conditional over u and, without a conditional
-    core, the conditional integrates the density over v, both by adaptive
-    Gauss-Legendre rounds that pass the nodes of every point to one core call.
+    core, the conditional integrates the density over v, both by the adaptive
+    Gauss-Legendre rounds of `_numerics.integrate`, which pass the nodes of
+    every point to one core call.
     """
 
     def __init__(self, density_core: Callable, conditional_core: Callable | None = None,
@@ -133,12 +91,12 @@ class CopulaSurface:
         uc, vc = _clamped(u, "u"), _clamped(v, "v")
         if self._conditional_core is not None:
             return self._eval(self._conditional_core, uc, vc)
-        return self._eval(lambda u, v: _gauss_legendre(
+        return self._eval(lambda u, v: integrate(
             lambda z, u: self._density_core(u, z), 0.0, v, u), uc, vc)
 
     def cdf(self, u, v):
         u, v = _unit(u, "u"), _unit(v, "v")
-        return self._eval(lambda u, v: _gauss_legendre(
+        return self._eval(lambda u, v: integrate(
             self.conditional, 0.0, np.where(v > 0.0, u, 0.0), v), u, v)
 
 
@@ -325,7 +283,7 @@ def cdf_on_grid(surface: CopulaSurface, us, vs) -> np.ndarray:
     require(np.all(np.diff(us) > 0) and us[0] > 0.0 and us[-1] <= 1.0,
             "us must be strictly increasing in (0, 1]")
     edges = np.concatenate(([0.0], us))[:, None]
-    strips = _gauss_legendre(surface.conditional, edges[:-1], edges[1:], vs[None, :])
+    strips = integrate(surface.conditional, edges[:-1], edges[1:], vs[None, :])
     return np.cumsum(strips, axis=0)
 
 

@@ -220,17 +220,18 @@ class FoldedGaussianKernel:
         return np.abs(np.asarray(y, dtype=float) + sd * rng.standard_normal(shape))
 
     def pdf_dx(self, s, y, t, x):
-        x = np.asarray(x, dtype=float)
         v = self._var(s, t)
         sd = math.sqrt(v)
+        x = self._clip(x, y, sd)
         a, b = (x - y) / sd, (x + y) / sd
         return np.where(x < 0.0, 0.0, (-a * special.norm_pdf(a) - b * special.norm_pdf(b)) / v)
 
     def cdf_dt(self, s, y, t, x):
-        x = np.asarray(x, dtype=float)
         d = t - s
+        x = self._clip(x, y, math.sqrt(d))
         a, b = (x - y) / math.sqrt(d), (x + y) / math.sqrt(d)
-        return (-(x - y) * special.norm_pdf(a) - (x + y) * special.norm_pdf(b)) / (2.0 * d ** 1.5)
+        out = (-(x - y) * special.norm_pdf(a) - (x + y) * special.norm_pdf(b)) / (2.0 * d ** 1.5)
+        return np.where(x < 0.0, 0.0, out)
 
 
 class Ncx2Kernel:
@@ -282,9 +283,10 @@ class Ncx2Kernel:
         """d pdf/dx; at x = 0 the right-hand limit (see `special._chi2nc_pdf_dz`)."""
         twoc = self._twoc(t - s)
         x = np.asarray(x, dtype=float)
-        z = twoc * np.where(x < 0.0, 1.0, x)
+        miss = (x < 0.0) | (x == np.inf)
+        z = twoc * np.where(miss, 1.0, x)
         out = twoc ** 2 * special._chi2nc_pdf_dz(z, self.df, self._lam(t - s, y))
-        return np.where(x < 0.0, 0.0, out)
+        return np.where(miss, 0.0, out)
 
 
 class MappedKernel:

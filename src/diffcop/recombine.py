@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._numerics import require
 from .errors import DomainError
@@ -65,6 +64,9 @@ class _TabulatedMarginalFamily:
         if not np.all(np.diff(fs) > 0):
             raise DomainError("target cdf table is not strictly increasing (not invertible)")
         require(fs[0] >= 0.0 and fs[-1] <= 1.0, "cdf values must lie in [0, 1]")
+        # imported here, not with the module: scipy.interpolate loads scipy.optimize, linalg,
+        # sparse and spatial, about 0.2 s and 23 MB that `import diffcop` does without
+        from scipy.interpolate import PchipInterpolator
         self._cdf = PchipInterpolator(xs, fs)
         self._quantile = PchipInterpolator(fs, xs)
         self._pdf = self._cdf.derivative()

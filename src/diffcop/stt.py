@@ -35,7 +35,7 @@ import numpy as np
 from ._numerics import (central_diff, grow_bracket, integrate,
                         invert_monotone_cdf, rel_step, require)
 from .copula import CopulaSurface
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
 
 __all__ = [
@@ -92,6 +92,11 @@ def _piece_range(transform: SpaceTimeTransform, piece: MonotonePiece, t: float):
     return (va, vb) if va <= vb else (vb, va)
 
 
+def _piece_ranges(transform: SpaceTimeTransform, pieces, t: float) -> list[tuple[float, float]]:
+    """The open range of psi(t, .) on each piece; callers reuse them for a fixed t."""
+    return [_piece_range(transform, piece, t) for piece in pieces]
+
+
 def _cdf_limits(cdf: Callable, interval, x):
     lo, hi = interval
     if x <= lo:
@@ -101,38 +106,38 @@ def _cdf_limits(cdf: Callable, interval, x):
     return cdf(x)
 
 
-def _piece_inverses(transform, pieces, t: float, q: np.ndarray) -> np.ndarray:
-    """Inverse of each level of ``q`` on every piece whose open range holds it.
+def _piece_inverses(pieces, ranges, t: float, q: np.ndarray) -> np.ndarray:
+    """Inverse of each level of ``q`` on every piece whose open range (from
+    `_piece_ranges` at ``t``) holds it.
 
     Returns shape ``(len(pieces),) + q.shape``, NaN where a level lies outside
     a piece's range.
     """
     flat = np.ravel(q)
     out = np.full((len(pieces), flat.size), np.nan)
-    for k, piece in enumerate(pieces):
-        lo_v, hi_v = _piece_range(transform, piece, t)
+    for k, (piece, (lo_v, hi_v)) in enumerate(zip(pieces, ranges)):
         inside = (lo_v < flat) & (flat < hi_v)
         if np.any(inside):
             out[k, inside] = piece.inverse(t, flat[inside])
     return out.reshape((len(pieces),) + np.shape(q))
 
 
-def _preimages(transform, pieces, t: float, q: np.ndarray) -> np.ndarray:
+def _preimages(pieces, ranges, t: float, q: np.ndarray) -> np.ndarray:
     """`_piece_inverses` restricted to points strictly inside their piece."""
-    x = _piece_inverses(transform, pieces, t, q)
+    x = _piece_inverses(pieces, ranges, t, q)
     lo = np.reshape([p.lo for p in pieces], (-1,) + (1,) * np.ndim(q))
     hi = np.reshape([p.hi for p in pieces], (-1,) + (1,) * np.ndim(q))
     return np.where((lo < x) & (x < hi), x, np.nan)
 
 
-def _preimage_densities(marg: Marginal, transform, pieces, t: float, q: np.ndarray):
+def _preimage_densities(marg: Marginal, transform, pieces, ranges, t: float, q: np.ndarray):
     """Preimages of the levels ``q`` and their densities f_t(x)/|J_t(x)|.
 
     Both arrays have shape ``(len(pieces),) + q.shape``; where a piece holds
     no preimage of a level the point is NaN and the density 0.  A preimage on
     a zero of the Jacobian raises `DomainError`, naming the point.
     """
-    points = _preimages(transform, pieces, t, q)
+    points = _preimages(pieces, ranges, t, q)
     found = ~np.isnan(points)
     x = points[found]
     jac = np.abs(np.asarray(transform.jacobian(t, x), dtype=float))
@@ -144,13 +149,13 @@ def _preimage_densities(marg: Marginal, transform, pieces, t: float, q: np.ndarr
     return points, raw
 
 
-def _decompose(marg: Marginal, transform, pieces, t: float, q: np.ndarray):
+def _decompose(marg: Marginal, transform, pieces, ranges, t: float, q: np.ndarray):
     """Preimages of the levels ``q`` and their normalized density weights.
 
     Both arrays have shape ``(len(pieces),) + q.shape``; where a piece holds
     no preimage of a level the point is NaN and the weight 0.
     """
-    points, raw = _preimage_densities(marg, transform, pieces, t, q)
+    points, raw = _preimage_densities(marg, transform, pieces, ranges, t, q)
     missing = np.all(np.isnan(points), axis=0)
     if np.any(missing):
         raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
@@ -165,7 +170,8 @@ def preimage_weights(model: Model, transform: SpaceTimeTransform, t: float, q: f
     the Jacobian.
     """
     pieces = _clip_pieces(transform, model.interval)
-    points, weights = _decompose(model.marginal(t), transform, pieces, t, float(q))
+    points, weights = _decompose(model.marginal(t), transform, pieces,
+                                 _piece_ranges(transform, pieces, t), t, float(q))
     found = ~np.isnan(points)
     return points[found], weights[found]
 
@@ -202,13 +208,13 @@ def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) 
     """Marginal of Y_{phi(t)} = psi(t, X_t); a mixture over monotone pieces."""
     pieces = _clip_pieces(transform, model.interval)
     marg = model.marginal(t)
-    ranges = [_piece_range(transform, piece, t) for piece in pieces]
+    ranges = _piece_ranges(transform, pieces, t)
     ends = [(_cdf_limits(marg.cdf, model.interval, piece.lo),
              _cdf_limits(marg.cdf, model.interval, piece.hi)) for piece in pieces]
 
     def cdf(q):
         q = np.asarray(q, dtype=float)
-        x = _piece_inverses(transform, pieces, t, q)
+        x = _piece_inverses(pieces, ranges, t, q)
         inside = ~np.isnan(x)
         f = np.zeros(x.shape)
         f[inside] = marg.cdf(x[inside])      # only states of the process reach marg.cdf
@@ -220,7 +226,7 @@ def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) 
         return float(out) if out.ndim == 0 else out
 
     def pdf(q):
-        out = _preimage_densities(marg, transform, pieces, t, q)[1].sum(axis=0)
+        out = _preimage_densities(marg, transform, pieces, ranges, t, q)[1].sum(axis=0)
         return float(out) if out.ndim == 0 else out
 
     center = float(transform.psi(t, marg.quantile(0.5)))
@@ -251,6 +257,7 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
     marg_s, marg_t = model.marginal(s), model.marginal(t)
     push_s = pushforward_marginal(model, transform, s)
     push_t = pushforward_marginal(model, transform, t)
+    ranges_s, ranges_t = _piece_ranges(transform, pieces, s), _piece_ranges(transform, pieces, t)
     kernel = model.kernel
 
     def filled(x):
@@ -259,12 +266,13 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
         return np.where(np.isnan(x), np.nanmax(x, axis=0), x)
 
     def source_terms(u):
-        zs, ws = _decompose(marg_s, transform, pieces, s, np.asarray(push_s.quantile(u)))
+        zs, ws = _decompose(marg_s, transform, pieces, ranges_s, s, np.asarray(push_s.quantile(u)))
         return filled(zs), ws
 
     def dens(u, v):
         zs, ws = source_terms(u)
-        xs, wt = _decompose(marg_t, transform, pieces, t, np.asarray(push_t.quantile(v)))
+        xs, wt = _decompose(marg_t, transform, pieces, ranges_t, t,
+                            np.asarray(push_t.quantile(v)))
         xs = filled(xs)
         acc = 0.0
         for z, wz in zip(zs, ws):
@@ -275,13 +283,12 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
     def cond(u, v):
         zs, ws = source_terms(u)
         q_v = np.asarray(push_t.quantile(v))
-        xq = filled(_piece_inverses(transform, pieces, t, q_v))
+        xq = filled(_piece_inverses(pieces, ranges_t, t, q_v))
         acc = 0.0
         for z, wz in zip(zs, ws):
             mass = 0.0
             kernel_cdf = lambda x: kernel.cdf(s, z, t, x)
-            for piece, x_q in zip(pieces, xq):
-                lo_v, hi_v = _piece_range(transform, piece, t)
+            for piece, (lo_v, hi_v), x_q in zip(pieces, ranges_t, xq):
                 lo_c = _cdf_limits(kernel_cdf, model.interval, piece.lo)
                 hi_c = _cdf_limits(kernel_cdf, model.interval, piece.hi)
                 val = kernel_cdf(x_q)
@@ -471,21 +478,32 @@ def builtin_chain(name: str, **params) -> SpaceTimeTransform:
 # ---------------------------------------------------------------------------
 
 def _as_time_fn(c) -> Callable:
-    return c if callable(c) else (lambda t, _c=float(c): _c)
+    return c if callable(c) else (lambda t, _c=float(c): np.full(np.shape(t), _c))
 
 
-def _condition_parts(spec: DiffusionSpec, x: float, t: float, x_ref: float,
-                     deriv_rel: float = 1e-5) -> tuple[float, float]:
-    """Returns (base, I2) with base = mu/sigma - sigma_x/2 - int sigma_t/sigma^2."""
-    sig = lambda xx, tt: float(spec.diffusion(xx, tt))
+def _sigma(spec: DiffusionSpec) -> Callable:
+    """sigma(x, t) as an array of the shape of x."""
+    return lambda x, t: np.broadcast_to(np.asarray(spec.diffusion(x, t), dtype=float),
+                                        np.shape(x))
+
+
+def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float, x_ref: float,
+                     deriv_rel: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (base, I2) at the states x, with base = mu/sigma - sigma_x/2 - int sigma_t/sigma^2.
+
+    Each integral over [x_ref, x] is one `integrate` call for all of x.
+    """
+    sig = _sigma(spec)
     s_val = sig(x, t)
-    require(s_val > 0.0, f"diffusion coefficient vanishes at x={x}")
-    sigma_x = central_diff(lambda xx: sig(xx, t), x, rel_step(x, deriv_rel))
-    time_sens = lambda xx: central_diff(lambda tt: sig(xx, tt), t, rel_step(t, deriv_rel))
-    i1 = integrate(lambda y: time_sens(y) / sig(y, t) ** 2, x_ref, x,
-                   abs_tol=1e-10, rel_tol=1e-10)
-    i2 = integrate(lambda y: 1.0 / sig(y, t), x_ref, x, abs_tol=1e-12, rel_tol=1e-12)
-    mu = float(spec.drift(x, t))
+    vanish = ~(s_val > 0.0)
+    if np.any(vanish):
+        raise DomainError(f"diffusion coefficient vanishes at x={x[vanish][0]}")
+    sigma_x = central_diff(lambda xx: sig(xx, t), x, deriv_rel * np.maximum(np.abs(x), 1.0))
+    h_t = rel_step(t, deriv_rel)
+    i1 = integrate(lambda y, _: central_diff(lambda tt: sig(y, tt), t, h_t) / sig(y, t) ** 2,
+                   x_ref, x, x_ref, abs_tol=1e-10, rel_tol=1e-10)
+    i2 = integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref, abs_tol=1e-12, rel_tol=1e-12)
+    mu = np.asarray(spec.drift(x, t), dtype=float)
     return mu / s_val - sigma_x / 2.0 - i1, i2
 
 
@@ -498,11 +516,11 @@ def wiener_transformability_check(spec: DiffusionSpec, c1, c2, x_grid, t_grid,
     ``(passed, max_residual)``.
     """
     c1f, c2f = _as_time_fn(c1), _as_time_fn(c2)
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     worst = 0.0
     for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-        for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
-            base, i2 = _condition_parts(spec, float(x), float(t), x_ref)
-            worst = max(worst, abs(base - c1f(t) * i2 - c2f(t)))
+        base, i2 = _condition_parts(spec, xs, float(t), x_ref)
+        worst = max(worst, float(np.max(np.abs(base - c1f(t) * i2 - c2f(t)))))
     return worst <= tol, worst
 
 
@@ -514,9 +532,10 @@ def search_constant_c1_c2(spec: DiffusionSpec, x_grid, t_grid,
     The condition is linear in (c1, c2), so the residual surface is evaluated
     from precomputed condition parts.
     """
-    pts = [(float(x), float(t)) for t in np.atleast_1d(t_grid) for x in np.atleast_1d(x_grid)]
-    parts = np.array([_condition_parts(spec, x, t, x_ref) for (x, t) in pts])
-    base, i2 = parts[:, 0], parts[:, 1]
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    parts = [_condition_parts(spec, xs, float(t), x_ref) for t in np.atleast_1d(t_grid)]
+    base = np.concatenate([p[0] for p in parts])
+    i2 = np.concatenate([p[1] for p in parts])
     best = (math.nan, math.nan, math.inf)
     for c1 in np.linspace(*c1_range, n):
         resid_vec = base - c1 * i2
@@ -537,43 +556,46 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
 
     (the time-level term enters with a minus sign: with it the Ito drift of
     psi(t, X_t) cancels identically, which is verified by the test suite).
+    ``c1`` and ``c2`` are constants or functions of t that take arrays.  An
+    infinite end of the interval where the space integral diverges maps to
+    -inf or +inf.
     """
     c1f, c2f = _as_time_fn(c1), _as_time_fn(c2)
-    sig = lambda x, t: float(spec.diffusion(x, t))
+    sig = _sigma(spec)
 
     def dphi(t):
-        inner = integrate(c1f, t_ref, t, abs_tol=1e-12, rel_tol=1e-12)
-        return math.exp(-2.0 * inner)
+        return np.exp(-2.0 * integrate(lambda r, _: c1f(r), t_ref, t, t_ref,
+                                       abs_tol=1e-12, rel_tol=1e-12))
 
     def phi(t):
-        return integrate(dphi, t_ref, t, abs_tol=1e-11, rel_tol=1e-11)
+        out = integrate(lambda r, _: dphi(r), t_ref, t, t_ref, abs_tol=1e-11, rel_tol=1e-11)
+        return float(out) if out.ndim == 0 else out
 
     def phi_inv(tau):
-        lo, hi = grow_bracket(lambda x: np.array([phi(float(x[0]))]),
-                              np.array([tau]), np.array([t_ref]), np.array([t_ref + 1.0]))
-        out = invert_monotone_cdf(lambda x: np.array([phi(float(x[0]))]), np.array([tau]),
-                                  lo, hi, pdf=lambda x: np.array([dphi(float(x[0]))]),
-                                  f_tol=1e-12, x_rel_tol=1e-13)
-        return float(np.atleast_1d(out)[0])
+        tau = np.array([tau], dtype=float)
+        lo, hi = grow_bracket(phi, tau, np.array([t_ref]), np.array([t_ref + 1.0]))
+        return float(invert_monotone_cdf(phi, tau, lo, hi, pdf=dphi,
+                                         f_tol=1e-12, x_rel_tol=1e-13)[0])
 
     def level(t):
-        return integrate(lambda r: c2f(r) * math.sqrt(dphi(r)), t_ref, t,
+        return integrate(lambda r, _: c2f(r) * np.sqrt(dphi(r)), t_ref, t, t_ref,
                          abs_tol=1e-11, rel_tol=1e-11)
 
-    def psi_scalar(t, x):
-        return (math.sqrt(dphi(t)) * integrate(lambda y: 1.0 / sig(y, t), x_ref, x,
-                                               abs_tol=1e-11, rel_tol=1e-11)
-                - level(t))
-
     def psi(t, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return psi_scalar(t, float(arr))
-        return np.array([psi_scalar(t, float(v)) for v in arr.ravel()]).reshape(arr.shape)
+        x = np.asarray(x, dtype=float)
+        try:
+            space = integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref,
+                              abs_tol=1e-11, rel_tol=1e-11)
+        except NumericsError:
+            if not np.all(np.isinf(x)):
+                raise
+            space = np.copysign(np.inf, x)      # the improper integral diverges
+        out = np.sqrt(dphi(t)) * space - level(t)
+        return float(out) if out.ndim == 0 else out
 
     def jacobian(t, x):
         arr = np.asarray(x, dtype=float)
-        return math.sqrt(dphi(t)) / np.asarray(spec.diffusion(arr, t), dtype=float)
+        return np.sqrt(dphi(t)) / np.asarray(spec.diffusion(arr, t), dtype=float)
 
     lo_i, hi_i = spec.interval
 
@@ -588,13 +610,13 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
         lo = hi = seed
         step = 1.0
         for _ in range(300):
-            if psi_scalar(t, hi) >= y:
+            if psi(t, hi) >= y:
                 break
             hi = hi + step if not np.isfinite(hi_i) else hi + 0.5 * (hi_i - hi)
             step *= 2.0
         step = 1.0
         for _ in range(300):
-            if psi_scalar(t, lo) <= y:
+            if psi(t, lo) <= y:
                 break
             lo = lo - step if not np.isfinite(lo_i) else lo - 0.5 * (lo - lo_i)
             step *= 2.0
@@ -602,12 +624,9 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
 
     def inverse(t, y):
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y_arr)
-        fn = lambda x: np.array([psi_scalar(t, float(v)) for v in np.atleast_1d(x)])
-        for i, y_val in enumerate(y_arr):
-            lo, hi = _bracket_inside(t, float(y_val))
-            out[i] = invert_monotone_cdf(fn, np.array([y_val]), np.array([lo]),
-                                         np.array([hi]), f_tol=1e-11, x_rel_tol=1e-12)[0]
+        lo, hi = np.array([_bracket_inside(t, float(y_val)) for y_val in y_arr]).T
+        out = invert_monotone_cdf(lambda x: psi(t, x), y_arr, lo, hi,
+                                  f_tol=1e-11, x_rel_tol=1e-12)
         return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
     return SpaceTimeTransform(

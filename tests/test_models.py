@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from diffcop import models, special, stt
-from diffcop._numerics import central_diff, integrate, rel_step
+from diffcop._numerics import central_diff, rel_step
 from diffcop.errors import DomainError
 from diffcop.recombine import model_marginal_family, recombine
+
+from quad_oracle import integrate
 
 CATALOG = {
     "bm": ({}, 0.0),
@@ -167,6 +169,9 @@ class TestKernelProtocol:
         np.testing.assert_array_equal(k.cdf(0.5, 1.0, 1.5, edges), [0.0, 1.0])
         assert float(k.pdf(0.5, 1.0, 1.5, np.inf)) == 0.0
         assert float(k.cdf(0.5, 1.0, 1.5, -np.inf)) == 0.0
+        for derivative in (k.pdf_dx, k.cdf_dt):
+            if derivative is not None:
+                np.testing.assert_array_equal(derivative(0.5, 1.0, 1.5, edges), [0.0, 0.0])
 
     def test_marginal_calls_no_kernel_method(self):
         class Raising:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from diffcop import models, uniformize
-from diffcop._numerics import integrate
 from diffcop.errors import DomainError
 from diffcop.recombine import (FirstPassageSample, first_passage_times,
                                model_marginal_family, recombine,
                                tabulated_marginal_family)
+
+from quad_oracle import integrate
 
 OU_P = {"alpha": 1.0, "beta": 0.5, "sigma": 0.9}
 

@@ -199,7 +199,7 @@ class TestChi2ncPdf:
 
     def test_mean_by_quadrature(self):
         # E[chi2nc(3, 5)] = 8, verified numerically, not assumed
-        from diffcop._numerics import integrate
+        from quad_oracle import integrate
         mid = 8.0
         mean = (integrate(lambda z: z * special.chi2nc_pdf(z, 3.0, 5.0), 0.0, mid,
                           abs_tol=1e-9, rel_tol=1e-9)
@@ -288,7 +288,7 @@ class TestChi2ncCdfQuantile:
     @pytest.mark.parametrize("nu", [1.0, 2.0, 4.0, 25.0])
     @pytest.mark.parametrize("lam", [0.0, 1.0, 10.0, 100.0])
     def test_grid_invariants(self, nu, lam):
-        from diffcop._numerics import integrate
+        from quad_oracle import integrate
         mid = nu + lam
         mass = (integrate(lambda z: special.chi2nc_pdf(z, nu, lam), 0.0, mid,
                           abs_tol=1e-9, rel_tol=1e-9)
@@ -413,10 +413,15 @@ class TestMonotoneInversion:
 
 
 def test_import_loads_no_scipy_stats():
-    # scipy.stats would add about half to the time and 15 MB to the memory of `import diffcop`
+    # scipy.stats would add about half to the time and 15 MB to the memory of `import diffcop`;
+    # scipy.integrate and scipy.interpolate load optimize, linalg and sparse, together about a
+    # third of the time and 28 MB.  The console entry point imports diffcop.cli.
     src = str(Path(diffcop.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import diffcop; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    forbidden = ("scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy.optimize",
+                 "scipy.linalg", "scipy.sparse")
+    for module in ("diffcop", "diffcop.cli"):
+        code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+                f"print(sorted(m for m in sys.modules if m.startswith({forbidden!r})))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]", module

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from diffcop import copula, models, special, stt
-from diffcop._numerics import integrate
 from diffcop.errors import DomainError
 from diffcop.uniformize import ks_statistic
+
+from quad_oracle import integrate
 
 OU_P = {"alpha": 0.8, "beta": 0.5, "sigma": 0.7}
 CIR_P = {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}
