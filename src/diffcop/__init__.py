@@ -15,9 +15,8 @@ from .models import (DiffusionSpec, Model, PathEnsemble, StationaryLaw,
                      euler_maruyama, make_model, sample_transition, simulate_paths)
 from .recombine import (FirstPassageSample, RecombinedProcess, first_passage_times,
                         model_marginal_family, recombine, tabulated_marginal_family)
-from .special import (Tolerance, bessel_i, chi2nc_cdf, chi2nc_pdf,
-                      chi2nc_pdf_bessel_form, chi2nc_quantile, norm_cdf, norm_pdf,
-                      norm_quantile)
+from .special import (bessel_i, chi2nc_cdf, chi2nc_pdf, chi2nc_pdf_bessel_form,
+                      chi2nc_quantile, norm_cdf, norm_pdf, norm_quantile)
 from .stt import (MonotonePiece, SpaceTimeTransform, absolute_value, builtin_chain,
                   compose, identity_transform, nonmonotone_copula,
                   preimage_weights, push_transition, pushforward_marginal,
@@ -33,7 +32,7 @@ __all__ = [
     "CopulaSurface", "DiffusionSpec", "DomainError", "EmpiricalCopula",
     "FirstPassageSample", "Model", "MonotonePiece", "NumericsError",
     "PathEnsemble", "RecombinedProcess", "SpaceTimeTransform", "StationaryLaw",
-    "Tolerance", "UniformizedCoefficients",
+    "UniformizedCoefficients",
     "absolute_value", "bessel_i", "builtin_chain", "cdf_on_grid", "cell_masses",
     "chi2nc_cdf", "chi2nc_pdf",
     "chi2nc_pdf_bessel_form", "chi2nc_quantile", "cir_closed_form", "compose",

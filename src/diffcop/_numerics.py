@@ -1,10 +1,10 @@
 """Shared numerical kernels: monotone-CDF inversion, quadrature, finite differences.
 
-Quantiles that scipy does not provide (the reflected-BM kernel, pushed-forward
-marginals) and the inverses of other monotone maps (the Wiener time change and
-space map) go through the same safeguarded Newton/bisection engine operating
-inside a bracket, with geometric bracket growth when no finite bound is known
-a priori.
+Every inversion of the package goes through `invert_monotone_cdf`, one
+safeguarded Newton/bisection solver that first grows its bracket inside the
+state space: the quantiles that scipy does not provide (the reflected-BM
+kernel, pushed-forward marginals) and the inverses of the Wiener time change
+and space map.
 
 Every integral of the package goes through `integrate`, one vectorized
 adaptive Gauss-Legendre engine: the copula CDFs and conditionals, the
@@ -14,6 +14,7 @@ and the acceptance checks of `validation`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import DomainError, NumericsError
 
 _TINY = 1e-300
+_MAX_MOVES = 200                                   # bracket moves per side
 
 _GL20, _GL10 = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(10)
 _GL_NODES = np.concatenate((_GL20[0], _GL10[0]))   # ascending per rule: 0 and 19 are outermost
@@ -28,51 +30,31 @@ _GL_MAX_PANELS = 200                               # open panels per integral
 _NORMAL_MIN = np.finfo(float).tiny
 
 
-def grow_bracket(cdf: Callable, p: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 factor: float = 2.0, max_grow: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Expand ``hi`` geometrically (and ``lo`` downward) until the bracket holds.
-
-    On return ``cdf(lo) <= p <= cdf(hi)`` elementwise.
-    """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    p = np.asarray(p, dtype=float)
-    for _ in range(max_grow):
-        bad_hi = cdf(hi) < p
-        if not np.any(bad_hi):
-            break
-        width = np.maximum(hi - lo, 1.0)
-        hi = np.where(bad_hi, hi + (factor - 1.0) * width, hi)
-    else:
-        raise NumericsError("bracket growth failed on the upper side")
-    for _ in range(max_grow):
-        bad_lo = cdf(lo) > p
-        if not np.any(bad_lo):
-            break
-        width = np.maximum(hi - lo, 1.0)
-        lo = np.where(bad_lo, lo - (factor - 1.0) * width, lo)
-    else:
-        raise NumericsError("bracket growth failed on the lower side")
-    return lo, hi
-
-
 def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
-                        x0=None, f_tol: float = 1e-12, x_rel_tol: float = 1e-14,
-                        max_iter: int = 200):
-    """Solve ``cdf(x) = p`` for nondecreasing ``cdf`` inside the bracket [lo, hi].
+                        bounds: tuple[float, float] = (-np.inf, np.inf), f_tol: float = 1e-12,
+                        x_rel_tol: float = 1e-14, max_iter: int = 200):
+    """Solve ``cdf(x) = p`` for nondecreasing ``cdf`` on the open interval ``bounds``.
 
-    Vectorized safeguarded Newton, as in rtsafe: a Newton step is taken when
-    ``pdf`` is supplied, the step stays strictly inside the current bracket and
-    it is at most half the step before last; otherwise the bracket is bisected.
-    So a flat or quantized ``cdf``, on which Newton would creep, costs at most
-    about two iterations per halving of the bracket.
+    The start bracket [lo, hi] need not hold the root.  While ``cdf(hi) < p``
+    the upper end moves out by the bracket width (at least 1) when the upper
+    bound is infinite, or halfway to it when it is finite; then the lower end
+    likewise while ``cdf(lo) > p``.  So ``cdf`` is never evaluated outside the
+    open ``bounds``, and an end that starts on a bound holds without being
+    evaluated.  A side that still misses after 200 moves, or whose end would
+    land on its bound, raises `NumericsError`: the target is out of reach.
+
+    Inside the bracket, vectorized safeguarded Newton as in rtsafe: a Newton
+    step is taken when ``pdf`` is supplied, the step stays strictly inside the
+    current bracket and it is at most half the step before last; otherwise the
+    bracket is bisected.  So a flat or quantized ``cdf``, on which Newton would
+    creep, costs at most about two iterations per halving of the bracket.
 
     Parameters
     ----------
-    cdf, pdf : callables accepting/returning ndarrays.
+    cdf, pdf : callables accepting/returning ndarrays of the shape of ``p``.
     p : target probabilities (scalar or array).
-    lo, hi : initial bracket, already valid (see `grow_bracket`).
-    x0 : optional starting guess, clipped into the bracket.
+    lo, hi : start bracket, broadcast to the shape of ``p``, inside [bounds].
+    bounds : the state-space interval, ends may be infinite.
     f_tol : stop where ``|cdf(x) - p| <= f_tol * min(p, 1 - p)``, relative to
         the smaller tail probability (0 disables).  For targets outside
         (0, 1), met when a monotone map that is not a CDF is inverted, only
@@ -83,16 +65,26 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
 
     Returns
     -------
-    ndarray (or float for scalar input) with the roots.
+    float for a scalar ``p``, else an ndarray of its shape with the roots.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    scalar = np.isscalar(p) or (hasattr(p, "ndim") and getattr(p, "ndim") == 0)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), p_arr.shape).astype(float).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), p_arr.shape).astype(float).copy()
-    if x0 is None:
-        x = 0.5 * (lo + hi)
-    else:
-        x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), p_arr.shape), lo, hi).astype(float).copy()
+    ends = [np.broadcast_to(np.asarray(end, dtype=float), p_arr.shape) for end in (lo, hi)]
+    for k, sign in ((1, 1.0), (0, -1.0)):                 # the upper end first
+        edge = float(bounds[k])
+        free = ends[k] != edge                            # an end that starts on its bound holds
+        for moves in range(_MAX_MOVES if free.any() else 0):
+            end = ends[k]
+            probe = np.where(free, end, 0.5 * (ends[0] + ends[1]))
+            miss = free & (sign * (cdf(probe) - p_arr) < 0.0)
+            if not miss.any():
+                break
+            step = (sign * np.maximum(ends[1] - ends[0], 1.0) if math.isinf(edge)
+                    else 0.5 * (edge - end))
+            ends[k] = np.where(miss, end + step, end)
+            if moves == _MAX_MOVES - 1 or np.any(ends[k] == edge):
+                raise NumericsError(f"bracket growth failed on the {('lower', 'upper')[k]} side")
+    lo, hi = ends
+    x = 0.5 * (lo + hi)
 
     f_scale = f_tol * np.minimum(p_arr, 1.0 - p_arr)
     step_old = step = hi - lo
@@ -119,7 +111,7 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
     else:
         raise NumericsError(f"monotone inversion did not converge in {max_iter} iterations "
                             f"({int(np.sum(~done))} of {done.size} roots open)")
-    return float(x[0]) if scalar else x.reshape(np.shape(p))
+    return float(x[0]) if np.ndim(p) == 0 else x.reshape(np.shape(p))
 
 
 def integrate(f: Callable, lo, hi, at, *, abs_tol: float = 1e-13,

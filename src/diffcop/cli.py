@@ -99,9 +99,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_recombine(args) -> int:
     source = _build_model(args, "source_")
     target = _build_model(args, "target_")
+    t0 = args.source_t0
     process = build_recombined(source, model_marginal_family(target),
-                                  probe_time=args.t0 + (args.t_max - args.t0) / 2.0)
-    times = _time_grid(args.t0, args.t_max, args.n_steps)
+                               probe_time=t0 + (args.t_max - t0) / 2.0)
+    times = _time_grid(t0, args.t_max, args.n_steps)
     ens = process.sample_paths(times, args.n_paths, seed=args.seed)
     ens.to_csv(args.out)
     print(f"wrote {args.n_paths} recombined paths to {args.out}")
@@ -183,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--config", default=None)
     _add_model_flags(rec, "source_")
     _add_model_flags(rec, "target_", x0_required=True)
-    rec.add_argument("--t0", type=float, default=0.0)
     rec.add_argument("--t-max", type=float, default=1.0, dest="t_max")
     rec.add_argument("--n-steps", type=int, default=50, dest="n_steps")
     rec.add_argument("--n-paths", type=int, default=100, dest="n_paths")

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln
 
 from . import special
-from ._numerics import grow_bracket, invert_monotone_cdf, require
+from ._numerics import invert_monotone_cdf, require
 from .errors import DomainError
 
 __all__ = [
@@ -205,13 +205,10 @@ class FoldedGaussianKernel:
     def quantile(self, s, y, t, p):
         _check_order(s, t)
         sd = math.sqrt(self._var(s, t))
-        p_b, y_b = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(y, dtype=float))
-        p_arr, y_arr = np.atleast_1d(p_b), np.atleast_1d(y_b)
-        cdf = lambda x: self.cdf(s, y_arr, t, x)
-        lo, hi = grow_bracket(cdf, p_arr, np.zeros_like(p_arr), np.abs(y_arr) + 12.0 * sd)
-        out = invert_monotone_cdf(cdf, p_arr, lo, hi, pdf=lambda x: self.pdf(s, y_arr, t, x),
-                                  f_tol=1e-13, x_rel_tol=1e-14)
-        return float(out[0]) if p_b.ndim == 0 else out.reshape(p_b.shape)
+        p, y = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(y, dtype=float))
+        return invert_monotone_cdf(lambda x: self.cdf(s, y, t, x), p, 0.0, np.abs(y) + 12.0 * sd,
+                                   pdf=lambda x: self.pdf(s, y, t, x), bounds=(0.0, np.inf),
+                                   f_tol=1e-13, x_rel_tol=1e-14)
 
     def sample(self, s, y, t, rng, size=None):
         _check_order(s, t)

@@ -101,10 +101,6 @@ class RecombinedProcess:
     source: Model
     target: object          # marginal family: cdf(t, x), quantile(t, p), pdf(t, x)
 
-    @property
-    def t0(self) -> float:
-        return self.source.t0
-
     def map(self, t: float, x):
         """The recombination map x -> z at time t (strictly increasing in x)."""
         p = np.clip(self.source.marginal(t).cdf(x), 1e-15, 1.0 - 1e-15)
@@ -113,12 +109,6 @@ class RecombinedProcess:
     def inverse_map(self, t: float, z):
         p = np.clip(self.target.cdf(t, z), 1e-15, 1.0 - 1e-15)
         return self.source.marginal(t).quantile(p)
-
-    def marginal_cdf(self, t: float, z):
-        return self.target.cdf(t, z)
-
-    def marginal_quantile(self, t: float, p):
-        return self.target.quantile(t, p)
 
     @property
     def kernel(self) -> MappedKernel:

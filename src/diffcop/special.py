@@ -38,7 +38,6 @@ pure; the noncentral chi-square functions also broadcast an array ``lam``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chndtr, chndtrix, erfc, gammaln, ndtr, ndtri
@@ -47,7 +46,6 @@ from scipy.special._ufuncs import _ncx2_pdf
 from .errors import DomainError, NumericsError
 
 __all__ = [
-    "Tolerance", "DEFAULT_TOLERANCE",
     "norm_pdf", "norm_cdf", "norm_quantile",
     "bessel_i",
     "chi2nc_pdf", "chi2nc_cdf", "chi2nc_quantile", "chi2nc_pdf_bessel_form",
@@ -55,21 +53,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence policy for series and iterative inversions."""
-
-    rel_tol: float = 1e-14
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.max_iter >= 1):
-            raise DomainError("Tolerance requires rel_tol > 0, max_iter >= 1")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+_SERIES_REL_TOL = 1e-14           # the Bessel series stops at a term this small against its sum
+_SERIES_MAX_TERMS = 200
 
 
 def _principal(z, name: str, allow_inf: bool = False):
@@ -118,19 +103,20 @@ def norm_quantile(p):
 # Modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
 
-def bessel_i(a: float, z, tol: Tolerance = DEFAULT_TOLERANCE):
+def bessel_i(a: float, z):
     """Modified Bessel function I_a(z) by direct series summation.
 
         I_a(z) = sum_m (1 / (m! Gamma(m+a+1))) (z/2)^(2m+a)
 
     Terms are accumulated with the ratio recurrence and the series stops once
-    a term falls below ``tol.rel_tol`` times the partial sum.  Orders a >= -1
-    are supported (I_{-1} = I_1); arguments must satisfy z >= 0.
+    a term falls below 1e-14 times the partial sum; `NumericsError` if that
+    takes over 200 terms.  Orders a >= -1 are supported (I_{-1} = I_1);
+    arguments must satisfy z >= 0.
     """
     if a < -1.0:
         raise DomainError("order a must satisfy a >= -1")
     if a == -1.0:
-        return bessel_i(1.0, z, tol)
+        return bessel_i(1.0, z)
     arr, scalar = _principal(z, "z")
     if np.any(arr < 0.0):
         raise DomainError("z must be nonnegative")
@@ -147,10 +133,10 @@ def bessel_i(a: float, z, tol: Tolerance = DEFAULT_TOLERANCE):
         total = term.copy()
         q = zp * zp / 4.0
         converged = False
-        for m in range(1, max(tol.max_iter, 60) + 1):
+        for m in range(1, _SERIES_MAX_TERMS + 1):
             term = term * q / (m * (m + a))
             total += term
-            if np.all(term <= tol.rel_tol * total):
+            if np.all(term <= _SERIES_REL_TOL * total):
                 converged = True
                 break
         if not converged:
@@ -288,7 +274,7 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
     return x
 
 
-def chi2nc_pdf_bessel_form(z, nu: float, lam: float, tol: Tolerance = DEFAULT_TOLERANCE):
+def chi2nc_pdf_bessel_form(z, nu: float, lam: float):
     """Noncentral chi-square density in its Bessel-series form.
 
     Independent of the scipy route behind `chi2nc_pdf`; requires z > 0 and lam > 0
@@ -302,6 +288,6 @@ def chi2nc_pdf_bessel_form(z, nu: float, lam: float, tol: Tolerance = DEFAULT_TO
     if np.any(arr <= 0.0):
         raise DomainError("the Bessel form requires z > 0")
     a = (nu - 2.0) / 2.0
-    bess = np.atleast_1d(bessel_i(a, np.sqrt(lam * arr), tol))
+    bess = np.atleast_1d(bessel_i(a, np.sqrt(lam * arr)))
     out = 0.5 * np.exp(-(arr + lam) / 2.0) * (arr / lam) ** ((nu - 2.0) / 4.0) * bess
     return _unwrap(out, scalar)

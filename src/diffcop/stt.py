@@ -32,8 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import (central_diff, grow_bracket, integrate,
-                        invert_monotone_cdf, rel_step, require)
+from ._numerics import central_diff, integrate, invert_monotone_cdf, rel_step, require
 from .copula import CopulaSurface
 from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
@@ -232,10 +231,8 @@ def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) 
     center = float(transform.psi(t, marg.quantile(0.5)))
 
     def quantile(p):
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        lo, hi = grow_bracket(cdf, p_arr, center - 1.0, center + 1.0)
-        out = invert_monotone_cdf(cdf, p_arr, lo, hi, pdf=pdf, f_tol=1e-13, x_rel_tol=1e-14)
-        return float(out[0]) if np.ndim(p) == 0 else out.reshape(np.shape(p))
+        return invert_monotone_cdf(cdf, p, center - 1.0, center + 1.0, pdf=pdf,
+                                   f_tol=1e-13, x_rel_tol=1e-14)
 
     return Marginal(t=float(transform.phi(t)), pdf=pdf, cdf=cdf, quantile=quantile)
 
@@ -572,25 +569,26 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
         return float(out) if out.ndim == 0 else out
 
     def phi_inv(tau):
-        tau = np.array([tau], dtype=float)
-        lo, hi = grow_bracket(phi, tau, np.array([t_ref]), np.array([t_ref + 1.0]))
-        return float(invert_monotone_cdf(phi, tau, lo, hi, pdf=dphi,
-                                         f_tol=1e-12, x_rel_tol=1e-13)[0])
+        return invert_monotone_cdf(phi, tau, t_ref, t_ref + 1.0, pdf=dphi,
+                                   f_tol=1e-12, x_rel_tol=1e-13)
 
     def level(t):
         return integrate(lambda r, _: c2f(r) * np.sqrt(dphi(r)), t_ref, t, t_ref,
                          abs_tol=1e-11, rel_tol=1e-11)
 
+    def space(t, x):
+        return integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref,
+                         abs_tol=1e-11, rel_tol=1e-11)
+
     def psi(t, x):
         x = np.asarray(x, dtype=float)
         try:
-            space = integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref,
-                              abs_tol=1e-11, rel_tol=1e-11)
+            s = space(t, x)
         except NumericsError:
             if not np.all(np.isinf(x)):
                 raise
-            space = np.copysign(np.inf, x)      # the improper integral diverges
-        out = np.sqrt(dphi(t)) * space - level(t)
+            s = np.copysign(np.inf, x)          # the improper integral diverges
+        out = np.sqrt(dphi(t)) * s - level(t)
         return float(out) if out.ndim == 0 else out
 
     def jacobian(t, x):
@@ -598,36 +596,19 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
         return np.sqrt(dphi(t)) / np.asarray(spec.diffusion(arr, t), dtype=float)
 
     lo_i, hi_i = spec.interval
-
-    def _bracket_inside(t, y):
-        # expand toward the interval bounds without crossing them
-        if lo_i < x_ref < hi_i:
-            seed = x_ref
-        elif np.isfinite(lo_i):
-            seed = lo_i + 1.0 if not np.isfinite(hi_i) else 0.5 * (lo_i + hi_i)
-        else:
-            seed = hi_i - 1.0
-        lo = hi = seed
-        step = 1.0
-        for _ in range(300):
-            if psi(t, hi) >= y:
-                break
-            hi = hi + step if not np.isfinite(hi_i) else hi + 0.5 * (hi_i - hi)
-            step *= 2.0
-        step = 1.0
-        for _ in range(300):
-            if psi(t, lo) <= y:
-                break
-            lo = lo - step if not np.isfinite(lo_i) else lo - 0.5 * (lo - lo_i)
-            step *= 2.0
-        return lo, hi
+    if lo_i < x_ref < hi_i:
+        start = x_ref
+    elif np.isfinite(lo_i):
+        start = lo_i + 1.0 if not np.isfinite(hi_i) else 0.5 * (lo_i + hi_i)
+    else:
+        start = hi_i - 1.0
 
     def inverse(t, y):
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        lo, hi = np.array([_bracket_inside(t, float(y_val)) for y_val in y_arr]).T
-        out = invert_monotone_cdf(lambda x: psi(t, x), y_arr, lo, hi,
-                                  f_tol=1e-11, x_rel_tol=1e-12)
-        return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+        # psi(t, x) = y  <=>  space(t, x) = (y + level(t)) / sqrt(phi'(t)), d space/dx = 1/sigma
+        target = (np.asarray(y, dtype=float) + level(t)) / np.sqrt(dphi(t))
+        return invert_monotone_cdf(lambda x: space(t, x), target, start, start,
+                                   pdf=lambda x: 1.0 / sig(x, t), bounds=spec.interval,
+                                   f_tol=0.0, x_rel_tol=1e-12)
 
     return SpaceTimeTransform(
         phi=phi, phi_inv=phi_inv, psi=psi, jacobian=jacobian,

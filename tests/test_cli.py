@@ -91,6 +91,20 @@ class TestRecombineCommand:
         assert ens.paths.shape == (32, 4)
         assert np.all(ens.paths > 0.0)      # cir marginals are positive
 
+    def test_grid_starts_at_source_t0(self, tmp_path):
+        out = tmp_path / "z.csv"
+        base = ["recombine", "--source-model", "ou", "--source-params",
+                "alpha=1.0,beta=0.5,sigma=0.9", "--source-x0", 0.2, "--source-t0", 1.0,
+                "--target-model", "cir", "--target-params", "alpha=1.0,beta=1.0,sigma=0.8",
+                "--target-x0", 1.2, "--t-max", 2.0, "--n-steps", 4, "--n-paths", 8,
+                "--out", out]
+        assert run(base) == 0
+        ens = PathEnsemble.from_csv(out)
+        assert ens.times[0] > 1.0 and ens.times[-1] == 2.0
+        with pytest.raises(SystemExit) as err:
+            run(base + ["--t0", 0.0])
+        assert err.value.code == 2
+
 
 class TestFpt:
     def test_unreachable_threshold_all_censored(self, tmp_path):

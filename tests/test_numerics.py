@@ -1,4 +1,4 @@
-"""The shared Gauss-Legendre engine, `_numerics.integrate`: ends, singularities, failures."""
+"""The shared numerical kernels: the monotone solver and the Gauss-Legendre engine."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffcop import special
-from diffcop._numerics import integrate
+from diffcop._numerics import integrate, invert_monotone_cdf
 from diffcop.errors import DomainError, NumericsError
 
 
@@ -47,3 +47,55 @@ def test_nonintegrable_singularity_raises():
 def test_two_infinite_ends_are_rejected():
     with pytest.raises(DomainError):
         integrate(lambda y, _: special.norm_pdf(y), -np.inf, np.inf, 0.0)
+
+
+def _inside_only(f, lo, hi):
+    """``f``, failing the test when called at a point outside the open interval (lo, hi)."""
+    def guarded(x):
+        x = np.asarray(x, dtype=float)
+        assert np.all((lo < x) & (x < hi)), f"evaluated outside ({lo}, {hi})"
+        return f(x)
+    return guarded
+
+
+@pytest.mark.parametrize("p", [1e-12, 0.3, 1.0 - 1e-9])
+def test_solver_grows_toward_finite_bounds_without_reaching_them(p):
+    # x^2 on (0, 1) from the point bracket [0.5, 0.5]: each side halves its way toward its bound
+    x = invert_monotone_cdf(_inside_only(np.square, 0.0, 1.0), p, 0.5, 0.5,
+                            pdf=lambda x: 2.0 * x, bounds=(0.0, 1.0))
+    assert x * x == pytest.approx(p, rel=1e-12, abs=0)
+
+
+def test_solver_never_evaluates_an_end_on_its_bound():
+    p = np.array([1e-10, 0.5, 0.999])
+    x = invert_monotone_cdf(_inside_only(lambda x: -np.expm1(-x), 0.0, np.inf), p, 0.0, 1.0,
+                            pdf=lambda x: np.exp(-x), bounds=(0.0, np.inf))
+    np.testing.assert_allclose(x, -np.log1p(-p), rtol=1e-12, atol=0)
+
+
+def test_solver_reaches_a_far_target_of_log():
+    # the lower end halves from 5 toward the bound 0 until log(lo) <= -20
+    x = invert_monotone_cdf(_inside_only(np.log, 0.0, np.inf), -20.0, 5.0, 6.0,
+                            pdf=lambda x: 1.0 / x, bounds=(0.0, np.inf))
+    assert x == pytest.approx(math.exp(-20.0), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("cdf, p, bounds", [
+    (special.norm_cdf, 1.5, (-np.inf, np.inf)),      # 200 moves toward +inf
+    (_inside_only(np.square, 0.0, 1.0), 2.0, (0.0, 1.0)),    # the upper end would land on 1
+    (_inside_only(np.square, 0.0, 1.0), -1.0, (0.0, 1.0)),   # 200 halvings toward 0
+], ids=["infinite_bound", "finite_upper", "finite_lower"])
+def test_solver_rejects_an_unreachable_target(cdf, p, bounds):
+    with pytest.raises(NumericsError, match="bracket growth failed"):
+        invert_monotone_cdf(cdf, p, 0.5, 0.5, bounds=bounds)
+
+
+def test_solver_returns_a_float_for_a_scalar_and_the_shape_of_an_array():
+    solve = lambda p: invert_monotone_cdf(special.norm_cdf, p, -1.0, 1.0)
+    for p in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(solve(p)) is float
+    p = np.array([[0.1, 0.5], [0.9, 1e-6]])
+    x = solve(p)
+    assert isinstance(x, np.ndarray) and x.shape == (2, 2)
+    assert np.all(np.abs(special.norm_cdf(x) - p) <= 1e-12 * np.minimum(p, 1.0 - p))
+    assert solve(np.array([0.3])).shape == (1,)

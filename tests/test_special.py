@@ -74,19 +74,6 @@ def mp_chi2nc_quantile(p, nu, lam, x0):
                        solver="secant", tol=mp.mpf(10) ** -40)
 
 
-class TestTolerance:
-    def test_defaults_valid(self):
-        tol = special.Tolerance()
-        assert tol.rel_tol > 0 and tol.max_iter >= 1
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0}, {"rel_tol": -1e-3}, {"max_iter": 0},
-    ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            special.Tolerance(**kwargs)
-
-
 class TestNormal:
     def test_pdf_at_zero(self):
         assert special.norm_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-16)

@@ -300,3 +300,41 @@ class TestWienerCondition:
         for (s, t, y, x) in [(0.5, 1.2, 0.1, 0.5), (0.8, 1.6, -0.4, 0.2)]:
             assert float(pushed.kernel.pdf(s, y, t, x)) == pytest.approx(
                 float(bm.kernel.pdf(s, y, t, x)), abs=1e-9)
+
+
+class TestWienerInverse:
+    """`wiener_stt`'s space inverse and time-change inverse, on arrays."""
+
+    @staticmethod
+    def transforms():
+        ou = ou_model()
+        sc = models.make_model("cir_special", {"alpha": 0.6, "sigma": 1.1}, x0=0.4)
+        return {"ou": (stt.wiener_stt(ou.spec, -OU_P["alpha"], OU_P["beta"] / OU_P["sigma"]),
+                       np.linspace(-6.0, 6.0, 12).reshape(3, 4)),
+                "cir_special": (stt.wiener_stt(sc.spec, -0.3, 0.0),
+                                np.array([1e-3, 0.05, 0.4, 1.0, 3.0, 12.0]))}
+
+    @pytest.mark.parametrize("name", ["ou", "cir_special"])
+    def test_round_trip_on_arrays(self, name):
+        transform, ys = self.transforms()[name]
+        piece = transform.pieces[0]
+        for t in (0.4, 1.3):
+            x = piece.inverse(t, ys)
+            assert x.shape == ys.shape
+            assert np.all((piece.lo < x) & (x < piece.hi))
+            assert np.all(np.abs(transform.psi(t, x) - ys) <= 1e-13 * np.maximum(1.0, np.abs(ys)))
+
+    @pytest.mark.parametrize("name", ["ou", "cir_special"])
+    def test_vector_call_equals_scalar_loop(self, name):
+        transform, ys = self.transforms()[name]
+        inverse = transform.pieces[0].inverse
+        scalars = [inverse(0.9, float(y)) for y in ys.ravel()]
+        assert all(type(x) is float for x in scalars)
+        np.testing.assert_array_equal(inverse(0.9, ys).ravel(), scalars)
+
+    def test_time_change_inverts(self):
+        transform, _ = self.transforms()["ou"]
+        ts = np.array([0.05, 0.7, 1.3, 2.5])
+        for t in ts:
+            assert transform.phi_inv(transform.phi(float(t))) == pytest.approx(t, rel=1e-12)
+        np.testing.assert_allclose(transform.phi_inv(transform.phi(ts)), ts, rtol=1e-12, atol=0)
