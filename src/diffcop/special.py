@@ -1,20 +1,36 @@
 """Special-function kernels: Gaussian law, modified Bessel I_a, noncentral chi-square.
 
-The noncentral chi-square pdf, cdf and quantile are thin validated wrappers
-over scipy's compiled routines ``scipy.special.chndtr``,
-``scipy.special.chndtrix`` and the Boost density behind ``scipy.stats.ncx2``,
-``scipy.special._ufuncs._ncx2_pdf``.  That private symbol is reached directly
-because importing ``scipy.stats`` would add about half to the time and 15 MB
-to the memory of ``import diffcop``.  The routines sum the Poisson mixture
-outward from its mode and stop on a relative criterion (Benton &
-Krishnamoorthy, Comput. Stat. Data Anal. 43, 2003), so the tails
-keep their relative accuracy.  The Bessel-series form of the same density,
+The noncentral chi-square cdf and quantile are validated wrappers over
+scipy's compiled ``scipy.special.chndtr`` and ``scipy.special.chndtrix``.
+The density, `chi2nc_pdf`, takes one of two routes per element (`_pdf`):
 
-    f(z; nu, lam) = 1/2 exp(-(z+lam)/2) (z/lam)^{(nu-2)/4} I_{(nu-2)/2}(sqrt(lam z)),
+* lam <= 50: the Boost density behind ``scipy.stats.ncx2``,
+  ``scipy.special._ufuncs._ncx2_pdf``, at 0.03-1.3 us per element.  That
+  private symbol is reached directly because importing ``scipy.stats`` would
+  add about half to the time and 15 MB to the memory of ``import diffcop``.
+* lam > 50 and nu <= 1000: the Bessel form of the density,
 
-summed here by `bessel_i`, is kept as an independent route
-(`chi2nc_pdf_bessel_form`) and the two are cross-checked in the validation
-suite.
+      f(z; nu, lam) = 1/2 exp(-(z+lam)/2) (z/lam)^{(nu-2)/4} I_{(nu-2)/2}(sqrt(lam z)),
+
+  evaluated in logs with scipy's exponentially scaled Amos routine ``ive``
+  (Amos, ACM TOMS 12, 1986), at 0.2-0.6 us per element whatever lam is.
+  Boost sums the Poisson mixture outward from its mode there (Benton &
+  Krishnamoorthy, Comput. Stat. Data Anal. 43, 2003), at 0.6-1 us per element
+  at lam = 60, 3 us at 1e4 and 26 us at 1e6.  Where ``ive`` underflows (a
+  large order at a small argument), the form is summed as a 0F1 series in logs.
+
+Far in the left tail Boost's series starts from a term that underflows: it
+returned exactly 0 for normal doubles such as 9.6e-23 at (nu, lam, z) =
+(2, 100, 1e-5) and 4.7e-205 at (1, 1000, 1), and nonzero values below 1e-140
+off by up to 66% at lam <= 50.  Its values below 1e-100 are therefore taken from
+the Bessel form, so the left tail no longer underflows to 0.  For nu <= 1000,
+lam <= 1e5 and z from 1e-8 to mean + 8 sd the density is within 1e-12
+relative of mpmath wherever it is a normal double (worst seen 4.6e-13); above
+nu = 1000 every element is Boost's.
+
+The same Bessel form summed in linear arithmetic by `bessel_i`
+(`chi2nc_pdf_bessel_form`) is kept as an independent route, and the
+validation suite cross-checks the two at lam up to 200.
 
 `chi2nc_quantile` has one fixed-law path for many probabilities of one law
 (scalar ``lam``, at least ``_FIXED_LAW_MIN_SIZE`` points): the fast numerical
@@ -40,7 +56,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import chndtr, chndtrix, erfc, gammaln, ndtr, ndtri
+from scipy.special import chndtr, chndtrix, erfc, gammaln, ive, ndtr, ndtri
 from scipy.special._ufuncs import _ncx2_pdf
 
 from .errors import DomainError, NumericsError
@@ -129,20 +145,25 @@ def bessel_i(a: float, z):
     if np.any(pos):
         zp = arr[pos]
         with np.errstate(divide="ignore"):
-            term = np.exp(a * np.log(zp / 2.0) - gammaln(a + 1.0))
-        total = term.copy()
-        q = zp * zp / 4.0
-        converged = False
-        for m in range(1, _SERIES_MAX_TERMS + 1):
-            term = term * q / (m * (m + a))
-            total += term
-            if np.all(term <= _SERIES_REL_TOL * total):
-                converged = True
-                break
-        if not converged:
-            raise NumericsError("Bessel series did not converge; argument too large")
-        out[pos] = total
+            lead = np.exp(a * np.log(zp / 2.0) - gammaln(a + 1.0))
+        out[pos] = lead * _hyp0f1(a + 1.0, zp * zp / 4.0, _SERIES_REL_TOL)
     return _unwrap(out, scalar)
+
+
+def _hyp0f1(b: float, q: np.ndarray, rel_tol: float) -> np.ndarray:
+    """sum_m q^m / (m! (b)_m) for b > 0, q >= 0, by the term ratio q / (m (b + m - 1)).
+
+    Stops once every term falls below ``rel_tol`` times its partial sum;
+    `NumericsError` if that takes over 200 terms.
+    """
+    term = np.ones_like(q)
+    total = term.copy()
+    for m in range(1, _SERIES_MAX_TERMS + 1):
+        term = term * q / (m * (b + m - 1.0))
+        total += term
+        if np.all(term <= rel_tol * total):
+            return total
+    raise NumericsError("Bessel series did not converge; argument too large")
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +180,126 @@ def _validate_nu_lambda(nu: float, lam) -> np.ndarray:
     return lam
 
 
+# `_pdf` takes the Bessel form for lam above this.  Boost leaves its own Bessel
+# form for its Poisson series there, and its cost jumps.  Per element, 2-vCPU
+# x86-64, scipy 1.17.1, 2e4 points across mean +- 5 sd, best of 7, two runs,
+# nu = 1, 6.25, 625:
+#   lam = 20:   Boost 0.27-0.78 us, scaled form 0.37-0.56 us;
+#   lam = 50:   Boost 0.34-1.31 us, scaled form 0.28-0.55 us;
+#   lam = 60:   Boost 0.64-0.96 us, scaled form 0.25-0.58 us;
+#   lam = 1e4:  Boost 2.9-3.2 us,   scaled form 0.23-0.46 us;
+#   lam = 1e6:  Boost 26-27 us,     scaled form 0.17-0.32 us.
+# Below lam = 50 the form costs up to 9x Boost's time: 0.47 against 0.05 us at
+# nu = 2, lam = 5, and 1.5 against 0.5 us at nu = 100, lam = 20.
+_BESSEL_MIN_LAM = 50.0
+# ...and for nu up to this.  Worst relative error of the scaled form against
+# mpmath at 25 points from z = 1e-8 to mean + 8 sd, lam from 50 to 1e5: 1.9e-13
+# up to nu = 625, 2.9e-13 at 1000, 2.3e-13 at 2000, 6.2e-13 at 3000.  From
+# nu = 2000 on, ive underflows across the bulk for lam up to 100, so the form
+# would only add its cost to Boost's.  Above this bound every element is Boost's.
+# (Random sweeps of `chi2nc_pdf`, 6300 points with nu in [0.3, 1000], lam in
+# [0, 1e5]: worst 4.6e-13 where the density is a normal double.)
+_BESSEL_MAX_NU = 1000.0
+# Boost's values below this are recomputed by the Bessel form.  Far in the left
+# tail its Poisson series starts from a term that underflows, or its Bessel branch
+# multiplies by an I_a that does.  Of 4683 points at lam <= 50, nu <= 1000, z from
+# 1e-8 to the mean, 129 were off by more than 1e-12 (106 of them exactly 0), all
+# below 5e-147.
+_BOOST_MIN_PDF = 1e-100
+_TINY = np.finfo(float).tiny
+
+
+def _bessel_form(z, nu: float, lam):
+    """The density from its Bessel form in logs; NaN where it is not finite and positive.
+
+    With a = nu/2 - 1 and the exponentially scaled ``ive``,
+
+        f = 1/2 exp(a/2 log(z/lam) - (sqrt z - sqrt lam)^2 / 2) ive(a, sqrt(lam z)),
+
+    sqrt z - sqrt lam taken as (z - lam)/(sqrt z + sqrt lam).  Where ``ive`` is not
+    a normal double (a large order at a small argument) or that is not finite,
+    the same density is summed as
+
+        f = 1/2 exp(a log(z/2) - (z + lam)/2 - ln Gamma(a + 1)) 0F1(; a + 1; lam z / 4),
+
+    whose series needs few terms there and is the central law at lam = 0.
+    """
+    a = 0.5 * nu - 1.0
+    with np.errstate(all="ignore"):
+        # in place where it can be: at most two arrays of the broadcast size live at once
+        rz, rl = np.sqrt(z), np.sqrt(lam)
+        out = np.asarray(np.add(rz, rl))
+        np.divide(np.subtract(z, lam), out, out=out)
+        out *= out
+        out *= -0.5
+        t = np.asarray(np.divide(z, lam))
+        np.log(t, out=t)
+        t *= 0.5 * a
+        out += t
+        ive(a, np.multiply(rz, rl, out=t), out=t)
+        low = ~(t >= _TINY)
+        out += np.log(t, out=t)
+        del t
+        np.exp(out, out=out)
+        out *= 0.5
+        low |= ~(out < np.inf)
+        if low.any():
+            zl, ll = (np.broadcast_to(v, out.shape)[low] for v in (z, lam))
+            out[low] = 0.5 * np.exp(a * np.log(0.5 * zl) - 0.5 * (zl + ll) - gammaln(a + 1.0)
+                                    + np.log(_hyp0f1(a + 1.0, 0.25 * ll * zl, 1e-16)))
+        out[~((out > 0.0) & (out < np.inf))] = np.nan
+    return out
+
+
+def _pdf(z, nu: float, lam):
+    """The noncentral chi-square density at z >= 0, broadcasting ``lam``.
+
+    Up to nu = ``_BESSEL_MAX_NU``, elements with lam > ``_BESSEL_MIN_LAM`` take
+    `_bessel_form` and the others Boost's ``_ncx2_pdf``.  Boost's values below
+    ``_BOOST_MIN_PDF`` are replaced by the form's where that is finite and
+    positive, and the form's NaNs by Boost's values.  Nothing is copied when
+    every element takes one route and no value needs the other.
+    """
+    z, lam = np.asarray(z, dtype=float), np.asarray(lam, dtype=float)
+    if nu > _BESSEL_MAX_NU:
+        return _ncx2_pdf(z, nu, lam)
+    bessel = lam > _BESSEL_MIN_LAM
+    if not bessel.any():
+        out = np.asarray(_ncx2_pdf(z, nu, lam))
+        redo = out < _BOOST_MIN_PDF
+    elif bessel.all():
+        out = _bessel_form(z, nu, lam)
+        redo = np.isnan(out)
+    else:
+        zb, lb = np.broadcast_arrays(z, lam)
+        bessel = np.broadcast_to(bessel, zb.shape)
+        out = np.empty(zb.shape)
+        out[bessel] = _bessel_form(zb[bessel], nu, lb[bessel])
+        out[~bessel] = _ncx2_pdf(zb[~bessel], nu, lb[~bessel])
+        redo = np.where(bessel, np.isnan(out), out < _BOOST_MIN_PDF)
+    if redo.any():
+        zb, lb = np.broadcast_arrays(z, lam)
+        zr, lr, br = zb[redo], lb[redo], np.broadcast_to(bessel, zb.shape)[redo]
+        alt = np.where(br, _ncx2_pdf(zr, nu, lr), _bessel_form(zr, nu, lr))
+        out[redo] = np.where(np.isnan(alt), out[redo], alt)
+    return out
+
+
 def chi2nc_pdf(z, nu: float, lam):
     """Noncentral chi-square density with ``nu`` d.o.f. and noncentrality ``lam``.
 
-    ``lam`` may be an array broadcasting against ``z``.  At z = 0 the density
-    diverges for nu < 2 (returns ``inf``), equals ``exp(-lam/2)/2`` for nu = 2
-    and vanishes for nu > 2.
+    ``lam`` may be an array broadcasting against ``z``.  Elements with
+    lam <= 50 (or nu > 1000) take Boost's density, the others the scaled
+    Bessel form, and Boost's values below 1e-100 come from the form too (see
+    the module docstring): within 1e-12 relative for nu <= 1000 into the far
+    left tail.  At z = 0 the density diverges for nu < 2 (returns ``inf``),
+    equals ``exp(-lam/2)/2`` for nu = 2 and vanishes for nu > 2.
     """
     lam = _validate_nu_lambda(nu, lam)
     arr, scalar = _principal(z, "z")
     if np.any(arr < 0.0):
         raise DomainError("z must be nonnegative")
-    out = _ncx2_pdf(arr, nu, lam)
+    out = _pdf(arr, nu, lam)
     zero = arr == 0.0
     if np.any(zero):
         # Boost returns 0 at the origin whenever lam > 0, whatever nu is
@@ -193,8 +322,8 @@ def _chi2nc_pdf_dz(z, nu: float, lam):
     lam = np.asarray(lam, dtype=float)
     zero = z == 0.0
     zp = np.where(zero, 1.0, z)
-    out = 0.5 * (lam / zp * _ncx2_pdf(zp, nu + 2.0, lam)
-                 + ((nu - 2.0) / zp - 1.0) * _ncx2_pdf(zp, nu, lam))
+    out = 0.5 * (lam / zp * _pdf(zp, nu + 2.0, lam)
+                 + ((nu - 2.0) / zp - 1.0) * _pdf(zp, nu, lam))
     if np.any(zero):
         e = np.exp(-lam / 2.0)
         at_zero = (-np.inf if nu < 2.0 else 0.25 * e * (0.5 * lam - 1.0) if nu == 2.0
@@ -252,7 +381,7 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         xk = chndtrix(ndtr(zk), nu, lam)
         yk = np.log(xk)
-        dk = h * norm_pdf(zk) / (_ncx2_pdf(xk, nu, lam) * xk)      # dy/dt, t = (z - zk)/h
+        dk = h * norm_pdf(zk) / (_pdf(xk, nu, lam) * xk)      # dy/dt, t = (z - zk)/h
         if not (np.all(np.diff(yk) > 0.0) and np.all(np.isfinite(dk) & (dk > 0.0))):
             return chndtrix(p, nu, lam)
         s = (z - lo) / h
@@ -277,7 +406,8 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
 def chi2nc_pdf_bessel_form(z, nu: float, lam: float):
     """Noncentral chi-square density in its Bessel-series form.
 
-    Independent of the scipy route behind `chi2nc_pdf`; requires z > 0 and lam > 0
+    Sums I_a in linear arithmetic by `bessel_i`, independent of Boost and of
+    the ``ive`` route behind `chi2nc_pdf`; requires z > 0 and lam > 0
     (the form degenerates otherwise).  Intended for cross-validation on
     moderate arguments (the series is summed in linear arithmetic).
     """

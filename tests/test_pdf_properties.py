@@ -1,0 +1,68 @@
+"""Property test of the noncentral chi-square density against mpmath.
+
+`special.chi2nc_pdf` takes the scaled Bessel form above lam = 50 and Boost's
+density below (see `special._pdf`).  Over nu up to the form's bound and lam up
+to 1e5, from mean + 8 sd down to z = 1e-8, it must agree with mpmath to 1e-12
+relative wherever the true density is a normal double.
+"""
+
+import math
+import warnings
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from diffcop import special  # noqa: E402
+from test_special import mp_chi2nc_pdf  # noqa: E402
+
+NU_MAX = special._BESSEL_MAX_NU
+TINY = np.finfo(float).tiny
+
+
+def spread(nu, lam, bulk, tail):
+    """z at mean + k sd for k in ``bulk``, and log-uniform from 1e-8 up to mean - 8 sd."""
+    mean, sd = nu + lam, math.sqrt(2.0 * nu + 4.0 * lam)
+    lo = max(mean - 8.0 * sd, 2e-8)
+    z = [max(mean + k * sd, 1e-8) for k in bulk] + [1e-8 * (lo / 1e-8) ** u for u in tail]
+    return np.array(z)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(nu=st.floats(0.3, NU_MAX),
+       lam=st.one_of(st.just(0.0), st.just(50.0), st.floats(-3.0, 5.0).map(lambda e: 10.0 ** e)),
+       bulk=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4),
+       tail=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_pdf_matches_mpmath(nu, lam, bulk, tail):
+    z = spread(nu, lam, bulk, tail)
+    got = special.chi2nc_pdf(z, nu, lam)
+    with mp.workdps(30):
+        ref = np.array([float(mp_chi2nc_pdf(zi, nu, lam)) for zi in z])
+    normal = (ref >= TINY) & np.isfinite(ref)
+    np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0, 2.0, 6.25, 25.0, 100.0, 625.0, NU_MAX])
+def test_routes_meet_at_lam_50(nu):
+    # Boost at lam = 50, the Bessel form just above.  Within 1 sd of the mean the
+    # density itself moves by at most 3.6e-12 between the two (mpmath).
+    z = spread(nu, 50.0, np.linspace(-1.0, 1.0, 9), [])
+    below = special.chi2nc_pdf(z, nu, 50.0)
+    above = special.chi2nc_pdf(z, nu, 50.0 * (1.0 + 1e-12))
+    np.testing.assert_allclose(above, below, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("nu, lam", [(5000.0, 60.0), (2e4, 1e4), (1.0, 1e6), (NU_MAX, 51.0)])
+def test_no_warnings_where_ive_underflows(nu, lam):
+    # ive underflows at a large order and a small argument; the scaled form
+    # must hand those elements to Boost without a floating-point warning
+    z = np.concatenate([[0.0], spread(nu, lam, np.linspace(-8.0, 8.0, 33),
+                                      np.linspace(0.0, 1.0, 9))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = special.chi2nc_pdf(z, nu, lam)
+        df = special._chi2nc_pdf_dz(z, nu, lam)
+    assert np.all(np.isfinite(f[1:]) & (f[1:] >= 0.0)) and np.all(np.isfinite(df[1:]))

@@ -206,7 +206,7 @@ class TestChi2ncPdf:
     def test_mixture_vs_bessel_form(self):
         worst = 0.0
         for nu in (2.0, 3.0, 4.0, 25.0):
-            for lam in (0.5, 1.0, 10.0, 50.0):
+            for lam in (0.5, 1.0, 10.0, 50.0, 100.0, 200.0):
                 for z in (0.4, 2.0, 10.0, 30.0, 50.0):
                     a = special.chi2nc_pdf(z, nu, lam)
                     b = special.chi2nc_pdf_bessel_form(z, nu, lam)
@@ -218,10 +218,19 @@ class TestChi2ncPdf:
         assert ref == pytest.approx(1.461e-25, rel=1e-3, abs=0)
         assert special.chi2nc_pdf(0.1, 6.25, 100.0) == pytest.approx(ref, rel=1e-12, abs=0)
 
-    def test_kernel_pdf_dx_against_mpmath(self, mp30):
+    @pytest.mark.parametrize("nu, lam, z", [(2.0, 100.0, 1e-5), (5.0, 300.0, 0.1),
+                                            (1.0, 1000.0, 1.0), (0.5, 500.0, 1.0),
+                                            (6.25, 400.0, 1e-3)])
+    def test_far_left_tail_against_mpmath(self, mp30, nu, lam, z):
+        # normal doubles from 1e-205 to 1e-22, which Boost's Poisson series returns as 0
+        ref = float(mp_chi2nc_pdf(z, nu, lam))
+        assert special.chi2nc_pdf(z, nu, lam) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [1.5, 0.55])      # lam = 4.4, and 146 at the short lag
+    def test_kernel_pdf_dx_against_mpmath(self, mp30, t):
         # Ncx2Kernel.pdf_dx = d/dx [2c f(2c x; df, lam)], left tail to right tail
         kern = models.Ncx2Kernel(6.25, 1.0, 0.8)
-        s, y, t = 0.5, 1.2, 1.5
+        s, y = 0.5, 1.2
         twoc = kern._twoc(t - s)
         lam = twoc * math.exp(-(t - s)) * y
         worst = 0.0
