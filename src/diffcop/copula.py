@@ -17,8 +17,18 @@ quantiles), and the square-root mean-reverting (cir) family in noncentral
 chi-square form.
 
 CDFs, and conditionals of surfaces without a conditional core, are integrals
-of the surface computed by `_numerics.integrate`, the package's one adaptive
-Gauss-Legendre engine, with all points of a call in one batch.
+of the surface over the unit interval.  Each runs in probit coordinates,
+int_a^b g(w) dw = int g(Phi(z)) phi(z) dz over z in [Phi^-1(a), Phi^-1(b)],
+by `_numerics.integrate`, the package's one adaptive Gauss-Legendre engine,
+with all points of a call in one batch.  Near w = 0 a conditional C(v|w)
+behaves like 1 - c w^k (k = rho^2/(1 - rho^2) for the Gaussian copula), which
+cost a rule in w a dozen or more bisection rounds toward 0; in z it is a
+smooth, Gaussian-weighted integrand that takes a few rounds.  At short lags
+C(v|w) steps from 1 to 0 near w = v over a width in w that a rule in w could
+miss altogether; in z that width is about sqrt(1 - rho^2), and the rounds
+resolve it like any other feature.  The z range is cut at |z| <= 8.5, where
+Phi(-8.5) = 9.5e-18, and the nodes map back to w = Phi(z), clamped to
+1 - 1e-12 from above (see `_unit_integral`).
 """
 
 from __future__ import annotations
@@ -41,6 +51,8 @@ __all__ = [
 ]
 
 _CLAMP = 1e-12   # corner clamp before quantile evaluation
+_Z_END = 8.5     # probit range of the unit-interval integrals: Phi(-8.5) = 9.5e-18
+_W_END = special.norm_cdf(-_Z_END)
 
 
 def _unit(x, name: str) -> np.ndarray:
@@ -54,6 +66,35 @@ def _clamped(x, name: str) -> np.ndarray:
     return np.clip(_unit(x, name), _CLAMP, 1.0 - _CLAMP)
 
 
+def _probit(w) -> np.ndarray:
+    """Phi^-1(w) for w in [0, 1], cut to |z| <= 8.5 (so 0 and 1 map to the cut)."""
+    w = np.asarray(w, dtype=float)
+    z = special.norm_quantile(np.maximum(np.minimum(w, 1.0 - w), _W_END))
+    return np.where(w < 0.5, z, -z)
+
+
+def _unit_integral(f: Callable, lo, hi, at) -> np.ndarray:
+    """int_lo^hi f(w, at) dw for lo, hi, at in [0, 1], integrated in z = Phi^-1(w).
+
+    The engine integrates f(Phi(z), Phi(z_at)) phi(z) over [z_lo, z_hi], with
+    its panel cut at z_at = Phi^-1(at), so ``f`` receives ``at`` within a few
+    ulps.  z is cut to |z| <= 8.5, so an end at 0 or 1 drops the integral of f
+    below Phi(-8.5) = 9.5e-18 or above 1 - 9.5e-18.  For a conditional,
+    0 <= f <= 1, that is at most 9.5e-18 per end.  For a density (the
+    conditional fallback) it is the conditional mass C(9.5e-18 | u), which the
+    density's size does not bound; on the Gaussian copula it is at most 9e-13
+    for u >= 1e-6, and 9e-7 at the clamp u = 1e-12.
+
+    Nodes map back to w = Phi(z) clamped to at most 1 - 1e-12, since Phi
+    rounds to 1 above z = 8.3.  Below they stay unclamped, at least 9.5e-18:
+    reading a density at 1e-12 in place of its mass below 1e-12 would put
+    the fallback off by up to 5x at u = 1e-12 and short lags.
+    """
+    w = lambda z: np.minimum(special.norm_cdf(z), 1.0 - _CLAMP)
+    return integrate(lambda z, z_at: f(w(z), w(z_at)) * special.norm_pdf(z),
+                     _probit(lo), _probit(hi), _probit(at))
+
+
 class CopulaSurface:
     """Evaluable copula: density c(u,v), conditional C(v|u), CDF C(u,v).
 
@@ -64,9 +105,11 @@ class CopulaSurface:
     len(u) + len(v) quantiles for the whole grid.  The public methods clamp
     the unit square corners at 1e-12 and return a float for scalar arguments.
     The CDF integrates the conditional over u and, without a conditional
-    core, the conditional integrates the density over v, both by the adaptive
+    core, the conditional integrates the density over v.  Both integrate in
+    probit coordinates z = Phi^-1(w) over |z| <= 8.5, by the adaptive
     Gauss-Legendre rounds of `_numerics.integrate`, which pass the nodes of
-    every point to one core call.
+    every point to one core call (see `_unit_integral` for the range bound
+    and the clamp).
     """
 
     def __init__(self, density_core: Callable, conditional_core: Callable | None = None,
@@ -91,12 +134,13 @@ class CopulaSurface:
         uc, vc = _clamped(u, "u"), _clamped(v, "v")
         if self._conditional_core is not None:
             return self._eval(self._conditional_core, uc, vc)
-        return self._eval(lambda u, v: integrate(
-            lambda z, u: self._density_core(u, z), 0.0, v, u), uc, vc)
+        return self._eval(lambda u, v: _unit_integral(
+            lambda y, u: self._density_core(u, y), 0.0, v, u), uc, vc)
 
     def cdf(self, u, v):
+        # C(u, 0) = 0 exactly: the clamped conditional C(1e-12|w) would integrate to ~1e-12
         u, v = _unit(u, "u"), _unit(v, "v")
-        return self._eval(lambda u, v: integrate(
+        return self._eval(lambda u, v: _unit_integral(
             self.conditional, 0.0, np.where(v > 0.0, u, 0.0), v), u, v)
 
 
@@ -106,7 +150,12 @@ def conditional(surface: CopulaSurface, u, v):
 
 
 def cdf(surface: CopulaSurface, u, v):
-    """The copula CDF C_{s,t}(u, v), by Gauss-Legendre rounds over C_{t|s}(v|w) on [0, u]."""
+    """The copula CDF C_{s,t}(u, v) = int_0^u C_{t|s}(v|w) dw.
+
+    Integrated in z = Phi^-1(w) over [-8.5, Phi^-1(u)] by Gauss-Legendre rounds,
+    with nodes mapped back to w = Phi(z) <= 1 - 1e-12; the cut range costs at
+    most 9.5e-18 per end.
+    """
     return surface.cdf(u, v)
 
 
@@ -276,14 +325,15 @@ def cdf_on_grid(surface: CopulaSurface, us, vs) -> np.ndarray:
     """Copula CDF on a sorted grid: C[i, j] = C(us[i], vs[j]).
 
     The conditional of each v over each u-strip [us[i-1], us[i]] (us[-1] = 0)
-    is one integral of the same Gauss-Legendre rounds; strips are summed in u.
+    is one integral of the same Gauss-Legendre rounds, in probit coordinates as
+    in `cdf` (|z| <= 8.5, nodes w = Phi(z) <= 1 - 1e-12); strips are summed in u.
     """
     us = np.asarray(us, dtype=float)
     vs = _unit(vs, "v")
     require(np.all(np.diff(us) > 0) and us[0] > 0.0 and us[-1] <= 1.0,
             "us must be strictly increasing in (0, 1]")
     edges = np.concatenate(([0.0], us))[:, None]
-    strips = integrate(surface.conditional, edges[:-1], edges[1:], vs[None, :])
+    strips = _unit_integral(surface.conditional, edges[:-1], edges[1:], vs[None, :])
     return np.cumsum(strips, axis=0)
 
 

@@ -369,35 +369,112 @@ def _mp_norm_quantile(p):
     return mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
 
 
+def _mp_breaks(lo, hi, drops, halfwidth):
+    """[lo, ..., hi] with each drop and drop +- halfwidth that falls inside."""
+    inner = {x for d in drops for x in (d - halfwidth, d, d + halfwidth) if lo < x < hi}
+    return [lo, *sorted(inner), hi]
+
+
 def _mp_gaussian_cdf(rho, u, v):
-    """C(u, v) = int_{-inf}^{Phi^-1(u)} phi(x) Phi((Phi^-1(v) - rho x)/w) dx."""
+    """C(u, v) = int_{-inf}^{Phi^-1(u)} phi(x) Phi((Phi^-1(v) - rho x)/w) dx.
+
+    The integrand drops from phi(x) to 0 within a few w/rho of x = Phi^-1(v)/rho;
+    at short lags that step is too narrow for mpmath to find unaided, so the
+    interval is split at it and 20 w/rho either side.
+    """
     w, b = mpmath.sqrt(1 - rho ** 2), _mp_norm_quantile(v)
     return mpmath.quad(lambda x: mpmath.npdf(x) * mpmath.ncdf((b - rho * x) / w),
-                       [-mpmath.inf, _mp_norm_quantile(u)])
+                       _mp_breaks(-mpmath.inf, _mp_norm_quantile(u), [b / rho], 20 * w / rho))
 
 
 def _mp_rbm_cdf(rho, u, v):
-    """P(|Z1| <= h, |Z2| <= k) with h, k the half-normal quantiles of u, v."""
+    """P(|Z1| <= h, |Z2| <= k) with h, k the half-normal quantiles of u, v; split as above."""
     w = mpmath.sqrt(1 - rho ** 2)
     h, k = _mp_norm_quantile((1 + mpmath.mpf(u)) / 2), _mp_norm_quantile((1 + mpmath.mpf(v)) / 2)
     return mpmath.quad(lambda x: mpmath.npdf(x) * (mpmath.ncdf((k - rho * x) / w)
                                                    - mpmath.ncdf((-k - rho * x) / w)),
-                       [-h, 0, h])
+                       _mp_breaks(-h, h, [-k / rho, 0, k / rho], 20 * w / rho))
+
+
+# points on the edges of the square, where C(1, v) = v, and beside them
+EDGE_POINTS = ((1.0, 0.003), (0.5, 0.003))
 
 
 @pytest.mark.parametrize("family,s,t", [("gaussian", 1.0, 2.0), ("gaussian", 1.0, 20.0),
                                         ("gaussian", 1.0, 1.05), ("rbm", 1.0, 2.0),
-                                        ("rbm", 1.0, 20.0)])
+                                        ("rbm", 1.0, 20.0), ("gaussian", 1.0, 1.01),
+                                        ("gaussian", 1.0, 1.0001), ("rbm", 1.0, 1.01),
+                                        ("rbm", 1.0, 1.0001)])
 def test_cdf_matches_mpmath_at_corners(family, s, t):
     surf = (copula.gaussian_closed_form if family == "gaussian" else copula.rbm_closed_form)(s, t)
     oracle = _mp_gaussian_cdf if family == "gaussian" else _mp_rbm_cdf
     with mpmath.workdps(30):
-        exact = np.array([[float(oracle(mpmath.sqrt(mpmath.mpf(s) / t), u, v)) for v in CORNERS]
-                          for u in CORNERS])
+        rho = mpmath.sqrt(mpmath.mpf(s) / t)
+        exact = np.array([[float(oracle(rho, u, v)) for v in CORNERS] for u in CORNERS])
+        edges = np.array([float(oracle(rho, u, v)) for u, v in EDGE_POINTS])
     assert np.all(exact >= 1e-12)
     for got in (copula.cdf_on_grid(surf, CORNERS, CORNERS),
                 surf.cdf(CORNERS[:, None], CORNERS[None, :])):
         np.testing.assert_allclose(got, exact, rtol=1e-8, atol=0.0)
+    us, vs = np.array(EDGE_POINTS).T
+    np.testing.assert_allclose(surf.cdf(us, vs), edges, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(copula.cdf_on_grid(surf, us[::-1], vs[:1])[::-1, 0], edges,
+                               rtol=1e-8, atol=0.0)
+
+
+_OU = models.make_model("ou", CATALOG["ou"][0], x0=CATALOG["ou"][1])
+_CIR = models.make_model("cir", CATALOG["cir"][0], x0=CATALOG["cir"][1])
+_BM = models.make_model("bm", x0=0.0)
+MARGIN_SURFACES = {
+    "gaussian": copula.gaussian_closed_form,
+    "ou": lambda s, t: copula.ou_closed_form(0.5, s, t),
+    "rbm": copula.rbm_closed_form,
+    "cir": lambda s, t: copula.cir_closed_form(0.6, 6.25, 0.9, s, t),
+    "from_transition_ou": lambda s, t: copula.from_transition(_OU, s, t),
+    "from_transition_cir": lambda s, t: copula.from_transition(_CIR, s, t),
+    "nonmonotone_abs_bm": lambda s, t: stt.nonmonotone_copula(_BM, stt.absolute_value(), s, t),
+}
+MARGIN_POINTS = np.array([0.003, 0.3, 0.97])
+
+
+@pytest.mark.parametrize("lag", [1e-4, 1e-2, 1.0, 99.0])
+@pytest.mark.parametrize("name", sorted(MARGIN_SURFACES))
+def test_cdf_has_uniform_margins(name, lag):
+    # C(1, v) = v and C(u, 1) = u; at short lags C(v|w) steps from 1 to 0 within
+    # about the lag of w = v, which a rule in w can miss altogether
+    surf = MARGIN_SURFACES[name](1.0, 1.0 + lag)
+    p = MARGIN_POINTS
+    np.testing.assert_allclose(surf.cdf(1.0, p), p, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(surf.cdf(p, 1.0), p, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ou", "from_transition_ou"])
+def test_cdf_on_grid_takes_few_rounds(name, monkeypatch):
+    # each quadrature round is one conditional call; integrands in probit coordinates
+    # converge in a few rounds where w-space rules bisect toward w = 0 for a dozen or more
+    surf = MESH_SURFACES[name]()
+    conditional, calls = surf.conditional, []
+
+    def counted(u, v):
+        calls.append(np.shape(u))
+        return conditional(u, v)
+
+    monkeypatch.setattr(surf, "conditional", counted)
+    copula.cdf_on_grid(surf, CORNERS, CORNERS)
+    assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.parametrize("lag", [1.0, 1e-2, 1e-4])
+def test_conditional_fallback_matches_closed_form(lag):
+    closed = copula.gaussian_closed_form(1.0, 1.0 + lag)
+    bare = copula.CopulaSurface(closed._density_core, None, time_pair=closed.time_pair,
+                                provenance="closed_form")
+    us, vs = np.array([0.02, 0.4, 0.98])[:, None], np.array([0.02, 0.4, 0.7, 0.98])[None, :]
+    exact = closed.conditional(us, vs)
+    got = bare.conditional(us, vs)
+    seen = exact >= 1e-6
+    assert seen.sum() >= 6
+    np.testing.assert_allclose(got[seen], exact[seen], rtol=1e-10, atol=0.0)
 
 
 BATCH_US, BATCH_VS = np.array([0.02, 0.5, 0.98]), np.array([0.02, 0.25, 0.75, 0.98])
