@@ -440,8 +440,8 @@ MARGIN_POINTS = np.array([0.003, 0.3, 0.97])
 @pytest.mark.parametrize("lag", [1e-4, 1e-2, 1.0, 99.0])
 @pytest.mark.parametrize("name", sorted(MARGIN_SURFACES))
 def test_cdf_has_uniform_margins(name, lag):
-    # C(1, v) = v and C(u, 1) = u; at short lags C(v|w) steps from 1 to 0 within
-    # about the lag of w = v, which a rule in w can miss altogether
+    # C(1, v) = v and C(u, 1) = u; at short lags C(v|w) steps from 1 to 0 in a
+    # narrow band around w = v, which a rule in w can miss altogether
     surf = MARGIN_SURFACES[name](1.0, 1.0 + lag)
     p = MARGIN_POINTS
     np.testing.assert_allclose(surf.cdf(1.0, p), p, rtol=1e-11, atol=0.0)
