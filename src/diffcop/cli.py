@@ -34,8 +34,26 @@ def _parse_params(raw: str | None) -> dict:
     return out
 
 
+def _config_value(sub: argparse.ArgumentParser, key: str, val):
+    """A config value checked like its flag: through the flag's type and choices,
+    as the flag's string would be; an on/off flag takes only a JSON boolean."""
+    action = next(a for a in sub._actions if a.dest == key)
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            sub.error(f"config key '{key}' takes true or false, got {val!r}")
+        return val
+    try:
+        out = (action.type or str)(str(val))
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        sub.error(f"config key '{key}': invalid value {val!r}")
+    if action.choices is not None and out not in action.choices:
+        sub.error(f"config key '{key}': invalid choice {val!r}")
+    return out
+
+
 def _apply_config(args: argparse.Namespace) -> None:
-    """Merge a JSON config under the parsed flags (flags win, unknown keys rejected)."""
+    """Merge a JSON config under the parsed flags (flags win, unknown keys and
+    values their flag would refuse are rejected)."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
@@ -46,6 +64,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     if unknown:
         sub.error(f"unknown config keys: {sorted(unknown)}")
     for key, val in cfg.items():
+        val = _config_value(sub, key, val)
         if getattr(args, key) == sub.get_default(key):
             setattr(args, key, val)      # flag left at default -> config wins
 

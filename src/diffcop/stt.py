@@ -6,15 +6,17 @@ Monotone STTs (psi(t, .) strictly monotone) map diffusions to diffusions and
 preserve the copula up to the time change; `push_transition` builds the exact
 transformed kernel, a `models.MappedKernel` on the mapped times.
 
-Piecewise-monotone psi loses invertibility; the transformed process still has
-a copula density, the double weighted sum over preimages
+Piecewise-monotone psi loses invertibility.  One pushforward serves every law
+there: `_pushed_pdf` sums f(x)/|J_t(x)| over the preimages x of a level, and
+`_pushed_cdf` sums the masses of the pieces' parts mapped below it.  Pushed
+marginals (`pushforward_marginal`) give the Y quantiles and the weights
 
-    c^Y(u, v) = sum_{z, x} w(s, z, q_u) w(t, x, q_v) c^X(F_s(z), F_t(x)),
+    w(s, z, q) = (f_s(z)/|J_s(z)|) / sum_{a: psi(s,a)=q} (f_s(a)/|J_s(a)|);
 
-    w(s, z, q) = (f_s(z)/|J_s(z)|) / sum_{a: psi(s,a)=q} (f_s(a)/|J_s(a)|),
+the pushed kernel at the weighted source preimages z gives the copula density
+(`nonmonotone_copula`), the double weighted sum over preimages
 
-implemented by `nonmonotone_copula` together with the pushforward marginal
-mixture needed for the Y quantiles.
+    c^Y(u, v) = sum_{z, x} w(s, z, q_u) w(t, x, q_v) c^X(F_s(z), F_t(x)).
 
 The module also ships the catalog transformation chains and the
 drift/diffusion condition for transformability into Brownian motion,
@@ -70,7 +72,7 @@ class SpaceTimeTransform:
 
 
 # ---------------------------------------------------------------------------
-# Piece bookkeeping
+# The piecewise pushforward
 # ---------------------------------------------------------------------------
 
 def _clip_pieces(transform: SpaceTimeTransform, interval) -> list[MonotonePiece]:
@@ -91,88 +93,104 @@ def _piece_range(transform: SpaceTimeTransform, piece: MonotonePiece, t: float):
     return (va, vb) if va <= vb else (vb, va)
 
 
-def _piece_ranges(transform: SpaceTimeTransform, pieces, t: float) -> list[tuple[float, float]]:
-    """The open range of psi(t, .) on each piece; callers reuse them for a fixed t."""
-    return [_piece_range(transform, piece, t) for piece in pieces]
+class _Split:
+    """psi(t, .) at one time t, cut into its monotone pieces on the diffusion interval."""
+
+    def __init__(self, transform: SpaceTimeTransform, interval, t: float):
+        self.transform, self.t = transform, t
+        self.pieces = tuple(_clip_pieces(transform, interval))
+        self.ranges = tuple(_piece_range(transform, p, t) for p in self.pieces)  # open ranges
+        self.bounds = np.array([(p.lo, p.hi) for p in self.pieces])
+        self.inner = (interval[0] < self.bounds) & (self.bounds < interval[1])
+        # one state inside each piece, read in place of a missing preimage
+        self.states = np.array([[0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi)
+                                 else min(max(0.0, lo + 1.0), hi - 1.0)]
+                                for lo, hi in self.bounds.tolist()])
 
 
-def _cdf_limits(cdf: Callable, interval, x):
-    lo, hi = interval
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    return cdf(x)
-
-
-def _piece_inverses(pieces, ranges, t: float, q: np.ndarray) -> np.ndarray:
-    """Inverse of each level of ``q`` on every piece whose open range (from
-    `_piece_ranges` at ``t``) holds it.
-
-    Returns shape ``(len(pieces),) + q.shape``, NaN where a level lies outside
-    a piece's range.
-    """
+def _piece_inverses(split: _Split, q):
+    """``(x, found)`` of shape ``(pieces,) + q.shape``: the inverse of each level
+    on every piece whose open range holds it, else the piece's fixed state, and
+    the marks of the inverses strictly inside their piece."""
     flat = np.ravel(q)
-    out = np.full((len(pieces), flat.size), np.nan)
-    for k, (piece, (lo_v, hi_v)) in enumerate(zip(pieces, ranges)):
-        inside = (lo_v < flat) & (flat < hi_v)
-        if np.any(inside):
-            out[k, inside] = piece.inverse(t, flat[inside])
-    return out.reshape((len(pieces),) + np.shape(q))
+    x = np.empty((len(split.pieces), flat.size))
+    x[...] = split.states
+    inside = np.empty(x.shape, dtype=bool)
+    for k, (piece, (lo_v, hi_v)) in enumerate(zip(split.pieces, split.ranges)):
+        inside[k] = hit = (lo_v < flat) & (flat < hi_v)
+        if hit.any():
+            x[k, hit] = piece.inverse(split.t, flat[hit])
+    found = inside & (split.bounds[:, :1] < x) & (x < split.bounds[:, 1:])
+    shape = (len(split.pieces),) + np.shape(q)
+    return x.reshape(shape), found.reshape(shape)
 
 
-def _preimages(pieces, ranges, t: float, q: np.ndarray) -> np.ndarray:
-    """`_piece_inverses` restricted to points strictly inside their piece."""
-    x = _piece_inverses(pieces, ranges, t, q)
-    lo = np.reshape([p.lo for p in pieces], (-1,) + (1,) * np.ndim(q))
-    hi = np.reshape([p.hi for p in pieces], (-1,) + (1,) * np.ndim(q))
-    return np.where((lo < x) & (x < hi), x, np.nan)
+def _pushed_pdf(pdf: Callable, split: _Split, q):
+    """The density of psi(t, X) at the levels ``q``, piece by piece.
 
-
-def _preimage_densities(marg: Marginal, transform, pieces, ranges, t: float, q: np.ndarray):
-    """Preimages of the levels ``q`` and their densities f_t(x)/|J_t(x)|.
-
-    Both arrays have shape ``(len(pieces),) + q.shape``; where a piece holds
-    no preimage of a level the point is NaN and the density 0.  A preimage on
-    a zero of the Jacobian raises `DomainError`, naming the point.
+    ``pdf`` is X's density at states, broadcast against its own arguments: the
+    marginal f_t, or the kernel f(. | z) at source states z.  Returns
+    `_piece_inverses`' ``(x, found)`` and the terms f(x)/|J_t(x)|, shape
+    ``(pieces,) +`` the broadcast shape, 0 on a piece without a preimage.  A
+    preimage on a zero of the Jacobian raises `DomainError`, naming the point.
     """
-    points = _preimages(pieces, ranges, t, q)
-    found = ~np.isnan(points)
-    x = points[found]
-    jac = np.abs(np.asarray(transform.jacobian(t, x), dtype=float))
-    vanish = ~np.isfinite(jac) | (jac < 1e-300)
+    x, found = _piece_inverses(split, q)
+    # an inverse that rounds onto its piece's end is no preimage: read the state there
+    x = np.where(found, x, split.states.reshape((-1,) + (1,) * np.ndim(q)))
+    jac = np.abs(np.asarray(split.transform.jacobian(split.t, x), dtype=float))
+    vanish = found & (~np.isfinite(jac) | (jac < 1e-300))
     if np.any(vanish):
-        raise DomainError(f"Jacobian vanishes at preimage x={x[vanish][0]:.6g} (time {t})")
-    raw = np.zeros(points.shape)
-    raw[found] = marg.pdf(x) / jac
-    return points, raw
+        raise DomainError(f"Jacobian vanishes at preimage x={x[vanish][0]:.6g} (time {split.t})")
+    f = pdf(x)
+    return x, found, np.divide(f, jac, out=np.zeros(np.shape(f)), where=found)
 
 
-def _decompose(marg: Marginal, transform, pieces, ranges, t: float, q: np.ndarray):
-    """Preimages of the levels ``q`` and their normalized density weights.
+def _piece_ends(cdf: Callable, split: _Split, ndim: int = 0):
+    """``cdf`` at both ends of every piece in one call, shape ``(pieces, 2) +`` its
+    shape, for a ``cdf`` whose own arguments have ``ndim`` axes.  The ends of the
+    diffusion interval read 0 and 1 without a call."""
+    edge = np.array([0.0, 1.0])    # only a piece's lower end can be the interval's lower end
+    if not split.inner.any():
+        return np.broadcast_to(edge, split.inner.shape)
+    shape = split.inner.shape + (1,) * ndim
+    probe = np.where(split.inner, split.bounds, split.states).reshape(shape)
+    return np.where(split.inner.reshape(shape), cdf(probe), edge.reshape((2,) + (1,) * ndim))
 
-    Both arrays have shape ``(len(pieces),) + q.shape``; where a piece holds
-    no preimage of a level the point is NaN and the weight 0.
-    """
-    points, raw = _preimage_densities(marg, transform, pieces, ranges, t, q)
-    missing = np.all(np.isnan(points), axis=0)
+
+def _pushed_cdf(cdf: Callable, ends, split: _Split, q: np.ndarray):
+    """P(psi(t, X) <= q), unclipped: X's mass in the part of each piece mapped to
+    at most q.  ``cdf`` broadcasts like `_pushed_pdf`'s ``pdf``; ``ends`` are its
+    `_piece_ends`."""
+    x, _ = _piece_inverses(split, q)
+    total = 0.0
+    for piece, (lo_v, hi_v), (f_lo, f_hi), f_q in zip(split.pieces, split.ranges, ends, cdf(x)):
+        part = (f_q - f_lo) if piece.increasing else (f_hi - f_q)
+        total = total + np.where(q <= lo_v, 0.0, np.where(q >= hi_v, f_hi - f_lo, part))
+    return total
+
+
+def _decompose(marg: Marginal, split: _Split, q):
+    """`_pushed_pdf` of the marginal at the levels ``q``, its terms normalized
+    to the preimage weights; a level without any preimage raises `DomainError`."""
+    x, found, terms = _pushed_pdf(marg.pdf, split, q)
+    missing = ~found.any(axis=0)
     if np.any(missing):
         raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
-                          f"under the transform at time {t}")
-    return points, raw / raw.sum(axis=0)
+                          f"under the transform at time {split.t}")
+    return x, found, terms / terms.sum(axis=0)
 
 
 def preimage_weights(model: Model, transform: SpaceTimeTransform, t: float, q: float):
-    """Preimage points of q under psi(t, .) and their normalized density weights.
+    """Preimage points of the scalar level q under psi(t, .) and their normalized
+    density weights.
 
-    Raises `DomainError` (naming the point) when a preimage falls on a zero of
-    the Jacobian.
+    Raises `DomainError` for an array q, and (naming the point) when a
+    preimage falls on a zero of the Jacobian.
     """
-    pieces = _clip_pieces(transform, model.interval)
-    points, weights = _decompose(model.marginal(t), transform, pieces,
-                                 _piece_ranges(transform, pieces, t), t, float(q))
-    found = ~np.isnan(points)
-    return points[found], weights[found]
+    require(np.ndim(q) == 0, f"q must be a scalar level, got an array of shape {np.shape(q)}")
+    x, found, weights = _decompose(model.marginal(t), _Split(transform, model.interval, t),
+                                   float(q))
+    return x[found], weights[found]
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +222,17 @@ def push_transition(model: Model, transform: SpaceTimeTransform) -> Model:
 
 
 def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) -> Marginal:
-    """Marginal of Y_{phi(t)} = psi(t, X_t); a mixture over monotone pieces."""
-    pieces = _clip_pieces(transform, model.interval)
+    """Marginal of Y_{phi(t)} = psi(t, X_t): the law of X_t pushed through every piece."""
+    split = _Split(transform, model.interval, t)
     marg = model.marginal(t)
-    ranges = _piece_ranges(transform, pieces, t)
-    ends = [(_cdf_limits(marg.cdf, model.interval, piece.lo),
-             _cdf_limits(marg.cdf, model.interval, piece.hi)) for piece in pieces]
+    ends = _piece_ends(marg.cdf, split)
 
     def cdf(q):
-        q = np.asarray(q, dtype=float)
-        x = _piece_inverses(pieces, ranges, t, q)
-        inside = ~np.isnan(x)
-        f = np.zeros(x.shape)
-        f[inside] = marg.cdf(x[inside])      # only states of the process reach marg.cdf
-        total = 0.0
-        for piece, (lo_v, hi_v), (f_lo, f_hi), f_q in zip(pieces, ranges, ends, f):
-            part = (f_q - f_lo) if piece.increasing else (f_hi - f_q)
-            total = total + np.where(q <= lo_v, 0.0, np.where(q >= hi_v, f_hi - f_lo, part))
-        out = np.clip(total, 0.0, 1.0)
+        out = np.clip(_pushed_cdf(marg.cdf, ends, split, np.asarray(q, dtype=float)), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def pdf(q):
-        out = _preimage_densities(marg, transform, pieces, ranges, t, q)[1].sum(axis=0)
+        out = _pushed_pdf(marg.pdf, split, q)[2].sum(axis=0)
         return float(out) if out.ndim == 0 else out
 
     center = float(transform.psi(t, marg.quantile(0.5)))
@@ -245,55 +252,36 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
                        s: float, t: float) -> CopulaSurface:
     """Copula surface of Y_{phi(.)} = psi(., X_.) between source times s < t.
 
-    Evaluates the double weighted preimage sum; a monotone transform collapses
-    it to a single term with unit weight (the time-changed source copula).
-    The returned surface lives at the transformed times (phi(s), phi(t)).
+    Over the preimages z of q_u with weights w(s, z, q_u), the density is
+    sum_z w f^Y(q_v | z) / f^Y_t(q_v) and the conditional sum_z w F^Y(q_v | z),
+    with the kernel pushed like the marginal.  A monotone transform collapses
+    it to one term of unit weight (the time-changed source copula).  The
+    surface lives at the transformed times (phi(s), phi(t)).
     """
     require(t > s > model.t0, f"need t0 < s < t, got t0={model.t0}, s={s}, t={t}")
-    pieces = _clip_pieces(transform, model.interval)
-    marg_s, marg_t = model.marginal(s), model.marginal(t)
+    split_s, split_t = _Split(transform, model.interval, s), _Split(transform, model.interval, t)
+    marg_s = model.marginal(s)
     push_s = pushforward_marginal(model, transform, s)
     push_t = pushforward_marginal(model, transform, t)
-    ranges_s, ranges_t = _piece_ranges(transform, pieces, s), _piece_ranges(transform, pieces, t)
     kernel = model.kernel
 
-    def filled(x):
-        # a piece without a preimage of some level borrows another piece's
-        # (with weight 0 there), so the kernel only sees states of the process
-        return np.where(np.isnan(x), np.nanmax(x, axis=0), x)
-
-    def source_terms(u):
-        zs, ws = _decompose(marg_s, transform, pieces, ranges_s, s, np.asarray(push_s.quantile(u)))
-        return filled(zs), ws
+    def levels(u, v):
+        # u and v get one ndim, so that the pieces axis put before q_v stays apart from z's
+        nd = max(np.ndim(u), np.ndim(v))
+        lift = lambda q: np.asarray(q).reshape((1,) * (nd - np.ndim(q)) + np.shape(q))
+        z, _, w = _decompose(marg_s, split_s, lift(push_s.quantile(u)))
+        return z, w, lift(push_t.quantile(v))
 
     def dens(u, v):
-        zs, ws = source_terms(u)
-        xs, wt = _decompose(marg_t, transform, pieces, ranges_t, t,
-                            np.asarray(push_t.quantile(v)))
-        xs = filled(xs)
-        acc = 0.0
-        for z, wz in zip(zs, ws):
-            for x, wx in zip(xs, wt):
-                acc = acc + wz * wx * kernel.pdf(s, z, t, x) / marg_t.pdf(x)
-        return acc
+        z, w, q_v = levels(u, v)
+        pushed = _pushed_pdf(lambda x: kernel.pdf(s, z, t, x), split_t, q_v[None])[2]
+        return (w * pushed.sum(axis=0)).sum(axis=0) / push_t.pdf(q_v)
 
     def cond(u, v):
-        zs, ws = source_terms(u)
-        q_v = np.asarray(push_t.quantile(v))
-        xq = filled(_piece_inverses(pieces, ranges_t, t, q_v))
-        acc = 0.0
-        for z, wz in zip(zs, ws):
-            mass = 0.0
-            kernel_cdf = lambda x: kernel.cdf(s, z, t, x)
-            for piece, (lo_v, hi_v), x_q in zip(pieces, ranges_t, xq):
-                lo_c = _cdf_limits(kernel_cdf, model.interval, piece.lo)
-                hi_c = _cdf_limits(kernel_cdf, model.interval, piece.hi)
-                val = kernel_cdf(x_q)
-                part = (val - lo_c) if piece.increasing else (hi_c - val)
-                mass = mass + np.where(q_v <= lo_v, 0.0,
-                                       np.where(q_v >= hi_v, hi_c - lo_c, part))
-            acc = acc + wz * mass
-        return np.clip(acc, 0.0, 1.0)
+        z, w, q_v = levels(u, v)
+        law = lambda x: kernel.cdf(s, z, t, x)
+        mass = _pushed_cdf(law, _piece_ends(law, split_t, z.ndim), split_t, q_v[None])
+        return np.clip((w * mass).sum(axis=0), 0.0, 1.0)
 
     params = {"model": model.name, "transform": transform.name or "stt",
               **dict(model.spec.params), "x0": model.x0, "t0": model.t0}

@@ -147,6 +147,22 @@ class TestConfigAndUsage:
                  "--out", tmp_path / "x.csv"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("cfg", [{"x0": "0.5"}, {"n_paths": "6"}, {"uniformized": True}])
+    def test_config_values_convert_like_flag_strings(self, tmp_path, cfg):
+        path, out = tmp_path / "cfg.json", tmp_path / "p.csv"
+        path.write_text(json.dumps({**cfg, "n_steps": 3, "out": str(out)}))
+        assert run(["simulate", "--model", "bm", "--config", path]) == 0
+        assert PathEnsemble.from_csv(out).paths.shape[0] == int(cfg.get("n_paths", 100))
+
+    @pytest.mark.parametrize("cfg", [{"seed": 1.5}, {"n_paths": "ten"}, {"x0": [0.5]},
+                                     {"t_max": True}, {"uniformized": 1}, {"model": "heston"}])
+    def test_config_value_its_flag_refuses_exits_2(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--model", "bm", "--config", path, "--out", tmp_path / "x.csv"])
+        assert err.value.code == 2
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["simulate", "--model", "bm", "--warp", "9"])

@@ -60,6 +60,9 @@ MESH_SURFACES = {
     "push_cir_to_bessel": _pushed_bessel,
     "nonmonotone_abs_bm": lambda: stt.nonmonotone_copula(
         models.make_model("bm", x0=0.0), stt.absolute_value(), 1.0, 2.0),
+    "nonmonotone_abs_bm_drift": lambda: stt.nonmonotone_copula(
+        models.make_model("bm_drift", {"mu": 0.3, "sigma": 1.2}, x0=0.5), stt.absolute_value(),
+        0.8, 1.5),
     **{f"from_transition_{name}":
        (lambda name=name: copula.from_transition(
            models.make_model(name, CATALOG[name][0], x0=CATALOG[name][1]), 0.8, 1.5))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from diffcop import copula, models, special, stt
 from diffcop.errors import DomainError
@@ -173,6 +175,11 @@ class TestNonmonotone:
         assert w.sum() == pytest.approx(1.0, abs=5e-16)
         assert w[0] != w[1]
 
+    def test_array_level_rejected(self):
+        bm = models.make_model("bm", x0=0.0)
+        with pytest.raises(DomainError, match="q must be a scalar level"):
+            stt.preimage_weights(bm, stt.absolute_value(), 1.0, np.array([0.2, 0.4]))
+
     def test_jacobian_zero_reported(self):
         bm = models.make_model("bm", x0=0.0)
         cubic = stt.SpaceTimeTransform(
@@ -213,6 +220,41 @@ class TestNonmonotone:
                             abs_tol=1e-9, rel_tol=1e-8)
         assert direct == pytest.approx(by_quad, abs=1e-7)
 
+    def test_unequal_weights_match_folded_bivariate_normal(self):
+        # |X| for BM with drift: the preimages +-q carry unequal weights.  The oracle is
+        # the quotient of folded densities of the bivariate normal (X_s, X_t)
+        mu, sigma, x0, s, t = 0.3, 1.2, 0.5, 0.8, 1.5
+        m_s, m_t = x0 + mu * s, x0 + mu * t
+        sd_s, sd_t = sigma * math.sqrt(s), sigma * math.sqrt(t)
+        rho = sd_s / sd_t                              # Cov(X_s, X_t) = sigma^2 s
+        sd_c = sd_t * math.sqrt(1.0 - rho * rho)       # sd of X_t given X_s
+        npdf = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+        def folded_quantile(p, m, sd):
+            return brentq(lambda y: ndtr((y - m) / sd) - ndtr((-y - m) / sd) - p, 0.0, 50.0,
+                          xtol=1e-300, rtol=1e-15)
+
+        def oracle(u, v):
+            a, b = folded_quantile(u, m_s, sd_s), folded_quantile(v, m_t, sd_t)
+            joint = cond = mass = 0.0
+            for x in (a, -a):
+                f_x = npdf((x - m_s) / sd_s) / sd_s
+                m_c = m_t + rho * sd_t / sd_s * (x - m_s)
+                mass += f_x
+                cond += f_x * (ndtr((b - m_c) / sd_c) - ndtr((-b - m_c) / sd_c))
+                joint += f_x * (npdf((b - m_c) / sd_c) + npdf((-b - m_c) / sd_c)) / sd_c
+            f_b = (npdf((b - m_t) / sd_t) + npdf((-b - m_t) / sd_t)) / sd_t
+            return joint / (mass * f_b), cond / mass
+
+        drift = models.make_model("bm_drift", {"mu": mu, "sigma": sigma}, x0=x0)
+        surf = stt.nonmonotone_copula(drift, stt.absolute_value(), s, t)
+        g = np.array([0.05, 0.3, 0.6, 0.95])
+        ref = np.array([[oracle(u, v) for u in g] for v in g])
+        np.testing.assert_allclose(surf.density(g[None, :], g[:, None]), ref[..., 0],
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(surf.conditional(g[None, :], g[:, None]), ref[..., 1],
+                                   rtol=0.0, atol=1e-14)
+
     def test_monotone_transform_collapses_to_time_change(self):
         ou = ou_model()
         chain = stt.builtin_chain("ou_to_bm", **OU_P)
@@ -236,6 +278,41 @@ class TestNonmonotone:
             for v in (0.4, 0.85):
                 assert float(surf.density(u, v)) == pytest.approx(
                     float(rbm.density(u, v)), abs=1e-9)
+
+
+class TestCallEconomy:
+    """The piecewise pushforward calls the law once per evaluation, for all pieces."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"pdf": 0, "cdf": 0}
+        for name in counts:
+            def counted(self, *args, _name=name, _method=getattr(models.GaussianKernel, name)):
+                counts[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(models.GaussianKernel, name, counted)
+        return counts
+
+    def test_pushforward_marginal_calls_the_law_once(self, calls):
+        marg = stt.pushforward_marginal(models.make_model("bm", x0=0.0), stt.absolute_value(), 2)
+        q = np.array([-0.5, 0.0, 0.3, 1.7, 4.0])
+        calls.update(pdf=0, cdf=0)
+        marg.cdf(q)
+        assert calls == {"pdf": 0, "cdf": 1}
+        marg.pdf(q)
+        assert calls == {"pdf": 1, "cdf": 1}
+
+    def test_nonmonotone_mesh_calls_at_most_the_seed_count(self, calls):
+        # 3 x 3 meshes at (1, 2); most calls are the Newton steps of the two quantile solves
+        surf = stt.nonmonotone_copula(models.make_model("bm", x0=0.0), stt.absolute_value(),
+                                      1.0, 2.0)
+        mesh = np.array([0.1, 0.5, 0.9])
+        calls.update(pdf=0, cdf=0)
+        surf.conditional(mesh[None, :], mesh[:, None])
+        assert calls["cdf"] <= 28
+        calls.update(pdf=0, cdf=0)
+        surf.density(mesh[None, :], mesh[:, None])
+        assert calls["pdf"] <= 22 and calls["cdf"] <= 20
 
 
 class TestTheorem7Constructive:
