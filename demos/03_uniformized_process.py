@@ -24,8 +24,8 @@ from diffcop import (gaussian_closed_form, independence_surface, make_model,
 # coefficients ---------------------------------------------------------------
 ou = make_model("ou", {"alpha": 1.0, "beta": 0.0, "sigma": np.sqrt(2.0)}, x0=0.5)
 print("stationary OU (standard-normal law), uniformized coefficients:")
-for u in (0.1, 0.3, 0.5, 0.7, 0.9):
-    mu, sg = stationary_uniformized_coefficients(ou, u)
+us = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+for u, mu, sg in zip(us, *stationary_uniformized_coefficients(ou, us)):
     print(f"  u={u:.1f}: drift {mu:+.4f}, diffusion {sg:.4f}")
 
 cir = make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)

@@ -21,9 +21,8 @@ from .stt import (MonotonePiece, SpaceTimeTransform, absolute_value, builtin_cha
                   compose, identity_transform, nonmonotone_copula,
                   preimage_weights, push_transition, pushforward_marginal,
                   wiener_stt, wiener_transformability_check)
-from .uniformize import (EmpiricalCopula, UniformizedCoefficients, empirical_copula,
-                         kolmogorov_copula_residual, ks_statistic,
-                         pseudo_observations, simulate_uniformized,
+from .uniformize import (EmpiricalCopula, empirical_copula, kolmogorov_copula_residual,
+                         ks_statistic, pseudo_observations, simulate_uniformized,
                          stationary_uniformized_coefficients, uniformized_coefficients)
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "CopulaSurface", "DiffusionSpec", "DomainError", "EmpiricalCopula",
     "FirstPassageSample", "Model", "MonotonePiece", "NumericsError",
     "PathEnsemble", "RecombinedProcess", "SpaceTimeTransform", "StationaryLaw",
-    "UniformizedCoefficients",
     "absolute_value", "bessel_i", "builtin_chain", "cdf_on_grid", "cell_masses",
     "chi2nc_cdf", "chi2nc_pdf",
     "chi2nc_pdf_bessel_form", "chi2nc_quantile", "cir_closed_form", "compose",

@@ -195,9 +195,9 @@ def integrate(f: Callable, lo, hi, at, *, abs_tol: float = 1e-13,
     return np.where(flip, -value, value).reshape(shape)
 
 
-def rel_step(x: float, rel: float) -> float:
-    """Step size for central differences at a relative scale."""
-    return rel * max(abs(x), 1.0)
+def rel_step(x, rel: float):
+    """Step sizes for central differences at a relative scale, per element of x."""
+    return rel * np.maximum(np.abs(x), 1.0)
 
 
 def central_diff(f: Callable, x: float, h: float) -> float:

@@ -483,7 +483,7 @@ def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float, x_ref: float,
     vanish = ~(s_val > 0.0)
     if np.any(vanish):
         raise DomainError(f"diffusion coefficient vanishes at x={x[vanish][0]}")
-    sigma_x = central_diff(lambda xx: sig(xx, t), x, deriv_rel * np.maximum(np.abs(x), 1.0))
+    sigma_x = central_diff(lambda xx: sig(xx, t), x, rel_step(x, deriv_rel))
     h_t = rel_step(t, deriv_rel)
     i1 = integrate(lambda y, _: central_diff(lambda tt: sig(y, tt), t, h_t) / sig(y, t) ** 2,
                    x_ref, x, x_ref, abs_tol=1e-10, rel_tol=1e-10)
@@ -521,14 +521,10 @@ def search_constant_c1_c2(spec: DiffusionSpec, x_grid, t_grid,
     parts = [_condition_parts(spec, xs, float(t), x_ref) for t in np.atleast_1d(t_grid)]
     base = np.concatenate([p[0] for p in parts])
     i2 = np.concatenate([p[1] for p in parts])
-    best = (math.nan, math.nan, math.inf)
-    for c1 in np.linspace(*c1_range, n):
-        resid_vec = base - c1 * i2
-        for c2 in np.linspace(*c2_range, n):
-            worst = np.max(np.abs(resid_vec - c2))
-            if worst < best[2]:
-                best = (float(c1), float(c2), float(worst))
-    return best
+    c1s, c2s = np.linspace(*c1_range, n), np.linspace(*c2_range, n)
+    worst = np.abs((base - c1s[:, None] * i2)[:, None, :] - c2s[:, None]).max(axis=2)
+    i, j = np.unravel_index(np.argmin(worst), worst.shape)   # c1-major: the first minimum
+    return float(c1s[i]), float(c2s[j]), float(worst[i, j])
 
 
 def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,

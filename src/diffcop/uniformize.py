@@ -24,8 +24,6 @@ discretized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._numerics import central_diff, rel_step, require
@@ -34,7 +32,7 @@ from .errors import DomainError
 from .models import Model, PathEnsemble, simulate_paths
 
 __all__ = [
-    "UniformizedCoefficients", "uniformized_coefficients",
+    "uniformized_coefficients",
     "stationary_uniformized_coefficients",
     "kolmogorov_copula_residual", "conditional_du",
     "simulate_uniformized", "EmpiricalCopula", "empirical_copula",
@@ -43,75 +41,69 @@ __all__ = [
 
 _DERIV_REL = 1e-5    # relative step for coefficient derivatives
 
+# How `_coefficients` reads numbers: (cast, square).  A scalar u runs on Python floats, at
+# the cost of scalar arithmetic, an array u on float arrays.  Both square by libm pow, as
+# float ** 2 does: ndarray ** 2 multiplies, which rounds differently about once in a
+# thousand, and an array would then not equal a loop of scalar calls.
+_SCALAR = (float, lambda a: a ** 2)
+_ARRAY = (lambda a: np.asarray(a, dtype=float), lambda a: np.float_power(a, 2))
 
-def uniformized_coefficients(model: Model, u: float, s: float) -> tuple[float, float]:
+
+def _coefficients(model: Model, law, u, s: float, dF_ds):
+    """(drift, diffusion) of the uniformized process at x = law.quantile(u), time s.
+
+    ``law`` has ``quantile``, ``pdf`` and ``pdf_dx``; a ``pdf_dx`` of None is
+    replaced by central differences at relative step 1e-5 per element.
+    ``dF_ds`` maps x to dF_s/ds, or is None in the stationary regime.  A scalar
+    u runs on Python floats and returns floats, an array u returns arrays of
+    its shape.
+    """
+    # isinstance first: np.ndim of a float goes through a caught AttributeError
+    scalar = isinstance(u, float) or np.ndim(u) == 0
+    val, square = _SCALAR if scalar else _ARRAY
+    u = val(u)
+    lo, hi = (u, u) if scalar else (u.min(initial=0.5), u.max(initial=0.5))  # empty u passes
+    require(0.0 < lo and hi < 1.0, f"u = {lo if not 0.0 < lo else hi} lies outside (0, 1)")
+    x = val(law.quantile(u))
+    f = val(law.pdf(x))
+    fp = val(law.pdf_dx(x) if law.pdf_dx is not None
+             else central_diff(law.pdf, x, rel_step(x, _DERIV_REL)))
+    mu_x = val(model.spec.drift(x, s))
+    sg_x = val(model.spec.diffusion(x, s))
+    drift = mu_x * f if dF_ds is None else val(dF_ds(x)) + mu_x * f
+    return drift + 0.5 * square(sg_x) * fp, sg_x * f
+
+
+def uniformized_coefficients(model: Model, u, s: float):
     """Drift and diffusion coefficient of the uniformized process at (u, s).
 
-    Marginal derivatives use registered analytic forms where the catalog
-    provides them (Gaussian families, reflected Brownian motion) and central
-    differences at relative step 1e-5 otherwise.
+    u is a scalar or an array in (0, 1) and s a scalar time after t0; returns
+    ``(drift, diffusion)`` as floats or as arrays of the shape of u.  Marginal
+    derivatives use registered analytic forms where the catalog provides them
+    (Gaussian families, reflected Brownian motion) and central differences at
+    relative step 1e-5 otherwise.
     """
-    require(0.0 < u < 1.0, f"u = {u} lies on the boundary of (0, 1)")
     require(s > model.t0, f"need s > t0 = {model.t0}")
     marg = model.marginal(s)
-    x = float(marg.quantile(u))
-    f = float(marg.pdf(x))
-
-    if marg.pdf_dx is not None:
-        fp = float(marg.pdf_dx(x))
-    else:
-        fp = central_diff(lambda xx: float(marg.pdf(xx)), x, rel_step(x, _DERIV_REL))
-
-    if marg.cdf_dt is not None:
-        df_ds = float(marg.cdf_dt(x))
-    else:
-        h = rel_step(s, _DERIV_REL)
+    dF_ds = marg.cdf_dt
+    if dF_ds is None:
+        h = float(rel_step(s, _DERIV_REL))        # a float keeps the kernel's scalar math
         require(s - h > model.t0, "s too close to t0 for the time derivative")
-        df_ds = (float(model.marginal(s + h).cdf(x))
-                 - float(model.marginal(s - h).cdf(x))) / (2.0 * h)
-
-    mu_x = float(model.spec.drift(x, s))
-    sg_x = float(model.spec.diffusion(x, s))
-    return df_ds + mu_x * f + 0.5 * sg_x ** 2 * fp, sg_x * f
+        dF_ds = lambda x: central_diff(lambda r: model.marginal(r).cdf(x), s, h)
+    return _coefficients(model, marg, u, s, dF_ds)
 
 
-def stationary_uniformized_coefficients(model: Model, u: float) -> tuple[float, float]:
+def stationary_uniformized_coefficients(model: Model, u):
     """Time-homogeneous coefficients in the stationary regime.
 
         mu~(u)    = mu(x) g(x) + 1/2 sigma^2(x) g'(x),
-        sigma~(u) = sigma(x) g(x),          x = G^{-1}(u).
+        sigma~(u) = sigma(x) g(x),          x = G^{-1}(u),
+
+    for a scalar or an array u in (0, 1), as in `uniformized_coefficients`.
     """
     if model.stationary is None:
         raise DomainError(f"model '{model.name}' admits no stationary law")
-    require(0.0 < u < 1.0, f"u = {u} lies on the boundary of (0, 1)")
-    law = model.stationary
-    x = float(law.quantile(u))
-    g = float(law.pdf(x))
-    gp = float(law.pdf_dx(x))
-    mu_x = float(model.spec.drift(x, 0.0))
-    sg_x = float(model.spec.diffusion(x, 0.0))
-    return mu_x * g + 0.5 * sg_x ** 2 * gp, sg_x * g
-
-
-@dataclass(frozen=True)
-class UniformizedCoefficients:
-    """Coefficient evaluator bound to one model and its (x0, t0)."""
-
-    model: Model
-
-    @property
-    def source(self) -> tuple[float, float]:
-        return self.model.x0, self.model.t0
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return 0.0, 1.0
-
-    def drift(self, u: float, s: float) -> float:
-        return uniformized_coefficients(self.model, u, s)[0]
-
-    def diffusion(self, u: float, s: float) -> float:
-        return uniformized_coefficients(self.model, u, s)[1]
+    return _coefficients(model, model.stationary, u, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +117,8 @@ def kolmogorov_copula_residual(surface: CopulaSurface, model: Model,
 
     Central differences: d_u and d_uu probe the supplied surface at step
     ``h_u``; d_s is taken along the model's own conditional family at step
-    ``h_s``.  The grid must stay away from the boundaries of (0, 1).
+    ``h_s``.  Each quantity is one call on the (u, v) mesh.  The grid must stay
+    away from the boundaries of (0, 1).
     """
     us = np.asarray(us if us is not None else np.linspace(0.1, 0.9, 9), dtype=float)
     vs = np.asarray(vs if vs is not None else np.linspace(0.1, 0.9, 9), dtype=float)
@@ -135,32 +128,27 @@ def kolmogorov_copula_residual(surface: CopulaSurface, model: Model,
     s, t = surface.time_pair
     require(s - h_s > model.t0 and s + h_s < t, "time pair too tight for the s-derivative")
 
-    marg_t = model.marginal(t)
-    marg_sp = model.marginal(s + h_s)
-    marg_sm = model.marginal(s - h_s)
-    xv = np.asarray(marg_t.quantile(vs), dtype=float)
+    mu_c, sg_c = (c[:, None] for c in uniformized_coefficients(model, us, s))
+    uu, vv = us[:, None], vs[None, :]                  # rows u, columns v
+    c_mid = np.asarray(surface.conditional(uu, vv), dtype=float)
+    c_up = np.asarray(surface.conditional(uu + h_u, vv), dtype=float)
+    c_dn = np.asarray(surface.conditional(uu - h_u, vv), dtype=float)
+    du1 = (c_up - c_dn) / (2.0 * h_u)
+    du2 = (c_up - 2.0 * c_mid + c_dn) / (h_u * h_u)
 
-    worst = 0.0
-    for u in us:
-        mu_c, sg_c = uniformized_coefficients(model, float(u), s)
-        c_mid = np.asarray(surface.conditional(u, vs), dtype=float)
-        c_up = np.asarray(surface.conditional(u + h_u, vs), dtype=float)
-        c_dn = np.asarray(surface.conditional(u - h_u, vs), dtype=float)
-        du1 = (c_up - c_dn) / (2.0 * h_u)
-        du2 = (c_up - 2.0 * c_mid + c_dn) / (h_u * h_u)
+    xv = np.asarray(model.marginal(t).quantile(vv), dtype=float)
+    xu_p = np.asarray(model.marginal(s + h_s).quantile(uu), dtype=float)
+    xu_m = np.asarray(model.marginal(s - h_s).quantile(uu), dtype=float)
+    ds = (np.asarray(model.kernel.cdf(s + h_s, xu_p, t, xv), dtype=float)
+          - np.asarray(model.kernel.cdf(s - h_s, xu_m, t, xv), dtype=float)) / (2.0 * h_s)
 
-        xu_p = float(marg_sp.quantile(u))
-        xu_m = float(marg_sm.quantile(u))
-        ds = (np.asarray(model.kernel.cdf(s + h_s, xu_p, t, xv), dtype=float)
-              - np.asarray(model.kernel.cdf(s - h_s, xu_m, t, xv), dtype=float)) / (2.0 * h_s)
-
-        resid = ds + mu_c * du1 + 0.5 * sg_c ** 2 * du2
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    resid = ds + mu_c * du1 + 0.5 * np.float_power(sg_c, 2) * du2    # pow, as in _coefficients
+    return float(np.max(np.abs(resid)))
 
 
-def conditional_du(surface: CopulaSurface, u: float, v, h: float = 1e-4):
-    """Central difference d/du of the conditional; used for reflection checks."""
+def conditional_du(surface: CopulaSurface, u, v, h: float = 1e-4):
+    """Central difference d/du of the conditional at broadcast arrays u and v;
+    used for reflection checks."""
     return (np.asarray(surface.conditional(u + h, v))
             - np.asarray(surface.conditional(u - h, v))) / (2.0 * h)
 

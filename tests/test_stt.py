@@ -362,6 +362,24 @@ class TestWienerCondition:
             cir.spec, np.linspace(0.3, 2.5, 6), [0.5, 1.0], n=41)
         assert best > 1e-6
 
+    @pytest.mark.parametrize("name", ["cir", "ou", "cir_special"])
+    def test_search_matches_double_loop(self, name):
+        # the broadcast search returns the first minimum in c1-major order, as a double
+        # loop with a strict < does
+        model = {"cir": lambda: models.make_model("cir", CIR_P, x0=1.2), "ou": ou_model,
+                 "cir_special": lambda: models.make_model(
+                     "cir_special", {"alpha": 0.6, "sigma": 1.1}, x0=0.4)}[name]()
+        xs, ts = np.linspace(0.3, 2.5, 6), [0.5, 1.0]
+        parts = [stt._condition_parts(model.spec, xs, t, 0.0) for t in ts]
+        base, i2 = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        best = (math.nan, math.nan, math.inf)
+        for c1 in np.linspace(-10.0, 10.0, 41):
+            for c2 in np.linspace(-10.0, 10.0, 41):
+                worst = np.max(np.abs(base - c1 * i2 - c2))
+                if worst < best[2]:
+                    best = (float(c1), float(c2), float(worst))
+        assert stt.search_constant_c1_c2(model.spec, xs, ts) == best
+
     def test_vanishing_diffusion_rejected(self):
         spec = models.DiffusionSpec(
             "degenerate", {}, (-np.inf, np.inf), ("natural", "natural"),

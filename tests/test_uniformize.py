@@ -1,6 +1,8 @@
 """Uniformized process tests: coefficients, backward equation, exact simulation."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,52 @@ ALL_MODELS = {
     "rayleigh": ({"a": 2.625, "b": -0.5}, 2.7),
     "bessel": ({"delta": 1.5}, 1.0),
 }
+
+
+STATIONARY = sorted(name for name, (params, x0) in ALL_MODELS.items()
+                    if models.make_model(name, params, x0=x0).stationary is not None)
+
+
+def without_derivatives(model):
+    """The model with a kernel that hides pdf_dx and cdf_dt: both come from differences."""
+    k = model.kernel
+    return replace(model, kernel=SimpleNamespace(pdf=k.pdf, cdf=k.cdf, quantile=k.quantile,
+                                                 sample=k.sample, pdf_dx=None, cdf_dt=None))
+
+
+class TestZeroFlux:
+    """mu~ = 1/2 d_u sigma~^2: the forward equation of a diffusion whose marginals stay
+    uniform, with zero flux at the ends.  It shares no code with the coefficient formula."""
+
+    U = np.linspace(0.05, 0.95, 19)
+    H = 1e-4
+
+    def check(self, coefficients):
+        mu, sg = coefficients(self.U)
+        _, sg_up = coefficients(self.U + self.H)
+        _, sg_dn = coefficients(self.U - self.H)
+        half_dsg2 = (sg_up ** 2 - sg_dn ** 2) / (4.0 * self.H)
+        assert mu.shape == sg.shape == self.U.shape
+        assert np.max(np.abs(mu - half_dsg2)) <= 1e-5 * np.max(sg ** 2)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(ALL_MODELS))
+    def test_time_dependent(self, name, s):
+        params, x0 = ALL_MODELS[name]
+        model = models.make_model(name, params, x0=x0)
+        self.check(lambda u: uniformize.uniformized_coefficients(model, u, s))
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_finite_difference_derivatives(self, s):
+        params, x0 = ALL_MODELS["ou"]
+        model = without_derivatives(models.make_model("ou", params, x0=x0))
+        self.check(lambda u: uniformize.uniformized_coefficients(model, u, s))
+
+    @pytest.mark.parametrize("name", STATIONARY)
+    def test_stationary(self, name):
+        params, x0 = ALL_MODELS[name]
+        model = models.make_model(name, params, x0=x0)
+        self.check(lambda u: uniformize.stationary_uniformized_coefficients(model, u))
 
 
 class TestStationaryCoefficients:
@@ -98,15 +146,6 @@ class TestTimeDependentCoefficients:
         _, sg_hi = uniformize.uniformized_coefficients(bm, 1.0 - 1e-9, 1.0)
         assert sg_lo < 1e-3 * sg_mid
         assert sg_hi < 1e-3 * sg_mid
-
-    def test_bound_object(self):
-        ou = models.make_model("ou", STANDARD_OU, x0=0.5)
-        coeffs = uniformize.UniformizedCoefficients(ou)
-        assert coeffs.source == (0.5, 0.0)
-        assert coeffs.domain == (0.0, 1.0)
-        mu, sg = uniformize.uniformized_coefficients(ou, 0.4, 1.0)
-        assert coeffs.drift(0.4, 1.0) == mu
-        assert coeffs.diffusion(0.4, 1.0) == sg
 
     def test_quadratic_variation_oracle(self):
         # empirical quadratic variation of F_t(B_t) over [1, 2] matches
