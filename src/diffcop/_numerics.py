@@ -14,7 +14,6 @@ and the acceptance checks of `validation`.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -30,10 +29,13 @@ _GL_MAX_PANELS = 200                               # open panels per integral
 _NORMAL_MIN = np.finfo(float).tiny
 
 
-def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
-                        bounds: tuple[float, float] = (-np.inf, np.inf), f_tol: float = 1e-12,
+def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
+                        bounds=(-np.inf, np.inf), f_tol: float = 1e-12,
                         x_rel_tol: float = 1e-14, max_iter: int = 200):
     """Solve ``cdf(x) = p`` for nondecreasing ``cdf`` on the open interval ``bounds``.
+
+    ``law(x)`` returns ``(cdf(x), pdf(x))`` from one evaluation, with ``pdf``
+    None where the law has no density to offer.
 
     The start bracket [lo, hi] need not hold the root.  While ``cdf(hi) < p``
     the upper end moves out by the bracket width (at least 1) when the upper
@@ -43,18 +45,26 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
     evaluated.  A side that still misses after 200 moves, or whose end would
     land on its bound, raises `NumericsError`: the target is out of reach.
 
-    Inside the bracket, vectorized safeguarded Newton as in rtsafe: a Newton
-    step is taken when ``pdf`` is supplied, the step stays strictly inside the
-    current bracket and it is at most half the step before last; otherwise the
-    bracket is bisected.  So a flat or quantized ``cdf``, on which Newton would
-    creep, costs at most about two iterations per halving of the bracket.
+    Inside the bracket, vectorized safeguarded Newton as in rtsafe from
+    ``start``: a Newton step is taken when ``law`` gives a density, the step
+    stays strictly inside the current bracket and it is at most half the step
+    before last; otherwise the bracket is bisected.  So a flat or quantized
+    ``cdf``, on which Newton would creep, costs at most about two iterations
+    per halving of the bracket.  Once every root has met a stopping test, each
+    takes the Newton step of its last evaluation where that step stays
+    strictly inside its bracket: it costs no evaluation and leaves the root
+    far closer than ``f_tol``.
 
     Parameters
     ----------
-    cdf, pdf : callables accepting/returning ndarrays of the shape of ``p``.
+    law : callable accepting an ndarray of the shape of ``p`` and returning
+        the pair of ndarrays (or the cdf and None) at those points.
     p : target probabilities (scalar or array).
     lo, hi : start bracket, broadcast to the shape of ``p``, inside [bounds].
-    bounds : the state-space interval, ends may be infinite.
+    start : the first iterate, strictly inside [lo, hi]; default the midpoint
+        of the grown bracket.
+    bounds : the state-space interval, ends may be infinite; each end a scalar
+        or an array broadcast to the shape of ``p``.
     f_tol : stop where ``|cdf(x) - p| <= f_tol * min(p, 1 - p)``, relative to
         the smaller tail probability (0 disables).  For targets outside
         (0, 1), met when a monotone map that is not a CDF is inverted, only
@@ -68,40 +78,49 @@ def invert_monotone_cdf(cdf: Callable, p, lo, hi, pdf: Callable | None = None,
     float for a scalar ``p``, else an ndarray of its shape with the roots.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    ends = [np.broadcast_to(np.asarray(end, dtype=float), p_arr.shape) for end in (lo, hi)]
+
+    def full(a):
+        a = np.asarray(a, dtype=float)
+        return a if a.shape == p_arr.shape else np.broadcast_to(a, p_arr.shape)
+
+    ends = [full(lo), full(hi)]
     for k, sign in ((1, 1.0), (0, -1.0)):                 # the upper end first
-        edge = float(bounds[k])
+        edge = full(bounds[k])
         free = ends[k] != edge                            # an end that starts on its bound holds
         for moves in range(_MAX_MOVES if free.any() else 0):
             end = ends[k]
             probe = np.where(free, end, 0.5 * (ends[0] + ends[1]))
-            miss = free & (sign * (cdf(probe) - p_arr) < 0.0)
+            miss = free & (sign * (law(probe)[0] - p_arr) < 0.0)
             if not miss.any():
                 break
-            step = (sign * np.maximum(ends[1] - ends[0], 1.0) if math.isinf(edge)
-                    else 0.5 * (edge - end))
+            step = np.where(np.isinf(edge), sign * np.maximum(ends[1] - ends[0], 1.0),
+                            0.5 * (edge - end))
             ends[k] = np.where(miss, end + step, end)
-            if moves == _MAX_MOVES - 1 or np.any(ends[k] == edge):
+            if moves == _MAX_MOVES - 1 or np.any(miss & (ends[k] == edge)):
                 raise NumericsError(f"bracket growth failed on the {('lower', 'upper')[k]} side")
     lo, hi = ends
-    x = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi) if start is None else full(start)
 
     f_scale = f_tol * np.minimum(p_arr, 1.0 - p_arr)
     step_old = step = hi - lo
     for _ in range(max_iter):
-        f = cdf(x) - p_arr
+        cdf, d = law(x)
+        f = cdf - p_arr
         lo = np.where(f <= 0.0, x, lo)
         hi = np.where(f > 0.0, x, hi)
-        width = hi - lo
-        done = (np.abs(f) <= f_scale) | (width <= x_rel_tol * (np.abs(x) + 1e-30))
-        if np.all(done):
-            break
-        if pdf is not None:
-            d = pdf(x)
+        done = (np.abs(f) <= f_scale) | (hi - lo <= x_rel_tol * (np.abs(x) + 1e-30))
+        if d is not None:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x_newton = x - f / d
-            ok = (np.isfinite(x_newton) & (x_newton > lo) & (x_newton < hi) & (d > _TINY)
-                  & (np.abs(x_newton - x) <= 0.5 * step_old))
+                newton = f / d
+            x_newton = x - newton
+            # the bracket test also rejects a step to inf or nan
+            ok = (x_newton > lo) & (x_newton < hi) & (d > _TINY)
+        if done.all():
+            if d is not None:                 # the last evaluation's Newton step, for free
+                x = np.where(ok, x_newton, x)
+            break
+        if d is not None:
+            ok &= np.abs(newton) <= 0.5 * step_old
         else:
             x_newton = x
             ok = np.zeros_like(x, dtype=bool)

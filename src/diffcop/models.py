@@ -206,8 +206,8 @@ class FoldedGaussianKernel:
         _check_order(s, t)
         sd = math.sqrt(self._var(s, t))
         p, y = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(y, dtype=float))
-        return invert_monotone_cdf(lambda x: self.cdf(s, y, t, x), p, 0.0, np.abs(y) + 12.0 * sd,
-                                   pdf=lambda x: self.pdf(s, y, t, x), bounds=(0.0, np.inf),
+        return invert_monotone_cdf(lambda x: (self.cdf(s, y, t, x), self.pdf(s, y, t, x)), p,
+                                   0.0, np.abs(y) + 12.0 * sd, bounds=(0.0, np.inf),
                                    f_tol=1e-13, x_rel_tol=1e-14)
 
     def sample(self, s, y, t, rng, size=None):

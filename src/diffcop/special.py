@@ -110,7 +110,7 @@ def norm_quantile(p):
     against plain bisection on `norm_cdf`.
     """
     arr, scalar = _principal(p, "p")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if (arr <= 0.0).any() or (arr >= 1.0).any():        # the methods skip np.any's dispatch
         raise DomainError("p must lie in the open interval (0, 1)")
     return _unwrap(ndtri(arr), scalar)
 

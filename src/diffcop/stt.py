@@ -7,9 +7,16 @@ preserve the copula up to the time change; `push_transition` builds the exact
 transformed kernel, a `models.MappedKernel` on the mapped times.
 
 Piecewise-monotone psi loses invertibility.  One pushforward serves every law
-there: `_pushed_pdf` sums f(x)/|J_t(x)| over the preimages x of a level, and
-`_pushed_cdf` sums the masses of the pieces' parts mapped below it.  Pushed
-marginals (`pushforward_marginal`) give the Y quantiles and the weights
+there: `_piece_inverses` finds the preimages x of a level on every piece, the
+density sums f(x)/|J_t(x)| over them (`_terms`) and the cdf the masses of the
+pieces' parts mapped below the level (`_pushed_cdf`).  A pushed marginal
+(`_PushedMarginal`, behind `pushforward_marginal`) takes its mass and density
+from one pass, one call each of X's cdf and density; where a mass difference
+cancels in a tail, the part is integrated from the density instead, and above
+the median it solves on the survival side.  Each quantile solve starts inside
+its cell of a table of the law at psi of X's quantiles, by a cubic Hermite
+interpolant, so a few Newton steps finish it.  Pushed marginals give the Y
+quantiles and the weights
 
     w(s, z, q) = (f_s(z)/|J_s(z)|) / sum_{a: psi(s,a)=q} (f_s(a)/|J_s(a)|);
 
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,6 +46,7 @@ from ._numerics import central_diff, integrate, invert_monotone_cdf, rel_step, r
 from .copula import CopulaSurface
 from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
+from .special import norm_cdf, norm_pdf, norm_quantile
 
 __all__ = [
     "MonotonePiece", "SpaceTimeTransform",
@@ -94,90 +103,323 @@ def _piece_range(transform: SpaceTimeTransform, piece: MonotonePiece, t: float):
 
 
 class _Split:
-    """psi(t, .) at one time t, cut into its monotone pieces on the diffusion interval."""
+    """psi(t, .) at one time t, cut into its monotone pieces on the diffusion interval.
+
+    The ranges (``lo_v``, ``hi_v``), ``increasing``, ``states`` and their levels
+    have shape ``(pieces, 1)``, to broadcast against levels on one axis.
+    """
 
     def __init__(self, transform: SpaceTimeTransform, interval, t: float):
         self.transform, self.t = transform, t
         self.pieces = tuple(_clip_pieces(transform, interval))
-        self.ranges = tuple(_piece_range(transform, p, t) for p in self.pieces)  # open ranges
+        ranges = np.array([_piece_range(transform, p, t) for p in self.pieces])  # open ranges
+        self.lo_v, self.hi_v = ranges[:, :1], ranges[:, 1:]
+        self.support = (float(ranges[:, 0].min()), float(ranges[:, 1].max()))
         self.bounds = np.array([(p.lo, p.hi) for p in self.pieces])
         self.inner = (interval[0] < self.bounds) & (self.bounds < interval[1])
-        # one state inside each piece, read in place of a missing preimage
+        self.increasing = np.array([[p.increasing] for p in self.pieces])
+        # one state inside each piece, read in place of a missing preimage, and its level
         self.states = np.array([[0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi)
                                  else min(max(0.0, lo + 1.0), hi - 1.0)]
                                 for lo, hi in self.bounds.tolist()])
+        self.state_levels = np.asarray(transform.psi(t, self.states), dtype=float)
 
 
 def _piece_inverses(split: _Split, q):
-    """``(x, found)`` of shape ``(pieces,) + q.shape``: the inverse of each level
-    on every piece whose open range holds it, else the piece's fixed state, and
-    the marks of the inverses strictly inside their piece."""
-    flat = np.ravel(q)
-    x = np.empty((len(split.pieces), flat.size))
-    x[...] = split.states
-    inside = np.empty(x.shape, dtype=bool)
-    for k, (piece, (lo_v, hi_v)) in enumerate(zip(split.pieces, split.ranges)):
-        inside[k] = hit = (lo_v < flat) & (flat < hi_v)
-        if hit.any():
-            x[k, hit] = piece.inverse(split.t, flat[hit])
-    found = inside & (split.bounds[:, :1] < x) & (x < split.bounds[:, 1:])
+    """``(x, found, hit)`` of shape ``(pieces,) + q.shape``: ``hit`` marks the levels
+    inside each piece's open range, ``x`` is their inverse there and the piece's
+    fixed state elsewhere, and ``found`` marks the inverses strictly inside their
+    piece."""
+    flat = np.reshape(q, (1, -1))
+    hit = (split.lo_v < flat) & (flat < split.hi_v)
+    y = np.where(hit, flat, split.state_levels)
+    x = np.empty(y.shape)
+    for k, piece in enumerate(split.pieces):
+        x[k] = piece.inverse(split.t, y[k])
+    x = np.where(hit, x, split.states)
+    found = hit & (split.bounds[:, :1] < x) & (x < split.bounds[:, 1:])
     shape = (len(split.pieces),) + np.shape(q)
-    return x.reshape(shape), found.reshape(shape)
+    return x.reshape(shape), found.reshape(shape), hit.reshape(shape)
 
 
-def _pushed_pdf(pdf: Callable, split: _Split, q):
-    """The density of psi(t, X) at the levels ``q``, piece by piece.
+def _jacobian(split: _Split, x, found):
+    """``(xf, jac)``: the preimages ``x``, with each not ``found`` (an inverse that
+    rounds onto its piece's end is no preimage) read at its piece's state, and |J_t|
+    there.  A preimage on a zero of the Jacobian raises `DomainError`, naming the
+    point."""
+    xf = np.where(found, x, split.states.reshape((-1,) + (1,) * (np.ndim(x) - 1)))
+    jac = np.abs(np.asarray(split.transform.jacobian(split.t, xf), dtype=float))
+    if not (jac.min(initial=np.inf, where=found) >= 1e-300
+            and jac.max(initial=0.0, where=found) < np.inf):
+        vanish = found & ~((jac >= 1e-300) & (jac < np.inf))
+        raise DomainError(f"Jacobian vanishes at preimage x={xf[vanish][0]:.6g} (time {split.t})")
+    return xf, jac
 
-    ``pdf`` is X's density at states, broadcast against its own arguments: the
-    marginal f_t, or the kernel f(. | z) at source states z.  Returns
-    `_piece_inverses`' ``(x, found)`` and the terms f(x)/|J_t(x)|, shape
-    ``(pieces,) +`` the broadcast shape, 0 on a piece without a preimage.  A
-    preimage on a zero of the Jacobian raises `DomainError`, naming the point.
-    """
-    x, found = _piece_inverses(split, q)
-    # an inverse that rounds onto its piece's end is no preimage: read the state there
-    x = np.where(found, x, split.states.reshape((-1,) + (1,) * np.ndim(q)))
-    jac = np.abs(np.asarray(split.transform.jacobian(split.t, x), dtype=float))
-    vanish = found & (~np.isfinite(jac) | (jac < 1e-300))
-    if np.any(vanish):
-        raise DomainError(f"Jacobian vanishes at preimage x={x[vanish][0]:.6g} (time {split.t})")
-    f = pdf(x)
-    return x, found, np.divide(f, jac, out=np.zeros(np.shape(f)), where=found)
+
+def _terms(f, jac, found):
+    """The pushed density's terms f(x)/|J_t(x)| per piece, 0 on a piece without a
+    preimage; ``f`` is X's density at `_jacobian`'s states, of any shape they
+    broadcast to."""
+    return np.divide(f, jac, out=np.zeros(np.shape(f)), where=found)
 
 
 def _piece_ends(cdf: Callable, split: _Split, ndim: int = 0):
     """``cdf`` at both ends of every piece in one call, shape ``(pieces, 2) +`` its
     shape, for a ``cdf`` whose own arguments have ``ndim`` axes.  The ends of the
     diffusion interval read 0 and 1 without a call."""
-    edge = np.array([0.0, 1.0])    # only a piece's lower end can be the interval's lower end
-    if not split.inner.any():
-        return np.broadcast_to(edge, split.inner.shape)
+    # only a piece's lower end can be the interval's lower end
+    edge = np.array([0.0, 1.0]).reshape((2,) + (1,) * ndim)
     shape = split.inner.shape + (1,) * ndim
+    if not split.inner.any():
+        return np.broadcast_to(edge, shape)
     probe = np.where(split.inner, split.bounds, split.states).reshape(shape)
-    return np.where(split.inner.reshape(shape), cdf(probe), edge.reshape((2,) + (1,) * ndim))
+    return np.where(split.inner.reshape(shape), cdf(probe), edge)
 
 
-def _pushed_cdf(cdf: Callable, ends, split: _Split, q: np.ndarray):
-    """P(psi(t, X) <= q), unclipped: X's mass in the part of each piece mapped to
-    at most q.  ``cdf`` broadcasts like `_pushed_pdf`'s ``pdf``; ``ends`` are its
-    `_piece_ends`."""
-    x, _ = _piece_inverses(split, q)
-    total = 0.0
-    for piece, (lo_v, hi_v), (f_lo, f_hi), f_q in zip(split.pieces, split.ranges, ends, cdf(x)):
-        part = (f_q - f_lo) if piece.increasing else (f_hi - f_q)
-        total = total + np.where(q <= lo_v, 0.0, np.where(q >= hi_v, f_hi - f_lo, part))
-    return total
+def _piece_parts(F, ends, split: _Split, upper=False):
+    """X's mass on the part of each piece that psi(t, .) maps to at most a level, or
+    above it where ``upper``, as a difference of ``F`` (X's cdf at the level's
+    preimage) and ``ends`` (`_piece_ends`).  Returns the masses, the larger term of
+    each difference and the marks of the parts below the preimage; they hold where
+    the level lies inside the piece's range."""
+    left = split.increasing.reshape((-1,) + (1,) * (np.ndim(F) - 1)) != upper
+    big = np.where(left, F, ends[:, 1])
+    return big - np.where(left, ends[:, 0], F), big, left
+
+
+def _sum_parts(part, whole, split: _Split, q, hit, upper=False):
+    """Sum over the pieces of ``part`` where the level ``q`` lies inside the piece's
+    range, else of the whole piece's mass ``whole`` or nothing, as the range lies
+    below (above where ``upper``) the level or not."""
+    over = q >= split.hi_v.reshape((-1,) + (1,) * np.ndim(q))
+    return np.where(hit, part, np.where(over != upper, whole, 0.0)).sum(axis=0)
+
+
+def _pushed_cdf(cdf: Callable, ends, split: _Split, q):
+    """P(psi(t, X) <= q), unclipped.  ``cdf`` is X's cdf at states, broadcast
+    against its own arguments (the kernel F(. | z) at source states z); ``ends``
+    are its `_piece_ends`.  Exact to the absolute rounding of ``cdf``."""
+    x, _, hit = _piece_inverses(split, q)
+    return _sum_parts(_piece_parts(cdf(x), ends, split)[0], ends[:, 1] - ends[:, 0], split, q, hit)
+
+
+# A cdf difference below this share of its larger term has lost more than 8 bits;
+# where such parts decide a pushed mass, they are integrated from the density.
+_CANCELLED = 1.0 / 256
+# X's quantiles at these probabilities place the start table's levels: a probit
+# grid, out to where a monotone map's levels fall below the table's floor of
+# `_CANCELLED` per piece, and on either side of each inner piece end (a fold,
+# whose level ends the support) these shares of the mass on that side.
+_TABLE_U = norm_cdf(np.linspace(-3.0, 3.0, 25))
+_TABLE_NEAR = (0.01, 0.05)
+
+
+@dataclass(frozen=True)
+class _StartTable:
+    """Levels ``y`` (ascending) at which a pushed law is exact, their probits
+    ``zeta`` and slopes ``d_zeta`` = dy/dzeta.  Per cell between two levels, the
+    cubic y = y0 + s (a1 + s (a2 + s a3)) in s = (u - u0) / h, where u is the
+    mass on the levels' side where ``use_c``, else zeta.  Per support end, the
+    mass between it and the end level (``end_mass``) and the exponent ``kappa``
+    of the power law of that mass which meets the end level's density."""
+
+    y: np.ndarray
+    zeta: np.ndarray
+    d_zeta: np.ndarray
+    use_c: np.ndarray
+    u0: np.ndarray
+    h: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    kappa: tuple[float, float]
+    end_mass: tuple[float, float]
+
+
+class _PushedMarginal:
+    """The law of Y = psi(t, X_t): cdf, survival and density in one pass over the
+    pieces, and quantiles from a start table.
+
+    Masses are exact in the tails: where a cdf difference has cancelled and its
+    part decides the sum, the part is the integral of X's density over it.
+    """
+
+    def __init__(self, marg: Marginal, split: _Split):
+        self.marg, self.split = marg, split
+        self.ends = _piece_ends(marg.cdf, split, 1)
+        lo, hi = self.ends[:, 0], self.ends[:, 1]
+        whole = hi - lo
+        self.whole = self._integrated(whole, whole < _CANCELLED * hi,
+                                      split.bounds[:, :1], split.bounds[:, 1:])
+
+    def _integrated(self, mass, redo, a, b):
+        """``mass`` with its ``redo`` elements replaced by the integrals of X's density
+        over (a, b)."""
+        if not redo.any():
+            return mass
+        mass = mass.copy()
+        mass[redo] = integrate(lambda x, _: self.marg.pdf(x), a[redo], b[redo], a[redo],
+                               abs_tol=0.0, rel_tol=1e-14)
+        return mass
+
+    def _side(self, F, hit, q, upper):
+        """P(Y <= q), or P(Y > q) where ``upper``, for levels ``q`` on one axis, as
+        differences of X's cdf ``F`` at their preimages; with `_piece_parts`."""
+        part, big, left = _piece_parts(F, self.ends, self.split, upper)
+        return _sum_parts(part, self.whole, self.split, q, hit, upper), part, big, left
+
+    def _mass(self, F, x, hit, q, upper):
+        """`_side`'s mass, exact: a part whose difference cancelled below `_CANCELLED`
+        of its larger term, where the rounding of that term is more than `_CANCELLED`
+        of the mass, is the integral of X's density over the part instead."""
+        mass, part, big, left = self._side(F, hit, q, upper)
+        if not (mass < _CANCELLED * len(self.split.pieces)).any():   # each term is <= 1
+            return mass
+        cancelled = (hit & (part < _CANCELLED * big)
+                     & (mass < _CANCELLED * np.where(hit, big, 0.0).sum(axis=0)))
+        if not cancelled.any():
+            return mass
+        bounds = self.split.bounds
+        part = self._integrated(part, cancelled, np.where(left, bounds[:, :1], x),
+                                np.where(left, x, bounds[:, 1:]))
+        return _sum_parts(part, self.whole, self.split, q, hit, upper)
+
+    def _density(self, x, found):
+        xf, jac = _jacobian(self.split, x, found)
+        return _terms(self.marg.pdf(xf), jac, found).sum(axis=0)
+
+    def law(self, q, upper):
+        """``(mass, density)`` at levels ``q`` on one axis from one call each of X's
+        cdf and density: the mass is P(Y <= q), or P(Y > q) where ``upper``."""
+        x, found, hit = _piece_inverses(self.split, q)
+        return self._mass(self.marg.cdf(x), x, hit, q, upper), self._density(x, found)
+
+    def cdf(self, q):
+        q = np.asarray(q, dtype=float)
+        flat = q.reshape(-1)
+        x, _, hit = _piece_inverses(self.split, flat)
+        out = np.clip(self._mass(self.marg.cdf(x), x, hit, flat, False), 0.0, 1.0)
+        return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
+
+    def pdf(self, q):
+        q = np.asarray(q, dtype=float)
+        out = self._density(*_piece_inverses(self.split, q.reshape(-1))[:2])
+        return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
+
+    @cached_property
+    def _table(self) -> _StartTable:
+        """psi of X's quantiles at `_TABLE_U` and near each inner piece end, the
+        levels kept where the mass on the level's side is at least `_CANCELLED`
+        per piece, so exact as a difference, and the density is positive.  zeta
+        is Phi^-1 of the mass below a level up to the median, and -Phi^-1 of the
+        mass above it beyond.  A cell interpolates in that mass (c) where both its
+        levels lie on one side and its end slopes dy/dc differ by a smaller ratio
+        than its slopes dy/dzeta."""
+        split, marg = self.split, self.marg
+        near = [u for f in self.ends[split.inner].ravel().tolist() if 0.0 < f < 1.0
+                for r in _TABLE_NEAR for u in (f * (1.0 - r), f + (1.0 - f) * r)]
+        y = np.sort(np.asarray(split.transform.psi(split.t, marg.quantile(
+            np.concatenate((_TABLE_U, near)))), dtype=float))
+        x, found, hit = _piece_inverses(split, y)
+        g = self._density(x, found)
+        below = self._side(marg.cdf(x), hit, y, False)[0]
+        upper = below > 0.5
+        c = np.where(upper, 1.0 - below, below)
+        ok = (c >= _CANCELLED * len(split.pieces)) & (g > 0.0) & (g < np.inf)
+        zeta = np.where(upper, -1.0, 1.0) * norm_quantile(np.where(ok, c, 0.5))
+        rise = np.maximum.accumulate(np.where(ok, zeta, -np.inf))
+        keep = ok & (zeta > np.concatenate(([-np.inf], rise[:-1])))
+        if np.count_nonzero(keep) < 2:
+            raise NumericsError(f"fewer than two levels of the start table carry mass "
+                                f"at time {split.t}")
+        y, c, g, upper, zeta = y[keep], c[keep], g[keep], upper[keep], zeta[keep]
+        d_zeta = norm_pdf(zeta) / g
+        # log of the end slopes' ratio per cell: in c, g1/g0; in zeta, times phi(z0)/phi(z1)
+        ratio = np.log(g[1:] / g[:-1])
+        use_c = (upper[1:] == upper[:-1]) & (np.abs(ratio) < np.abs(
+            ratio + 0.5 * (zeta[1:] * zeta[1:] - zeta[:-1] * zeta[:-1])))
+        pick = lambda a: np.where(use_c, a[0], a[1])
+        u0 = pick((c[:-1], zeta[:-1]))
+        h = pick((c[1:], zeta[1:])) - u0
+        d0 = pick((np.where(upper, -1.0, 1.0)[:-1] / g[:-1], d_zeta[:-1])) * h
+        d1 = pick((np.where(upper, -1.0, 1.0)[1:] / g[1:], d_zeta[1:])) * h
+        dy = y[1:] - y[:-1]
+        (y_lo, c_lo, g_lo, up_lo), (y_hi, c_hi, g_hi, up_hi) = (
+            (float(y[i]), float(c[i]), float(g[i]), bool(upper[i])) for i in (0, -1))
+        mass = (1.0 - c_lo if up_lo else c_lo, c_hi if up_hi else 1.0 - c_hi)
+        lo, hi = split.support
+        return _StartTable(y, zeta, d_zeta, use_c, u0, h, d0, 3.0 * dy - 2.0 * d0 - d1,
+                           d0 + d1 - 2.0 * dy,
+                           (g_lo * (y_lo - lo) / mass[0], g_hi * (hi - y_hi) / mass[1]), mass)
+
+    def _start(self, p, tail, upper):
+        """Each target's cell of the table in y, ``(lo, hi, start, (lo_bound,
+        hi_bound))``.
+
+        Inside the table the cell lies between two levels, its bounds, and the
+        start is the cell's cubic, kept inside it.  Beyond an end level the cell
+        reaches to the support's end.  Toward a finite end the start follows the
+        power law of the mass that meets the end level's mass and density; toward
+        an infinite end it follows the end level's slope in zeta, the end is a
+        bound, and the bracket reaches twice as far out.
+        """
+        tab = self._table
+        y = tab.y
+        z = np.where(upper, -1.0, 1.0) * norm_quantile(tail)
+        k = np.searchsorted(tab.zeta, z)
+        j = np.clip(k - 1, 0, y.size - 2)
+        s = (np.where(tab.use_c[j], tail, z) - tab.u0[j]) / tab.h[j]
+        lo, hi = y[j], y[j + 1]
+        start = np.minimum(np.maximum(lo + s * (tab.a1[j] + s * (tab.a2[j] + s * tab.a3[j])),
+                                      lo), hi)
+        lo_bound, hi_bound = lo.copy(), hi.copy()
+        for out, n, end, mass in ((k == 0, 0, self.split.support[0], p),
+                                  (k == y.size, -1, self.split.support[1], 1.0 - p)):
+            if not out.any():
+                continue
+            if math.isinf(end):
+                x0 = y[n] + (z[out] - tab.zeta[n]) * tab.d_zeta[n]
+                reach = y[n] + 2.0 * (x0 - y[n])
+            else:
+                x0 = end + (y[n] - end) * (mass[out] / tab.end_mass[n]) ** (1.0 / tab.kappa[n])
+                reach = end
+            near, near_b, far, far_b = ((hi, hi_bound, lo, lo_bound) if n == 0
+                                        else (lo, lo_bound, hi, hi_bound))
+            near[out] = near_b[out] = y[n]
+            far[out], far_b[out] = reach, end
+            start[out] = x0
+        return lo, hi, start, (lo_bound, hi_bound)
+
+    def quantile(self, p):
+        """Solves P(Y <= y) = p up to the median, and P(Y > y) = 1 - p above it (for
+        -y, so that the solver's cdf increases)."""
+        p = np.asarray(p, dtype=float)
+        require(bool(((p > 0.0) & (p < 1.0)).all()), "p must lie in the open interval (0, 1)")
+        flat = p.reshape(-1)
+        upper = flat > 0.5
+        tail = np.where(upper, 1.0 - flat, flat)          # 1 - p is exact above 1/2
+        sign = np.where(upper, -1.0, 1.0)
+        lo, hi, start, (a, b) = self._start(flat, tail, upper)
+        lo, hi = np.where(upper, -hi, lo), np.where(upper, -lo, hi)
+        bounds = (np.where(upper, -b, a), np.where(upper, -a, b))
+        w = invert_monotone_cdf(lambda w: self.law(sign * w, upper), tail, lo, hi,
+                                sign * start, bounds=bounds, f_tol=1e-13, x_rel_tol=1e-14)
+        out = sign * w
+        return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
 
 def _decompose(marg: Marginal, split: _Split, q):
-    """`_pushed_pdf` of the marginal at the levels ``q``, its terms normalized
-    to the preimage weights; a level without any preimage raises `DomainError`."""
-    x, found, terms = _pushed_pdf(marg.pdf, split, q)
+    """The pushed density's terms of the marginal at the levels ``q``, normalized
+    to the preimage weights: ``(x, found, weights)``.  A level without any
+    preimage raises `DomainError`."""
+    x, found, _ = _piece_inverses(split, q)
+    xf, jac = _jacobian(split, x, found)
+    terms = _terms(marg.pdf(xf), jac, found)
     missing = ~found.any(axis=0)
-    if np.any(missing):
+    if missing.any():
         raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
                           f"under the transform at time {split.t}")
-    return x, found, terms / terms.sum(axis=0)
+    return xf, found, terms / terms.sum(axis=0)
 
 
 def preimage_weights(model: Model, transform: SpaceTimeTransform, t: float, q: float):
@@ -223,25 +465,8 @@ def push_transition(model: Model, transform: SpaceTimeTransform) -> Model:
 
 def pushforward_marginal(model: Model, transform: SpaceTimeTransform, t: float) -> Marginal:
     """Marginal of Y_{phi(t)} = psi(t, X_t): the law of X_t pushed through every piece."""
-    split = _Split(transform, model.interval, t)
-    marg = model.marginal(t)
-    ends = _piece_ends(marg.cdf, split)
-
-    def cdf(q):
-        out = np.clip(_pushed_cdf(marg.cdf, ends, split, np.asarray(q, dtype=float)), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def pdf(q):
-        out = _pushed_pdf(marg.pdf, split, q)[2].sum(axis=0)
-        return float(out) if out.ndim == 0 else out
-
-    center = float(transform.psi(t, marg.quantile(0.5)))
-
-    def quantile(p):
-        return invert_monotone_cdf(cdf, p, center - 1.0, center + 1.0, pdf=pdf,
-                                   f_tol=1e-13, x_rel_tol=1e-14)
-
-    return Marginal(t=float(transform.phi(t)), pdf=pdf, cdf=cdf, quantile=quantile)
+    law = _PushedMarginal(model.marginal(t), _Split(transform, model.interval, t))
+    return Marginal(t=float(transform.phi(t)), pdf=law.pdf, cdf=law.cdf, quantile=law.quantile)
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +484,24 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
     surface lives at the transformed times (phi(s), phi(t)).
     """
     require(t > s > model.t0, f"need t0 < s < t, got t0={model.t0}, s={s}, t={t}")
-    split_s, split_t = _Split(transform, model.interval, s), _Split(transform, model.interval, t)
-    marg_s = model.marginal(s)
-    push_s = pushforward_marginal(model, transform, s)
-    push_t = pushforward_marginal(model, transform, t)
-    kernel = model.kernel
+    push_s, push_t = (_PushedMarginal(model.marginal(r), _Split(transform, model.interval, r))
+                      for r in (s, t))
+    split_t, kernel = push_t.split, model.kernel
 
     def levels(u, v):
         # u and v get one ndim, so that the pieces axis put before q_v stays apart from z's
         nd = max(np.ndim(u), np.ndim(v))
         lift = lambda q: np.asarray(q).reshape((1,) * (nd - np.ndim(q)) + np.shape(q))
-        z, _, w = _decompose(marg_s, split_s, lift(push_s.quantile(u)))
+        z, _, w = _decompose(push_s.marg, push_s.split, lift(push_s.quantile(u)))
         return z, w, lift(push_t.quantile(v))
 
     def dens(u, v):
         z, w, q_v = levels(u, v)
-        pushed = _pushed_pdf(lambda x: kernel.pdf(s, z, t, x), split_t, q_v[None])[2]
-        return (w * pushed.sum(axis=0)).sum(axis=0) / push_t.pdf(q_v)
+        x, found, _ = _piece_inverses(split_t, q_v)
+        xf, jac = _jacobian(split_t, x, found)
+        pushed = _terms(kernel.pdf(s, z, t, xf[:, None]), jac[:, None], found[:, None])
+        marginal = _terms(push_t.marg.pdf(xf), jac, found).sum(axis=0)
+        return (w * pushed.sum(axis=0)).sum(axis=0) / marginal
 
     def cond(u, v):
         z, w, q_v = levels(u, v)
@@ -553,7 +779,7 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
         return float(out) if out.ndim == 0 else out
 
     def phi_inv(tau):
-        return invert_monotone_cdf(phi, tau, t_ref, t_ref + 1.0, pdf=dphi,
+        return invert_monotone_cdf(lambda t: (phi(t), dphi(t)), tau, t_ref, t_ref + 1.0,
                                    f_tol=1e-12, x_rel_tol=1e-13)
 
     def level(t):
@@ -590,9 +816,8 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
     def inverse(t, y):
         # psi(t, x) = y  <=>  space(t, x) = (y + level(t)) / sqrt(phi'(t)), d space/dx = 1/sigma
         target = (np.asarray(y, dtype=float) + level(t)) / np.sqrt(dphi(t))
-        return invert_monotone_cdf(lambda x: space(t, x), target, start, start,
-                                   pdf=lambda x: 1.0 / sig(x, t), bounds=spec.interval,
-                                   f_tol=0.0, x_rel_tol=1e-12)
+        return invert_monotone_cdf(lambda x: (space(t, x), 1.0 / sig(x, t)), target, start,
+                                   start, bounds=spec.interval, f_tol=0.0, x_rel_tol=1e-12)
 
     return SpaceTimeTransform(
         phi=phi, phi_inv=phi_inv, psi=psi, jacobian=jacobian,

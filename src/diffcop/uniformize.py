@@ -41,13 +41,6 @@ __all__ = [
 
 _DERIV_REL = 1e-5    # relative step for coefficient derivatives
 
-# How `_coefficients` reads numbers: (cast, square).  A scalar u runs on Python floats, at
-# the cost of scalar arithmetic, an array u on float arrays.  Both square by libm pow, as
-# float ** 2 does: ndarray ** 2 multiplies, which rounds differently about once in a
-# thousand, and an array would then not equal a loop of scalar calls.
-_SCALAR = (float, lambda a: a ** 2)
-_ARRAY = (lambda a: np.asarray(a, dtype=float), lambda a: np.float_power(a, 2))
-
 
 def _coefficients(model: Model, law, u, s: float, dF_ds):
     """(drift, diffusion) of the uniformized process at x = law.quantile(u), time s.
@@ -60,7 +53,7 @@ def _coefficients(model: Model, law, u, s: float, dF_ds):
     """
     # isinstance first: np.ndim of a float goes through a caught AttributeError
     scalar = isinstance(u, float) or np.ndim(u) == 0
-    val, square = _SCALAR if scalar else _ARRAY
+    val = float if scalar else (lambda a: np.asarray(a, dtype=float))
     u = val(u)
     lo, hi = (u, u) if scalar else (u.min(initial=0.5), u.max(initial=0.5))  # empty u passes
     require(0.0 < lo and hi < 1.0, f"u = {lo if not 0.0 < lo else hi} lies outside (0, 1)")
@@ -71,7 +64,7 @@ def _coefficients(model: Model, law, u, s: float, dF_ds):
     mu_x = val(model.spec.drift(x, s))
     sg_x = val(model.spec.diffusion(x, s))
     drift = mu_x * f if dF_ds is None else val(dF_ds(x)) + mu_x * f
-    return drift + 0.5 * square(sg_x) * fp, sg_x * f
+    return drift + 0.5 * (sg_x * sg_x) * fp, sg_x * f
 
 
 def uniformized_coefficients(model: Model, u, s: float):
@@ -142,7 +135,7 @@ def kolmogorov_copula_residual(surface: CopulaSurface, model: Model,
     ds = (np.asarray(model.kernel.cdf(s + h_s, xu_p, t, xv), dtype=float)
           - np.asarray(model.kernel.cdf(s - h_s, xu_m, t, xv), dtype=float)) / (2.0 * h_s)
 
-    resid = ds + mu_c * du1 + 0.5 * np.float_power(sg_c, 2) * du2    # pow, as in _coefficients
+    resid = ds + mu_c * du1 + 0.5 * (sg_c * sg_c) * du2
     return float(np.max(np.abs(resid)))
 
 

@@ -58,40 +58,63 @@ def _inside_only(f, lo, hi):
     return guarded
 
 
+def _law(cdf, pdf=None):
+    """The ``(cdf, pdf)`` pair that `invert_monotone_cdf` evaluates, pdf None if absent."""
+    return lambda x: (cdf(x), None if pdf is None else pdf(x))
+
+
 @pytest.mark.parametrize("p", [1e-12, 0.3, 1.0 - 1e-9])
 def test_solver_grows_toward_finite_bounds_without_reaching_them(p):
     # x^2 on (0, 1) from the point bracket [0.5, 0.5]: each side halves its way toward its bound
-    x = invert_monotone_cdf(_inside_only(np.square, 0.0, 1.0), p, 0.5, 0.5,
-                            pdf=lambda x: 2.0 * x, bounds=(0.0, 1.0))
+    x = invert_monotone_cdf(_inside_only(_law(np.square, lambda x: 2.0 * x), 0.0, 1.0), p,
+                            0.5, 0.5, bounds=(0.0, 1.0))
     assert x * x == pytest.approx(p, rel=1e-12, abs=0)
 
 
 def test_solver_never_evaluates_an_end_on_its_bound():
     p = np.array([1e-10, 0.5, 0.999])
-    x = invert_monotone_cdf(_inside_only(lambda x: -np.expm1(-x), 0.0, np.inf), p, 0.0, 1.0,
-                            pdf=lambda x: np.exp(-x), bounds=(0.0, np.inf))
+    x = invert_monotone_cdf(_inside_only(_law(lambda x: -np.expm1(-x), lambda x: np.exp(-x)),
+                                         0.0, np.inf), p, 0.0, 1.0, bounds=(0.0, np.inf))
     np.testing.assert_allclose(x, -np.log1p(-p), rtol=1e-12, atol=0)
 
 
 def test_solver_reaches_a_far_target_of_log():
     # the lower end halves from 5 toward the bound 0 until log(lo) <= -20
-    x = invert_monotone_cdf(_inside_only(np.log, 0.0, np.inf), -20.0, 5.0, 6.0,
-                            pdf=lambda x: 1.0 / x, bounds=(0.0, np.inf))
+    x = invert_monotone_cdf(_inside_only(_law(np.log, lambda x: 1.0 / x), 0.0, np.inf), -20.0,
+                            5.0, 6.0, bounds=(0.0, np.inf))
     assert x == pytest.approx(math.exp(-20.0), rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("cdf, p, bounds", [
-    (special.norm_cdf, 1.5, (-np.inf, np.inf)),      # 200 moves toward +inf
-    (_inside_only(np.square, 0.0, 1.0), 2.0, (0.0, 1.0)),    # the upper end would land on 1
-    (_inside_only(np.square, 0.0, 1.0), -1.0, (0.0, 1.0)),   # 200 halvings toward 0
+@pytest.mark.parametrize("law, p, bounds", [
+    (_law(special.norm_cdf), 1.5, (-np.inf, np.inf)),      # 200 moves toward +inf
+    (_inside_only(_law(np.square), 0.0, 1.0), 2.0, (0.0, 1.0)),    # the upper end would land on 1
+    (_inside_only(_law(np.square), 0.0, 1.0), -1.0, (0.0, 1.0)),   # 200 halvings toward 0
 ], ids=["infinite_bound", "finite_upper", "finite_lower"])
-def test_solver_rejects_an_unreachable_target(cdf, p, bounds):
+def test_solver_rejects_an_unreachable_target(law, p, bounds):
     with pytest.raises(NumericsError, match="bracket growth failed"):
-        invert_monotone_cdf(cdf, p, 0.5, 0.5, bounds=bounds)
+        invert_monotone_cdf(law, p, 0.5, 0.5, bounds=bounds)
+
+
+def test_solver_starts_at_start_inside_per_root_bounds():
+    # each root gets its own bracket, with both ends on its bounds: no end is evaluated,
+    # and the first evaluation is at the start
+    p = np.array([0.1, 0.5, 0.9])
+    root = special.norm_quantile(p)
+    lo, hi = root - np.array([0.5, 0.1, 0.2]), root + np.array([0.1, 0.3, 0.05])
+    seen = []
+
+    def law(x):
+        assert np.all((lo < x) & (x < hi)), "evaluated outside the bounds"
+        seen.append(x.copy())
+        return special.norm_cdf(x), special.norm_pdf(x)
+    start = root + 1e-3
+    x = invert_monotone_cdf(law, p, lo, hi, start, bounds=(lo, hi), f_tol=1e-13)
+    np.testing.assert_array_equal(seen[0], start)
+    np.testing.assert_allclose(x, root, rtol=1e-14, atol=1e-15)
 
 
 def test_solver_returns_a_float_for_a_scalar_and_the_shape_of_an_array():
-    solve = lambda p: invert_monotone_cdf(special.norm_cdf, p, -1.0, 1.0)
+    solve = lambda p: invert_monotone_cdf(_law(special.norm_cdf), p, -1.0, 1.0)
     for p in (0.3, np.float64(0.3), np.array(0.3)):
         assert type(solve(p)) is float
     p = np.array([[0.1, 0.5], [0.9, 1e-6]])

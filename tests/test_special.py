@@ -406,11 +406,11 @@ class TestMonotoneInversion:
     def test_unconverged_root_raises(self):
         # three bisections of [-50, 50] stop at -6.25, whose cdf is 2.1e-10, not 0.3
         with pytest.raises(NumericsError):
-            invert_monotone_cdf(ndtr, 0.3, -50.0, 50.0, max_iter=3)
+            invert_monotone_cdf(lambda x: (ndtr(x), None), 0.3, -50.0, 50.0, max_iter=3)
 
     def test_tolerance_relative_to_tail(self):
         # an absolute f_tol of 1e-9 would accept any x whose cdf is below 1.001e-9
-        x = invert_monotone_cdf(ndtr, 1e-12, -50.0, 50.0, f_tol=1e-9)
+        x = invert_monotone_cdf(lambda x: (ndtr(x), None), 1e-12, -50.0, 50.0, f_tol=1e-9)
         assert ndtr(x) == pytest.approx(1e-12, rel=1e-9, abs=0)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -15,6 +16,30 @@ from quad_oracle import integrate
 
 OU_P = {"alpha": 0.8, "beta": 0.5, "sigma": 0.7}
 CIR_P = {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}
+TAIL_P = [1e-15, 1e-12, 1e-9, 0.3, 1.0 - 1e-9]
+
+
+def folded_normal(t):
+    """|BM| at time t: its pushed marginal and, at 30 digits, the root
+    sqrt(2t) erfinv(p) with the density there."""
+    def exact(p):
+        with mp.workdps(30):
+            root = mp.sqrt(2 * t) * mp.erfinv(mp.mpf(p))
+            return root, 2 * mp.npdf(root / mp.sqrt(t)) / mp.sqrt(t)
+    bm = models.make_model("bm", x0=0.0)
+    return stt.pushforward_marginal(bm, stt.absolute_value(), t), exact
+
+
+def special_cir(t, alpha=0.6, sigma=1.1):
+    """BM through bm_to_special_cir: Y = sigma^2 X^2 / (4 (alpha t + 1)) is a scaled
+    chi-square(1), with root sigma^2 t erfinv(p)^2 / (2 (alpha t + 1))."""
+    def exact(p):
+        with mp.workdps(30):
+            e = mp.erfinv(mp.mpf(p))
+            root = sigma ** 2 * t * e * e / (2 * (alpha * t + 1))
+            return root, mp.exp(-e * e) * e / (mp.sqrt(mp.pi) * root)
+    chain = stt.builtin_chain("bm_to_special_cir", alpha=alpha, sigma=sigma)
+    return stt.pushforward_marginal(models.make_model("bm", x0=0.0), chain, t), exact
 
 
 def ou_model(x0=0.3):
@@ -158,6 +183,44 @@ class TestPushforwardMarginal:
                                                          / math.sqrt(t), 0.0), rtol=1e-14)
         p = np.array([0.01, 0.5, 0.99])
         np.testing.assert_allclose(marg.cdf(marg.quantile(p)), p, rtol=1e-12)
+
+    @pytest.mark.parametrize("law", [folded_normal, special_cir])
+    @pytest.mark.parametrize("p", TAIL_P)
+    def test_tail_quantile_against_mpmath(self, law, p):
+        # the masses near the fold are integrated, not differenced, and the upper half is
+        # solved on the survival side, so the tails hold the central accuracy
+        marg, exact = law(2.0)
+        root = float(exact(p)[0])
+        assert marg.quantile(p) == pytest.approx(root, rel=1e-12, abs=0)
+        assert marg.quantile(np.array(TAIL_P))[TAIL_P.index(p)] == pytest.approx(root, rel=1e-12,
+                                                                               abs=0)
+
+    @pytest.mark.parametrize("law", [folded_normal, special_cir])
+    def test_quantile_near_one(self, law):
+        # a double p fixes its quantile only to within a few ulps of p, which the density
+        # at the root turns into a width
+        p = 1.0 - 1e-12
+        marg, exact = law(2.0)
+        root, dens = (float(v) for v in exact(p))
+        assert abs(marg.quantile(p) - root) <= 1e-12 * root + 4.0 * np.spacing(p) / dens
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_quantile_rejects_p_outside_the_open_interval(self, p):
+        marg = folded_normal(2.0)[0]
+        for arg in (p, np.array([0.3, p])):
+            with pytest.raises(DomainError, match=r"p must lie in the open interval \(0, 1\)"):
+                marg.quantile(arg)
+
+    def test_benchmark_grids_never_integrate(self, monkeypatch):
+        # at the |BM| grids' levels, p >= 1/(2n), no piece mass cancels: the exact
+        # branch, one `integrate` call, stays out of their quantile solves
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate called")
+        monkeypatch.setattr(stt, "integrate", refuse)
+        bm = models.make_model("bm", x0=0.0)
+        for n, (s, t) in zip((7, 9, 11), [(0.5, 1.0), (1.0, 2.0), (1.9, 3.9)]):
+            grid = copula.grid_eval(stt.nonmonotone_copula(bm, stt.absolute_value(), s, t), n)
+            assert np.all(np.isfinite(grid) & (grid > 0.0))
 
 
 class TestNonmonotone:
@@ -303,16 +366,28 @@ class TestCallEconomy:
         assert calls == {"pdf": 1, "cdf": 1}
 
     def test_nonmonotone_mesh_calls_at_most_the_seed_count(self, calls):
-        # 3 x 3 meshes at (1, 2); most calls are the Newton steps of the two quantile solves
+        # 3 x 3 meshes at (1, 2).  Each quantile solve makes one call of each law for its
+        # start table and one per Newton step (3 here), and the first mesh builds both tables
+        # (at the parent: cdf 28, then pdf 22 and cdf 20)
         surf = stt.nonmonotone_copula(models.make_model("bm", x0=0.0), stt.absolute_value(),
                                       1.0, 2.0)
         mesh = np.array([0.1, 0.5, 0.9])
         calls.update(pdf=0, cdf=0)
         surf.conditional(mesh[None, :], mesh[:, None])
-        assert calls["cdf"] <= 28
+        assert calls["cdf"] <= 10 and calls["pdf"] <= 9
         calls.update(pdf=0, cdf=0)
         surf.density(mesh[None, :], mesh[:, None])
-        assert calls["pdf"] <= 22 and calls["cdf"] <= 20
+        assert calls["pdf"] <= 9 and calls["cdf"] <= 6
+
+    @pytest.mark.parametrize("p, cdf, pdf", [(0.3, 4, 4), (1e-12, 3, 5)])
+    def test_quantile_calls_the_law_a_few_times(self, calls, p, cdf, pdf):
+        # one call of each for the start table, then one of each per Newton step; at 1e-12
+        # the cancelled fold masses add one pdf call each, inside `integrate` (at the
+        # parent: 7 cdf and 4 pdf calls at 0.3, 52 and 49 at 1e-12)
+        marg = stt.pushforward_marginal(models.make_model("bm", x0=0.0), stt.absolute_value(), 2)
+        calls.update(pdf=0, cdf=0)
+        marg.quantile(p)
+        assert calls["cdf"] <= cdf and calls["pdf"] <= pdf
 
 
 class TestTheorem7Constructive:
