@@ -113,6 +113,22 @@ def test_solver_starts_at_start_inside_per_root_bounds():
     np.testing.assert_allclose(x, root, rtol=1e-14, atol=1e-15)
 
 
+def test_solver_takes_the_last_evaluations_newton_step():
+    # a start 1e-4 off meets f_tol = 1e-3 at once; the Newton step of that one evaluation,
+    # taken without another, leaves the root about 1e-8 off
+    p = np.array([0.2, 0.7])
+    root = special.norm_quantile(p)
+    calls = []
+
+    def law(x):
+        calls.append(x)
+        return special.norm_cdf(x), special.norm_pdf(x)
+    x = invert_monotone_cdf(law, p, root - 0.1, root + 0.1, root * (1.0 + 1e-4),
+                            bounds=(root - 0.1, root + 0.1), f_tol=1e-3)
+    assert len(calls) == 1
+    np.testing.assert_allclose(x, root, rtol=1e-7, atol=0)
+
+
 def test_solver_returns_a_float_for_a_scalar_and_the_shape_of_an_array():
     solve = lambda p: invert_monotone_cdf(_law(special.norm_cdf), p, -1.0, 1.0)
     for p in (0.3, np.float64(0.3), np.array(0.3)):
