@@ -3,13 +3,14 @@
 Every inversion of the package goes through `invert_monotone_cdf`, one
 safeguarded Newton/bisection solver that first grows its bracket inside the
 state space: the quantiles that scipy does not provide (the reflected-BM
-kernel, pushed-forward marginals) and the inverses of the Wiener time change
-and space map.
+kernel, pushed-forward marginals, the far left tail of the noncentral
+chi-square law) and the inverses of the Wiener time change and space map.
 
 Every integral of the package goes through `integrate`, one vectorized
 adaptive Gauss-Legendre engine: the copula CDFs and conditionals, the
 Brownian-transformability integrals and the Wiener transformation of `stt`,
-and the acceptance checks of `validation`.
+the far left tail of the noncentral chi-square cdf, and the acceptance
+checks of `validation`.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The noncentral chi-square cdf and quantile are validated wrappers over
 scipy's compiled ``scipy.special.chndtr`` and ``scipy.special.chndtrix``.
-The density, `chi2nc_pdf`, takes one of two routes per element (`_pdf`):
+The density, `chi2nc_pdf`, takes one of three routes per element (`_pdf`):
 
 * lam <= 50: the Boost density behind ``scipy.stats.ncx2``,
   ``scipy.special._ufuncs._ncx2_pdf``, at 0.03-1.3 us per element.  That
@@ -12,12 +12,19 @@ The density, `chi2nc_pdf`, takes one of two routes per element (`_pdf`):
 
       f(z; nu, lam) = 1/2 exp(-(z+lam)/2) (z/lam)^{(nu-2)/4} I_{(nu-2)/2}(sqrt(lam z)),
 
-  evaluated in logs with scipy's exponentially scaled Amos routine ``ive``
-  (Amos, ACM TOMS 12, 1986), at 0.2-0.6 us per element whatever lam is.
-  Boost sums the Poisson mixture outward from its mode there (Benton &
-  Krishnamoorthy, Comput. Stat. Data Anal. 43, 2003), at 0.6-1 us per element
-  at lam = 60, 3 us at 1e4 and 26 us at 1e6.  Where ``ive`` underflows (a
-  large order at a small argument), the form is summed as a 0F1 series in logs.
+  evaluated in logs (`_bessel_form`).  Boost sums the Poisson mixture outward
+  from its mode there (Benton & Krishnamoorthy, Comput. Stat. Data Anal. 43,
+  2003), at 0.6-1 us per element at lam = 60, 3 us at 1e4 and 26 us at 1e6.
+  The Bessel factor I_a(x) e^{-x}, a = nu/2 - 1, takes one of two routes:
+
+  - a < 50: scipy's exponentially scaled Amos routine ``ive`` (Amos, ACM
+    TOMS 12, 1986), at 0.2-1.4 us per element whatever lam is.  Where
+    ``ive`` underflows (a large order at a small argument), the form is
+    summed as a 0F1 series in logs.
+  - a >= 50: its log from the uniform asymptotic expansion of I_a (DLMF
+    10.41.3) with the Debye polynomials u_1..u_6 (`_add_log_ive`), at
+    0.03-0.05 us per element, 7-28 times less than ``ive`` at the same
+    points.  In logs it does not underflow.
 
 Far in the left tail Boost's series starts from a term that underflows: it
 returned exactly 0 for normal doubles such as 9.6e-23 at (nu, lam, z) =
@@ -25,12 +32,17 @@ returned exactly 0 for normal doubles such as 9.6e-23 at (nu, lam, z) =
 off by up to 66% at lam <= 50.  Its values below 1e-100 are therefore taken from
 the Bessel form, so the left tail no longer underflows to 0.  For nu <= 1000,
 lam <= 1e5 and z from 1e-8 to mean + 8 sd the density is within 1e-12
-relative of mpmath wherever it is a normal double (worst seen 4.6e-13); above
+relative of mpmath wherever it is a normal double (worst seen 6.5e-13); above
 nu = 1000 every element is Boost's.
+
+``chndtr`` has the same defect far in the left tail (0 for 7.0e-69 at
+(5, 300, 0.1)), so `chi2nc_cdf` takes its values below 1e-30 from the
+integral of the density (`_cdf`), and `chi2nc_quantile` solves probabilities
+below 1e-30 against that cdf.
 
 The same Bessel form summed in linear arithmetic by `bessel_i`
 (`chi2nc_pdf_bessel_form`) is kept as an independent route, and the
-validation suite cross-checks the two at lam up to 200.
+validation suite cross-checks the two at lam up to 200 and nu up to 120.
 
 `chi2nc_quantile` has one fixed-law path for many probabilities of one law
 (scalar ``lam``, at least ``_FIXED_LAW_MIN_SIZE`` points): the fast numerical
@@ -59,6 +71,7 @@ import numpy as np
 from scipy.special import chndtr, chndtrix, erfc, gammaln, ive, ndtr, ndtri
 from scipy.special._ufuncs import _ncx2_pdf
 
+from ._numerics import integrate, invert_monotone_cdf
 from .errors import DomainError, NumericsError
 
 __all__ = [
@@ -192,13 +205,16 @@ def _validate_nu_lambda(nu: float, lam) -> np.ndarray:
 # Below lam = 50 the form costs up to 9x Boost's time: 0.47 against 0.05 us at
 # nu = 2, lam = 5, and 1.5 against 0.5 us at nu = 100, lam = 20.
 _BESSEL_MIN_LAM = 50.0
-# ...and for nu up to this.  Worst relative error of the scaled form against
-# mpmath at 25 points from z = 1e-8 to mean + 8 sd, lam from 50 to 1e5: 1.9e-13
-# up to nu = 625, 2.9e-13 at 1000, 2.3e-13 at 2000, 6.2e-13 at 3000.  From
-# nu = 2000 on, ive underflows across the bulk for lam up to 100, so the form
-# would only add its cost to Boost's.  Above this bound every element is Boost's.
-# (Random sweeps of `chi2nc_pdf`, 6300 points with nu in [0.3, 1000], lam in
-# [0, 1e5]: worst 4.6e-13 where the density is a normal double.)
+# ...and for nu up to this.  Worst relative error of the form against mpmath at 25
+# points per law from z = 1e-8 to mean + 8 sd, lam from 50 to 1e5, with the uniform
+# expansion from order 50 on: 1.3e-13 at nu = 625, 2.5e-13 at 1000, 4.6e-13 at 2000,
+# 6.2e-13 at 3000, 2.2e-12 at 5000, 2.9e-12 at 7000, 3.5e-12 at 1e4.  The error grows
+# about as a times the rounding of the exponent's terms, each of order a (a/2 log(z/lam)
+# and a asinh(a/x) cancel), so above some nu between 3000 and 5000 the form misses
+# 1e-12.  Above this bound every element is Boost's.  (Three random sweeps of
+# `chi2nc_pdf`, 6300 points each with nu in [0.3, 1000], lam in [0, 1e5]: worst 4.8e-13,
+# 5.4e-13 and 6.5e-13 where the density is a normal double, the last at lam = 0 on
+# the 0F1 series; the form with ive alone read 6.4e-13, 5.2e-13 and 6.5e-13.)
 _BESSEL_MAX_NU = 1000.0
 # Boost's values below this are recomputed by the Bessel form.  Far in the left
 # tail its Poisson series starts from a term that underflows, or its Bessel branch
@@ -206,19 +222,44 @@ _BESSEL_MAX_NU = 1000.0
 # 1e-8 to the mean, 129 were off by more than 1e-12 (106 of them exactly 0), all
 # below 5e-147.
 _BOOST_MIN_PDF = 1e-100
+# `_bessel_form` takes the Bessel factor's log from the uniform expansion from this
+# order a = nu/2 - 1 on, and scipy's ive below it.  The expansion's first omitted term
+# is at most max|u_7| / a^7 = 0.065 / a^7: 8.5e-14 at a = 50.  Worst absolute error in
+# log(I_a(x) e^{-x}) against mpmath, x from 1e-2 to 1e5 where ive is a normal double,
+# expansion against ive: 5.1e-11 / 5.7e-14 at a = 20, 3.0e-12 / 5.7e-14 at 30,
+# 4.0e-13 / 5.7e-14 at 40, 1.1e-13 / 1.1e-13 at 50 and 60, 1.1e-13 / 1.1e-13 at 300.
+# Worst relative error of the density against mpmath (25 points per law, lam from 50
+# to 1e5), expansion against ive: 3.9e-13 / 2.1e-13 at nu = 82, 1.5e-13 / 1.2e-13 at
+# 102, 9.2e-14 / 1.3e-13 at 162.  Per element on 40401 points across mean +- 5 sd,
+# best of 7, 2-vCPU x86-64, scipy 1.17.1: 40 against 1105 ns at (nu, lam) = (102, 100),
+# 46 against 313 ns at (102, 1e4), 41 against 418 ns at (625, 12000).
+_DEBYE_MIN_ORDER = 50.0
+# The Debye polynomials u_1..u_6 of DLMF 10.41.10: u_k(p) = sum_i _DEBYE_U[k-1][i] p^(k+2i).
+_DEBYE_U = (
+    (1/8, -5/24),
+    (9/128, -77/192, 385/1152),
+    (75/1024, -4563/5120, 17017/9216, -85085/82944),
+    (3675/32768, -96833/40960, 144001/16384, -7436429/663552, 37182145/7962624),
+    (59535/262144, -67608983/9175040, 250881631/5898240, -108313205/1179648,
+     5391411025/63700992, -5391411025/191102976),
+    (2401245/4194304, -388895895/14680064, 1441372804469/6606028800, -33010308331/47185920,
+     4445922195/4194304, -1169936192425/1528823808, 5849680962125/27518828544),
+)
 _TINY = np.finfo(float).tiny
 
 
 def _bessel_form(z, nu: float, lam):
     """The density from its Bessel form in logs; NaN where it is not finite and positive.
 
-    With a = nu/2 - 1 and the exponentially scaled ``ive``,
+    With a = nu/2 - 1 and the exponentially scaled I_a(x) e^{-x}, x = sqrt(lam z),
 
-        f = 1/2 exp(a/2 log(z/lam) - (sqrt z - sqrt lam)^2 / 2) ive(a, sqrt(lam z)),
+        f = 1/2 exp(a/2 log(z/lam) - (sqrt z - sqrt lam)^2 / 2) I_a(x) e^{-x},
 
-    sqrt z - sqrt lam taken as (z - lam)/(sqrt z + sqrt lam).  Where ``ive`` is not
-    a normal double (a large order at a small argument) or that is not finite,
-    the same density is summed as
+    sqrt z - sqrt lam taken as (z - lam)/(sqrt z + sqrt lam).  Below the order
+    ``_DEBYE_MIN_ORDER`` the Bessel factor is scipy's ``ive``, and from it on its
+    log is `_add_log_ive`'s uniform expansion.  Where ``ive`` is not a normal
+    double (a large order at a small argument) or the form is not finite, the
+    same density is summed as
 
         f = 1/2 exp(a log(z/2) - (z + lam)/2 - ln Gamma(a + 1)) 0F1(; a + 1; lam z / 4),
 
@@ -226,7 +267,7 @@ def _bessel_form(z, nu: float, lam):
     """
     a = 0.5 * nu - 1.0
     with np.errstate(all="ignore"):
-        # in place where it can be: at most two arrays of the broadcast size live at once
+        # in place where it can be: at most three arrays of the broadcast size live at once
         rz, rl = np.sqrt(z), np.sqrt(lam)
         out = np.asarray(np.add(rz, rl))
         np.divide(np.subtract(z, lam), out, out=out)
@@ -236,9 +277,15 @@ def _bessel_form(z, nu: float, lam):
         np.log(t, out=t)
         t *= 0.5 * a
         out += t
-        ive(a, np.multiply(rz, rl, out=t), out=t)
-        low = ~(t >= _TINY)
-        out += np.log(t, out=t)
+        np.multiply(rz, rl, out=t)
+        del rz, rl
+        if a < _DEBYE_MIN_ORDER:
+            ive(a, t, out=t)
+            low = ~(t >= _TINY)
+            out += np.log(t, out=t)
+        else:
+            _add_log_ive(out, t, a)
+            low = False
         del t
         np.exp(out, out=out)
         out *= 0.5
@@ -249,6 +296,48 @@ def _bessel_form(z, nu: float, lam):
                                     + np.log(_hyp0f1(a + 1.0, 0.25 * ll * zl, 1e-16)))
         out[~((out > 0.0) & (out < np.inf))] = np.nan
     return out
+
+
+def _add_log_ive(out: np.ndarray, x: np.ndarray, a: float) -> None:
+    """out += log(I_a(x) e^{-x}) by the uniform asymptotic expansion; overwrites x.
+
+    With w = x/a, r = sqrt(1 + w^2) and p = 1/r (DLMF 10.41.3, 10.41.9),
+
+        log(I_a(x) e^{-x}) = a (1/(r + w) - asinh(1/w)) - 1/2 log(2 pi a) + 1/2 log p
+                             + log(1 + sum_{k=1..6} u_k(p) / a^k),
+
+    asinh(1/w) being log((1 + r)/w) without its cancellation at large w.  The
+    sum is folded into one polynomial in p for this a and taken by Horner's
+    scheme, in place: one more array of x's size is made.
+    """
+    c = [1.0] + [0.0] * (3 * len(_DEBYE_U))
+    for k, u in enumerate(_DEBYE_U, 1):
+        ak = a ** -k
+        for i, coef in enumerate(u):
+            c[k + 2 * i] += coef * ak
+    x /= a
+    v = np.empty_like(x)
+    np.reciprocal(x, out=v)
+    np.arcsinh(v, out=v)
+    v *= a
+    out -= v
+    np.multiply(x, x, out=v)
+    v += 1.0
+    np.sqrt(v, out=v)
+    x += v
+    np.divide(a, x, out=x)
+    out += x
+    np.reciprocal(v, out=v)
+    np.multiply(v, c[-1], out=x)
+    for cj in c[-2:0:-1]:
+        x += cj
+        x *= v
+    x += 1.0
+    out += np.log(x, out=x)
+    np.log(v, out=v)
+    v *= 0.5
+    out += v
+    out -= 0.5 * math.log(2.0 * math.pi * a)
 
 
 def _pdf(z, nu: float, lam):
@@ -332,13 +421,42 @@ def _chi2nc_pdf_dz(z, nu: float, lam):
     return float(out) if out.ndim == 0 else out
 
 
+# `chi2nc_cdf` takes chndtr's values below this from the integral of the density.
+# Far in the left tail Boost's sum starts from terms that underflow: it returns 0
+# for 7.0e-69 at (nu, lam, z) = (5, 300, 0.1) and for 7.1e-239 at (625, 1e4, 5000).
+# Against that integral, at 80 points per law from z = 1e-8 to mean - 3 sd, nu from
+# 0.3 to 1000: 4258 of 11415 values at lam from 20 to 1e5 and 60 lam from 150 to 400
+# were off by more than 1e-12, all below 8.6e-44 (most near lam = 200; none at
+# lam <= 100 or >= 1e4).  The integral is within 1.7e-13 of mpmath at 8 points.
+_CHNDTR_MIN_CDF = 1e-30
+
+
+def _cdf(z, nu: float, lam):
+    """``chndtr`` at z >= 0, its values below ``_CHNDTR_MIN_CDF`` redone as the
+    integral of `_pdf` from 0, where the density is exact."""
+    out = np.asarray(chndtr(z, nu, lam))
+    redo = out < _CHNDTR_MIN_CDF
+    if redo.any():
+        zb, lb = np.broadcast_arrays(z, lam)
+        # `at` carries each integral's lam to the density; the split it also sets is
+        # clipped into [0, z], so any value serves
+        out[redo] = integrate(lambda x, lx: _pdf(x, nu, lx), 0.0, zb[redo], lb[redo],
+                              abs_tol=0.0, rel_tol=1e-13)
+    return out
+
+
 def chi2nc_cdf(z, nu: float, lam):
-    """Noncentral chi-square distribution function; ``lam`` may be an array."""
+    """Noncentral chi-square distribution function; ``lam`` may be an array.
+
+    scipy's ``chndtr``, except that its values below 1e-30 come from the
+    integral of `chi2nc_pdf` (see `_cdf`): within 1e-12 relative of mpmath
+    into the far left tail, where ``chndtr`` returns 0.
+    """
     lam = _validate_nu_lambda(nu, lam)
     arr, scalar = _principal(z, "z", allow_inf=True)
     if np.any(arr < 0.0):
         raise DomainError("z must be nonnegative")
-    return _unwrap(chndtr(arr, nu, lam), scalar and lam.ndim == 0)
+    return _unwrap(_cdf(arr, nu, lam), scalar and lam.ndim == 0)
 
 
 # The fixed-law path of `chi2nc_quantile` (see the module docstring) runs from this
@@ -361,15 +479,28 @@ def chi2nc_quantile(p, nu: float, lam):
 
     Many probabilities of one law (scalar ``lam``, at least
     ``_FIXED_LAW_MIN_SIZE`` points) take the checked fixed-law path of the
-    module docstring; the rest are ``chndtrix``.
+    module docstring; the rest are ``chndtrix``.  Probabilities below
+    ``_CHNDTR_MIN_CDF``, where ``chndtr`` is not exact, are then solved
+    against `chi2nc_cdf` by `invert_monotone_cdf`, from a bracket whose
+    upper end is that first root.
     """
     lam = _validate_nu_lambda(nu, lam)
     arr, scalar = _principal(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("p must lie in the open interval (0, 1)")
     if lam.ndim == 0 and arr.size >= _FIXED_LAW_MIN_SIZE:
-        return _fixed_law_quantile(arr.ravel(), nu, float(lam)).reshape(arr.shape)
-    return _unwrap(chndtrix(arr, nu, lam), scalar and lam.ndim == 0)
+        out = _fixed_law_quantile(arr.ravel(), nu, float(lam)).reshape(arr.shape)
+    else:
+        out = chndtrix(arr, nu, lam)
+    if arr.min(initial=1.0) < _CHNDTR_MIN_CDF:           # also for an empty p
+        tail = np.broadcast_to(arr < _CHNDTR_MIN_CDF, out.shape)
+        pt, lt = (np.broadcast_to(v, out.shape)[tail] for v in (arr, lam))
+        law = lambda x: (_cdf(x, nu, lt), _pdf(x, nu, lt))
+        # chndtr reads low there, so its root lies above the true one; the solver
+        # grows the bracket where it does not
+        hi = np.where(out[tail] > 0.0, out[tail], 1.0)
+        out[tail] = invert_monotone_cdf(law, pt, 0.0, hi, bounds=(0.0, np.inf))
+    return _unwrap(out, scalar and lam.ndim == 0)
 
 
 def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:

@@ -86,9 +86,10 @@ def _criterion_1() -> list[CheckResult]:
     checks.append(_check("noncentral chi-square quantile round trip", worst_rt, 1e-8))
 
     worst_rel = 0.0
-    for nu in (2.0, 3.0, 4.0, 25.0):
-        # lam = 100 and 200 reach the scaled Bessel route of chi2nc_pdf; bessel_i
-        # still converges there, in at most 88 of its 200 terms
+    for nu in (2.0, 3.0, 4.0, 25.0, 120.0):
+        # lam = 100 and 200 reach the scaled Bessel route of chi2nc_pdf, with ive below
+        # nu = 102 and the uniform expansion at 120; bessel_i still converges there, in
+        # at most 88 of its 200 terms
         for lam in (0.5, 1.0, 10.0, 50.0, 100.0, 200.0):
             for z in (0.4, 2.0, 10.0, 30.0, 50.0):
                 a = special.chi2nc_pdf(z, nu, lam)

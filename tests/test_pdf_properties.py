@@ -1,9 +1,11 @@
 """Property test of the noncentral chi-square density against mpmath.
 
 `special.chi2nc_pdf` takes the scaled Bessel form above lam = 50 and Boost's
-density below (see `special._pdf`).  Over nu up to the form's bound and lam up
-to 1e5, from mean + 8 sd down to z = 1e-8, it must agree with mpmath to 1e-12
-relative wherever the true density is a normal double.
+density below (see `special._pdf`); the form's Bessel factor is scipy's ``ive``
+below the order ``_DEBYE_MIN_ORDER`` and the uniform expansion from it on.
+Over nu up to the form's bound and lam up to 1e5, from mean + 8 sd down to
+z = 1e-8, it must agree with mpmath to 1e-12 relative wherever the true
+density is a normal double.
 """
 
 import math
@@ -20,6 +22,7 @@ from diffcop import special  # noqa: E402
 from test_special import mp_chi2nc_pdf  # noqa: E402
 
 NU_MAX = special._BESSEL_MAX_NU
+NU_DEBYE = 2.0 * (special._DEBYE_MIN_ORDER + 1.0)      # the order a = nu/2 - 1 meets the threshold
 TINY = np.finfo(float).tiny
 
 
@@ -66,3 +69,31 @@ def test_no_warnings_where_ive_underflows(nu, lam):
         f = special.chi2nc_pdf(z, nu, lam)
         df = special._chi2nc_pdf_dz(z, nu, lam)
     assert np.all(np.isfinite(f[1:]) & (f[1:] >= 0.0)) and np.all(np.isfinite(df[1:]))
+
+
+@pytest.mark.parametrize("nu", [np.nextafter(NU_DEBYE, 0.0), NU_DEBYE, 1.05 * NU_DEBYE])
+@pytest.mark.parametrize("lam", [60.0, 1e3, 1e5])
+def test_pdf_matches_mpmath_at_the_debye_order(nu, lam):
+    # ive one ulp of nu below the threshold, the uniform expansion at and above it;
+    # sqrt(lam z) from 1e-5, where ive underflows, to 1e5 (lam z = 1e10), and the bulk
+    z = np.concatenate([np.geomspace(1e-5, 1e5, 41) ** 2 / lam,
+                        spread(nu, lam, np.linspace(-8.0, 8.0, 9), [])])
+    got = special.chi2nc_pdf(z, nu, lam)
+    with mp.workdps(30):
+        ref = np.array([float(mp_chi2nc_pdf(zi, nu, lam)) for zi in z])
+    normal = ref >= TINY
+    assert normal.sum() >= 10
+    np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [50.0 * (1.0 + 1e-12), 300.0, 1e3, 1e5])
+def test_routes_meet_at_the_debye_order(lam):
+    # ive one ulp of nu below the order threshold, the uniform expansion at it.  From
+    # z = 1e-8 to mean + 8 sd the density moves by at most 8.2e-14 between the two
+    # (mpmath), and the routes differed by at most 2.3e-13.
+    below = np.nextafter(NU_DEBYE, 0.0)
+    assert 0.5 * below - 1.0 < special._DEBYE_MIN_ORDER == 0.5 * NU_DEBYE - 1.0
+    z = spread(NU_DEBYE, lam, np.linspace(-8.0, 8.0, 17), np.linspace(0.0, 1.0, 9))
+    at, under = special.chi2nc_pdf(z, NU_DEBYE, lam), special.chi2nc_pdf(z, below, lam)
+    normal = under >= TINY
+    np.testing.assert_allclose(at[normal], under[normal], rtol=1e-12, atol=0.0)

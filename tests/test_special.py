@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -204,14 +205,32 @@ class TestChi2ncPdf:
                 np.testing.assert_allclose(mine, dist.pdf(z), rtol=1e-10)
 
     def test_mixture_vs_bessel_form(self):
+        # nu = 120 reaches the uniform expansion at lam = 100 and 200
         worst = 0.0
-        for nu in (2.0, 3.0, 4.0, 25.0):
+        for nu in (2.0, 3.0, 4.0, 25.0, 120.0):
             for lam in (0.5, 1.0, 10.0, 50.0, 100.0, 200.0):
                 for z in (0.4, 2.0, 10.0, 30.0, 50.0):
                     a = special.chi2nc_pdf(z, nu, lam)
                     b = special.chi2nc_pdf_bessel_form(z, nu, lam)
                     worst = max(worst, abs(a - b) / b)
         assert worst <= 1e-8
+
+    def test_debye_polynomials_match_the_recurrence(self):
+        # DLMF 10.41.10: u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2 + int_0^p (1 - 5 t^2) u_k(t) dt / 8,
+        # in exact arithmetic, as coefficient lists in p
+        u = [Fraction(1)]
+        for row in special._DEBYE_U:
+            nxt = [Fraction(0)] * (len(u) + 3)
+            for j, c in enumerate(u):
+                if j:
+                    nxt[j + 1] += j * c / 2
+                    nxt[j + 3] -= j * c / 2
+                nxt[j + 1] += c / (8 * (j + 1))
+                nxt[j + 3] -= 5 * c / (8 * (j + 3))
+            u, k = nxt, len(nxt) // 3                  # u_k has degree 3k
+            assert [float(c) for c in u] == [
+                row[(j - k) // 2] if j >= k and (j - k) % 2 == 0 else 0.0 for j in range(len(u))]
+        assert len(special._DEBYE_U) == 6
 
     def test_left_tail_against_mpmath(self, mp30):
         ref = float(mp_chi2nc_pdf(0.1, 6.25, 100.0))
@@ -368,6 +387,30 @@ class TestChi2ncCdfQuantile:
         np.testing.assert_array_equal(special.chi2nc_quantile(same, 625.0, 12.0),
                                       chndtrix(same, 625.0, 12.0))
         np.testing.assert_array_equal(calls[-1], same)
+
+    @pytest.mark.parametrize("nu, lam, z", [(5.0, 300.0, 0.1), (1.0, 1000.0, 1.0),
+                                            (0.5, 200.0, 1e-3)])
+    def test_far_left_tail_cdf_against_mpmath(self, mp30, nu, lam, z):
+        # chndtr returns 0 at these points, 7.0e-69, 3.0e-206 and 6.4e-45
+        ref = float(mp_chi2nc_tail(z, nu, lam, False))
+        assert special.chi2nc_cdf(z, nu, lam) == pytest.approx(ref, rel=1e-12, abs=0)
+        assert special.chi2nc_cdf(np.array([z, nu + lam]), nu, lam)[0] == pytest.approx(
+            ref, rel=1e-12, abs=0)
+        # z is the root for the rounded ref to within the width that rounding allows;
+        # alone, among fixed-law points and with an array lam
+        width = 4.0 * np.spacing(ref) / float(mp_chi2nc_pdf(z, nu, lam))
+        n = special._FIXED_LAW_MIN_SIZE
+        for q in (special.chi2nc_quantile(ref, nu, lam),
+                  special.chi2nc_quantile(np.r_[np.linspace(0.01, 0.99, n), ref], nu, lam)[-1],
+                  special.chi2nc_quantile(ref, nu, np.array([lam, 2.0 * lam]))[0]):
+            assert abs(q - z) <= 1e-12 * z + width
+
+    def test_far_left_tail_quantile_against_mpmath(self, mp30):
+        # chndtrix returned 0.8898 here, where the root is 0.1000217
+        q = special.chi2nc_quantile(7e-69, 5.0, 300.0)
+        root = mp_chi2nc_quantile(7e-69, 5.0, 300.0, q)
+        width = 4.0 * np.spacing(7e-69) / float(mp_chi2nc_pdf(root, 5.0, 300.0))
+        assert abs(q - float(root)) <= 1e-12 * float(root) + width
 
     def test_large_noncentrality(self):
         # stable at the noncentrality scale of the cir surfaces
