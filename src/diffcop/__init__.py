@@ -11,8 +11,8 @@ from .copula import (CopulaSurface, cdf_on_grid, cell_masses, cir_closed_form,
                      from_transition, gaussian_closed_form, grid_eval,
                      independence_surface, ou_closed_form, rbm_closed_form)
 from .errors import DomainError, NumericsError
-from .models import (DiffusionSpec, Model, PathEnsemble, StationaryLaw,
-                     euler_maruyama, make_model, sample_transition, simulate_paths)
+from .models import (DiffusionSpec, Model, PathEnsemble, euler_maruyama, make_model,
+                     sample_transition, simulate_paths)
 from .recombine import (FirstPassageSample, RecombinedProcess, first_passage_times,
                         model_marginal_family, recombine, tabulated_marginal_family)
 from .special import (bessel_i, chi2nc_cdf, chi2nc_pdf, chi2nc_pdf_bessel_form,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CopulaSurface", "DiffusionSpec", "DomainError", "EmpiricalCopula",
     "FirstPassageSample", "Model", "MonotonePiece", "NumericsError",
-    "PathEnsemble", "RecombinedProcess", "SpaceTimeTransform", "StationaryLaw",
+    "PathEnsemble", "RecombinedProcess", "SpaceTimeTransform",
     "absolute_value", "bessel_i", "builtin_chain", "cdf_on_grid", "cell_masses",
     "chi2nc_cdf", "chi2nc_pdf",
     "chi2nc_pdf_bessel_form", "chi2nc_quantile", "cir_closed_form", "compose",

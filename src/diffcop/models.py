@@ -16,8 +16,11 @@ exact transition sampler:
 ``bessel``            dZ = (delta/Z) dt + dB, the b -> 0 limit of rayleigh
 ====================  =======================================================
 
-The cir-family kernel uses the parametrization fixed against a Monte-Carlo
-oracle:  with  c_r = 2*alpha / (sigma^2 (1 - e^{-alpha r})),
+One Gaussian kernel, the Ornstein-Uhlenbeck law `GaussianKernel(alpha, beta,
+sigma)`, serves bm (0, 0, 1), bm_drift (0, mu, sigma), gbm's log kernel
+(0, mu, sigma) and ou (alpha, beta, sigma).  The cir-family kernel uses the
+parametrization fixed against a Monte-Carlo oracle:  with
+c_r = 2*alpha / (sigma^2 (1 - e^{-alpha r})),
 
     2 c_{t-s} X_t | X_s = y   ~   chi2nc(4 beta/sigma^2,  2 c_{t-s} e^{-alpha(t-s)} y).
 
@@ -25,23 +28,26 @@ A monotone map of a kernel is a kernel: `MappedKernel` holds the pushforward
 f^Y = f^X / |d psi/dx|.  gbm is the exp map of a log-Gaussian kernel, Rayleigh
 and Bessel the sqrt map of a cir-family kernel; `stt.push_transition` and the
 recombined process build theirs from it too.
+
+A stationary law is the transition law at an infinite lag: `Model.stationary`
+is ``model.marginal(math.inf)`` for ou with alpha > 0, cir, cir_special and
+rayleigh with b < 0, and None for the other models.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln
 
 from . import special
 from ._numerics import invert_monotone_cdf, require
 from .errors import DomainError
 
 __all__ = [
-    "DiffusionSpec", "StationaryLaw", "Marginal", "Kernel", "MappedKernel", "Model",
+    "DiffusionSpec", "Marginal", "Kernel", "MappedKernel", "Model",
     "PathEnsemble", "make_model", "catalog_ids", "marginal", "sample_transition",
     "simulate_paths", "euler_maruyama",
 ]
@@ -67,16 +73,8 @@ class DiffusionSpec:
 
 
 @dataclass(frozen=True)
-class StationaryLaw:
-    pdf: Callable
-    cdf: Callable
-    quantile: Callable
-    pdf_dx: Callable
-
-
-@dataclass(frozen=True)
 class Marginal:
-    """Time-t marginal of a model started at (t0, x0)."""
+    """Time-t marginal of a model started at (t0, x0); t = inf is the stationary law."""
 
     t: float
     pdf: Callable
@@ -113,11 +111,36 @@ class Kernel(Protocol):
 
 
 class GaussianKernel:
-    """X_t | X_s = y  ~  Normal(mean(s,t,y), var(s,t))."""
+    """Ornstein-Uhlenbeck kernel of dX = (-alpha X + beta) dt + sigma dB:
+    X_t | X_s = y  ~  Normal(mean(s,t,y), var(s,t)).
 
-    def __init__(self, mean, var, dmean_dt, dvar_dt):
-        self._mean, self._var = mean, var
-        self._dmean_dt, self._dvar_dt = dmean_dt, dvar_dt
+    alpha = 0 is Brownian motion with drift beta; for alpha > 0 the lag
+    t - s = inf gives the stationary law Normal(beta/alpha, sigma^2/(2 alpha)).
+    """
+
+    def __init__(self, alpha: float, beta: float, sigma: float):
+        self.alpha, self.beta, self.sigma = alpha, beta, sigma
+
+    def _mean(self, s, t, y):
+        al, be = self.alpha, self.beta
+        if al == 0.0:
+            return np.asarray(y, float) + be * (t - s)
+        return be / al + (np.asarray(y, float) - be / al) * math.exp(-al * (t - s))
+
+    def _var(self, s, t):
+        al = self.alpha
+        if al == 0.0:
+            return self.sigma ** 2 * (t - s)
+        return self.sigma ** 2 * (-math.expm1(-2.0 * al * (t - s))) / (2.0 * al)
+
+    def _dmean_dt(self, s, t, y):
+        al = self.alpha
+        if al == 0.0:
+            return self.beta
+        return -al * (np.asarray(y, float) - self.beta / al) * math.exp(-al * (t - s))
+
+    def _dvar_dt(self, s, t):
+        return self.sigma ** 2 * math.exp(-2.0 * self.alpha * (t - s))
 
     def _z(self, s, y, t, x, sd):
         # beyond |z| = 40 the pdf is 0 and the cdf 0 or 1 in double precision, so the
@@ -165,9 +188,6 @@ class FoldedGaussianKernel:
     # below this h (1 + |c|) the cdf is summed as a series instead of differenced
     _SERIES_BELOW = 0.03
 
-    def __init__(self, var):
-        self._var = var
-
     @staticmethod
     def _clip(x, y, sd):
         # x = -inf takes the x < 0 branch; past |y| + 40 sd both folds have pdf 0 and
@@ -176,7 +196,7 @@ class FoldedGaussianKernel:
 
     def pdf(self, s, y, t, x):
         _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
+        sd = math.sqrt(t - s)
         x = self._clip(x, y, sd)
         out = (special.norm_pdf((x - y) / sd) + special.norm_pdf((x + y) / sd)) / sd
         return np.where(x < 0.0, 0.0, out)
@@ -189,7 +209,7 @@ class FoldedGaussianKernel:
         (He_n the Hermite polynomials) is used instead.
         """
         _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
+        sd = math.sqrt(t - s)
         x = self._clip(x, y, sd)
         out = special.norm_cdf((x - y) / sd) - special.norm_cdf((-x - y) / sd)
         h, c = x / sd, -np.asarray(y, dtype=float) / sd
@@ -204,7 +224,7 @@ class FoldedGaussianKernel:
 
     def quantile(self, s, y, t, p):
         _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
+        sd = math.sqrt(t - s)
         p, y = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(y, dtype=float))
         return invert_monotone_cdf(lambda x: (self.cdf(s, y, t, x), self.pdf(s, y, t, x)), p,
                                    0.0, np.abs(y) + 12.0 * sd, bounds=(0.0, np.inf),
@@ -212,12 +232,12 @@ class FoldedGaussianKernel:
 
     def sample(self, s, y, t, rng, size=None):
         _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
+        sd = math.sqrt(t - s)
         shape = np.shape(y) if size is None else size
         return np.abs(np.asarray(y, dtype=float) + sd * rng.standard_normal(shape))
 
     def pdf_dx(self, s, y, t, x):
-        v = self._var(s, t)
+        v = t - s
         sd = math.sqrt(v)
         x = self._clip(x, y, sd)
         a, b = (x - y) / sd, (x + y) / sd
@@ -382,7 +402,7 @@ class Model:
     kernel: Kernel
     x0: float
     t0: float
-    stationary: StationaryLaw | None = None
+    stationary: Marginal | None = None   # marginal(inf), where the model is ergodic
 
     @property
     def name(self) -> str:
@@ -453,68 +473,25 @@ def _check_x0(x0: float, interval, name: str, allow_lower: bool = False) -> None
             f"x0 = {x0} must lie in the interior of {interval} for model '{name}'")
 
 
-def _normal_law(mean: float, var: float) -> StationaryLaw:
-    sd = math.sqrt(var)
-    return StationaryLaw(
-        pdf=lambda x: special.norm_pdf((np.asarray(x, float) - mean) / sd) / sd,
-        cdf=lambda x: special.norm_cdf((np.asarray(x, float) - mean) / sd),
-        quantile=lambda p: mean + sd * special.norm_quantile(p),
-        pdf_dx=lambda x: -(np.asarray(x, float) - mean) / var
-        * special.norm_pdf((np.asarray(x, float) - mean) / sd) / sd,
-    )
+def _with_stationary(model: Model, ergodic: bool) -> Model:
+    """The model with its stationary law, the marginal at an infinite lag, when ``ergodic``."""
+    return replace(model, stationary=model.marginal(math.inf)) if ergodic else model
 
 
-def _gamma_law(shape: float, scale: float) -> StationaryLaw:
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.exp((shape - 1.0) * np.log(x) - x / scale
-                         - gammaln(shape) - shape * math.log(scale))
-        return np.where(x <= 0.0, 0.0, out)
-
-    return StationaryLaw(
-        pdf=pdf,
-        cdf=lambda x: gammainc(shape, np.clip(np.asarray(x, float), 0.0, None) / scale),
-        quantile=lambda p: scale * gammaincinv(shape, p),
-        pdf_dx=lambda x: pdf(x) * ((shape - 1.0) / np.asarray(x, float) - 1.0 / scale),
-    )
-
-
-def _sqrt_gamma_law(shape: float, scale: float) -> StationaryLaw:
-    """Law of sqrt(G) for G ~ Gamma(shape, scale)."""
-    g = _gamma_law(shape, scale)
-    return StationaryLaw(
-        pdf=lambda y: 2.0 * np.asarray(y, float) * g.pdf(np.asarray(y, float) ** 2),
-        cdf=lambda y: g.cdf(np.asarray(y, float) ** 2),
-        quantile=lambda p: np.sqrt(g.quantile(p)),
-        pdf_dx=lambda y: 2.0 * g.pdf(np.asarray(y, float) ** 2)
-        + 4.0 * np.asarray(y, float) ** 2 * g.pdf_dx(np.asarray(y, float) ** 2),
-    )
+def _ou_family(name, params, al, be, sg, x0, t0):
+    spec = DiffusionSpec(name, params, (-np.inf, np.inf), ("natural", "natural"),
+                         drift=lambda x, t: -al * np.asarray(x, float) + be,
+                         diffusion=lambda x, t: np.full_like(np.asarray(x, float), sg))
+    return _with_stationary(Model(spec, GaussianKernel(al, be, sg), x0, t0), al > 0.0)
 
 
 def _build_bm(params, x0, t0):
-    _take(params, "bm")
-    spec = DiffusionSpec("bm", {}, (-np.inf, np.inf), ("natural", "natural"),
-                         drift=lambda x, t: 0.0 * np.asarray(x, float),
-                         diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
-    kern = GaussianKernel(mean=lambda s, t, y: np.asarray(y, float),
-                          var=lambda s, t: t - s,
-                          dmean_dt=lambda s, t, y: 0.0,
-                          dvar_dt=lambda s, t: 1.0)
-    return Model(spec, kern, x0, t0)
+    return _ou_family("bm", _take(params, "bm"), 0.0, 0.0, 1.0, x0, t0)
 
 
 def _build_bm_drift(params, x0, t0):
     p = _take(params, "bm_drift", mu=_any("mu"), sigma=_positive("sigma"))
-    mu, sg = p["mu"], p["sigma"]
-    spec = DiffusionSpec("bm_drift", p, (-np.inf, np.inf), ("natural", "natural"),
-                         drift=lambda x, t: mu + 0.0 * np.asarray(x, float),
-                         diffusion=lambda x, t: sg + 0.0 * np.asarray(x, float))
-    kern = GaussianKernel(mean=lambda s, t, y: np.asarray(y, float) + mu * (t - s),
-                          var=lambda s, t: sg ** 2 * (t - s),
-                          dmean_dt=lambda s, t, y: mu,
-                          dvar_dt=lambda s, t: sg ** 2)
-    return Model(spec, kern, x0, t0)
+    return _ou_family("bm_drift", p, 0.0, p["mu"], p["sigma"], x0, t0)
 
 
 def _build_gbm(params, x0, t0):
@@ -524,45 +501,15 @@ def _build_gbm(params, x0, t0):
     spec = DiffusionSpec("gbm", p, (0.0, np.inf), ("natural", "natural"),
                          drift=lambda x, t: (mu + 0.5 * sg ** 2) * np.asarray(x, float),
                          diffusion=lambda x, t: sg * np.asarray(x, float))
-    log_kern = GaussianKernel(mean=lambda s, t, y: np.asarray(y, float) + mu * (t - s),
-                              var=lambda s, t: sg ** 2 * (t - s),
-                              dmean_dt=lambda s, t, y: mu,
-                              dvar_dt=lambda s, t: sg ** 2)
-    kern = MappedKernel(log_kern, lambda t, x: np.exp(x), lambda t, y: np.log(y),
-                        lambda t, x, y: y, (0.0, np.inf),
+    kern = MappedKernel(GaussianKernel(0.0, mu, sg), lambda t, x: np.exp(x),
+                        lambda t, y: np.log(y), lambda t, x, y: y, (0.0, np.inf),
                         djac_dx=lambda t, x, y: y, static=True)
     return Model(spec, kern, x0, t0)
 
 
 def _build_ou(params, x0, t0):
     p = _take(params, "ou", alpha=_any("alpha"), beta=_any("beta"), sigma=_positive("sigma"))
-    al, be, sg = p["alpha"], p["beta"], p["sigma"]
-
-    if al == 0.0:
-        mean = lambda s, t, y: np.asarray(y, float) + be * (t - s)
-        var = lambda s, t: sg ** 2 * (t - s)
-        dmean = lambda s, t, y: be
-        dvar = lambda s, t: sg ** 2
-    else:
-        def mean(s, t, y):
-            e = math.exp(-al * (t - s))
-            return be / al + (np.asarray(y, float) - be / al) * e
-
-        def var(s, t):
-            return sg ** 2 * (-math.expm1(-2.0 * al * (t - s))) / (2.0 * al)
-
-        def dmean(s, t, y):
-            return -al * (np.asarray(y, float) - be / al) * math.exp(-al * (t - s))
-
-        def dvar(s, t):
-            return sg ** 2 * math.exp(-2.0 * al * (t - s))
-
-    spec = DiffusionSpec("ou", p, (-np.inf, np.inf), ("natural", "natural"),
-                         drift=lambda x, t: -al * np.asarray(x, float) + be,
-                         diffusion=lambda x, t: sg + 0.0 * np.asarray(x, float))
-    kern = GaussianKernel(mean, var, dmean, dvar)
-    stat = _normal_law(be / al, sg ** 2 / (2.0 * al)) if al > 0.0 else None
-    return Model(spec, kern, x0, t0, stationary=stat)
+    return _ou_family("ou", p, p["alpha"], p["beta"], p["sigma"], x0, t0)
 
 
 def _build_rbm(params, x0, t0):
@@ -571,7 +518,7 @@ def _build_rbm(params, x0, t0):
     spec = DiffusionSpec("rbm", {}, (0.0, np.inf), ("regular-reflecting", "natural"),
                          drift=lambda x, t: 0.0 * np.asarray(x, float),
                          diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
-    return Model(spec, FoldedGaussianKernel(var=lambda s, t: t - s), x0, t0)
+    return Model(spec, FoldedGaussianKernel(), x0, t0)
 
 
 def _cir_family(name, al, be, sg, x0, t0, params):
@@ -580,9 +527,7 @@ def _cir_family(name, al, be, sg, x0, t0, params):
     spec = DiffusionSpec(name, params, (0.0, np.inf), (lower, "natural"),
                          drift=lambda x, t: -al * np.asarray(x, float) + be,
                          diffusion=lambda x, t: sg * np.sqrt(np.asarray(x, float)))
-    kern = Ncx2Kernel(gamma, al, sg)
-    stat = _gamma_law(gamma / 2.0, sg ** 2 / (2.0 * al)) if al > 0.0 else None
-    return Model(spec, kern, x0, t0, stationary=stat)
+    return _with_stationary(Model(spec, Ncx2Kernel(gamma, al, sg), x0, t0), al > 0.0)
 
 
 def _build_cir(params, x0, t0):
@@ -609,8 +554,7 @@ def _build_rayleigh(params, x0, t0):
                          diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
     # Y = sqrt(X) for a cir with alpha=-2b, sigma=2, beta=2a+1 (gamma = 2a+1)
     kern = _sqrt_map(Ncx2Kernel(2.0 * a + 1.0, -2.0 * b, 2.0))
-    stat = _sqrt_gamma_law(a + 0.5, 1.0 / (-b)) if b < 0.0 else None
-    return Model(spec, kern, x0, t0, stationary=stat)
+    return _with_stationary(Model(spec, kern, x0, t0), b < 0.0)
 
 
 def _build_bessel(params, x0, t0):

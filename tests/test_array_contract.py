@@ -117,7 +117,6 @@ TABLE = {
     "Model": "built by make_model, whose cases cover its marginals, coefficients and "
              "stationary law",
     "DiffusionSpec": "coefficient record: make_model's cases cover the catalog coefficients",
-    "StationaryLaw": "law record: make_model's cases cover every catalog stationary law",
     "PathEnsemble": RECORD,
     "sample_transition": RANDOM,
     "simulate_paths": RANDOM,

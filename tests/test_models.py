@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaincinv
 
 from diffcop import models, special, stt
 from diffcop._numerics import central_diff, rel_step
@@ -328,6 +329,102 @@ class TestMarginals:
         fd_t = (float(build("ou").marginal(1.5 + h_t).cdf(x))
                 - float(build("ou").marginal(1.5 - h_t).cdf(x))) / (2.0 * h_t)
         assert float(marg.cdf_dt(x)) == pytest.approx(fd_t, rel=1e-5)
+
+
+def _normal_oracle(mean, var):
+    m, v = mp.mpf(mean), mp.mpf(var)
+    sd = mp.sqrt(v)
+    return {"pdf": lambda x: mp.npdf(x, m, sd), "cdf": lambda x: mp.ncdf(x, m, sd),
+            "quantile": lambda p: m + sd * mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1),
+            "pdf_dx": lambda x: -(x - m) / v * mp.npdf(x, m, sd)}
+
+
+def _gamma_oracle(shape, scale, sqrt=False):
+    """Gamma(shape, scale), or the law of its square root when ``sqrt``."""
+    k, th = mp.mpf(shape), mp.mpf(scale)
+    pdf = lambda x: x ** (k - 1) * mp.exp(-x / th) / (mp.gamma(k) * th ** k)
+    pdf_dx = lambda x: pdf(x) * ((k - 1) / x - 1 / th)
+    tail = lambda x, upper: mp.gammainc(k, *((x / th, mp.inf) if upper else (0, x / th)),
+                                        regularized=True)
+
+    def quantile(p):
+        # the root of the tail that holds p, from scipy's inverse as a start
+        upper = p > 0.5
+        target = 1 - mp.mpf(p) if upper else mp.mpf(p)
+        x0 = mp.mpf(scale * gammaincinv(shape, p))
+        return mp.findroot(lambda x: tail(x, upper) / target - 1,
+                           (x0, x0 * (1 + mp.mpf(10) ** -6)), solver="secant",
+                           tol=mp.mpf(10) ** -40)
+
+    if not sqrt:
+        return {"pdf": pdf, "cdf": lambda x: tail(x, False), "quantile": quantile,
+                "pdf_dx": pdf_dx}
+    return {"pdf": lambda y: 2 * y * pdf(y * y), "cdf": lambda y: tail(y * y, False),
+            "quantile": lambda p: mp.sqrt(quantile(p)),
+            "pdf_dx": lambda y: 2 * pdf(y * y) + 4 * y * y * pdf_dx(y * y)}
+
+
+class TestStationaryLaws:
+    """`Model.stationary` is the marginal at an infinite lag; oracles written out in mpmath."""
+
+    PS = [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10]
+
+    @pytest.mark.parametrize("name, params, x0, oracle", [
+        ("ou", {"alpha": 1.0, "beta": 0.5, "sigma": 0.9}, 0.2,
+         lambda: _normal_oracle(0.5, 0.81 / 2.0)),                   # Normal(b/a, s^2/2a)
+        ("ou", {"alpha": 0.3, "beta": -2.0, "sigma": 1.7}, 4.0,
+         lambda: _normal_oracle(-2.0 / 0.3, 1.7 ** 2 / 0.6)),
+        ("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, 1.2,
+         lambda: _gamma_oracle(3.125, 0.32)),                        # Gamma(g/2, s^2/2a)
+        ("cir", {"alpha": 2.0, "beta": 0.0784, "sigma": 0.8}, 1.2,
+         lambda: _gamma_oracle(0.245, 0.16)),                        # nu = 0.49
+        ("cir_special", {"alpha": 0.6, "sigma": 1.1}, 0.4,
+         lambda: _gamma_oracle(0.5, 1.21 / 1.2)),
+        ("rayleigh", {"a": 2.625, "b": -0.5}, 2.7,
+         lambda: _gamma_oracle(3.125, 2.0, sqrt=True)),              # sqrt Gamma(a+1/2, -1/b)
+        ("rayleigh", {"a": -0.25, "b": -1.0}, 0.7,
+         lambda: _gamma_oracle(0.25, 1.0, sqrt=True)),
+    ])
+    def test_law_against_mpmath(self, name, params, x0, oracle):
+        law = models.make_model(name, params, x0=x0).stationary
+        with mp.workdps(40):
+            ref = oracle()
+            for p in self.PS:
+                x = float(ref["quantile"](p))
+                assert float(law.quantile(p)) == pytest.approx(x, rel=1e-12, abs=0), p
+                for fn in ("pdf", "cdf", "pdf_dx"):
+                    want = float(ref[fn](mp.mpf(x)))
+                    assert float(getattr(law, fn)(x)) == pytest.approx(want, rel=1e-12, abs=0), \
+                        (fn, p)
+
+    @pytest.mark.parametrize("name, params, x0", [
+        ("bm", {}, 0.0), ("bm_drift", {"mu": 0.3, "sigma": 1.2}, 0.5),
+        ("gbm", {"mu": 0.1, "sigma": 0.4}, 1.0), ("rbm", {}, 0.3), ("bessel", {"delta": 1.5}, 1.0),
+        ("ou", {"alpha": 0.0, "beta": 0.5, "sigma": 0.9}, 0.2),
+        ("ou", {"alpha": -0.5, "beta": 0.5, "sigma": 0.9}, 0.2),
+        ("rayleigh", {"a": 2.625, "b": 0.0}, 2.7), ("rayleigh", {"a": 2.625, "b": 0.5}, 2.7)])
+    def test_none_without_a_stationary_law(self, name, params, x0):
+        assert models.make_model(name, params, x0=x0).stationary is None
+
+
+class TestOneGaussianKernel:
+    """bm, bm_drift and ou at alpha = 0 are one kernel: the same numbers, bit for bit."""
+
+    @pytest.mark.parametrize("name, params, mu, sigma", [
+        ("ou", {"alpha": 0.0, "beta": -0.7, "sigma": 1.3}, -0.7, 1.3),
+        ("bm", {}, 0.0, 1.0)])
+    def test_equals_bm_drift(self, name, params, mu, sigma):
+        k = models.make_model(name, params, x0=0.4).kernel
+        ref = models.make_model("bm_drift", {"mu": mu, "sigma": sigma}, x0=0.4).kernel
+        s, y, t = 0.5, np.array([-1.0, 0.4, 2.5]), 1.75
+        xs = np.linspace(-4.0, 4.0, 17)[:, None]
+        for fn in ("pdf", "cdf", "pdf_dx", "cdf_dt"):
+            np.testing.assert_array_equal(getattr(k, fn)(s, y, t, xs),
+                                          getattr(ref, fn)(s, y, t, xs), err_msg=fn)
+        ps = np.array([1e-12, 0.2, 0.5, 0.9, 1 - 1e-10])[:, None]
+        np.testing.assert_array_equal(k.quantile(s, y, t, ps), ref.quantile(s, y, t, ps))
+        np.testing.assert_array_equal(k.sample(s, y, t, np.random.default_rng(11), (4, 3)),
+                                      ref.sample(s, y, t, np.random.default_rng(11), (4, 3)))
 
 
 class TestSampling:
