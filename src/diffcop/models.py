@@ -122,10 +122,12 @@ class GaussianKernel:
         self.alpha, self.beta, self.sigma = alpha, beta, sigma
 
     def _mean(self, s, t, y):
-        al, be = self.alpha, self.beta
+        # y e^{-alpha d} + beta (1 - e^{-alpha d}) / alpha, with expm1: no cancellation at
+        # small alpha, where beta/alpha + (y - beta/alpha) e^{-alpha d} loses ulp(beta/alpha)
+        al, d = self.alpha, t - s
         if al == 0.0:
-            return np.asarray(y, float) + be * (t - s)
-        return be / al + (np.asarray(y, float) - be / al) * math.exp(-al * (t - s))
+            return np.asarray(y, float) + self.beta * d
+        return np.asarray(y, float) * math.exp(-al * d) + self.beta * (-math.expm1(-al * d)) / al
 
     def _var(self, s, t):
         al = self.alpha

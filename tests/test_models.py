@@ -426,6 +426,16 @@ class TestOneGaussianKernel:
         np.testing.assert_array_equal(k.sample(s, y, t, np.random.default_rng(11), (4, 3)),
                                       ref.sample(s, y, t, np.random.default_rng(11), (4, 3)))
 
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-7, 1e-10, 1.0])
+    def test_ou_mean_exact_at_small_alpha(self, alpha):
+        # the median is the mean y e^{-alpha d} + beta (1 - e^{-alpha d}) / alpha; written as
+        # beta/alpha + (y - beta/alpha) e^{-alpha d} it missed by 2.9e-10 at alpha = 1e-7
+        k = models.make_model("ou", {"alpha": alpha, "beta": 1.0, "sigma": 1.0}, x0=0.0).kernel
+        a, d = mp.mpf(alpha), mp.mpf(1.25)
+        for y in (0.0, 2.5, -40.0):
+            exact = float(y * mp.exp(-a * d) - mp.expm1(-a * d) / a)
+            assert float(k.quantile(0.5, y, 1.75, 0.5)) == pytest.approx(exact, rel=1e-14, abs=0)
+
 
 class TestSampling:
     def test_bm_draw_is_gaussian_increment(self):
