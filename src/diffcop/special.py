@@ -433,15 +433,22 @@ _CHNDTR_MIN_CDF = 1e-30
 
 def _cdf(z, nu: float, lam):
     """``chndtr`` at z >= 0, its values below ``_CHNDTR_MIN_CDF`` redone as the
-    integral of `_pdf` from 0, where the density is exact."""
+    integral of `_pdf` from 0, where the density is exact.
+
+    The integral runs in s with z = s^e, e = max(2/nu, 1): the integrand
+    e s^(e-1) f(s^e) is bounded at s = 0 where f's z^(nu/2-1) end is not, so
+    the quadrature need not bisect toward 0.  At nu >= 2, e = 1 and it is the
+    integral in z.
+    """
     out = np.asarray(chndtr(z, nu, lam))
     redo = out < _CHNDTR_MIN_CDF
     if redo.any():
         zb, lb = np.broadcast_arrays(z, lam)
+        e = max(2.0 / nu, 1.0)
         # `at` carries each integral's lam to the density; the split it also sets is
-        # clipped into [0, z], so any value serves
-        out[redo] = integrate(lambda x, lx: _pdf(x, nu, lx), 0.0, zb[redo], lb[redo],
-                              abs_tol=0.0, rel_tol=1e-13)
+        # clipped into [0, z^(1/e)], so any value serves
+        out[redo] = integrate(lambda s, ls: e * s ** (e - 1.0) * _pdf(s ** e, nu, ls),
+                              0.0, zb[redo] ** (1.0 / e), lb[redo], abs_tol=0.0, rel_tol=1e-13)
     return out
 
 

@@ -389,9 +389,10 @@ class TestChi2ncCdfQuantile:
         np.testing.assert_array_equal(calls[-1], same)
 
     @pytest.mark.parametrize("nu, lam, z", [(5.0, 300.0, 0.1), (1.0, 1000.0, 1.0),
-                                            (0.5, 200.0, 1e-3)])
+                                            (0.5, 200.0, 1e-3), (0.3, 150.0, 0.05)])
     def test_far_left_tail_cdf_against_mpmath(self, mp30, nu, lam, z):
-        # chndtr returns 0 at these points, 7.0e-69, 3.0e-206 and 6.4e-45
+        # chndtr returns 0 at the first three points, 7.0e-69, 3.0e-206 and 6.4e-45; the
+        # last, 5.7e-33, is the integral at nu < 1, where the density is unbounded at 0
         ref = float(mp_chi2nc_tail(z, nu, lam, False))
         assert special.chi2nc_cdf(z, nu, lam) == pytest.approx(ref, rel=1e-12, abs=0)
         assert special.chi2nc_cdf(np.array([z, nu + lam]), nu, lam)[0] == pytest.approx(
