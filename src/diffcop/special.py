@@ -433,17 +433,14 @@ _CHNDTR_MIN_CDF = 1e-30
 
 def _cdf(z, nu: float, lam):
     """``chndtr`` at z >= 0, its values below ``_CHNDTR_MIN_CDF`` redone as the
-    integral of `_pdf` from 0, where the density is exact.
-
-    The integral runs in s with z = s^e, e = max(2/nu, 1): the integrand
-    e s^(e-1) f(s^e) is bounded at s = 0 where f's z^(nu/2-1) end is not, so
-    the quadrature need not bisect toward 0.  At nu >= 2, e = 1 and it is the
-    integral in z.
-    """
+    integral of `_pdf` from 0, where the density is exact."""
     out = np.asarray(chndtr(z, nu, lam))
     redo = out < _CHNDTR_MIN_CDF
     if redo.any():
         zb, lb = np.broadcast_arrays(z, lam)
+        # the integral runs in s with z = s^e: the integrand e s^(e-1) f(s^e) is bounded at
+        # s = 0, where f's z^(nu/2-1) end is not at nu < 2, so the quadrature need not bisect
+        # toward 0.  At nu >= 2, e = 1 and it is the integral in z
         e = max(2.0 / nu, 1.0)
         # `at` carries each integral's lam to the density; the split it also sets is
         # clipped into [0, z^(1/e)], so any value serves

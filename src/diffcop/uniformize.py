@@ -93,6 +93,8 @@ def stationary_uniformized_coefficients(model: Model, u):
         sigma~(u) = sigma(x) g(x),          x = G^{-1}(u),
 
     for a scalar or an array u in (0, 1), as in `uniformized_coefficients`.
+    G is ``model.stationary``, the marginal at an infinite lag; models without
+    one raise `DomainError`.
     """
     if model.stationary is None:
         raise DomainError(f"model '{model.name}' admits no stationary law")
