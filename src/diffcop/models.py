@@ -136,10 +136,7 @@ class GaussianKernel:
         return self.sigma ** 2 * (-math.expm1(-2.0 * al * (t - s))) / (2.0 * al)
 
     def _dmean_dt(self, s, t, y):
-        al = self.alpha
-        if al == 0.0:
-            return self.beta
-        return -al * (np.asarray(y, float) - self.beta / al) * math.exp(-al * (t - s))
+        return (self.beta - self.alpha * np.asarray(y, float)) * math.exp(-self.alpha * (t - s))
 
     def _dvar_dt(self, s, t):
         return self.sigma ** 2 * math.exp(-2.0 * self.alpha * (t - s))
