@@ -1,4 +1,8 @@
-"""Shared numerical kernels: monotone-CDF inversion, quadrature, finite differences.
+"""Shared numerical kernels: the exponential clock, monotone-CDF inversion, quadrature.
+
+Every OU-type time change runs on one clock, ``clock(a, t) = (e^{a t} - 1)/a``
+(t at a = 0), and ``clock_inv``: the kernels of `models`, the chains of `stt`
+and the OU and cir copulas.
 
 Every inversion of the package goes through `invert_monotone_cdf`, one
 safeguarded Newton/bisection solver that first grows its bracket inside the
@@ -15,6 +19,7 @@ checks of `validation`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -28,6 +33,23 @@ _GL20, _GL10 = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.legga
 _GL_NODES = np.concatenate((_GL20[0], _GL10[0]))   # ascending per rule: 0 and 19 are outermost
 _GL_MAX_PANELS = 200                               # open panels per integral
 _NORMAL_MIN = np.finfo(float).tiny
+_CLOCK_LINEAR = 2.0 ** -54                         # |a t| below which the clock is t
+
+
+def clock(a: float, t: float) -> float:
+    """phi_a(t) = (e^{a t} - 1)/a; t at a = 0, and -1/a at t = inf for a < 0.
+
+    Below |a t| = 2^-54, where a t may be subnormal, (e^{a t} - 1)/(a t) rounds to 1.
+    """
+    return t if a == 0.0 or abs(a * t) < _CLOCK_LINEAR else math.expm1(a * t) / a
+
+
+def clock_inv(a: float, tau: float) -> float:
+    """The inverse clock log(1 + a tau)/a; tau at a = 0, `DomainError` where 1 + a tau <= 0."""
+    if a == 0.0 or abs(a * tau) < _CLOCK_LINEAR:
+        return tau
+    require(a * tau > -1.0, f"time {tau} is beyond the clock's horizon -1/a = {-1.0 / a}")
+    return math.log1p(a * tau) / a
 
 
 def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,

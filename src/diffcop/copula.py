@@ -10,8 +10,8 @@ and the conditional (the transition distribution of the uniformized process)
     C_{t|s}(v | u) = F_{t|s}(F_t^{-1}(v) | F_s^{-1}(u)).
 
 Closed forms are provided for the Brownian family (a Gaussian copula with
-rho = sqrt(s/t)), the Ornstein-Uhlenbeck family (the same copula under the
-time change phi(t) = (e^{2 alpha t} - 1)/(2 alpha)), reflected Brownian
+rho = sqrt(s/t)), the Ornstein-Uhlenbeck family (the same copula on the
+clock phi(t) = (e^{2 alpha t} - 1)/(2 alpha) of `_numerics.clock`), reflected Brownian
 motion (a two-term mixture of Gaussian copula kernels in half-normal
 quantiles), and the square-root mean-reverting (cir) family in noncentral
 chi-square form.
@@ -34,12 +34,13 @@ Phi(-8.5) = 9.5e-18, and the nodes map back to w = Phi(z), clamped to
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
 
 from . import special
-from ._numerics import integrate, require
+from ._numerics import clock, integrate, require
 from .errors import DomainError
 from .models import Model
 
@@ -209,15 +210,10 @@ def gaussian_closed_form(s: float, t: float) -> CopulaSurface:
 
 
 def _ou_rho(alpha: float, s: float, t: float) -> float:
-    if alpha == 0.0:
-        return math.sqrt(s / t)
-    if alpha > 0.0:
-        # sqrt(phi(s)/phi(t)) for phi(t) = (e^{2 a t}-1)/(2a), overflow-safe
-        log_ratio = (2.0 * alpha * (s - t)
-                     + math.log1p(-math.exp(-2.0 * alpha * s))
-                     - math.log1p(-math.exp(-2.0 * alpha * t)))
-        return math.exp(0.5 * log_ratio)
-    return math.sqrt(math.expm1(2.0 * alpha * s) / math.expm1(2.0 * alpha * t))
+    # sqrt(phi(s)/phi(t)) on the clock phi = clock(2 alpha, .), read as clock(-2|alpha|, .)
+    # with the factor e^{2 alpha (s - t)} taken out for alpha > 0: nothing overflows
+    a = -2.0 * abs(alpha)
+    return math.exp(max(alpha, 0.0) * (s - t)) * math.sqrt(clock(a, s) / clock(a, t))
 
 
 def ou_closed_form(alpha: float, s: float, t: float) -> CopulaSurface:
@@ -280,7 +276,7 @@ def cir_closed_form(alpha: float, gamma: float, x0: float, s: float, t: float) -
     require(t > s > 0.0, f"need 0 < s < t, got s={s}, t={t}")
 
     d = t - s
-    K = lambda r: 1.0 / (-math.expm1(-alpha * r))
+    K = lambda r: 1.0 / (alpha * clock(-alpha, r))
     A, Bs, Bt = K(d), K(s), K(t)
     lam_s = Bs * math.exp(-alpha * s) * x0
     lam_t = Bt * math.exp(-alpha * t) * x0
@@ -314,9 +310,14 @@ def independence_surface(time_pair=(1.0, 2.0)) -> CopulaSurface:
 # Grid evaluation and CSV round trip
 # ---------------------------------------------------------------------------
 
+def _require_size(n, least: int, name: str) -> None:
+    require(isinstance(n, numbers.Integral) and n >= least,
+            f"grid size {name} must be an integer of at least {least}, got {n!r}")
+
+
 def grid_eval(surface: CopulaSurface, n: int) -> np.ndarray:
     """n x n density matrix at cell midpoints; rows index v, columns index u."""
-    require(n >= 2, "grid size n must be at least 2")
+    _require_size(n, 2, "n")
     mids = (np.arange(n) + 0.5) / n
     return surface.density(mids[None, :], mids[:, None])
 
@@ -342,6 +343,7 @@ def cell_masses(surface: CopulaSurface, m: int) -> np.ndarray:
 
     mass[i, j] = P(U in cell_j, V in cell_i); rows index v, columns index u.
     """
+    _require_size(m, 1, "m")
     edges = np.linspace(0.0, 1.0, m + 1)
     cdf_grid = np.zeros((m + 1, m + 1))            # [i_u, j_v]
     cdf_grid[1:, 1:-1] = cdf_on_grid(surface, edges[1:], edges[1:-1])

@@ -16,11 +16,14 @@ exact transition sampler:
 ``bessel``            dZ = (delta/Z) dt + dB, the b -> 0 limit of rayleigh
 ====================  =======================================================
 
-One Gaussian kernel, the Ornstein-Uhlenbeck law `GaussianKernel(alpha, beta,
-sigma)`, serves bm (0, 0, 1), bm_drift (0, mu, sigma), gbm's log kernel
-(0, mu, sigma) and ou (alpha, beta, sigma).  The cir-family kernel uses the
-parametrization fixed against a Monte-Carlo oracle:  with
-c_r = 2*alpha / (sigma^2 (1 - e^{-alpha r})),
+Both kernel families read their lag r = t - s on the exponential clock
+phi_a(r) = (e^{a r} - 1)/a of `_numerics.clock` (phi_0(r) = r), so alpha = 0
+needs no branch.  One Gaussian kernel, the Ornstein-Uhlenbeck law
+`GaussianKernel(alpha, beta, sigma)` with mean y e^{-alpha r} + beta
+phi_{-alpha}(r) and variance sigma^2 phi_{-2 alpha}(r), serves bm (0, 0, 1),
+bm_drift (0, mu, sigma), gbm's log kernel (0, mu, sigma) and ou (alpha, beta,
+sigma).  The cir-family kernel uses the parametrization fixed against a
+Monte-Carlo oracle:  with c_r = 2 / (sigma^2 phi_{-alpha}(r)),
 
     2 c_{t-s} X_t | X_s = y   ~   chi2nc(4 beta/sigma^2,  2 c_{t-s} e^{-alpha(t-s)} y).
 
@@ -43,7 +46,7 @@ from typing import Callable, Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from . import special
-from ._numerics import invert_monotone_cdf, require
+from ._numerics import clock, invert_monotone_cdf, require
 from .errors import DomainError
 
 __all__ = [
@@ -85,7 +88,8 @@ class Marginal:
 
 
 def _check_order(s: float, t: float) -> None:
-    require(t > s, f"time ordering violated: need s < t, got s={s}, t={t}")
+    if not t > s:        # the message is formatted only on failure: every kernel call checks
+        raise DomainError(f"time ordering violated: need s < t, got s={s}, t={t}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +126,13 @@ class GaussianKernel:
         self.alpha, self.beta, self.sigma = alpha, beta, sigma
 
     def _mean(self, s, t, y):
-        # y e^{-alpha d} + beta (1 - e^{-alpha d}) / alpha, with expm1: no cancellation at
-        # small alpha, where beta/alpha + (y - beta/alpha) e^{-alpha d} loses ulp(beta/alpha)
-        al, d = self.alpha, t - s
-        if al == 0.0:
-            return np.asarray(y, float) + self.beta * d
-        return np.asarray(y, float) * math.exp(-al * d) + self.beta * (-math.expm1(-al * d)) / al
+        # y e^{-alpha d} + beta clock(-alpha, d): no cancellation at small alpha, where
+        # beta/alpha + (y - beta/alpha) e^{-alpha d} loses ulp(beta/alpha)
+        d = t - s
+        return np.asarray(y, float) * math.exp(-self.alpha * d) + self.beta * clock(-self.alpha, d)
 
     def _var(self, s, t):
-        al = self.alpha
-        if al == 0.0:
-            return self.sigma ** 2 * (t - s)
-        return self.sigma ** 2 * (-math.expm1(-2.0 * al * (t - s))) / (2.0 * al)
+        return self.sigma ** 2 * clock(-2.0 * self.alpha, t - s)
 
     def _dmean_dt(self, s, t, y):
         return (self.beta - self.alpha * np.asarray(y, float)) * math.exp(-self.alpha * (t - s))
@@ -170,11 +169,13 @@ class GaussianKernel:
         return self._mean(s, t, y) + sd * rng.standard_normal(shape)
 
     def pdf_dx(self, s, y, t, x):
+        _check_order(s, t)
         v = self._var(s, t)
         z = self._z(s, y, t, x, math.sqrt(v))
         return -z * special.norm_pdf(z) / v
 
     def cdf_dt(self, s, y, t, x):
+        _check_order(s, t)
         sd = math.sqrt(self._var(s, t))
         z = self._z(s, y, t, x, sd)
         dsd = self._dvar_dt(s, t) / (2.0 * sd)
@@ -236,6 +237,7 @@ class FoldedGaussianKernel:
         return np.abs(np.asarray(y, dtype=float) + sd * rng.standard_normal(shape))
 
     def pdf_dx(self, s, y, t, x):
+        _check_order(s, t)
         v = t - s
         sd = math.sqrt(v)
         x = self._clip(x, y, sd)
@@ -243,6 +245,7 @@ class FoldedGaussianKernel:
         return np.where(x < 0.0, 0.0, (-a * special.norm_pdf(a) - b * special.norm_pdf(b)) / v)
 
     def cdf_dt(self, s, y, t, x):
+        _check_order(s, t)
         d = t - s
         x = self._clip(x, y, math.sqrt(d))
         a, b = (x - y) / math.sqrt(d), (x + y) / math.sqrt(d)
@@ -258,10 +261,8 @@ class Ncx2Kernel:
         self.cdf_dt = None
 
     def _twoc(self, dt: float) -> float:
-        # 2 * c_r with c_r = 2 alpha / (sigma^2 (1 - e^{-alpha r})); alpha -> 0 limit 4/(sigma^2 r)
-        if self.alpha == 0.0:
-            return 4.0 / (self.sigma ** 2 * dt)
-        return 4.0 * self.alpha / (self.sigma ** 2 * (-math.expm1(-self.alpha * dt)))
+        # 2 c_r = 4 / (sigma^2 clock(-alpha, r)); alpha -> 0 limit 4/(sigma^2 r)
+        return 4.0 / (self.sigma ** 2 * clock(-self.alpha, dt))
 
     def _lam(self, dt: float, y):
         return self._twoc(dt) * math.exp(-self.alpha * dt) * np.asarray(y, dtype=float)
@@ -297,6 +298,7 @@ class Ncx2Kernel:
 
     def pdf_dx(self, s, y, t, x):
         """d pdf/dx; at x = 0 the right-hand limit (see `special._chi2nc_pdf_dz`)."""
+        _check_order(s, t)
         twoc = self._twoc(t - s)
         x = np.asarray(x, dtype=float)
         miss = (x < 0.0) | (x == np.inf)

@@ -25,7 +25,8 @@ the pushed kernel at the weighted source preimages z gives the copula density
 
     c^Y(u, v) = sum_{z, x} w(s, z, q_u) w(t, x, q_v) c^X(F_s(z), F_t(x)).
 
-The module also ships the catalog transformation chains and the
+The catalog transformation chains (`builtin_chain`) change time on one
+exponential clock, `_numerics.clock`.  The module also ships the
 drift/diffusion condition for transformability into Brownian motion,
 
     mu/sigma = sigma_x/2 + int sigma_t/sigma^2 dx + c1(t) int dx/sigma + c2(t),
@@ -42,7 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import central_diff, integrate, invert_monotone_cdf, rel_step, require
+from ._numerics import (central_diff, clock, clock_inv, integrate, invert_monotone_cdf,
+                        rel_step, require)
 from .copula import CopulaSurface
 from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
@@ -568,34 +570,15 @@ def compose(outer: SpaceTimeTransform, inner: SpaceTimeTransform) -> SpaceTimeTr
 
 def _chain_ou_to_bm(alpha: float, beta: float, sigma: float) -> SpaceTimeTransform:
     require(sigma > 0.0, "sigma must be positive")
-    if alpha == 0.0:
-        return SpaceTimeTransform(
-            phi=lambda t: t, phi_inv=lambda tau: tau,
-            psi=lambda t, x: (np.asarray(x, dtype=float) - beta * t) / sigma,
-            jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float), 1.0 / sigma),
-            pieces=(MonotonePiece(-np.inf, np.inf,
-                                  lambda t, y: sigma * np.asarray(y, dtype=float) + beta * t,
-                                  True),),
-            name="ou_to_bm")
-
-    mean_level = beta / alpha
-
-    def phi(t):
-        return math.expm1(2.0 * alpha * t) / (2.0 * alpha)
-
-    def phi_inv(tau):
-        arg = 2.0 * alpha * tau
-        require(arg > -1.0, "time map not invertible at the requested time")
-        return math.log1p(arg) / (2.0 * alpha)
-
     return SpaceTimeTransform(
-        phi=phi, phi_inv=phi_inv,
-        psi=lambda t, x: math.exp(alpha * t) / sigma * (np.asarray(x, dtype=float) - mean_level),
+        phi=lambda t: clock(2.0 * alpha, t), phi_inv=lambda tau: clock_inv(2.0 * alpha, tau),
+        psi=lambda t, x: (math.exp(alpha * t) * np.asarray(x, dtype=float)
+                          - beta * clock(alpha, t)) / sigma,
         jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float),
                                            math.exp(alpha * t) / sigma),
         pieces=(MonotonePiece(-np.inf, np.inf,
-                              lambda t, y: mean_level
-                              + sigma * math.exp(-alpha * t) * np.asarray(y, dtype=float),
+                              lambda t, y: sigma * math.exp(-alpha * t) * np.asarray(y, dtype=float)
+                              + beta * clock(-alpha, t),
                               True),),
         name="ou_to_bm")
 
@@ -607,9 +590,6 @@ def _chain_bm_to_special_cir(alpha: float, sigma: float) -> SpaceTimeTransform:
     def scale(t):
         return alpha * t + 1.0
 
-    phi = (lambda t: t) if alpha == 0.0 else (lambda t: math.log1p(alpha * t) / alpha)
-    phi_inv = (lambda tau: tau) if alpha == 0.0 else (lambda tau: math.expm1(alpha * tau) / alpha)
-
     def psi(t, x):
         x = np.asarray(x, dtype=float)
         return sigma ** 2 * x * x / (4.0 * scale(t))
@@ -618,7 +598,7 @@ def _chain_bm_to_special_cir(alpha: float, sigma: float) -> SpaceTimeTransform:
         return 2.0 * np.sqrt(np.asarray(y, dtype=float) * scale(t)) / sigma
 
     return SpaceTimeTransform(
-        phi=phi, phi_inv=phi_inv, psi=psi,
+        phi=lambda t: clock_inv(alpha, t), phi_inv=lambda tau: clock(alpha, tau), psi=psi,
         jacobian=lambda t, x: sigma ** 2 * np.asarray(x, dtype=float) / (2.0 * scale(t)),
         pieces=(MonotonePiece(-np.inf, 0.0, lambda t, y: -inv_pos(t, y), False),
                 MonotonePiece(0.0, np.inf, inv_pos, True)),
@@ -638,21 +618,9 @@ def _chain_cir_to_rayleigh(sigma: float) -> SpaceTimeTransform:
 
 
 def _chain_rayleigh_to_bessel(b: float) -> SpaceTimeTransform:
-    if b == 0.0:
-        piece = MonotonePiece(0.0, np.inf, lambda t, y: np.asarray(y, dtype=float), True)
-        return replace(identity_transform(), pieces=(piece,), name="rayleigh_to_bessel")
-
-    def phi(t):
-        return -math.expm1(-2.0 * b * t) / (2.0 * b)
-
-    def phi_inv(tau):
-        arg = -2.0 * b * tau
-        require(arg > -1.0, "time map not invertible at the requested time "
-                            "(horizon tau < 1/(2b) for b > 0)")
-        return -math.log1p(arg) / (2.0 * b)
-
+    # the clock's horizon 1/(2b) bounds the Bessel time for b > 0
     return SpaceTimeTransform(
-        phi=phi, phi_inv=phi_inv,
+        phi=lambda t: clock(-2.0 * b, t), phi_inv=lambda tau: clock_inv(-2.0 * b, tau),
         psi=lambda t, x: np.asarray(x, dtype=float) * math.exp(-b * t),
         jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float), math.exp(-b * t)),
         pieces=(MonotonePiece(0.0, np.inf,
@@ -666,6 +634,10 @@ def builtin_chain(name: str, **params) -> SpaceTimeTransform:
     ``ou_to_bm(alpha, beta, sigma)``, ``bm_to_special_cir(alpha, sigma)``,
     ``cir_to_rayleigh(sigma)``, ``rayleigh_to_bessel(b)`` and their composition
     ``cir_to_bessel(alpha, sigma)`` (Bessel drift delta = (4 beta/sigma^2 - 1)/2).
+    On the clock phi_a(t) = (e^{a t} - 1)/a, phi_0(t) = t, ou_to_bm maps (t, x) to
+    (phi_{2 alpha}(t), (e^{alpha t} x - beta phi_alpha(t))/sigma), with inverse
+    x = sigma e^{-alpha t} y + beta phi_{-alpha}(t); bm_to_special_cir runs on
+    phi_alpha^{-1} and rayleigh_to_bessel on phi_{-2b}.
     """
     if name == "ou_to_bm":
         return _chain_ou_to_bm(**params)

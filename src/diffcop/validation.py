@@ -15,7 +15,7 @@ import numpy as np
 
 from . import copula, models, special, stt, uniformize
 from .recombine import model_marginal_family, recombine as build_recombined
-from ._numerics import integrate
+from ._numerics import clock, integrate
 
 __all__ = ["CheckResult", "CriterionResult", "run_criterion", "run_suite",
            "suite_names", "format_result", "CRITERIA"]
@@ -316,8 +316,7 @@ def _criterion_8() -> list[CheckResult]:
                          dens_sup, np.inf))
 
     cir1 = copula.cir_closed_form(alpha, 1.0, 0.0, s, t)
-    phi_inv = lambda tau: math.expm1(alpha * tau) / alpha
-    rbm = copula.rbm_closed_form(phi_inv(s), phi_inv(t))
+    rbm = copula.rbm_closed_form(clock(alpha, s), clock(alpha, t))   # phi^{-1} of the cir clock
     pts = np.linspace(0.1, 0.9, 5)
     worst = float(np.max(np.abs(cir1.density(*_mesh(pts)) - rbm.density(*_mesh(pts)))))
     checks.append(_check("gamma=1 equals time-changed reflected-BM copula", worst, 1e-8))

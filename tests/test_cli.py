@@ -181,3 +181,12 @@ class TestConfigAndUsage:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_package_runs_as_a_module(self):
+        proc = subprocess.run([sys.executable, "-m", "diffcop", "validate", "--suite", "special_fn"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "all criteria passed" in proc.stdout
+        proc = subprocess.run([sys.executable, "-m", "diffcop", "validate", "--suite", "none"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2

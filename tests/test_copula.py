@@ -170,6 +170,19 @@ class TestOuClosedForm:
         assert float(surf.density(0.995, 0.995)) > float(surf.density(0.5, 0.5))
         assert float(surf.density(0.005, 0.005)) > float(surf.density(0.5, 0.5))
 
+    @pytest.mark.parametrize("alpha", [1e-300, -1e-300, 1e-17, 1e-9, 1e-6, 0.1, 400.0])
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 0.5, 1.0])
+    def test_rho_and_density_match_mpmath(self, alpha, s):
+        t = 2.0 * s                  # s - t = -s exactly, so alpha (s - t) rounds once
+        with mpmath.workdps(40):
+            a2 = 2 * mpmath.mpf(alpha)
+            rho = mpmath.sqrt(mpmath.expm1(a2 * s) / mpmath.expm1(a2 * t))
+            w, zu, zv = mpmath.sqrt(1 - rho ** 2), _mp_norm_quantile(0.3), _mp_norm_quantile(0.6)
+            dens = mpmath.npdf((zv - rho * zu) / w) / (w * mpmath.npdf(zv))
+        assert copula._ou_rho(alpha, s, t) == pytest.approx(float(rho), rel=1e-14, abs=0)
+        surf = copula.ou_closed_form(alpha, s, t)
+        assert float(surf.density(0.3, 0.6)) == pytest.approx(float(dens), rel=1e-12, abs=0)
+
     def test_large_horizon_stable(self):
         surf = copula.ou_closed_form(0.1, 9.9e5, 1.0e6)
         val = float(surf.density(0.4, 0.6))
@@ -319,6 +332,20 @@ class TestConditionalCdfGrid:
     def test_grid_eval_validates_n(self):
         with pytest.raises(DomainError):
             copula.grid_eval(copula.gaussian_closed_form(1.0, 2.0), 1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_grid_eval_needs_an_integer_size(self, n):
+        with pytest.raises(DomainError):
+            copula.grid_eval(copula.gaussian_closed_form(1.0, 2.0), n)
+
+    @pytest.mark.parametrize("m", [0, -1, 1.5, 2.0])
+    def test_cell_masses_needs_an_integer_size(self, m):
+        with pytest.raises(DomainError):
+            copula.cell_masses(copula.gaussian_closed_form(1.0, 2.0), m)
+
+    def test_cell_masses_of_one_cell(self):
+        masses = copula.cell_masses(copula.gaussian_closed_form(1.0, 2.0), 1)
+        assert masses.shape == (1, 1) and masses[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_csv_round_trip(self, tmp_path):
         surf = copula.ou_closed_form(0.1, 30.0, 30.5)

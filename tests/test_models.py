@@ -174,6 +174,16 @@ class TestKernelProtocol:
             if derivative is not None:
                 np.testing.assert_array_equal(derivative(0.5, 1.0, 1.5, edges), [0.0, 0.0])
 
+    @pytest.mark.parametrize("name, method", [
+        (name, method) for name in CATALOG
+        for method in ("pdf", "cdf", "quantile", "sample", "pdf_dx", "cdf_dt")
+        if getattr(build(name).kernel, method) is not None])
+    def test_every_method_checks_time_order(self, name, method):
+        fn = getattr(build(name).kernel, method)
+        last = np.random.default_rng(0) if method == "sample" else 0.7
+        with pytest.raises(DomainError):
+            fn(1.0, 0.2, 0.5, last)
+
     def test_marginal_calls_no_kernel_method(self):
         class Raising:
             def _fail(self, *args, **kwargs):

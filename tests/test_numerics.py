@@ -1,13 +1,54 @@
-"""The shared numerical kernels: the monotone solver and the Gauss-Legendre engine."""
+"""The shared numerical kernels: the clock, the monotone solver and the Gauss-Legendre engine."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from diffcop import special
-from diffcop._numerics import integrate, invert_monotone_cdf
+from diffcop._numerics import clock, clock_inv, integrate, invert_monotone_cdf
 from diffcop.errors import DomainError, NumericsError
+
+
+CLOCK_RATES = (-5.0, -1e-9, -1e-300, 0.0, 1e-300, 1e-9, 5.0)
+CLOCK_TIMES = (1e-12, 1.0, 100.0, math.inf)
+
+
+def _mp_clock(a, t):
+    """(e^{a t} - 1)/a in 40 digits: t at a = 0, and its limit at t = inf."""
+    with mp.workdps(40):
+        a, t = mp.mpf(a), mp.mpf(t)
+        if a == 0:
+            return t
+        return (mp.inf if a > 0 else -1 / a) if mp.isinf(t) else mp.expm1(a * t) / a
+
+
+@pytest.mark.parametrize("a", CLOCK_RATES)
+@pytest.mark.parametrize("t", CLOCK_TIMES)
+def test_clock_matches_mpmath(a, t):
+    exact = _mp_clock(a, t)
+    if mp.isinf(exact):
+        assert clock(a, t) == math.inf
+    else:
+        assert clock(a, t) == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+
+# where 1 + a tau = e^{a t} < 1/2, log1p(a tau) amplifies the rounding of tau: left out
+@pytest.mark.parametrize("a, t", [(a, t) for a in CLOCK_RATES for t in CLOCK_TIMES[:-1]
+                                  if a * t >= -math.log(2.0)])
+def test_clock_inv_matches_mpmath_and_round_trips(a, t):
+    tau = clock(a, t)
+    with mp.workdps(40):
+        exact = mp.mpf(tau) if a == 0 else mp.log1p(mp.mpf(a) * mp.mpf(tau)) / a
+    assert clock_inv(a, tau) == pytest.approx(float(exact), rel=1e-15, abs=0)
+    assert clock_inv(a, tau) == pytest.approx(t, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("a, tau", [(-5.0, 0.2), (-5.0, 0.3), (-1.0, math.inf), (2.0, -0.5)])
+def test_clock_inv_rejects_times_beyond_the_horizon(a, tau):
+    with pytest.raises(DomainError):
+        clock_inv(a, tau)
 
 
 @pytest.mark.parametrize("f, exact", [

@@ -132,6 +132,33 @@ class TestBuiltinChains:
         xs = np.array([0.25, 1.0, 4.0])
         np.testing.assert_allclose(chain.psi(0.7, xs), np.sqrt(xs), rtol=1e-15)
 
+    def test_ou_to_bm_small_alpha_is_exact(self):
+        # the image of OU at alpha = 1e-7 is a BM on the clock phi_{2 alpha}; psi has no
+        # beta/alpha term to cancel, so the pushed kernel is the BM kernel to rounding
+        params = {"alpha": 1e-7, "beta": 1.0, "sigma": 1.0}
+        pushed = stt.push_transition(models.make_model("ou", params, x0=0.3),
+                                     stt.builtin_chain("ou_to_bm", **params))
+        bm = models.make_model("bm", x0=pushed.x0, t0=pushed.t0)
+        for s, y, t, x in [(0.5, 0.2, 1.0, 0.6), (1.0, -0.4, 3.0, 0.9), (0.2, 1.0, 0.7, 0.5)]:
+            assert float(pushed.kernel.pdf(s, y, t, x)) == pytest.approx(
+                float(bm.kernel.pdf(s, y, t, x)), rel=1e-14, abs=0)
+            assert float(pushed.kernel.cdf(s, y, t, x)) == pytest.approx(
+                float(bm.kernel.cdf(s, y, t, x)), rel=1e-14, abs=0)
+
+    def test_ou_to_bm_alpha_zero_limit(self):
+        zero = stt.builtin_chain("ou_to_bm", alpha=0.0, beta=0.7, sigma=1.3)
+        small = stt.builtin_chain("ou_to_bm", alpha=1e-12, beta=0.7, sigma=1.3)
+        for t in (0.0, 0.25, 0.5):            # the maps differ from alpha = 0 by O(alpha t)
+            assert small.phi(t) == pytest.approx(zero.phi(t), rel=1e-12, abs=1e-12)
+            assert small.phi_inv(t) == pytest.approx(zero.phi_inv(t), rel=1e-12, abs=1e-12)
+            for x in (-1.5, 0.0, 1.5):
+                assert float(small.psi(t, x)) == pytest.approx(float(zero.psi(t, x)),
+                                                               rel=1e-12, abs=1e-12)
+                assert float(small.jacobian(t, x)) == pytest.approx(
+                    float(zero.jacobian(t, x)), rel=1e-12, abs=1e-12)
+                assert float(small.pieces[0].inverse(t, x)) == pytest.approx(
+                    float(zero.pieces[0].inverse(t, x)), rel=1e-12, abs=1e-12)
+
     def test_rayleigh_to_bessel_small_b_limit(self):
         chain0 = stt.builtin_chain("rayleigh_to_bessel", b=0.0)
         chain_eps = stt.builtin_chain("rayleigh_to_bessel", b=1e-9)
