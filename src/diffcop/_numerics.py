@@ -40,8 +40,14 @@ def clock(a: float, t: float) -> float:
     """phi_a(t) = (e^{a t} - 1)/a; t at a = 0, and -1/a at t = inf for a < 0.
 
     Below |a t| = 2^-54, where a t may be subnormal, (e^{a t} - 1)/(a t) rounds to 1.
+    Past a t = log(max float), about 709.78, `DomainError`: the clock overflows.
     """
-    return t if a == 0.0 or abs(a * t) < _CLOCK_LINEAR else math.expm1(a * t) / a
+    if a == 0.0 or abs(a * t) < _CLOCK_LINEAR:
+        return t
+    try:
+        return math.expm1(a * t) / a
+    except OverflowError:
+        raise DomainError(f"the exponential clock overflows at a t = {a * t}") from None
 
 
 def clock_inv(a: float, tau: float) -> float:

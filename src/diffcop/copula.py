@@ -116,8 +116,7 @@ class CopulaSurface:
     def __init__(self, density_core: Callable, conditional_core: Callable | None = None,
                  *, time_pair: tuple[float, float], provenance: str,
                  params: dict | None = None):
-        require(time_pair[1] > time_pair[0] > 0.0 or provenance == "independence",
-                f"need 0 < s < t, got {time_pair}")
+        require(time_pair[1] > time_pair[0] > 0.0, f"need 0 < s < t, got {time_pair}")
         self._density_core = density_core
         self._conditional_core = conditional_core
         self.time_pair = (float(time_pair[0]), float(time_pair[1]))

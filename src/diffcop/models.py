@@ -13,24 +13,28 @@ exact transition sampler:
                       scaled noncentral chi-square kernel
 ``cir_special``       cir with beta = sigma^2/4 (gamma = 1)
 ``rayleigh``          dY = (a/Y + b Y) dt + dB, sqrt-pushforward of a cir
-``bessel``            dZ = (delta/Z) dt + dB, the b -> 0 limit of rayleigh
+``bessel``            dZ = (delta/Z) dt + dB, rayleigh with a = delta, b = 0
 ====================  =======================================================
 
-Both kernel families read their lag r = t - s on the exponential clock
-phi_a(r) = (e^{a r} - 1)/a of `_numerics.clock` (phi_0(r) = r), so alpha = 0
-needs no branch.  One Gaussian kernel, the Ornstein-Uhlenbeck law
-`GaussianKernel(alpha, beta, sigma)` with mean y e^{-alpha r} + beta
-phi_{-alpha}(r) and variance sigma^2 phi_{-2 alpha}(r), serves bm (0, 0, 1),
-bm_drift (0, mu, sigma), gbm's log kernel (0, mu, sigma) and ou (alpha, beta,
-sigma).  The cir-family kernel uses the parametrization fixed against a
-Monte-Carlo oracle:  with c_r = 2 / (sigma^2 phi_{-alpha}(r)),
+Every catalog kernel comes from two laws and three maps.  The laws read their
+lag r = t - s on the exponential clock phi_a(r) = (e^{a r} - 1)/a of
+`_numerics.clock` (phi_0(r) = r), so alpha = 0 needs no branch:
 
-    2 c_{t-s} X_t | X_s = y   ~   chi2nc(4 beta/sigma^2,  2 c_{t-s} e^{-alpha(t-s)} y).
+* the Ornstein-Uhlenbeck law `GaussianKernel(alpha, beta, sigma)`, with mean
+  y e^{-alpha r} + beta phi_{-alpha}(r) and variance sigma^2 phi_{-2 alpha}(r):
+  bm (0, 0, 1), bm_drift (0, mu, sigma) and ou (alpha, beta, sigma);
+* the scaled noncentral chi-square law `Ncx2Kernel`, parametrized against a
+  Monte-Carlo oracle:  with c_r = 2 / (sigma^2 phi_{-alpha}(r)),
 
-A monotone map of a kernel is a kernel: `MappedKernel` holds the pushforward
-f^Y = f^X / |d psi/dx|.  gbm is the exp map of a log-Gaussian kernel, Rayleigh
-and Bessel the sqrt map of a cir-family kernel; `stt.push_transition` and the
-recombined process build theirs from it too.
+    2 c_{t-s} X_t | X_s = y   ~   chi2nc(4 beta/sigma^2,  2 c_{t-s} e^{-alpha(t-s)} y),
+
+  cir and cir_special.
+
+The maps are exp (gbm, over the Gaussian law (0, mu, sigma)), the fold at 0
+(rbm, `FoldedGaussianKernel` over the Gaussian law (0, 0, 1)) and sqrt (rayleigh
+and bessel, over the cir-family law).  A monotone map of a kernel is a kernel:
+`MappedKernel` holds the pushforward f^Y = f^X / |d psi/dx| of exp and sqrt, and
+`stt.push_transition` and the recombined process build theirs from it too.
 
 A stationary law is the transition law at an infinite lag: `Model.stationary`
 is ``model.marginal(math.inf)`` for ou with alpha > 0, cir, cir_special and
@@ -102,7 +106,8 @@ class Kernel(Protocol):
 
     ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments of
     ``pdf``; each is an analytic method, or None where the kernel has none.
-    At x = -inf and +inf the pdf is 0 and the cdf 0 and 1.
+    At x = -inf and +inf the pdf is 0 and the cdf 0 and 1.  Scalar arguments
+    give a float (an ndarray exit ends in ``[()]``, which unwraps 0-d arrays).
     """
 
     pdf_dx: Callable | None
@@ -183,23 +188,23 @@ class GaussianKernel:
 
 
 class FoldedGaussianKernel:
-    """|y + sqrt(var) Z|: the reflected heat kernel on (0, infinity)."""
+    """|B_t|, the reflected heat kernel on (0, infinity): the fold at 0 of the standard
+    Brownian kernel B = GaussianKernel(0, 0, 1).
 
+    The pdf is B's at x plus B's at -x; the cdf, pdf_dx and cdf_dt are B's at x minus
+    B's at -x; a sample is |B's sample|, from the same draws.  Every method is 0 at x < 0.
+    """
+
+    _bm = GaussianKernel(0.0, 0.0, 1.0)
     # below this h (1 + |c|) the cdf is summed as a series instead of differenced
     _SERIES_BELOW = 0.03
 
-    @staticmethod
-    def _clip(x, y, sd):
-        # x = -inf takes the x < 0 branch; past |y| + 40 sd both folds have pdf 0 and
-        # cdf 1 in double precision, so the clip changes no value and gives x = +inf those
-        return np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), np.abs(y) + 40.0 * sd)
+    def _fold(self, law, combine, s, y, t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, combine(law(s, y, t, x), law(s, y, t, -x)))[()]
 
     def pdf(self, s, y, t, x):
-        _check_order(s, t)
-        sd = math.sqrt(t - s)
-        x = self._clip(x, y, sd)
-        out = (special.norm_pdf((x - y) / sd) + special.norm_pdf((x + y) / sd)) / sd
-        return np.where(x < 0.0, 0.0, out)
+        return self._fold(self._bm.pdf, np.add, s, y, t, x)
 
     def cdf(self, s, y, t, x):
         """Phi(c + h) - Phi(c - h) with c = -y/sd, h = x/sd.
@@ -208,19 +213,16 @@ class FoldedGaussianKernel:
         2 phi(c) [h + He2(c) h^3/3! + He4(c) h^5/5! + He6(c) h^7/7!]
         (He_n the Hermite polynomials) is used instead.
         """
-        _check_order(s, t)
+        out = self._fold(self._bm.cdf, np.subtract, s, y, t, x)
         sd = math.sqrt(t - s)
-        x = self._clip(x, y, sd)
-        out = special.norm_cdf((x - y) / sd) - special.norm_cdf((-x - y) / sd)
-        h, c = x / sd, -np.asarray(y, dtype=float) / sd
+        h, c = np.maximum(x, 0.0) / sd, -np.asarray(y, dtype=float) / sd
         small = h * (1.0 + np.abs(c)) < self._SERIES_BELOW
         h = np.where(small, h, 0.0)
         c2, h2 = c * c, h * h
         he2, he4, he6 = c2 - 1.0, (c2 - 6.0) * c2 + 3.0, ((c2 - 15.0) * c2 + 45.0) * c2 - 15.0
         series = 2.0 * special.norm_pdf(c) * h * (
             1.0 + h2 * (he2 / 6.0 + h2 * (he4 / 120.0 + h2 * he6 / 5040.0)))
-        out = np.where(small, series, out)
-        return np.clip(np.where(x < 0.0, 0.0, out), 0.0, 1.0)
+        return np.clip(np.where(small, series, out), 0.0, 1.0)
 
     def quantile(self, s, y, t, p):
         _check_order(s, t)
@@ -231,26 +233,13 @@ class FoldedGaussianKernel:
                                    f_tol=1e-13, x_rel_tol=1e-14)
 
     def sample(self, s, y, t, rng, size=None):
-        _check_order(s, t)
-        sd = math.sqrt(t - s)
-        shape = np.shape(y) if size is None else size
-        return np.abs(np.asarray(y, dtype=float) + sd * rng.standard_normal(shape))
+        return np.abs(self._bm.sample(s, y, t, rng, size))
 
     def pdf_dx(self, s, y, t, x):
-        _check_order(s, t)
-        v = t - s
-        sd = math.sqrt(v)
-        x = self._clip(x, y, sd)
-        a, b = (x - y) / sd, (x + y) / sd
-        return np.where(x < 0.0, 0.0, (-a * special.norm_pdf(a) - b * special.norm_pdf(b)) / v)
+        return self._fold(self._bm.pdf_dx, np.subtract, s, y, t, x)
 
     def cdf_dt(self, s, y, t, x):
-        _check_order(s, t)
-        d = t - s
-        x = self._clip(x, y, math.sqrt(d))
-        a, b = (x - y) / math.sqrt(d), (x + y) / math.sqrt(d)
-        out = (-(x - y) * special.norm_pdf(a) - (x + y) * special.norm_pdf(b)) / (2.0 * d ** 1.5)
-        return np.where(x < 0.0, 0.0, out)
+        return self._fold(self._bm.cdf_dt, np.subtract, s, y, t, x)
 
 
 class Ncx2Kernel:
@@ -274,7 +263,7 @@ class Ncx2Kernel:
         miss = (x < 0.0) | (x == np.inf)
         out = twoc * special.chi2nc_pdf(twoc * np.where(miss, 0.0, x), self.df,
                                         self._lam(t - s, y))
-        return np.where(miss, 0.0, out)
+        return np.where(miss, 0.0, out)[()]
 
     def cdf(self, s, y, t, x):
         _check_order(s, t)
@@ -282,7 +271,7 @@ class Ncx2Kernel:
         x = np.asarray(x, dtype=float)
         pos = np.clip(x, 0.0, None)
         out = special.chi2nc_cdf(twoc * pos, self.df, self._lam(t - s, y))
-        return np.where(x < 0.0, 0.0, out)
+        return np.where(x < 0.0, 0.0, out)[()]
 
     def quantile(self, s, y, t, p):
         _check_order(s, t)
@@ -304,7 +293,7 @@ class Ncx2Kernel:
         miss = (x < 0.0) | (x == np.inf)
         z = twoc * np.where(miss, 1.0, x)
         out = twoc ** 2 * special._chi2nc_pdf_dz(z, self.df, self._lam(t - s, y))
-        return np.where(miss, 0.0, out)
+        return np.where(miss, 0.0, out)[()]
 
 
 class MappedKernel:
@@ -352,12 +341,12 @@ class MappedKernel:
     def pdf(self, s, y, t, x):
         ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
         out = self.base.pdf(ts, xs, tt, xt) / np.abs(self.jacobian(tt, xt, x))
-        return np.where(miss, 0.0, out)
+        return np.where(miss, 0.0, out)[()]
 
     def cdf(self, s, y, t, x):
         ts, xs, tt, xt, x, miss, above = self._source(s, y, t, x)
         out = self.base.cdf(ts, xs, tt, xt)
-        return np.where(miss, above, out if self.increasing else 1.0 - out)
+        return np.where(miss, above, out if self.increasing else 1.0 - out)[()]
 
     def quantile(self, s, y, t, p):
         ts, tt = self._times(s, t)
@@ -376,19 +365,12 @@ class MappedKernel:
         jac = self.jacobian(tt, xt, x)
         f, fp = self.base.pdf(ts, xs, tt, xt), self.base.pdf_dx(ts, xs, tt, xt)
         out = (fp - f * self._djac_dx(tt, xt, x) / jac) / (jac * np.abs(jac))
-        return np.where(miss, 0.0, out)
+        return np.where(miss, 0.0, out)[()]
 
     def _cdf_dt(self, s, y, t, x):
         ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
         out = self.base.cdf_dt(ts, xs, tt, xt)
-        return np.where(miss, 0.0, out if self.increasing else -out)
-
-
-def _sqrt_map(core: Ncx2Kernel) -> MappedKernel:
-    """Y = sqrt(X) over a cir-family kernel: the rayleigh and bessel kernels."""
-    return MappedKernel(core, lambda t, x: np.sqrt(x), lambda t, y: y * y,
-                        lambda t, x, y: 0.5 / y, (0.0, np.inf),
-                        djac_dx=lambda t, x, y: -0.25 / (x * y), static=True)
+        return np.where(miss, 0.0, out if self.increasing else -out)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +464,7 @@ def _with_stationary(model: Model, ergodic: bool) -> Model:
 def _ou_family(name, params, al, be, sg, x0, t0):
     spec = DiffusionSpec(name, params, (-np.inf, np.inf), ("natural", "natural"),
                          drift=lambda x, t: -al * np.asarray(x, float) + be,
-                         diffusion=lambda x, t: np.full_like(np.asarray(x, float), sg))
+                         diffusion=lambda x, t: np.full_like(np.asarray(x, float), sg)[()])
     return _with_stationary(Model(spec, GaussianKernel(al, be, sg), x0, t0), al > 0.0)
 
 
@@ -515,10 +497,10 @@ def _build_ou(params, x0, t0):
 
 def _build_rbm(params, x0, t0):
     _take(params, "rbm")
-    require(x0 >= 0.0, "rbm requires x0 >= 0")
+    _check_x0(x0, (0.0, np.inf), "rbm", allow_lower=True)
     spec = DiffusionSpec("rbm", {}, (0.0, np.inf), ("regular-reflecting", "natural"),
                          drift=lambda x, t: 0.0 * np.asarray(x, float),
-                         diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
+                         diffusion=lambda x, t: np.ones_like(np.asarray(x, float))[()])
     return Model(spec, FoldedGaussianKernel(), x0, t0)
 
 
@@ -544,29 +526,29 @@ def _build_cir_special(params, x0, t0):
     return _cir_family("cir_special", p["alpha"], p["sigma"] ** 2 / 4.0, p["sigma"], x0, t0, p)
 
 
+def _sqrt_family(name, params, a, b, x0, t0):
+    """dY = (a/Y + b Y) dt + dB: Y = sqrt(X) for the cir with alpha = -2b, sigma = 2,
+    gamma = 2a + 1."""
+    _check_x0(x0, (0.0, np.inf), name)
+    lower = "entrance" if a >= 0.5 else "regular-reflecting"
+    spec = DiffusionSpec(name, params, (0.0, np.inf), (lower, "natural"),
+                         drift=lambda x, t: a / np.asarray(x, float) + b * np.asarray(x, float),
+                         diffusion=lambda x, t: np.ones_like(np.asarray(x, float))[()])
+    kern = MappedKernel(Ncx2Kernel(2.0 * a + 1.0, -2.0 * b, 2.0), lambda t, x: np.sqrt(x),
+                        lambda t, y: y * y, lambda t, x, y: 0.5 / y, (0.0, np.inf),
+                        djac_dx=lambda t, x, y: -0.25 / (x * y), static=True)
+    return _with_stationary(Model(spec, kern, x0, t0), b < 0.0)
+
+
 def _build_rayleigh(params, x0, t0):
     p = _take(params, "rayleigh", a=_any("a"), b=_any("b"))
-    a, b = p["a"], p["b"]
-    require(a > -0.5, "rayleigh requires a > -1/2")
-    _check_x0(x0, (0.0, np.inf), "rayleigh")
-    lower = "entrance" if a >= 0.5 else "regular-reflecting"
-    spec = DiffusionSpec("rayleigh", p, (0.0, np.inf), (lower, "natural"),
-                         drift=lambda x, t: a / np.asarray(x, float) + b * np.asarray(x, float),
-                         diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
-    # Y = sqrt(X) for a cir with alpha=-2b, sigma=2, beta=2a+1 (gamma = 2a+1)
-    kern = _sqrt_map(Ncx2Kernel(2.0 * a + 1.0, -2.0 * b, 2.0))
-    return _with_stationary(Model(spec, kern, x0, t0), b < 0.0)
+    require(p["a"] > -0.5, "rayleigh requires a > -1/2")
+    return _sqrt_family("rayleigh", p, p["a"], p["b"], x0, t0)
 
 
 def _build_bessel(params, x0, t0):
     p = _take(params, "bessel", delta=_positive("delta"))
-    delta = p["delta"]
-    _check_x0(x0, (0.0, np.inf), "bessel")
-    lower = "entrance" if delta >= 0.5 else "regular-reflecting"
-    spec = DiffusionSpec("bessel", p, (0.0, np.inf), (lower, "natural"),
-                         drift=lambda x, t: delta / np.asarray(x, float),
-                         diffusion=lambda x, t: np.ones_like(np.asarray(x, float)))
-    return Model(spec, _sqrt_map(Ncx2Kernel(2.0 * delta + 1.0, 0.0, 2.0)), x0, t0)
+    return _sqrt_family("bessel", p, p["delta"], 0.0, x0, t0)
 
 
 _BUILDERS = {

@@ -77,7 +77,7 @@ class _TabulatedMarginalFamily:
 
     def quantile(self, t, p):
         p = np.clip(np.asarray(p, dtype=float), self._span[0], self._span[1])
-        return self._quantile(p)
+        return self._quantile(p)[()]
 
     def pdf(self, t, x):
         return np.clip(self._pdf(np.asarray(x, dtype=float)), 0.0, None)

@@ -418,7 +418,7 @@ def _chi2nc_pdf_dz(z, nu: float, lam):
         at_zero = (-np.inf if nu < 2.0 else 0.25 * e * (0.5 * lam - 1.0) if nu == 2.0
                    else np.inf if nu < 4.0 else 0.25 * e if nu == 4.0 else 0.0)
         out = np.where(zero, at_zero, out)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 # `chi2nc_cdf` takes chndtr's values below this from the integral of the density.

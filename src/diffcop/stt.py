@@ -451,9 +451,7 @@ def push_transition(model: Model, transform: SpaceTimeTransform) -> Model:
 
     t_ref = model.t0 + 1.0
     lo_v, hi_v = _piece_range(transform, piece, t_ref)
-    bounds = ("natural", "natural")
-    if model.spec.boundaries != bounds:
-        bounds = model.spec.boundaries if piece.increasing else model.spec.boundaries[::-1]
+    bounds = model.spec.boundaries if piece.increasing else model.spec.boundaries[::-1]
     spec = DiffusionSpec(
         name=f"push({model.name},{transform.name or 'stt'})",
         params=dict(model.spec.params), interval=(lo_v, hi_v),
@@ -525,9 +523,10 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
 def identity_transform() -> SpaceTimeTransform:
     return SpaceTimeTransform(
         phi=lambda t: t, phi_inv=lambda tau: tau,
-        psi=lambda t, x: np.asarray(x, dtype=float),
-        jacobian=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-        pieces=(MonotonePiece(-np.inf, np.inf, lambda t, y: np.asarray(y, dtype=float), True),),
+        psi=lambda t, x: np.asarray(x, dtype=float)[()],
+        jacobian=lambda t, x: np.ones_like(np.asarray(x, dtype=float))[()],
+        pieces=(MonotonePiece(-np.inf, np.inf, lambda t, y: np.asarray(y, dtype=float)[()],
+                              True),),
         name="identity")
 
 
@@ -537,7 +536,7 @@ def absolute_value() -> SpaceTimeTransform:
         psi=lambda t, x: np.abs(np.asarray(x, dtype=float)),
         jacobian=lambda t, x: np.sign(np.asarray(x, dtype=float)),
         pieces=(MonotonePiece(-np.inf, 0.0, lambda t, y: -np.asarray(y, dtype=float), False),
-                MonotonePiece(0.0, np.inf, lambda t, y: np.asarray(y, dtype=float), True)),
+                MonotonePiece(0.0, np.inf, lambda t, y: np.asarray(y, dtype=float)[()], True)),
         name="absolute_value")
 
 
@@ -575,7 +574,7 @@ def _chain_ou_to_bm(alpha: float, beta: float, sigma: float) -> SpaceTimeTransfo
         psi=lambda t, x: (math.exp(alpha * t) * np.asarray(x, dtype=float)
                           - beta * clock(alpha, t)) / sigma,
         jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float),
-                                           math.exp(alpha * t) / sigma),
+                                           math.exp(alpha * t) / sigma)[()],
         pieces=(MonotonePiece(-np.inf, np.inf,
                               lambda t, y: sigma * math.exp(-alpha * t) * np.asarray(y, dtype=float)
                               + beta * clock(-alpha, t),
@@ -622,7 +621,7 @@ def _chain_rayleigh_to_bessel(b: float) -> SpaceTimeTransform:
     return SpaceTimeTransform(
         phi=lambda t: clock(-2.0 * b, t), phi_inv=lambda tau: clock_inv(-2.0 * b, tau),
         psi=lambda t, x: np.asarray(x, dtype=float) * math.exp(-b * t),
-        jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float), math.exp(-b * t)),
+        jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float), math.exp(-b * t))[()],
         pieces=(MonotonePiece(0.0, np.inf,
                               lambda t, y: np.asarray(y, dtype=float) * math.exp(b * t), True),),
         name="rayleigh_to_bessel")
@@ -660,6 +659,9 @@ def builtin_chain(name: str, **params) -> SpaceTimeTransform:
 # Transformability into Brownian motion
 # ---------------------------------------------------------------------------
 
+_DERIV_REL = 1e-5    # relative step of the sigma_x and sigma_t differences
+
+
 def _as_time_fn(c) -> Callable:
     return c if callable(c) else (lambda t, _c=float(c): np.full(np.shape(t), _c))
 
@@ -670,8 +672,8 @@ def _sigma(spec: DiffusionSpec) -> Callable:
                                         np.shape(x))
 
 
-def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float, x_ref: float,
-                     deriv_rel: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float,
+                     x_ref: float) -> tuple[np.ndarray, np.ndarray]:
     """Returns (base, I2) at the states x, with base = mu/sigma - sigma_x/2 - int sigma_t/sigma^2.
 
     Each integral over [x_ref, x] is one `integrate` call for all of x.
@@ -681,8 +683,8 @@ def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float, x_ref: float,
     vanish = ~(s_val > 0.0)
     if np.any(vanish):
         raise DomainError(f"diffusion coefficient vanishes at x={x[vanish][0]}")
-    sigma_x = central_diff(lambda xx: sig(xx, t), x, rel_step(x, deriv_rel))
-    h_t = rel_step(t, deriv_rel)
+    sigma_x = central_diff(lambda xx: sig(xx, t), x, rel_step(x, _DERIV_REL))
+    h_t = rel_step(t, _DERIV_REL)
     i1 = integrate(lambda y, _: central_diff(lambda tt: sig(y, tt), t, h_t) / sig(y, t) ** 2,
                    x_ref, x, x_ref, abs_tol=1e-10, rel_tol=1e-10)
     i2 = integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref, abs_tol=1e-12, rel_tol=1e-12)

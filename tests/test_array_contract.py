@@ -201,6 +201,7 @@ def test_array_call_equals_scalar_loop(fn, xs):
     loop = [fn(float(x)) for x in xs.ravel()]
     if not isinstance(out, tuple):          # the uniformized coefficients are (drift, diffusion)
         out, loop = (out,), [(value,) for value in loop]
+    assert all(isinstance(v, float) for value in loop for v in value)
     for k, got in enumerate(out):
         assert np.shape(got) == xs.shape
         np.testing.assert_array_equal(got, np.reshape([value[k] for value in loop], xs.shape))

@@ -2,16 +2,24 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffcop
 from diffcop import copula
 from diffcop.cli import main
 from diffcop.models import PathEnsemble
 from diffcop.recombine import FirstPassageSample
+
+# the subprocesses import the package from the tree under test
+SRC = str(Path(diffcop.__file__).resolve().parents[1])
+ENV = dict(os.environ,
+           PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(args):
@@ -74,6 +82,16 @@ class TestSimulate:
         code = run(["simulate", "--model", "ou", "--params", "alpha=1.0",
                     "--out", tmp_path / "x.csv"])
         assert code == 2
+
+
+    def test_explosive_ou_past_the_clock_exits_2(self, tmp_path, capsys):
+        # one step of lag 800 at alpha = -1: the variance's clock e^{1600} overflows
+        code = run(["simulate", "--model", "ou", "--params", "alpha=-1,beta=0,sigma=1",
+                    "--x0", 0.0, "--t-max", 800.0, "--n-steps", 1, "--n-paths", 2,
+                    "--out", tmp_path / "x.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestRecombineCommand:
@@ -178,15 +196,15 @@ class TestConfigAndUsage:
         proc = subprocess.run(
             [sys.executable, "-m", "diffcop.cli", "simulate", "--model", "bm",
              "--n-paths", "2", "--n-steps", "3", "--t-max", "1.0", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=ENV)
         assert proc.returncode == 0
         assert out.exists()
 
     def test_package_runs_as_a_module(self):
         proc = subprocess.run([sys.executable, "-m", "diffcop", "validate", "--suite", "special_fn"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=ENV)
         assert proc.returncode == 0, proc.stderr
         assert "all criteria passed" in proc.stdout
         proc = subprocess.run([sys.executable, "-m", "diffcop", "validate", "--suite", "none"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=ENV)
         assert proc.returncode == 2

@@ -296,6 +296,29 @@ class TestRbmFolding:
         assert abs(float(self.mp_folded_cdf(root, y, 1.0)) / p - 1.0) <= 1e-10
 
 
+    def test_derivatives_and_edges_are_folded_bm(self):
+        # pdf_dx and cdf_dt are the standard Brownian kernel's at x minus its at -x
+        rbm, bm = build("rbm").kernel, models.GaussianKernel(0.0, 0.0, 1.0)
+        s, y, t = 0.5, np.array([0.0, 0.4, 2.5]), 1.75
+        xs = np.linspace(0.0, 6.0, 25)[:, None]
+        for fn in ("pdf_dx", "cdf_dt"):
+            np.testing.assert_array_equal(
+                getattr(rbm, fn)(s, y, t, xs),
+                getattr(bm, fn)(s, y, t, xs) - getattr(bm, fn)(s, y, t, -xs), err_msg=fn)
+        below = np.array([-np.inf, -3.0, -1e-300])[:, None]
+        for fn in ("pdf", "cdf", "pdf_dx", "cdf_dt"):
+            np.testing.assert_array_equal(getattr(rbm, fn)(s, y, t, below), 0.0, err_msg=fn)
+        np.testing.assert_array_equal(rbm.cdf(s, y, t, np.array([[-np.inf], [np.inf]])),
+                                      [[0.0] * 3, [1.0] * 3])
+
+    def test_samples_are_folded_bm(self):
+        rbm, bm = build("rbm").kernel, models.GaussianKernel(0.0, 0.0, 1.0)
+        y = np.array([0.0, 0.4, 2.5])
+        np.testing.assert_array_equal(
+            rbm.sample(0.5, y, 1.75, np.random.default_rng(12), (4, 3)),
+            np.abs(bm.sample(0.5, y, 1.75, np.random.default_rng(12), (4, 3))))
+
+
 class TestMarginals:
     def test_bm_median(self):
         bm = build("bm")
@@ -445,6 +468,28 @@ class TestOneGaussianKernel:
         for y in (0.0, 2.5, -40.0):
             exact = float(y * mp.exp(-a * d) - mp.expm1(-a * d) / a)
             assert float(k.quantile(0.5, y, 1.75, 0.5)) == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+class TestOneSqrtFamily:
+    """bessel(delta) is rayleigh(a = delta, b = 0): the same numbers, bit for bit."""
+
+    @pytest.mark.parametrize("delta", [0.2, 1.5, 4.0])
+    def test_bessel_equals_rayleigh_at_b_zero(self, delta):
+        k = models.make_model("bessel", {"delta": delta}, x0=1.3)
+        ref = models.make_model("rayleigh", {"a": delta, "b": 0.0}, x0=1.3)
+        s, y, t = 0.5, np.array([0.1, 1.3, 4.0]), 1.75
+        xs = np.geomspace(0.01, 8.0, 17)[:, None]
+        for fn in ("pdf", "cdf", "pdf_dx"):
+            np.testing.assert_array_equal(getattr(k.kernel, fn)(s, y, t, xs),
+                                          getattr(ref.kernel, fn)(s, y, t, xs), err_msg=fn)
+        ps = np.array([1e-12, 0.2, 0.5, 0.9, 1 - 1e-10])[:, None]
+        np.testing.assert_array_equal(k.kernel.quantile(s, y, t, ps),
+                                      ref.kernel.quantile(s, y, t, ps))
+        np.testing.assert_array_equal(
+            k.kernel.sample(s, y, t, np.random.default_rng(11), (4, 3)),
+            ref.kernel.sample(s, y, t, np.random.default_rng(11), (4, 3)))
+        np.testing.assert_array_equal(k.spec.drift(xs, t), ref.spec.drift(xs, t))
+        assert k.spec.boundaries == ref.spec.boundaries and k.stationary is ref.stationary is None
 
 
 class TestSampling:

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from diffcop import special
+from diffcop import builtin_chain, make_model, special
 from diffcop._numerics import clock, clock_inv, integrate, invert_monotone_cdf
 from diffcop.errors import DomainError, NumericsError
 
@@ -49,6 +49,18 @@ def test_clock_inv_matches_mpmath_and_round_trips(a, t):
 def test_clock_inv_rejects_times_beyond_the_horizon(a, tau):
     with pytest.raises(DomainError):
         clock_inv(a, tau)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: clock(1.0, 710.0),
+    lambda: clock(-2.0, -400.0),
+    lambda: make_model("ou", {"alpha": -1.0, "beta": 0.0, "sigma": 1.0}, x0=0.0).kernel.pdf(
+        0.0, 0.0, 500.0, 0.0),
+    lambda: builtin_chain("ou_to_bm", alpha=1.0, beta=0.0, sigma=1.0).phi(400.0)])
+def test_clock_overflow_is_a_domain_error(call):
+    # past a t = 709.78 e^{a t} overflows; the error is typed and names a t
+    with pytest.raises(DomainError, match="a t = "):
+        call()
 
 
 @pytest.mark.parametrize("f, exact", [
