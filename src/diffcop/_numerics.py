@@ -243,6 +243,12 @@ def integrate(f: Callable, lo, hi, at, *, abs_tol: float = 1e-13,
     return np.where(flip, -value, value).reshape(shape)
 
 
+def any_true(mask) -> bool:
+    """``mask.any()``, reading a NumPy bool directly: a ufunc gives one for 0-d operands,
+    and its ``.any()`` costs about 2 us, as an array's does."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def rel_step(x, rel: float):
     """Step sizes for central differences at a relative scale, per element of x."""
     return rel * np.maximum(np.abs(x), 1.0)

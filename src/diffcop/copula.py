@@ -39,10 +39,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import special
 from ._numerics import clock, integrate, require
 from .errors import DomainError
 from .models import Model
+from .special import (_chi2nc_cdf, _chi2nc_pdf, _chi2nc_quantile, _norm_cdf, _norm_pdf,
+                      _norm_quantile)
 
 __all__ = [
     "CopulaSurface", "from_transition", "gaussian_closed_form", "ou_closed_form",
@@ -53,24 +54,24 @@ __all__ = [
 
 _CLAMP = 1e-12   # corner clamp before quantile evaluation
 _Z_END = 8.5     # probit range of the unit-interval integrals: Phi(-8.5) = 9.5e-18
-_W_END = special.norm_cdf(-_Z_END)
+_W_END = float(_norm_cdf(-_Z_END))
 
 
 def _unit(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():           # NaN fails the comparisons too
         raise DomainError(f"{name} must lie in [0, 1]")
     return arr
 
 
-def _clamped(x, name: str) -> np.ndarray:
-    return np.clip(_unit(x, name), _CLAMP, 1.0 - _CLAMP)
+def _clamp(w) -> np.ndarray:
+    return np.minimum(np.maximum(w, _CLAMP), 1.0 - _CLAMP)    # np.clip costs twice as much
 
 
 def _probit(w) -> np.ndarray:
     """Phi^-1(w) for w in [0, 1], cut to |z| <= 8.5 (so 0 and 1 map to the cut)."""
     w = np.asarray(w, dtype=float)
-    z = special.norm_quantile(np.maximum(np.minimum(w, 1.0 - w), _W_END))
+    z = _norm_quantile(np.maximum(np.minimum(w, 1.0 - w), _W_END))
     return np.where(w < 0.5, z, -z)
 
 
@@ -91,8 +92,8 @@ def _unit_integral(f: Callable, lo, hi, at) -> np.ndarray:
     reading a density at 1e-12 in place of its mass below 1e-12 would put
     the fallback off by up to 5x at u = 1e-12 and short lags.
     """
-    w = lambda z: np.minimum(special.norm_cdf(z), 1.0 - _CLAMP)
-    return integrate(lambda z, z_at: f(w(z), w(z_at)) * special.norm_pdf(z),
+    w = lambda z: np.minimum(_norm_cdf(z), 1.0 - _CLAMP)
+    return integrate(lambda z, z_at: f(w(z), w(z_at)) * _norm_pdf(z),
                      _probit(lo), _probit(hi), _probit(at))
 
 
@@ -128,20 +129,23 @@ class CopulaSurface:
         return float(out) if np.ndim(out) == 0 else out
 
     def density(self, u, v):
-        return self._eval(self._density_core, _clamped(u, "u"), _clamped(v, "v"))
+        return self._eval(self._density_core, _clamp(_unit(u, "u")), _clamp(_unit(v, "v")))
 
     def conditional(self, u, v):
-        uc, vc = _clamped(u, "u"), _clamped(v, "v")
-        if self._conditional_core is not None:
-            return self._eval(self._conditional_core, uc, vc)
-        return self._eval(lambda u, v: _unit_integral(
-            lambda y, u: self._density_core(u, y), 0.0, v, u), uc, vc)
+        return self._eval(self._conditional, _unit(u, "u"), _unit(v, "v"))
 
     def cdf(self, u, v):
         # C(u, 0) = 0 exactly: the clamped conditional C(1e-12|w) would integrate to ~1e-12
         u, v = _unit(u, "u"), _unit(v, "v")
         return self._eval(lambda u, v: _unit_integral(
-            self.conditional, 0.0, np.where(v > 0.0, u, 0.0), v), u, v)
+            self._conditional, 0.0, np.where(v > 0.0, u, 0.0), v), u, v)
+
+    def _conditional(self, u, v):
+        """C(v|u) for u, v already in [0, 1], such as quadrature nodes: clamped, unchecked."""
+        u, v = _clamp(u), _clamp(v)
+        if self._conditional_core is not None:
+            return self._conditional_core(u, v)
+        return _unit_integral(lambda y, u: self._density_core(u, y), 0.0, v, u)
 
 
 def conditional(surface: CopulaSurface, u, v):
@@ -187,12 +191,12 @@ def _gaussian_rho_surface(rho: float, time_pair, provenance, params) -> CopulaSu
     w = math.sqrt(1.0 - rho * rho)
 
     def dens(u, v):
-        zu, zv = special.norm_quantile(u), special.norm_quantile(v)
-        return special.norm_pdf((zv - rho * zu) / w) / (w * special.norm_pdf(zv))
+        zu, zv = _norm_quantile(u), _norm_quantile(v)
+        return _norm_pdf((zv - rho * zu) / w) / (w * _norm_pdf(zv))
 
     def cond(u, v):
-        zu, zv = special.norm_quantile(u), special.norm_quantile(v)
-        return special.norm_cdf((zv - rho * zu) / w)
+        zu, zv = _norm_quantile(u), _norm_quantile(v)
+        return _norm_cdf((zv - rho * zu) / w)
 
     return CopulaSurface(dens, cond, time_pair=time_pair,
                          provenance=provenance, params=params)
@@ -241,16 +245,13 @@ def rbm_closed_form(s: float, t: float) -> CopulaSurface:
     w = math.sqrt(1.0 - rho * rho)
 
     def dens(u, v):
-        zu = special.norm_quantile((1.0 + u) / 2.0)
-        zv = special.norm_quantile((1.0 + v) / 2.0)
-        return (special.norm_pdf((zv - rho * zu) / w)
-                + special.norm_pdf((zv + rho * zu) / w)) / (2.0 * w * special.norm_pdf(zv))
+        zu, zv = _norm_quantile((1.0 + u) / 2.0), _norm_quantile((1.0 + v) / 2.0)
+        return (_norm_pdf((zv - rho * zu) / w)
+                + _norm_pdf((zv + rho * zu) / w)) / (2.0 * w * _norm_pdf(zv))
 
     def cond(u, v):
-        zu = special.norm_quantile((1.0 + u) / 2.0)
-        zv = special.norm_quantile((1.0 + v) / 2.0)
-        return (special.norm_cdf((zv - rho * zu) / w)
-                + special.norm_cdf((zv + rho * zu) / w) - 1.0)
+        zu, zv = _norm_quantile((1.0 + u) / 2.0), _norm_quantile((1.0 + v) / 2.0)
+        return _norm_cdf((zv - rho * zu) / w) + _norm_cdf((zv + rho * zu) / w) - 1.0
 
     return CopulaSurface(dens, cond, time_pair=(s, t),
                          provenance="closed_form", params={"family": "rbm"})
@@ -282,17 +283,17 @@ def cir_closed_form(alpha: float, gamma: float, x0: float, s: float, t: float) -
     decay = math.exp(-alpha * d)
 
     def dens(u, v):
-        xi_u = special.chi2nc_quantile(u, gamma, lam_s)
-        xi_v = special.chi2nc_quantile(v, gamma, lam_t)
+        xi_u = _chi2nc_quantile(u, gamma, lam_s)
+        xi_v = _chi2nc_quantile(v, gamma, lam_t)
         lam_tr = (A / Bs) * decay * xi_u
-        num = A * special.chi2nc_pdf((A / Bt) * xi_v, gamma, lam_tr)
-        den = Bt * special.chi2nc_pdf(xi_v, gamma, lam_t)
+        num = A * _chi2nc_pdf((A / Bt) * xi_v, gamma, lam_tr)
+        den = Bt * _chi2nc_pdf(xi_v, gamma, lam_t)
         return num / den
 
     def cond(u, v):
-        xi_u = special.chi2nc_quantile(u, gamma, lam_s)
-        xi_v = special.chi2nc_quantile(v, gamma, lam_t)
-        return special.chi2nc_cdf((A / Bt) * xi_v, gamma, (A / Bs) * decay * xi_u)
+        xi_u = _chi2nc_quantile(u, gamma, lam_s)
+        xi_v = _chi2nc_quantile(v, gamma, lam_t)
+        return _chi2nc_cdf((A / Bt) * xi_v, gamma, (A / Bs) * decay * xi_u)
 
     return CopulaSurface(dens, cond, time_pair=(s, t), provenance="closed_form",
                          params={"family": "cir", "alpha": alpha, "gamma": gamma, "x0": x0})
@@ -333,7 +334,7 @@ def cdf_on_grid(surface: CopulaSurface, us, vs) -> np.ndarray:
     require(np.all(np.diff(us) > 0) and us[0] > 0.0 and us[-1] <= 1.0,
             "us must be strictly increasing in (0, 1]")
     edges = np.concatenate(([0.0], us))[:, None]
-    strips = _unit_integral(surface.conditional, edges[:-1], edges[1:], vs[None, :])
+    strips = _unit_integral(surface._conditional, edges[:-1], edges[1:], vs[None, :])
     return np.cumsum(strips, axis=0)
 
 

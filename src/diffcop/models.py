@@ -39,19 +39,28 @@ and bessel, over the cir-family law).  A monotone map of a kernel is a kernel:
 A stationary law is the transition law at an infinite lag: `Model.stationary`
 is ``model.marginal(math.inf)`` for ou with alpha > 0, cir, cir_special and
 rayleigh with b < 0, and None for the other models.
+
+``kernel.bind(s, y, t)`` computes a law's constants for one (s, y, t) once:
+mean and sd, 2c and lam, or the base law bound at the mapped times.  The
+marginals (`Model.marginal(t)` is ``kernel.bind(t0, x0, t)``) and the kernel
+methods read that bound law, whose methods check their argument and call the
+unchecked cores of `special`.  Every catalog marginal has an analytic
+``pdf_dx`` and ``cdf_dt``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from . import special
-from ._numerics import clock, invert_monotone_cdf, require
+from ._numerics import any_true, clock, invert_monotone_cdf, require
 from .errors import DomainError
+from .special import (_chi2nc_cdf, _chi2nc_pdf, _chi2nc_pdf_dz, _chi2nc_quantile, _norm_cdf,
+                      _norm_pdf, _norm_quantile, _validate_nu_lambda)
 
 __all__ = [
     "DiffusionSpec", "Marginal", "Kernel", "MappedKernel", "Model",
@@ -81,7 +90,7 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class Marginal:
-    """Time-t marginal of a model started at (t0, x0); t = inf is the stationary law."""
+    """Law of X_t for one start, as `Kernel.bind` returns it; t = inf is the stationary law."""
 
     t: float
     pdf: Callable
@@ -96,6 +105,23 @@ def _check_order(s: float, t: float) -> None:
         raise DomainError(f"time ordering violated: need s < t, got s={s}, t={t}")
 
 
+def _check_nan(a, name: str) -> None:
+    if any_true(a != a):
+        raise DomainError(f"{name} must not be NaN")
+
+
+def _check_p(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if any_true(~((p > 0.0) & (p < 1.0))):                # NaN fails the comparisons too
+        raise DomainError("p must lie in the open interval (0, 1)")
+    return p
+
+
+def _masked(out, miss, fill):
+    """``out`` with ``fill`` where ``miss``; ``miss`` None masks nothing."""
+    return (out if miss is None else np.where(miss, fill, out))[()]
+
+
 # ---------------------------------------------------------------------------
 # Transition kernels
 # ---------------------------------------------------------------------------
@@ -104,8 +130,13 @@ def _check_order(s: float, t: float) -> None:
 class Kernel(Protocol):
     """Law of X_t given X_s = y for s < t, on broadcast arguments.
 
-    ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments of
-    ``pdf``; each is an analytic method, or None where the kernel has none.
+    ``bind(s, y, t)`` returns that law as a `Marginal` whose methods take x or p
+    alone.  It computes the law's constants for (s, y, t) once; each method
+    then checks its argument (NaN raises `DomainError`, and so does a p outside
+    (0, 1)) and calls the unchecked cores of `special`.  ``pdf(s, y, t, x)`` and
+    the other methods read the same bound law, so every formula is written
+    once.  ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments
+    of ``pdf``; each is an analytic method, or None where the kernel has none.
     At x = -inf and +inf the pdf is 0 and the cdf 0 and 1.  Scalar arguments
     give a float (an ndarray exit ends in ``[()]``, which unwraps 0-d arrays).
     """
@@ -113,13 +144,42 @@ class Kernel(Protocol):
     pdf_dx: Callable | None
     cdf_dt: Callable | None
 
+    def bind(self, s, y, t) -> Marginal: ...
     def pdf(self, s, y, t, x): ...
     def cdf(self, s, y, t, x): ...
     def quantile(self, s, y, t, p): ...
     def sample(self, s, y, t, rng, size=None): ...
 
 
-class GaussianKernel:
+class _LawKernel:
+    """The kernel methods of a class whose ``_law(s, y, t)`` is its law bound at (s, y, t)."""
+
+    def bind(self, s, y, t) -> Marginal:
+        law = self._law(s, y, t)
+        return Marginal(t, law.pdf, law.cdf, law.quantile,
+                        None if self.pdf_dx is None else law.pdf_dx,
+                        None if self.cdf_dt is None else law.cdf_dt)
+
+    def pdf(self, s, y, t, x):
+        return self._law(s, y, t).pdf(x)
+
+    def cdf(self, s, y, t, x):
+        return self._law(s, y, t).cdf(x)
+
+    def quantile(self, s, y, t, p):
+        return self._law(s, y, t).quantile(p)
+
+    def sample(self, s, y, t, rng, size=None):
+        return self._law(s, y, t).sample(rng, size)
+
+    def pdf_dx(self, s, y, t, x):
+        return self._law(s, y, t).pdf_dx(x)
+
+    def cdf_dt(self, s, y, t, x):
+        return self._law(s, y, t).cdf_dt(x)
+
+
+class GaussianKernel(_LawKernel):
     """Ornstein-Uhlenbeck kernel of dX = (-alpha X + beta) dt + sigma dB:
     X_t | X_s = y  ~  Normal(mean(s,t,y), var(s,t)).
 
@@ -130,64 +190,64 @@ class GaussianKernel:
     def __init__(self, alpha: float, beta: float, sigma: float):
         self.alpha, self.beta, self.sigma = alpha, beta, sigma
 
-    def _mean(self, s, t, y):
+    def _law(self, s, y, t):
+        return _NormalLaw(self, s, y, t)
+
+
+class _NormalLaw:
+    """`GaussianKernel` bound at (s, y, t): its mean, variance and sd."""
+
+    def __init__(self, k: GaussianKernel, s, y, t):
+        _check_order(s, t)
+        self.k, self.d, self.y = k, t - s, np.asarray(y, dtype=float)
+        # first: at alpha < 0 this clock overflows (`DomainError`) before the mean's e^{-alpha d}
+        self.var = k.sigma ** 2 * clock(-2.0 * k.alpha, self.d)
+        self.sd = math.sqrt(self.var)
         # y e^{-alpha d} + beta clock(-alpha, d): no cancellation at small alpha, where
         # beta/alpha + (y - beta/alpha) e^{-alpha d} loses ulp(beta/alpha)
-        d = t - s
-        return np.asarray(y, float) * math.exp(-self.alpha * d) + self.beta * clock(-self.alpha, d)
+        self.mean = self.y * math.exp(-k.alpha * self.d) + k.beta * clock(-k.alpha, self.d)
 
-    def _var(self, s, t):
-        return self.sigma ** 2 * clock(-2.0 * self.alpha, t - s)
-
-    def _dmean_dt(self, s, t, y):
-        return (self.beta - self.alpha * np.asarray(y, float)) * math.exp(-self.alpha * (t - s))
-
-    def _dvar_dt(self, s, t):
-        return self.sigma ** 2 * math.exp(-2.0 * self.alpha * (t - s))
-
-    def _z(self, s, y, t, x, sd):
+    def _z(self, x):
         # beyond |z| = 40 the pdf is 0 and the cdf 0 or 1 in double precision, so the
         # clip changes no value and gives x = +-inf those limits (minimum/maximum cost
         # about half of np.clip on scalars)
-        z = (np.asarray(x, dtype=float) - self._mean(s, t, y)) / sd
-        return np.minimum(np.maximum(z, -40.0), 40.0)
+        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
+        z = np.minimum(np.maximum(z, -40.0), 40.0)
+        _check_nan(z, "x and y")
+        return z
 
-    def pdf(self, s, y, t, x):
-        _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
-        return special.norm_pdf(self._z(s, y, t, x, sd)) / sd
+    def pdf(self, x):
+        return (_norm_pdf(self._z(x)) / self.sd)[()]
 
-    def cdf(self, s, y, t, x):
-        _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
-        return special.norm_cdf(self._z(s, y, t, x, sd))
+    def cdf(self, x):
+        return _norm_cdf(self._z(x))[()]
 
-    def quantile(self, s, y, t, p):
-        _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
-        return self._mean(s, t, y) + sd * special.norm_quantile(p)
+    def quantile(self, p):
+        p = np.asarray(p, dtype=float)
+        out = self.mean + self.sd * _norm_quantile(p)
+        # one check for both arguments: Phi^-1 is infinite or NaN at p outside (0, 1)
+        if any_true(~np.isfinite(out)):
+            _check_p(p)
+            raise DomainError("y must be finite")
+        return out[()]
 
-    def sample(self, s, y, t, rng, size=None):
-        _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
-        shape = np.shape(y) if size is None else size
-        return self._mean(s, t, y) + sd * rng.standard_normal(shape)
+    def sample(self, rng, size=None):
+        return self.mean + self.sd * rng.standard_normal(np.shape(self.y) if size is None
+                                                         else size)
 
-    def pdf_dx(self, s, y, t, x):
-        _check_order(s, t)
-        v = self._var(s, t)
-        z = self._z(s, y, t, x, math.sqrt(v))
-        return -z * special.norm_pdf(z) / v
+    def pdf_dx(self, x):
+        z = self._z(x)
+        return (-z * _norm_pdf(z) / self.var)[()]
 
-    def cdf_dt(self, s, y, t, x):
-        _check_order(s, t)
-        sd = math.sqrt(self._var(s, t))
-        z = self._z(s, y, t, x, sd)
-        dsd = self._dvar_dt(s, t) / (2.0 * sd)
-        return -special.norm_pdf(z) * (self._dmean_dt(s, t, y) + z * dsd) / sd
+    def cdf_dt(self, x):
+        k = self.k
+        z = self._z(x)
+        dmean = (k.beta - k.alpha * self.y) * math.exp(-k.alpha * self.d)
+        dsd = k.sigma ** 2 * math.exp(-2.0 * k.alpha * self.d) / (2.0 * self.sd)
+        return (-_norm_pdf(z) * (dmean + z * dsd) / self.sd)[()]
 
 
-class FoldedGaussianKernel:
+class FoldedGaussianKernel(_LawKernel):
     """|B_t|, the reflected heat kernel on (0, infinity): the fold at 0 of the standard
     Brownian kernel B = GaussianKernel(0, 0, 1).
 
@@ -196,117 +256,158 @@ class FoldedGaussianKernel:
     """
 
     _bm = GaussianKernel(0.0, 0.0, 1.0)
+
+    def _law(self, s, y, t):
+        return _FoldedLaw(self._bm._law(s, y, t))
+
+
+class _FoldedLaw:
+    """`FoldedGaussianKernel` bound at (s, y, t): the fold of B's law bound there."""
+
     # below this h (1 + |c|) the cdf is summed as a series instead of differenced
     _SERIES_BELOW = 0.03
 
-    def _fold(self, law, combine, s, y, t, x):
+    def __init__(self, bm: _NormalLaw):
+        self.bm = bm
+
+    def _fold(self, law, combine, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, combine(law(s, y, t, x), law(s, y, t, -x)))[()]
+        return np.where(x < 0.0, 0.0, combine(law(x), law(-x)))[()]
 
-    def pdf(self, s, y, t, x):
-        return self._fold(self._bm.pdf, np.add, s, y, t, x)
+    def pdf(self, x):
+        return self._fold(self.bm.pdf, np.add, x)
 
-    def cdf(self, s, y, t, x):
+    def cdf(self, x):
         """Phi(c + h) - Phi(c - h) with c = -y/sd, h = x/sd.
 
         The difference cancels for small h; there the odd Taylor series
         2 phi(c) [h + He2(c) h^3/3! + He4(c) h^5/5! + He6(c) h^7/7!]
         (He_n the Hermite polynomials) is used instead.
         """
-        out = self._fold(self._bm.cdf, np.subtract, s, y, t, x)
-        sd = math.sqrt(t - s)
-        h, c = np.maximum(x, 0.0) / sd, -np.asarray(y, dtype=float) / sd
+        out = self._fold(self.bm.cdf, np.subtract, x)
+        sd = self.bm.sd
+        h, c = np.maximum(x, 0.0) / sd, -self.bm.y / sd
         small = h * (1.0 + np.abs(c)) < self._SERIES_BELOW
         h = np.where(small, h, 0.0)
         c2, h2 = c * c, h * h
         he2, he4, he6 = c2 - 1.0, (c2 - 6.0) * c2 + 3.0, ((c2 - 15.0) * c2 + 45.0) * c2 - 15.0
-        series = 2.0 * special.norm_pdf(c) * h * (
+        series = 2.0 * _norm_pdf(c) * h * (
             1.0 + h2 * (he2 / 6.0 + h2 * (he4 / 120.0 + h2 * he6 / 5040.0)))
         return np.clip(np.where(small, series, out), 0.0, 1.0)
 
-    def quantile(self, s, y, t, p):
-        _check_order(s, t)
-        sd = math.sqrt(t - s)
-        p, y = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(y, dtype=float))
-        return invert_monotone_cdf(lambda x: (self.cdf(s, y, t, x), self.pdf(s, y, t, x)), p,
-                                   0.0, np.abs(y) + 12.0 * sd, bounds=(0.0, np.inf),
+    def quantile(self, p):
+        p, y = np.broadcast_arrays(_check_p(p), self.bm.y)
+        return invert_monotone_cdf(lambda x: (self.cdf(x), self.pdf(x)), p,
+                                   0.0, np.abs(y) + 12.0 * self.bm.sd, bounds=(0.0, np.inf),
                                    f_tol=1e-13, x_rel_tol=1e-14)
 
-    def sample(self, s, y, t, rng, size=None):
-        return np.abs(self._bm.sample(s, y, t, rng, size))
+    def sample(self, rng, size=None):
+        return np.abs(self.bm.sample(rng, size))
 
-    def pdf_dx(self, s, y, t, x):
-        return self._fold(self._bm.pdf_dx, np.subtract, s, y, t, x)
+    def pdf_dx(self, x):
+        return self._fold(self.bm.pdf_dx, np.subtract, x)
 
-    def cdf_dt(self, s, y, t, x):
-        return self._fold(self._bm.cdf_dt, np.subtract, s, y, t, x)
+    def cdf_dt(self, x):
+        return self._fold(self.bm.cdf_dt, np.subtract, x)
 
 
-class Ncx2Kernel:
+class Ncx2Kernel(_LawKernel):
     """cir-family kernel:  2 c_{t-s} X_t | X_s = y  ~  chi2nc(df, 2 c_{t-s} e^{-alpha(t-s)} y)."""
 
     def __init__(self, df: float, alpha: float, sigma: float):
         self.df, self.alpha, self.sigma = df, alpha, sigma
-        self.cdf_dt = None
 
     def _twoc(self, dt: float) -> float:
         # 2 c_r = 4 / (sigma^2 clock(-alpha, r)); alpha -> 0 limit 4/(sigma^2 r)
         return 4.0 / (self.sigma ** 2 * clock(-self.alpha, dt))
 
-    def _lam(self, dt: float, y):
-        return self._twoc(dt) * math.exp(-self.alpha * dt) * np.asarray(y, dtype=float)
+    def _law(self, s, y, t):
+        return _Ncx2Law(self, s, y, t)
 
-    def pdf(self, s, y, t, x):
+
+class _Ncx2Law:
+    """`Ncx2Kernel` bound at (s, y, t): 2c and lam = 2c e^{-alpha (t - s)} y."""
+
+    def __init__(self, k: Ncx2Kernel, s, y, t):
         _check_order(s, t)
-        twoc = self._twoc(t - s)
+        self.k, self.d, self.y = k, t - s, np.asarray(y, dtype=float)
+        self.twoc = k._twoc(self.d)
+        self.raw_lam = self.twoc * math.exp(-k.alpha * self.d) * self.y
+
+    @cached_property
+    def lam(self):
+        # checked once per bound law, by its first evaluation: the draws check nothing, so
+        # a path step of 1000 states does not pay the check's reductions
+        return _validate_nu_lambda(self.k.df, self.raw_lam)
+
+    def _inside(self, x, fill):
+        """The misses x < 0 and x = inf, and x with ``fill`` in their place."""
         x = np.asarray(x, dtype=float)
+        _check_nan(x, "x")
         miss = (x < 0.0) | (x == np.inf)
-        out = twoc * special.chi2nc_pdf(twoc * np.where(miss, 0.0, x), self.df,
-                                        self._lam(t - s, y))
+        return miss, np.where(miss, fill, x)
+
+    def pdf(self, x):
+        miss, x = self._inside(x, 0.0)
+        out = self.twoc * _chi2nc_pdf(self.twoc * x, self.k.df, self.lam)
         return np.where(miss, 0.0, out)[()]
 
-    def cdf(self, s, y, t, x):
-        _check_order(s, t)
-        twoc = self._twoc(t - s)
+    def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        pos = np.clip(x, 0.0, None)
-        out = special.chi2nc_cdf(twoc * pos, self.df, self._lam(t - s, y))
+        _check_nan(x, "x")
+        out = _chi2nc_cdf(self.twoc * np.maximum(x, 0.0), self.k.df, self.lam)
         return np.where(x < 0.0, 0.0, out)[()]
 
-    def quantile(self, s, y, t, p):
-        _check_order(s, t)
-        twoc = self._twoc(t - s)
-        return special.chi2nc_quantile(p, self.df, self._lam(t - s, y)) / twoc
+    def quantile(self, p):
+        return (_chi2nc_quantile(_check_p(p), self.k.df, self.lam) / self.twoc)[()]
 
-    def sample(self, s, y, t, rng, size=None):
-        _check_order(s, t)
-        twoc = self._twoc(t - s)
-        lam = np.broadcast_to(self._lam(t - s, y), np.shape(y) if size is None else size)
+    def sample(self, rng, size=None):
+        lam = np.broadcast_to(self.raw_lam, np.shape(self.y) if size is None else size)
         mix = rng.poisson(lam / 2.0)
-        return 2.0 * rng.standard_gamma(self.df / 2.0 + mix) / twoc
+        return 2.0 * rng.standard_gamma(self.k.df / 2.0 + mix) / self.twoc
 
-    def pdf_dx(self, s, y, t, x):
+    def pdf_dx(self, x):
         """d pdf/dx; at x = 0 the right-hand limit (see `special._chi2nc_pdf_dz`)."""
-        _check_order(s, t)
-        twoc = self._twoc(t - s)
+        miss, x = self._inside(x, 1.0)
+        out = self.twoc ** 2 * _chi2nc_pdf_dz(self.twoc * x, self.k.df, self.lam)
+        return np.where(miss, 0.0, out)[()]
+
+    def cdf_dt(self, x):
+        """d cdf/dt of F = P(chi2nc(df, lam) <= 2c x), with r = t - s:
+
+            dF/dt = f(2c x; df, lam) x d(2c)/dr - f(2c x; df + 2, lam) dlam/dr,
+
+        since a noncentral chi-square is a Poisson mixture of central ones, so
+        dF/dlam = -f(z; df + 2, lam).  From d clock(-alpha, r)/dr = e^{-alpha r},
+        d(2c)/dr = -2c e^{-alpha r} / clock(-alpha, r) and
+        dlam/dr = y e^{-alpha r} (d(2c)/dr - alpha 2c); alpha = 0 needs no branch.
+        0 where F is constant in t: x <= 0 and x = inf.
+        """
+        k, twoc = self.k, self.twoc
         x = np.asarray(x, dtype=float)
-        miss = (x < 0.0) | (x == np.inf)
-        z = twoc * np.where(miss, 1.0, x)
-        out = twoc ** 2 * special._chi2nc_pdf_dz(z, self.df, self._lam(t - s, y))
+        _check_nan(x, "x")
+        miss = (x <= 0.0) | (x == np.inf)
+        xin = np.where(miss, 1.0, x)
+        decay = math.exp(-k.alpha * self.d)
+        dtwoc = -twoc * decay / clock(-k.alpha, self.d)
+        dlam = self.y * decay * (dtwoc - k.alpha * twoc)
+        z = twoc * xin
+        out = (_chi2nc_pdf(z, k.df, self.lam) * xin * dtwoc
+               - _chi2nc_pdf(z, k.df + 2.0, self.lam) * dlam)
         return np.where(miss, 0.0, out)[()]
 
 
-class MappedKernel:
+class MappedKernel(_LawKernel):
     """Kernel of psi(t, X_t) for a map psi(t, .) strictly monotone on the states of X.
 
-    A call at (s, y, t, x) reads the base kernel at (s, inverse(s, y), t, u),
-    u = inverse(t, x): the pdf is the base pdf over |J|, J = jacobian(t, u, x)
+    A call at (s, y, t, x) reads the base kernel bound at (s, inverse(s, y), t)
+    at u = inverse(t, x): the pdf is the base pdf over |J|, J = jacobian(t, u, x)
     = d psi/du, and the cdf the base cdf, or 1 minus it for a decreasing map.
     States x outside the open ``image`` get pdf 0 and cdf 0 or 1 and never
-    reach the base kernel.  With ``phi_inv`` the base kernel is read at times
-    phi_inv(s), phi_inv(t).  ``djac_dx`` (dJ/du at (t, u, x)) gives the
-    analytic ``pdf_dx``; a ``static`` map, one that does not depend on time,
-    keeps the base ``cdf_dt``.
+    reach the base law; when no x lies outside, no mask is applied.  With
+    ``phi_inv`` the base kernel is read at times phi_inv(s), phi_inv(t).
+    ``djac_dx`` (dJ/du at (t, u, x)) gives the analytic ``pdf_dx``; a
+    ``static`` map, one that does not depend on time, keeps the base ``cdf_dt``.
     """
 
     def __init__(self, base: Kernel, psi: Callable, inverse: Callable, jacobian: Callable,
@@ -318,8 +419,10 @@ class MappedKernel:
         self._phi_inv, self._djac_dx = phi_inv, djac_dx
         step = min(1.0, 0.25 * (image[1] - image[0]))
         self._inner = min(max(0.0, image[0] + step), image[1] - step)   # stands in for misses
-        self.pdf_dx = self._pdf_dx if djac_dx is not None and base.pdf_dx is not None else None
-        self.cdf_dt = self._cdf_dt if static and base.cdf_dt is not None else None
+        if djac_dx is None or base.pdf_dx is None:
+            self.pdf_dx = None
+        if not static or base.cdf_dt is None:
+            self.cdf_dt = None
 
     def _times(self, s, t):
         if self._phi_inv is None:
@@ -328,49 +431,59 @@ class MappedKernel:
         require(ts < tt, "time map is not increasing over the requested pair")
         return ts, tt
 
-    def _source(self, s, y, t, x):
-        # (ts, xs, tt, xt) for the base kernel, x with the image misses replaced, the misses,
-        # and the misses above the image
-        ts, tt = self._times(s, t)
-        x = np.asarray(x, dtype=float)
-        above = x >= self.image[1]
-        miss = above | (x <= self.image[0])
-        x = np.where(miss, self._inner, x)
-        return ts, self.inverse(ts, y), tt, self.inverse(tt, x), x, miss, above
-
-    def pdf(self, s, y, t, x):
-        ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
-        out = self.base.pdf(ts, xs, tt, xt) / np.abs(self.jacobian(tt, xt, x))
-        return np.where(miss, 0.0, out)[()]
-
-    def cdf(self, s, y, t, x):
-        ts, xs, tt, xt, x, miss, above = self._source(s, y, t, x)
-        out = self.base.cdf(ts, xs, tt, xt)
-        return np.where(miss, above, out if self.increasing else 1.0 - out)[()]
-
-    def quantile(self, s, y, t, p):
-        ts, tt = self._times(s, t)
-        p = np.asarray(p, dtype=float)
-        x = self.base.quantile(ts, self.inverse(ts, y), tt, p if self.increasing else 1.0 - p)
-        return self.psi(tt, x)
+    def _law(self, s, y, t):
+        return _MappedLaw(self, s, y, t)
 
     def sample(self, s, y, t, rng, size=None):
         ts, tt = self._times(s, t)
         xs = self.inverse(ts, np.asarray(y, dtype=float))
         return self.psi(tt, self.base.sample(ts, xs, tt, rng, size))
 
-    def _pdf_dx(self, s, y, t, x):
-        # d/dx [f(u) / |J(u)|] = (f'(u) - f(u) J'(u) / J(u)) / (J |J|), u = inverse(t, x)
-        ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
-        jac = self.jacobian(tt, xt, x)
-        f, fp = self.base.pdf(ts, xs, tt, xt), self.base.pdf_dx(ts, xs, tt, xt)
-        out = (fp - f * self._djac_dx(tt, xt, x) / jac) / (jac * np.abs(jac))
-        return np.where(miss, 0.0, out)[()]
 
-    def _cdf_dt(self, s, y, t, x):
-        ts, xs, tt, xt, x, miss, _ = self._source(s, y, t, x)
-        out = self.base.cdf_dt(ts, xs, tt, xt)
-        return np.where(miss, 0.0, out if self.increasing else -out)[()]
+class _MappedLaw:
+    """`MappedKernel` bound at (s, y, t): the base law bound at the mapped times and start."""
+
+    def __init__(self, k: MappedKernel, s, y, t):
+        ts, self.tt = k._times(s, t)
+        self.k, self.base = k, k.base.bind(ts, k.inverse(ts, y), self.tt)
+
+    def _source(self, x):
+        """(x, u, miss, above): x with the image misses replaced, u = inverse(t, x), the
+        misses and the misses above the image; miss and above are None without misses."""
+        k = self.k
+        x = np.asarray(x, dtype=float)
+        above = x >= k.image[1]
+        miss = above | (x <= k.image[0])
+        if not any_true(miss):
+            return x, k.inverse(self.tt, x), None, None
+        x = np.where(miss, k._inner, x)
+        return x, k.inverse(self.tt, x), miss, above
+
+    def pdf(self, x):
+        x, u, miss, _ = self._source(x)
+        return _masked(self.base.pdf(u) / np.abs(self.k.jacobian(self.tt, u, x)), miss, 0.0)
+
+    def cdf(self, x):
+        _, u, miss, above = self._source(x)
+        out = self.base.cdf(u)
+        return _masked(out if self.k.increasing else 1.0 - out, miss, above)
+
+    def quantile(self, p):
+        p = np.asarray(p, dtype=float)
+        return self.k.psi(self.tt, self.base.quantile(p if self.k.increasing else 1.0 - p))
+
+    def pdf_dx(self, x):
+        # d/dx [f(u) / |J(u)|] = (f'(u) - f(u) J'(u) / J(u)) / (J |J|), u = inverse(t, x)
+        x, u, miss, _ = self._source(x)
+        jac = self.k.jacobian(self.tt, u, x)
+        f, fp = self.base.pdf(u), self.base.pdf_dx(u)
+        out = (fp - f * self.k._djac_dx(self.tt, u, x) / jac) / (jac * np.abs(jac))
+        return _masked(out, miss, 0.0)
+
+    def cdf_dt(self, x):
+        _, u, miss, _ = self._source(x)
+        out = self.base.cdf_dt(u)
+        return _masked(out if self.k.increasing else -out, miss, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +509,9 @@ class Model:
         return self.spec.interval
 
     def marginal(self, t: float) -> Marginal:
-        """Distribution of X_t given the initial condition; requires t > t0."""
+        """The law of X_t, the kernel bound at (t0, x0, t); requires t > t0."""
         require(t > self.t0, f"marginal requires t > t0 = {self.t0}, got t = {t}")
-        k, x0, t0 = self.kernel, self.x0, self.t0
-        return Marginal(
-            t=t,
-            pdf=lambda x: k.pdf(t0, x0, t, x),
-            cdf=lambda x: k.cdf(t0, x0, t, x),
-            quantile=lambda p: k.quantile(t0, x0, t, p),
-            pdf_dx=None if k.pdf_dx is None else (lambda x: k.pdf_dx(t0, x0, t, x)),
-            cdf_dt=None if k.cdf_dt is None else (lambda x: k.cdf_dt(t0, x0, t, x)),
-        )
+        return self.kernel.bind(self.t0, self.x0, t)
 
 
 def marginal(model: Model, t: float) -> Marginal:
@@ -622,7 +727,11 @@ def _resolve_rng(rng=None, seed=None):
 
 
 def simulate_paths(model: Model, times, n_paths: int, rng=None, seed=None) -> PathEnsemble:
-    """Exact path sampling of the model on the given strictly increasing grid."""
+    """Exact path sampling of the model on the given strictly increasing grid.
+
+    `DomainError` names the first time whose states are not all finite, as an
+    explosive model's (ou with alpha < 0) overflow at a long horizon.
+    """
     times = np.asarray(times, dtype=float)
     require(times.ndim == 1 and times.size >= 1, "times must be a 1-d grid")
     require(np.all(np.diff(times) > 0), "times must be strictly increasing")
@@ -633,10 +742,17 @@ def simulate_paths(model: Model, times, n_paths: int, rng=None, seed=None) -> Pa
     paths = np.empty((n_paths, times.size))
     state = np.full(n_paths, model.x0, dtype=float)
     prev = model.t0
-    for i, t in enumerate(times):
-        state = np.asarray(model.kernel.sample(prev, state, float(t), rng), dtype=float)
-        paths[:, i] = state
-        prev = float(t)
+    # an overflow leaves states that are not finite, which the check below reports; one check
+    # of the whole array costs a tenth of one per time on 1000 paths x 100 times
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(times):
+            state = np.asarray(model.kernel.sample(prev, state, float(t), rng), dtype=float)
+            paths[:, i] = state
+            prev = float(t)
+    if not np.isfinite(paths).all():
+        t = times[np.argmin(np.isfinite(paths).all(axis=0))]
+        raise DomainError(f"model '{model.name}' has states that are not finite at "
+                          f"t = {t:.17g}: its paths overflow double precision")
     meta = {"model": model.name, "params": dict(model.spec.params),
             "x0": model.x0, "t0": model.t0}
     return PathEnsemble(times=times, paths=paths, seed=seed, meta=meta)

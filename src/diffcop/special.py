@@ -37,8 +37,8 @@ nu = 1000 every element is Boost's.
 
 ``chndtr`` has the same defect far in the left tail (0 for 7.0e-69 at
 (5, 300, 0.1)), so `chi2nc_cdf` takes its values below 1e-30 from the
-integral of the density (`_cdf`), and `chi2nc_quantile` solves probabilities
-below 1e-30 against that cdf.
+integral of the density (`_chi2nc_cdf`), and `chi2nc_quantile` solves
+probabilities below 1e-30 against that cdf.
 
 The same Bessel form summed in linear arithmetic by `bessel_i`
 (`chi2nc_pdf_bessel_form`) is kept as an independent route, and the
@@ -61,6 +61,16 @@ increasing.  Array ``lam`` and smaller requests always use ``chndtrix``.
 
 All functions accept scalars or ndarrays in their principal argument and are
 pure; the noncentral chi-square functions also broadcast an array ``lam``.
+
+Each public function checks its arguments and then calls a private core that
+checks nothing: `_norm_pdf`, `_norm_cdf`, `_norm_quantile` (scipy's ``ndtri``),
+`_chi2nc_pdf`, `_chi2nc_cdf` and `_chi2nc_quantile`.  A core takes float64
+arrays of any shape, ``lam`` broadcasting against the principal argument, and
+returns values of the broadcast shape (a NumPy scalar or a 0-d array for 0-d
+input).  Callers that have checked their input
+already, or that made it themselves, call the cores: the kernels' bound laws of
+`models`, the copula cores and quadrature of `copula`, the start tables of
+`stt`, and the fixed-law quantile and the cdf's integral here.
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ import numpy as np
 from scipy.special import chndtr, chndtrix, erfc, gammaln, ive, ndtr, ndtri
 from scipy.special._ufuncs import _ncx2_pdf
 
-from ._numerics import integrate, invert_monotone_cdf
+from ._numerics import any_true, integrate, invert_monotone_cdf
 from .errors import DomainError, NumericsError
 
 __all__ = [
@@ -103,16 +113,27 @@ def _unwrap(out: np.ndarray, scalar: bool):
 # Gaussian law
 # ---------------------------------------------------------------------------
 
+def _norm_pdf(z):
+    return np.exp(-0.5 * z * z - _LOG_SQRT_2PI)
+
+
+def _norm_cdf(z):
+    return 0.5 * erfc(-z / _SQRT2)
+
+
+_norm_quantile = ndtri
+
+
 def norm_pdf(z):
     """Standard normal density (2*pi)^(-1/2) exp(-z^2/2)."""
     arr, scalar = _principal(z, "z")
-    return _unwrap(np.exp(-0.5 * arr * arr - _LOG_SQRT_2PI), scalar)
+    return _unwrap(_norm_pdf(arr), scalar)
 
 
 def norm_cdf(z):
     """Standard normal distribution function, accurate to machine precision."""
     arr, scalar = _principal(z, "z")
-    return _unwrap(0.5 * erfc(-arr / _SQRT2), scalar)
+    return _unwrap(_norm_cdf(arr), scalar)
 
 
 def norm_quantile(p):
@@ -125,7 +146,7 @@ def norm_quantile(p):
     arr, scalar = _principal(p, "p")
     if (arr <= 0.0).any() or (arr >= 1.0).any():        # the methods skip np.any's dispatch
         raise DomainError("p must lie in the open interval (0, 1)")
-    return _unwrap(ndtri(arr), scalar)
+    return _unwrap(_norm_quantile(arr), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +311,7 @@ def _bessel_form(z, nu: float, lam):
         np.exp(out, out=out)
         out *= 0.5
         low |= ~(out < np.inf)
-        if low.any():
+        if any_true(low):
             zl, ll = (np.broadcast_to(v, out.shape)[low] for v in (z, lam))
             out[low] = 0.5 * np.exp(a * np.log(0.5 * zl) - 0.5 * (zl + ll) - gammaln(a + 1.0)
                                     + np.log(_hyp0f1(a + 1.0, 0.25 * ll * zl, 1e-16)))
@@ -353,10 +374,10 @@ def _pdf(z, nu: float, lam):
     if nu > _BESSEL_MAX_NU:
         return _ncx2_pdf(z, nu, lam)
     bessel = lam > _BESSEL_MIN_LAM
-    if not bessel.any():
+    if not any_true(bessel):
         out = np.asarray(_ncx2_pdf(z, nu, lam))
         redo = out < _BOOST_MIN_PDF
-    elif bessel.all():
+    elif not any_true(~bessel):
         out = _bessel_form(z, nu, lam)
         redo = np.isnan(out)
     else:
@@ -366,7 +387,7 @@ def _pdf(z, nu: float, lam):
         out[bessel] = _bessel_form(zb[bessel], nu, lb[bessel])
         out[~bessel] = _ncx2_pdf(zb[~bessel], nu, lb[~bessel])
         redo = np.where(bessel, np.isnan(out), out < _BOOST_MIN_PDF)
-    if redo.any():
+    if any_true(redo):
         zb, lb = np.broadcast_arrays(z, lam)
         zr, lr, br = zb[redo], lb[redo], np.broadcast_to(bessel, zb.shape)[redo]
         alt = np.where(br, _ncx2_pdf(zr, nu, lr), _bessel_form(zr, nu, lr))
@@ -388,13 +409,19 @@ def chi2nc_pdf(z, nu: float, lam):
     arr, scalar = _principal(z, "z")
     if np.any(arr < 0.0):
         raise DomainError("z must be nonnegative")
-    out = _pdf(arr, nu, lam)
-    zero = arr == 0.0
-    if np.any(zero):
+    return _unwrap(_chi2nc_pdf(arr, nu, lam), scalar and lam.ndim == 0)
+
+
+def _chi2nc_pdf(z, nu: float, lam):
+    """`chi2nc_pdf`'s core: `_pdf`, and the density's limit at z = 0."""
+    z, lam = np.asarray(z, dtype=float), np.asarray(lam, dtype=float)
+    out = _pdf(z, nu, lam)
+    zero = z == 0.0
+    if any_true(zero):
         # Boost returns 0 at the origin whenever lam > 0, whatever nu is
         at_zero = np.inf if nu < 2.0 else (0.5 * np.exp(-lam / 2.0) if nu == 2.0 else 0.0)
         out = np.where(zero, at_zero, out)
-    return _unwrap(out, scalar and lam.ndim == 0)
+    return out
 
 
 def _chi2nc_pdf_dz(z, nu: float, lam):
@@ -413,7 +440,7 @@ def _chi2nc_pdf_dz(z, nu: float, lam):
     zp = np.where(zero, 1.0, z)
     out = 0.5 * (lam / zp * _pdf(zp, nu + 2.0, lam)
                  + ((nu - 2.0) / zp - 1.0) * _pdf(zp, nu, lam))
-    if np.any(zero):
+    if any_true(zero):
         e = np.exp(-lam / 2.0)
         at_zero = (-np.inf if nu < 2.0 else 0.25 * e * (0.5 * lam - 1.0) if nu == 2.0
                    else np.inf if nu < 4.0 else 0.25 * e if nu == 4.0 else 0.0)
@@ -431,12 +458,12 @@ def _chi2nc_pdf_dz(z, nu: float, lam):
 _CHNDTR_MIN_CDF = 1e-30
 
 
-def _cdf(z, nu: float, lam):
-    """``chndtr`` at z >= 0, its values below ``_CHNDTR_MIN_CDF`` redone as the
-    integral of `_pdf` from 0, where the density is exact."""
+def _chi2nc_cdf(z, nu: float, lam):
+    """`chi2nc_cdf`'s core: ``chndtr`` at z >= 0, its values below ``_CHNDTR_MIN_CDF``
+    redone as the integral of `_pdf` from 0, where the density is exact."""
     out = np.asarray(chndtr(z, nu, lam))
     redo = out < _CHNDTR_MIN_CDF
-    if redo.any():
+    if any_true(redo):
         zb, lb = np.broadcast_arrays(z, lam)
         # the integral runs in s with z = s^e: the integrand e s^(e-1) f(s^e) is bounded at
         # s = 0, where f's z^(nu/2-1) end is not at nu < 2, so the quadrature need not bisect
@@ -453,14 +480,14 @@ def chi2nc_cdf(z, nu: float, lam):
     """Noncentral chi-square distribution function; ``lam`` may be an array.
 
     scipy's ``chndtr``, except that its values below 1e-30 come from the
-    integral of `chi2nc_pdf` (see `_cdf`): within 1e-12 relative of mpmath
-    into the far left tail, where ``chndtr`` returns 0.
+    integral of `chi2nc_pdf` (see `_chi2nc_cdf`): within 1e-12 relative of mpmath
+    into the far left tail, where ``chndtr`` returns 0.  z = +inf gives 1.
     """
     lam = _validate_nu_lambda(nu, lam)
     arr, scalar = _principal(z, "z", allow_inf=True)
-    if np.any(arr < 0.0):
-        raise DomainError("z must be nonnegative")
-    return _unwrap(_cdf(arr, nu, lam), scalar and lam.ndim == 0)
+    if not (arr >= 0.0).all():                           # NaN fails the comparison too
+        raise DomainError("z must not be NaN" if np.isnan(arr).any() else "z must be nonnegative")
+    return _unwrap(_chi2nc_cdf(arr, nu, lam), scalar and lam.ndim == 0)
 
 
 # The fixed-law path of `chi2nc_quantile` (see the module docstring) runs from this
@@ -492,19 +519,25 @@ def chi2nc_quantile(p, nu: float, lam):
     arr, scalar = _principal(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("p must lie in the open interval (0, 1)")
-    if lam.ndim == 0 and arr.size >= _FIXED_LAW_MIN_SIZE:
-        out = _fixed_law_quantile(arr.ravel(), nu, float(lam)).reshape(arr.shape)
+    return _unwrap(_chi2nc_quantile(arr, nu, lam), scalar and lam.ndim == 0)
+
+
+def _chi2nc_quantile(p, nu: float, lam):
+    """`chi2nc_quantile`'s core, for p in (0, 1)."""
+    p, lam = np.asarray(p, dtype=float), np.asarray(lam, dtype=float)
+    if lam.ndim == 0 and p.size >= _FIXED_LAW_MIN_SIZE:
+        out = _fixed_law_quantile(p.ravel(), nu, float(lam)).reshape(p.shape)
     else:
-        out = chndtrix(arr, nu, lam)
-    if arr.min(initial=1.0) < _CHNDTR_MIN_CDF:           # also for an empty p
-        tail = np.broadcast_to(arr < _CHNDTR_MIN_CDF, out.shape)
-        pt, lt = (np.broadcast_to(v, out.shape)[tail] for v in (arr, lam))
-        law = lambda x: (_cdf(x, nu, lt), _pdf(x, nu, lt))
+        out = np.asarray(chndtrix(p, nu, lam))
+    if p.min(initial=1.0) < _CHNDTR_MIN_CDF:             # also for an empty p
+        tail = np.broadcast_to(p < _CHNDTR_MIN_CDF, out.shape)
+        pt, lt = (np.broadcast_to(v, out.shape)[tail] for v in (p, lam))
+        law = lambda x: (_chi2nc_cdf(x, nu, lt), _pdf(x, nu, lt))
         # chndtr reads low there, so its root lies above the true one; the solver
         # grows the bracket where it does not
         hi = np.where(out[tail] > 0.0, out[tail], 1.0)
         out[tail] = invert_monotone_cdf(law, pt, 0.0, hi, bounds=(0.0, np.inf))
-    return _unwrap(out, scalar and lam.ndim == 0)
+    return out
 
 
 def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
@@ -516,7 +549,7 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         xk = chndtrix(ndtr(zk), nu, lam)
         yk = np.log(xk)
-        dk = h * norm_pdf(zk) / (_pdf(xk, nu, lam) * xk)      # dy/dt, t = (z - zk)/h
+        dk = h * _norm_pdf(zk) / (_pdf(xk, nu, lam) * xk)      # dy/dt, t = (z - zk)/h
         if not (np.all(np.diff(yk) > 0.0) and np.all(np.isfinite(dk) & (dk > 0.0))):
             return chndtrix(p, nu, lam)
         s = (z - lo) / h
@@ -527,7 +560,7 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
         c2, c3 = 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy
         x0 = np.exp(y0 + t * (d0 + t * (c2 + t * c3)))
         # d log x / dp from the interpolant's slope: 1 / (x f~)
-        g = (d0 + t * (2.0 * c2 + 3.0 * t * c3)) / (h * norm_pdf(z))
+        g = (d0 + t * (2.0 * c2 + 3.0 * t * c3)) / (h * _norm_pdf(z))
         x = x0 * (1.0 - (chndtr(x0, nu, lam) - p) * g)
         r = chndtr(x, nu, lam) - p
         step = np.maximum(np.abs(r), np.spacing(p)) * g

@@ -48,7 +48,7 @@ from ._numerics import (central_diff, clock, clock_inv, integrate, invert_monoto
 from .copula import CopulaSurface
 from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
-from .special import norm_cdf, norm_pdf, norm_quantile
+from .special import _norm_cdf, _norm_pdf, _norm_quantile
 
 __all__ = [
     "MonotonePiece", "SpaceTimeTransform",
@@ -212,7 +212,7 @@ _CANCELLED = 1.0 / 256
 # grid, out to where a monotone map's levels fall below the table's floor of
 # `_CANCELLED` per piece, and on either side of each inner piece end (a fold,
 # whose level ends the support) these shares of the mass on that side.
-_TABLE_U = norm_cdf(np.linspace(-3.0, 3.0, 25))
+_TABLE_U = _norm_cdf(np.linspace(-3.0, 3.0, 25))
 _TABLE_NEAR = (0.01, 0.05)
 
 
@@ -328,14 +328,14 @@ class _PushedMarginal:
         upper = below > 0.5
         c = np.where(upper, 1.0 - below, below)
         ok = (c >= _CANCELLED * len(split.pieces)) & (g > 0.0) & (g < np.inf)
-        zeta = np.where(upper, -1.0, 1.0) * norm_quantile(np.where(ok, c, 0.5))
+        zeta = np.where(upper, -1.0, 1.0) * _norm_quantile(np.where(ok, c, 0.5))
         rise = np.maximum.accumulate(np.where(ok, zeta, -np.inf))
         keep = ok & (zeta > np.concatenate(([-np.inf], rise[:-1])))
         if np.count_nonzero(keep) < 2:
             raise NumericsError(f"fewer than two levels of the start table carry mass "
                                 f"at time {split.t}")
         y, c, g, upper, zeta = y[keep], c[keep], g[keep], upper[keep], zeta[keep]
-        d_zeta = norm_pdf(zeta) / g
+        d_zeta = _norm_pdf(zeta) / g
         # log of the end slopes' ratio per cell: in c, g1/g0; in zeta, times phi(z0)/phi(z1)
         ratio = np.log(g[1:] / g[:-1])
         use_c = (upper[1:] == upper[:-1]) & (np.abs(ratio) < np.abs(
@@ -367,7 +367,7 @@ class _PushedMarginal:
         """
         tab = self._table
         y = tab.y
-        z = np.where(upper, -1.0, 1.0) * norm_quantile(tail)
+        z = np.where(upper, -1.0, 1.0) * _norm_quantile(tail)
         k = np.searchsorted(tab.zeta, z)
         j = np.clip(k - 1, 0, y.size - 2)
         s = (np.where(tab.use_c[j], tail, z) - tab.u0[j]) / tab.h[j]

@@ -72,9 +72,9 @@ def uniformized_coefficients(model: Model, u, s: float):
 
     u is a scalar or an array in (0, 1) and s a scalar time after t0; returns
     ``(drift, diffusion)`` as floats or as arrays of the shape of u.  Marginal
-    derivatives use registered analytic forms where the catalog provides them
-    (Gaussian families, reflected Brownian motion) and central differences at
-    relative step 1e-5 otherwise.
+    derivatives are the analytic ``pdf_dx`` and ``cdf_dt`` of the bound marginal,
+    which every catalog model has; a kernel without them gets central
+    differences at relative step 1e-5.
     """
     require(s > model.t0, f"need s > t0 = {model.t0}")
     marg = model.marginal(s)

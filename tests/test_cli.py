@@ -94,6 +94,17 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+    def test_explosive_ou_overflow_exits_2(self, tmp_path, capsys):
+        # 50 steps of 16 at alpha = -1: the states overflow double precision at t = 720
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--model", "ou", "--params", "alpha=-1,beta=0,sigma=1",
+                    "--x0", 0.0, "--t-max", 800.0, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "t = 720:" in err and not out.exists()
+
+
 class TestRecombineCommand:
     def test_writes_paths(self, tmp_path):
         out = tmp_path / "z.csv"

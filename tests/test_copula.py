@@ -480,16 +480,17 @@ def test_cdf_has_uniform_margins(name, lag):
 
 @pytest.mark.parametrize("name", ["gaussian", "ou", "from_transition_ou"])
 def test_cdf_on_grid_takes_few_rounds(name, monkeypatch):
-    # each quadrature round is one conditional call; integrands in probit coordinates
-    # converge in a few rounds where w-space rules bisect toward w = 0 for a dozen or more
+    # each quadrature round is one call of the conditional at the nodes; integrands in probit
+    # coordinates converge in a few rounds where w-space rules bisect toward w = 0 for a
+    # dozen or more
     surf = MESH_SURFACES[name]()
-    conditional, calls = surf.conditional, []
+    conditional, calls = surf._conditional, []
 
     def counted(u, v):
         calls.append(np.shape(u))
         return conditional(u, v)
 
-    monkeypatch.setattr(surf, "conditional", counted)
+    monkeypatch.setattr(surf, "_conditional", counted)
     copula.cdf_on_grid(surf, CORNERS, CORNERS)
     assert 1 <= len(calls) <= 4
 

@@ -14,6 +14,7 @@ from diffcop.errors import DomainError
 from diffcop.recombine import model_marginal_family, recombine
 
 from quad_oracle import integrate
+from test_special import mp_chi2nc_tail
 
 CATALOG = {
     "bm": ({}, 0.0),
@@ -185,15 +186,18 @@ class TestKernelProtocol:
             fn(1.0, 0.2, 0.5, last)
 
     def test_marginal_calls_no_kernel_method(self):
+        # marginal(t) is the kernel's law bound at (t0, x0, t), with no law beside it
         class Raising:
             def _fail(self, *args, **kwargs):
                 raise AssertionError("kernel method called")
-            pdf = cdf = quantile = sample = pdf_dx = cdf_dt = _fail
+            bind = pdf = cdf = quantile = sample = pdf_dx = cdf_dt = _fail
 
-        marg = dataclasses.replace(build("ou"), kernel=Raising()).marginal(1.5)
-        for fn in (marg.pdf, marg.cdf, marg.quantile, marg.pdf_dx, marg.cdf_dt):
-            with pytest.raises(AssertionError):
-                fn(0.5)
+        with pytest.raises(AssertionError):
+            dataclasses.replace(build("ou"), kernel=Raising()).marginal(1.5)
+        model = build("ou")
+        marg, law = model.marginal(1.5), model.kernel.bind(model.t0, model.x0, 1.5)
+        for name in ("pdf", "cdf", "quantile", "pdf_dx", "cdf_dt"):
+            assert getattr(marg, name)(0.5) == getattr(law, name)(0.5)
 
 
 class TestBackwardEquation:
@@ -440,6 +444,36 @@ class TestStationaryLaws:
         assert models.make_model(name, params, x0=x0).stationary is None
 
 
+class TestCirTimeDerivative:
+    """The cir family's exact d cdf/dt, from dF/dlam = -f(z; nu + 2, lam), against the
+    mpmath derivative of the mpmath Poisson-mixture cdf; rayleigh and bessel read it
+    through their static sqrt map.  Rows reach 1e-9 into each tail."""
+
+    PS = [1e-9, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
+
+    @pytest.mark.parametrize("name, alpha, sigma, nu, y0, squared", [
+        ("cir", 1.0, 0.8, 4.0 / 0.64, 1.2, False),               # nu = 4 beta / sigma^2
+        ("cir_special", 0.6, 1.1, 1.0, 0.4, False),
+        ("rayleigh", 1.0, 2.0, 6.25, 2.7 ** 2, True),           # the cir of Y^2: alpha = -2b,
+        ("bessel", 0.0, 2.0, 4.0, 1.0, True)])                   # sigma = 2, nu = 2a + 1
+    def test_cdf_dt_against_mpmath(self, name, alpha, sigma, nu, y0, squared):
+        t = 1.3
+        marg = build(name).marginal(t)
+
+        def tail(x, r, upper):
+            phi = r if alpha == 0.0 else -mp.expm1(-alpha * r) / alpha
+            twoc = 4 / (mp.mpf(sigma) ** 2 * phi)
+            return mp_chi2nc_tail(twoc * x, nu, twoc * mp.exp(-alpha * r) * y0, upper)
+
+        with mp.workdps(30):
+            for p in self.PS:
+                x = float(marg.quantile(p))
+                state = mp.mpf(x) ** 2 if squared else mp.mpf(x)
+                upper = p > 0.5              # d/dt of the cdf is minus that of the survival
+                want = (-1 if upper else 1) * mp.diff(lambda r: tail(state, r, upper), t)
+                assert float(marg.cdf_dt(x)) == pytest.approx(float(want), rel=1e-12, abs=0), p
+
+
 class TestOneGaussianKernel:
     """bm, bm_drift and ou at alpha = 0 are one kernel: the same numbers, bit for bit."""
 
@@ -553,6 +587,16 @@ class TestPaths:
             q = float(model.kernel.quantile(s, y, t, 0.7))
             assert np.isfinite(q)
             assert float(model.kernel.cdf(s, y, t, q)) == pytest.approx(0.7, abs=1e-9)
+
+    def test_explosive_paths_raise_at_the_first_time_that_overflows(self):
+        # ou with alpha = -1 grows by e^16 over each step of 16: its states leave double
+        # precision at t = 720 (a RuntimeWarning would fail the test: see pyproject.toml)
+        ou = models.make_model("ou", {"alpha": -1.0, "beta": 0.0, "sigma": 1.0}, x0=0.0)
+        times = 16.0 * np.arange(1, 51)
+        with pytest.raises(DomainError, match=r"not finite at t = 720:"):
+            models.simulate_paths(ou, times, 100, seed=0)
+        before = models.simulate_paths(ou, times[times < 720.0], 100, seed=0)
+        assert np.isfinite(before.paths).all()
 
     def test_csv_round_trip(self, tmp_path):
         ou = build("ou")

@@ -32,8 +32,10 @@ STATIONARY = sorted(name for name, (params, x0) in ALL_MODELS.items()
 def without_derivatives(model):
     """The model with a kernel that hides pdf_dx and cdf_dt: both come from differences."""
     k = model.kernel
-    return replace(model, kernel=SimpleNamespace(pdf=k.pdf, cdf=k.cdf, quantile=k.quantile,
-                                                 sample=k.sample, pdf_dx=None, cdf_dt=None))
+    bind = lambda s, y, t: replace(k.bind(s, y, t), pdf_dx=None, cdf_dt=None)
+    return replace(model, kernel=SimpleNamespace(bind=bind, pdf=k.pdf, cdf=k.cdf,
+                                                 quantile=k.quantile, sample=k.sample,
+                                                 pdf_dx=None, cdf_dt=None))
 
 
 class TestZeroFlux:
