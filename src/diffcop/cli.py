@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: copula-grid, simulate, recombine, fpt, validate.  Flags override
-values from an optional JSON config (--config); unknown config keys are
-rejected.  Exit codes: 0 ok, 1 numerical failure, 2 usage error.
+Subcommands: copula-grid, simulate, recombine, fpt, validate.  An optional
+JSON config (--config) supplies flags: each ``key: value`` is parsed and
+checked as the flag ``--key-with-dashes=value``, and a flag on the command line
+always wins.  Unknown config keys are rejected.  Exit codes: 0 ok, 1 numerical
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -34,39 +36,26 @@ def _parse_params(raw: str | None) -> dict:
     return out
 
 
-def _config_value(sub: argparse.ArgumentParser, key: str, val):
-    """A config value checked like its flag: through the flag's type and choices,
-    as the flag's string would be; an on/off flag takes only a JSON boolean."""
-    action = next(a for a in sub._actions if a.dest == key)
-    if action.nargs == 0:
-        if not isinstance(val, bool):
-            sub.error(f"config key '{key}' takes true or false, got {val!r}")
-        return val
-    try:
-        out = (action.type or str)(str(val))
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        sub.error(f"config key '{key}': invalid value {val!r}")
-    if action.choices is not None and out not in action.choices:
-        sub.error(f"config key '{key}': invalid choice {val!r}")
-    return out
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Merge a JSON config under the parsed flags (flags win, unknown keys and
-    values their flag would refuse are rejected)."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+def _config_tokens(args: argparse.Namespace, cfg) -> list[str]:
+    """A JSON config as flags of the parsed subcommand: ``key: value`` becomes
+    ``--key-with-dashes=value``, and an on/off flag takes only a JSON boolean."""
     sub: argparse.ArgumentParser = args.subparser
-    valid = set(vars(args)) - {"subparser", "func", "command"}
-    unknown = set(cfg) - valid
-    if unknown:
+    if not isinstance(cfg, dict):
+        sub.error("config must be a JSON object of flag names and values")
+    unknown = set(cfg) - (set(vars(args)) - {"subparser", "func", "command"})
+    if unknown:        # else argparse would expand an abbreviated key to a flag
         sub.error(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
     for key, val in cfg.items():
-        val = _config_value(sub, key, val)
-        if getattr(args, key) == sub.get_default(key):
-            setattr(args, key, val)      # flag left at default -> config wins
+        switch = sub.get_default(key) is False          # an on/off flag, as --uniformized
+        if isinstance(val, bool) != switch:
+            sub.error(f"config key '{key}': invalid value {val!r}")
+        flag = "--" + key.replace("_", "-")
+        if not switch:
+            tokens.append(f"{flag}={val}")      # the '=' form keeps '-x.csv' a value
+        elif val:
+            tokens.append(flag)
+    return tokens
 
 
 def _time_grid(t0: float, t_max: float, n_steps: int) -> np.ndarray:
@@ -85,20 +74,17 @@ def _build_model(args, prefix: str = "") -> models.Model:
 # subcommands
 # ---------------------------------------------------------------------------
 
+_SURFACES = {
+    "bm": lambda a: copula.gaussian_closed_form(a.s, a.t),
+    "gaussian": lambda a: copula.gaussian_closed_form(a.s, a.t),
+    "ou": lambda a: copula.ou_closed_form(a.alpha, a.s, a.t),
+    "rbm": lambda a: copula.rbm_closed_form(a.s, a.t),
+    "cir": lambda a: copula.cir_closed_form(a.alpha, a.gamma, a.x0, a.s, a.t),
+}
+
+
 def _cmd_copula_grid(args) -> int:
-    name = args.model
-    if name in ("bm", "gaussian"):
-        surface = copula.gaussian_closed_form(args.s, args.t)
-    elif name == "ou":
-        surface = copula.ou_closed_form(args.alpha, args.s, args.t)
-    elif name == "rbm":
-        surface = copula.rbm_closed_form(args.s, args.t)
-    elif name == "cir":
-        surface = copula.cir_closed_form(args.alpha, args.gamma, args.x0, args.s, args.t)
-    else:
-        raise DomainError(f"unknown surface model '{name}' "
-                          "(choose from bm, gaussian, ou, rbm, cir)")
-    copula.write_grid_csv(surface, args.n, args.out)
+    copula.write_grid_csv(_SURFACES[args.model](args), args.n, args.out)
     print(f"wrote {args.n}x{args.n} copula grid to {args.out}")
     return 0
 
@@ -176,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = subs.add_parser("copula-grid", help="write a copula density grid CSV")
     grid.add_argument("--config", default=None, help="JSON config (flags override)")
-    grid.add_argument("--model", required=True, choices=("bm", "gaussian", "ou", "rbm", "cir"))
+    grid.add_argument("--model", required=True, choices=tuple(_SURFACES))
     grid.add_argument("--alpha", type=float, default=0.1)
     grid.add_argument("--gamma", type=float, default=625.0)
     grid.add_argument("--x0", type=float, default=10.0)
@@ -231,9 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            with open(args.config) as fh:
+                tokens = _config_tokens(args, json.load(fh))
+            # the config's flags go first, so a flag on the command line wins
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.func(args)
     except (DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

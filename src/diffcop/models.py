@@ -87,6 +87,12 @@ class DiffusionSpec:
     drift: Callable | None               # mu(x, t)
     diffusion: Callable | None           # sigma(x, t) > 0 on the interior
 
+    def coefficients(self) -> tuple[Callable, Callable]:
+        """(drift, diffusion); `DomainError` for a model without them, as a pushforward."""
+        if self.drift is None or self.diffusion is None:
+            raise DomainError(f"model '{self.name}' has no drift and diffusion coefficients")
+        return self.drift, self.diffusion
+
 
 @dataclass(frozen=True)
 class Marginal:
@@ -330,7 +336,7 @@ class _Ncx2Law:
 
     def __init__(self, k: Ncx2Kernel, s, y, t):
         _check_order(s, t)
-        self.k, self.d, self.y = k, t - s, np.asarray(y, dtype=float)
+        self.k, self.t, self.d, self.y = k, t, t - s, np.asarray(y, dtype=float)
         self.twoc = k._twoc(self.d)
         self.raw_lam = self.twoc * math.exp(-k.alpha * self.d) * self.y
 
@@ -363,7 +369,11 @@ class _Ncx2Law:
 
     def sample(self, rng, size=None):
         lam = np.broadcast_to(self.raw_lam, np.shape(self.y) if size is None else size)
-        mix = rng.poisson(lam / 2.0)
+        try:
+            mix = rng.poisson(lam / 2.0)
+        except ValueError:      # numpy draws no Poisson mean beyond about 9.2e18
+            raise DomainError(f"the cir-family draw at t = {self.t} passes numpy's Poisson range "
+                              f"(noncentrality {np.max(lam):.3g}): its paths explode") from None
         return 2.0 * rng.standard_gamma(self.k.df / 2.0 + mix) / self.twoc
 
     def pdf_dx(self, x):

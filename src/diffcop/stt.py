@@ -58,10 +58,6 @@ __all__ = [
     "wiener_transformability_check", "wiener_stt", "search_constant_c1_c2",
 ]
 
-_BUILTIN_CHAINS = ("ou_to_bm", "bm_to_special_cir", "cir_to_rayleigh",
-                   "rayleigh_to_bessel", "cir_to_bessel")
-
-
 @dataclass(frozen=True)
 class MonotonePiece:
     """Maximal x-interval on which psi(t, .) is strictly monotone."""
@@ -567,7 +563,7 @@ def compose(outer: SpaceTimeTransform, inner: SpaceTimeTransform) -> SpaceTimeTr
         psi=psi, jacobian=jac, pieces=pieces, name=f"{outer.name}o{inner.name}")
 
 
-def _chain_ou_to_bm(alpha: float, beta: float, sigma: float) -> SpaceTimeTransform:
+def _ou_chain(alpha: float, beta: float, sigma: float, name: str) -> SpaceTimeTransform:
     require(sigma > 0.0, "sigma must be positive")
     return SpaceTimeTransform(
         phi=lambda t: clock(2.0 * alpha, t), phi_inv=lambda tau: clock_inv(2.0 * alpha, tau),
@@ -579,7 +575,7 @@ def _chain_ou_to_bm(alpha: float, beta: float, sigma: float) -> SpaceTimeTransfo
                               lambda t, y: sigma * math.exp(-alpha * t) * np.asarray(y, dtype=float)
                               + beta * clock(-alpha, t),
                               True),),
-        name="ou_to_bm")
+        name=name)
 
 
 def _chain_bm_to_special_cir(alpha: float, sigma: float) -> SpaceTimeTransform:
@@ -616,15 +612,16 @@ def _chain_cir_to_rayleigh(sigma: float) -> SpaceTimeTransform:
         name="cir_to_rayleigh")
 
 
-def _chain_rayleigh_to_bessel(b: float) -> SpaceTimeTransform:
-    # the clock's horizon 1/(2b) bounds the Bessel time for b > 0
-    return SpaceTimeTransform(
-        phi=lambda t: clock(-2.0 * b, t), phi_inv=lambda tau: clock_inv(-2.0 * b, tau),
-        psi=lambda t, x: np.asarray(x, dtype=float) * math.exp(-b * t),
-        jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float), math.exp(-b * t))[()],
-        pieces=(MonotonePiece(0.0, np.inf,
-                              lambda t, y: np.asarray(y, dtype=float) * math.exp(b * t), True),),
-        name="rayleigh_to_bessel")
+_BUILTIN_CHAINS = {
+    "ou_to_bm": (("alpha", "beta", "sigma"),
+                 lambda alpha, beta, sigma: _ou_chain(alpha, beta, sigma, "ou_to_bm")),
+    "bm_to_special_cir": (("alpha", "sigma"), _chain_bm_to_special_cir),
+    "cir_to_rayleigh": (("sigma",), _chain_cir_to_rayleigh),
+    "rayleigh_to_bessel": (("b",), lambda b: _ou_chain(-b, 0.0, 1.0, "rayleigh_to_bessel")),
+    "cir_to_bessel": (("alpha", "sigma"), lambda alpha, sigma: replace(compose(
+        _ou_chain(alpha / 2.0, 0.0, 1.0, "rayleigh_to_bessel"), _chain_cir_to_rayleigh(sigma)),
+        name="cir_to_bessel")),
+}
 
 
 def builtin_chain(name: str, **params) -> SpaceTimeTransform:
@@ -636,23 +633,18 @@ def builtin_chain(name: str, **params) -> SpaceTimeTransform:
     On the clock phi_a(t) = (e^{a t} - 1)/a, phi_0(t) = t, ou_to_bm maps (t, x) to
     (phi_{2 alpha}(t), (e^{alpha t} x - beta phi_alpha(t))/sigma), with inverse
     x = sigma e^{-alpha t} y + beta phi_{-alpha}(t); bm_to_special_cir runs on
-    phi_alpha^{-1} and rayleigh_to_bessel on phi_{-2b}.
+    phi_alpha^{-1}.  rayleigh_to_bessel(b) is ou_to_bm(-b, 0, 1), whose clock's
+    horizon 1/(2b) bounds the Bessel time for b > 0.  A missing or unknown
+    parameter name raises `DomainError`.
     """
-    if name == "ou_to_bm":
-        return _chain_ou_to_bm(**params)
-    if name == "bm_to_special_cir":
-        return _chain_bm_to_special_cir(**params)
-    if name == "cir_to_rayleigh":
-        return _chain_cir_to_rayleigh(**params)
-    if name == "rayleigh_to_bessel":
-        return _chain_rayleigh_to_bessel(**params)
-    if name == "cir_to_bessel":
-        alpha = float(params.pop("alpha"))
-        sigma = float(params.pop("sigma"))
-        require(not params, f"unknown parameters {sorted(params)} for cir_to_bessel")
-        chain = compose(_chain_rayleigh_to_bessel(-alpha / 2.0), _chain_cir_to_rayleigh(sigma))
-        return replace(chain, name="cir_to_bessel")
-    raise DomainError(f"unknown chain '{name}'; known: {', '.join(_BUILTIN_CHAINS)}")
+    if name not in _BUILTIN_CHAINS:
+        raise DomainError(f"unknown chain '{name}'; known: {', '.join(_BUILTIN_CHAINS)}")
+    names, build = _BUILTIN_CHAINS[name]
+    missing, unknown = sorted(set(names) - set(params)), sorted(set(params) - set(names))
+    if missing or unknown:
+        raise DomainError(f"chain '{name}' takes parameters {', '.join(names)}: "
+                          f"missing {missing}, unknown {unknown}")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +658,9 @@ def _as_time_fn(c) -> Callable:
     return c if callable(c) else (lambda t, _c=float(c): np.full(np.shape(t), _c))
 
 
-def _sigma(spec: DiffusionSpec) -> Callable:
+def _sigma(diffusion: Callable) -> Callable:
     """sigma(x, t) as an array of the shape of x."""
-    return lambda x, t: np.broadcast_to(np.asarray(spec.diffusion(x, t), dtype=float),
-                                        np.shape(x))
+    return lambda x, t: np.broadcast_to(np.asarray(diffusion(x, t), dtype=float), np.shape(x))
 
 
 def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float,
@@ -678,7 +669,8 @@ def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float,
 
     Each integral over [x_ref, x] is one `integrate` call for all of x.
     """
-    sig = _sigma(spec)
+    drift, diffusion = spec.coefficients()
+    sig = _sigma(diffusion)
     s_val = sig(x, t)
     vanish = ~(s_val > 0.0)
     if np.any(vanish):
@@ -688,7 +680,7 @@ def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float,
     i1 = integrate(lambda y, _: central_diff(lambda tt: sig(y, tt), t, h_t) / sig(y, t) ** 2,
                    x_ref, x, x_ref, abs_tol=1e-10, rel_tol=1e-10)
     i2 = integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref, abs_tol=1e-12, rel_tol=1e-12)
-    mu = np.asarray(spec.drift(x, t), dtype=float)
+    mu = np.asarray(drift(x, t), dtype=float)
     return mu / s_val - sigma_x / 2.0 - i1, i2
 
 
@@ -742,7 +734,8 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
     -inf or +inf.
     """
     c1f, c2f = _as_time_fn(c1), _as_time_fn(c2)
-    sig = _sigma(spec)
+    diffusion = spec.coefficients()[1]
+    sig = _sigma(diffusion)
 
     def dphi(t):
         return np.exp(-2.0 * integrate(lambda r, _: c1f(r), t_ref, t, t_ref,
@@ -777,7 +770,7 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
 
     def jacobian(t, x):
         arr = np.asarray(x, dtype=float)
-        return np.sqrt(dphi(t)) / np.asarray(spec.diffusion(arr, t), dtype=float)
+        return np.sqrt(dphi(t)) / np.asarray(diffusion(arr, t), dtype=float)
 
     lo_i, hi_i = spec.interval
     if lo_i < x_ref < hi_i:

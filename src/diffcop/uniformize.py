@@ -51,6 +51,7 @@ def _coefficients(model: Model, law, u, s: float, dF_ds):
     u runs on Python floats and returns floats, an array u returns arrays of
     its shape.
     """
+    mu, sigma = model.spec.coefficients()
     # isinstance first: np.ndim of a float goes through a caught AttributeError
     scalar = isinstance(u, float) or np.ndim(u) == 0
     val = float if scalar else (lambda a: np.asarray(a, dtype=float))
@@ -61,8 +62,8 @@ def _coefficients(model: Model, law, u, s: float, dF_ds):
     f = val(law.pdf(x))
     fp = val(law.pdf_dx(x) if law.pdf_dx is not None
              else central_diff(law.pdf, x, rel_step(x, _DERIV_REL)))
-    mu_x = val(model.spec.drift(x, s))
-    sg_x = val(model.spec.diffusion(x, s))
+    mu_x = val(mu(x, s))
+    sg_x = val(sigma(x, s))
     drift = mu_x * f if dF_ds is None else val(dF_ds(x)) + mu_x * f
     return drift + 0.5 * (sg_x * sg_x) * fp, sg_x * f
 

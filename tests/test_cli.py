@@ -104,6 +104,17 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "t = 720:" in err and not out.exists()
 
+    def test_explosive_cir_family_draw_exits_2(self, tmp_path, capsys):
+        # rayleigh with b = 1: at t = 21.6 the noncentrality of the draw passes numpy's
+        # Poisson range while the states are still finite
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--model", "rayleigh", "--params", "a=1,b=1", "--x0", 1.0,
+                    "--t-max", 30.0, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "t = 21.6 " in err and not out.exists()
+
 
 class TestRecombineCommand:
     def test_writes_paths(self, tmp_path):
@@ -186,6 +197,28 @@ class TestConfigAndUsage:
     @pytest.mark.parametrize("cfg", [{"seed": 1.5}, {"n_paths": "ten"}, {"x0": [0.5]},
                                      {"t_max": True}, {"uniformized": 1}, {"model": "heston"}])
     def test_config_value_its_flag_refuses_exits_2(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--model", "bm", "--config", path, "--out", tmp_path / "x.csv"])
+        assert err.value.code == 2
+
+    def test_command_line_flag_beats_config_at_its_default(self, tmp_path):
+        path, out = tmp_path / "cfg.json", tmp_path / "p.csv"
+        path.write_text(json.dumps({"n_paths": 5, "n_steps": 2, "out": str(out)}))
+        assert run(["simulate", "--model", "bm", "--n-paths", 100, "--config", path]) == 0
+        assert PathEnsemble.from_csv(out).paths.shape[0] == 100
+
+    @pytest.mark.parametrize("cfg", [{"out": "-x.csv"}, {"uniformized": False, "out": "p.csv"}])
+    def test_config_runs_as_its_flags(self, tmp_path, monkeypatch, cfg):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "n_steps": 3}))
+        assert run(["simulate", "--model", "bm", "--config", "cfg.json"]) == 0
+        assert PathEnsemble.from_csv(tmp_path / cfg["out"]).paths.shape == (100, 3)
+
+    # argparse would read the abbreviated key as --n-paths
+    @pytest.mark.parametrize("cfg", [{"n_path": 5}, {"t_max": False}, ["n_paths"]])
+    def test_config_refused_before_parsing_exits_2(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         with pytest.raises(SystemExit) as err:

@@ -598,6 +598,16 @@ class TestPaths:
         before = models.simulate_paths(ou, times[times < 720.0], 100, seed=0)
         assert np.isfinite(before.paths).all()
 
+    def test_explosive_cir_family_draw_raises_with_its_time(self):
+        # rayleigh with b = 1 grows like e^t: at t = 21.6 the noncentrality of its cir-family
+        # draw passes numpy's Poisson range while the states are still finite
+        rayleigh = models.make_model("rayleigh", {"a": 1.0, "b": 1.0}, x0=1.0)
+        times = 30.0 * np.arange(1, 51) / 50
+        with pytest.raises(DomainError, match=r"draw at t = 21.6 "):
+            models.simulate_paths(rayleigh, times, 100, seed=0)
+        before = models.simulate_paths(rayleigh, times[times < 21.6], 100, seed=0)
+        assert np.isfinite(before.paths).all()
+
     def test_csv_round_trip(self, tmp_path):
         ou = build("ou")
         ens = models.simulate_paths(ou, [0.5, 1.0], 5, seed=9)

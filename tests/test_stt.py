@@ -10,7 +10,8 @@ from scipy.special import ndtr
 
 from diffcop import copula, models, special, stt
 from diffcop.errors import DomainError
-from diffcop.uniformize import ks_statistic
+from diffcop.uniformize import (kolmogorov_copula_residual, ks_statistic,
+                                uniformized_coefficients)
 
 from quad_oracle import integrate
 
@@ -121,11 +122,38 @@ class TestPushTransition:
         assert pushed.kernel.cdf(s, y, t, -1.0) == 0.0
         assert pushed.kernel.cdf(s, y, t, np.inf) == 1.0
 
+    @pytest.mark.parametrize("call", [
+        lambda m: uniformized_coefficients(m, 0.5, 1.0),
+        lambda m: kolmogorov_copula_residual(copula.from_transition(m, 1.0, 2.0), m),
+        lambda m: stt.wiener_transformability_check(m.spec, 0.0, 0.0, [1.0], [1.0]),
+        lambda m: stt.search_constant_c1_c2(m.spec, [1.0], [1.0]),
+        lambda m: stt.wiener_stt(m.spec, 0.0, 0.0).psi(1.0, 1.0),
+    ], ids=["uniformized_coefficients", "kolmogorov_copula_residual",
+            "wiener_transformability_check", "search_constant_c1_c2", "wiener_stt"])
+    def test_pushed_model_has_no_coefficients(self, call):
+        pushed = stt.push_transition(models.make_model("cir", CIR_P, x0=1.2),
+                                     stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8))
+        with pytest.raises(DomainError, match=r"'push\(cir,cir_to_bessel\)' has no drift"):
+            call(pushed)
+
 
 class TestBuiltinChains:
     def test_unknown_chain(self):
         with pytest.raises(DomainError):
             stt.builtin_chain("bm_to_heston")
+
+    @pytest.mark.parametrize("name, params, names", [
+        ("ou_to_bm", {"alpha": 1.0}, r"missing \['beta', 'sigma'\], unknown \[\]"),
+        ("bm_to_special_cir", {"alpha": 0.6, "sigma": 1.1, "beta": 0.0},
+         r"missing \[\], unknown \['beta'\]"),
+        ("cir_to_rayleigh", {}, r"missing \['sigma'\]"),
+        ("rayleigh_to_bessel", {"delta": 1.0}, r"missing \['b'\], unknown \['delta'\]"),
+        ("cir_to_bessel", {"alpha": 1.0, "beta": 1.0}, r"missing \['sigma'\], unknown \['beta'\]"),
+    ], ids=["ou_to_bm", "bm_to_special_cir", "cir_to_rayleigh", "rayleigh_to_bessel",
+            "cir_to_bessel"])
+    def test_wrong_parameter_names_raise_domain_error(self, name, params, names):
+        with pytest.raises(DomainError, match=f"chain '{name}' takes parameters .*: {names}"):
+            stt.builtin_chain(name, **params)
 
     def test_cir_to_rayleigh_with_sigma_two(self):
         chain = stt.builtin_chain("cir_to_rayleigh", sigma=2.0)
