@@ -3,7 +3,7 @@
 Subcommands: copula-grid, simulate, recombine, fpt, validate.  An optional
 JSON config (--config) supplies flags: each ``key: value`` is parsed and
 checked as the flag ``--key-with-dashes=value``, and a flag on the command line
-always wins.  Unknown config keys are rejected.  Exit codes: 0 ok, 1 numerical
+always wins.  Unknown config keys, and the key ``config``, are rejected.  Exit codes: 0 ok, 1 numerical
 failure, 2 usage error.
 """
 
@@ -42,7 +42,8 @@ def _config_tokens(args: argparse.Namespace, cfg) -> list[str]:
     sub: argparse.ArgumentParser = args.subparser
     if not isinstance(cfg, dict):
         sub.error("config must be a JSON object of flag names and values")
-    unknown = set(cfg) - (set(vars(args)) - {"subparser", "func", "command"})
+    # a `config` key would be parsed and then lose to the command line's --config, unread
+    unknown = set(cfg) - (set(vars(args)) - {"subparser", "func", "command", "config"})
     if unknown:        # else argparse would expand an abbreviated key to a flag
         sub.error(f"unknown config keys: {sorted(unknown)}")
     tokens = []

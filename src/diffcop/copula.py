@@ -105,7 +105,9 @@ class CopulaSurface:
     transform of each argument at that argument's own shape and evaluates the
     kernel on the broadcast mesh, so ``core(u[None, :], v[:, None])`` solves
     len(u) + len(v) quantiles for the whole grid.  The public methods clamp
-    the unit square corners at 1e-12 and return a float for scalar arguments.
+    the unit square corners at 1e-12 and return a float for scalar arguments;
+    `density` evaluates a scalar pair as a 1 x 1 grid, which agrees with the
+    same cell of any grid to round-off (1e-14).
     The CDF integrates the conditional over u and, without a conditional
     core, the conditional integrates the density over v.  Both integrate in
     probit coordinates z = Phi^-1(w) over |z| <= 8.5, by the adaptive
@@ -129,7 +131,12 @@ class CopulaSurface:
         return float(out) if np.ndim(out) == 0 else out
 
     def density(self, u, v):
-        return self._eval(self._density_core, _clamp(_unit(u, "u")), _clamp(_unit(v, "v")))
+        u, v = _clamp(_unit(u, "u")), _clamp(_unit(v, "v"))
+        if np.ndim(u) == np.ndim(v) == 0:
+            # a 1 x 1 grid: the chi-square kernels' mesh route (`special._mesh_pdf`) gives
+            # a grid's cell and the same point alone one value
+            return float(self._density_core(np.reshape(u, (1, 1)), np.reshape(v, (1, 1)))[0, 0])
+        return self._eval(self._density_core, u, v)
 
     def conditional(self, u, v):
         return self._eval(self._conditional, _unit(u, "u"), _unit(v, "v"))

@@ -96,6 +96,15 @@ def _criterion_1() -> list[CheckResult]:
                 b = special.chi2nc_pdf_bessel_form(z, nu, lam)
                 worst_rel = max(worst_rel, abs(a - b) / abs(b))
     checks.append(_check("chi2nc_pdf vs Bessel-series density (rel)", worst_rel, 1e-8))
+
+    # one outer mesh, which chi2nc_pdf sums as one Poisson-mixture matrix product
+    nu, z, lam = 25.0, np.geomspace(0.4, 50.0, 20), np.geomspace(0.5, 200.0, 20)
+    gap = np.inf                            # fails the check if the mesh route is not taken
+    if special._mesh_pdf(z[:, None], nu, lam[None, :]) is not None:
+        mesh = special.chi2nc_pdf(z[:, None], nu, lam[None, :])
+        bessel = np.column_stack([special.chi2nc_pdf_bessel_form(z, nu, lj) for lj in lam])
+        gap = float(np.max(np.abs(mesh - bessel) / bessel))
+    checks.append(_check("chi2nc_pdf mesh route vs Bessel-series density (rel)", gap, 1e-12))
     return checks
 
 

@@ -187,6 +187,16 @@ class TestConfigAndUsage:
                  "--out", tmp_path / "x.csv"])
         assert err.value.code == 2
 
+    def test_config_key_config_rejected(self, tmp_path, capsys):
+        # no config names another: the key is refused, not parsed and then overridden
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": "missing.json", "n_steps": 2}))
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--model", "bm", "--config", cfg, "--out", tmp_path / "x.csv"])
+        assert err.value.code == 2
+        assert "unknown config keys: ['config']" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("cfg", [{"x0": "0.5"}, {"n_paths": "6"}, {"uniformized": True}])
     def test_config_values_convert_like_flag_strings(self, tmp_path, cfg):
         path, out = tmp_path / "cfg.json", tmp_path / "p.csv"

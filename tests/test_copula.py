@@ -68,6 +68,14 @@ MESH_SURFACES = {
            models.make_model(name, CATALOG[name][0], x0=CATALOG[name][1]), 0.8, 1.5))
        for name in CATALOG},
 }
+# cir closed forms like the benchmark's: alpha = 0.1, lags (s, t) of (30, 30.5) and (2, 12)
+BENCHMARK_SURFACES = {
+    "cir_gamma1_x0_zero": lambda: copula.cir_closed_form(0.1, 1.0, 0.0, 30.0, 30.5),
+    "cir_gamma5_x0_positive": lambda: copula.cir_closed_form(0.1, 5.0, 10.0, 30.0, 30.5),
+    "cir_gamma25_x0_positive": lambda: copula.cir_closed_form(0.1, 25.0, 10.0, 30.0, 30.5),
+    "cir_gamma125_x0_positive": lambda: copula.cir_closed_form(0.1, 125.0, 10.0, 2.0, 12.0),
+    "cir_gamma625_x0_zero": lambda: copula.cir_closed_form(0.1, 625.0, 0.0, 2.0, 12.0),
+}
 
 
 class TestFromTransition:
@@ -386,6 +394,24 @@ class TestConditionalCdfGrid:
                 assert grid[i, j] == pytest.approx(surf.density(u, v), rel=1e-14, abs=0.0)
                 assert cond[i, j] == pytest.approx(surf.conditional(u, v), rel=1e-14, abs=0.0)
         assert isinstance(surf.density(0.3, 0.6), float)
+
+    @pytest.mark.parametrize("name, n", [
+        ("cir_gamma1_x0_zero", 101), ("cir_gamma5_x0_positive", 51),
+        ("cir_gamma25_x0_positive", 101), ("cir_gamma125_x0_positive", 51),
+        ("cir_gamma625_x0_zero", 51), ("from_transition_cir", 51),
+        ("from_transition_rayleigh", 51), ("from_transition_bessel", 51),
+        ("push_cir_to_bessel", 51)])
+    def test_benchmark_sized_grid_matches_pointwise(self, name, n):
+        # the chi-square numerators of these grids take the mesh route of `special._pdf`
+        # (K up to about 600 terms), and a scalar call is a 1 x 1 grid: each cell is on
+        # the same route either way, so the two differ only in the order of the K-term
+        # sum, as in the 5 x 5 grids above
+        surf = {**MESH_SURFACES, **BENCHMARK_SURFACES}[name]()
+        mids = (np.arange(n) + 0.5) / n
+        grid = copula.grid_eval(surf, n)
+        cells = np.linspace(0, n - 1, 9).astype(int)
+        alone = [[surf.density(mids[j], mids[i]) for j in cells] for i in cells]
+        np.testing.assert_allclose(grid[np.ix_(cells, cells)], alone, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ density below (see `special._pdf`); the form's Bessel factor is scipy's ``ive``
 below the order ``_DEBYE_MIN_ORDER`` and the uniform expansion from it on.
 Over nu up to the form's bound and lam up to 1e5, from mean + 8 sd down to
 z = 1e-8, it must agree with mpmath to 1e-12 relative wherever the true
-density is a normal double.
+density is a normal double.  On an outer mesh `special._pdf` sums the Poisson
+mixture as one matrix product (`special._mesh_pdf`); that route must agree with
+the per-element ones to 1e-12, or with mpmath where they are off.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from diffcop import special  # noqa: E402
 from test_special import mp_chi2nc_pdf  # noqa: E402
@@ -97,3 +99,33 @@ def test_routes_meet_at_the_debye_order(lam):
     at, under = special.chi2nc_pdf(z, NU_DEBYE, lam), special.chi2nc_pdf(z, below, lam)
     normal = under >= TINY
     np.testing.assert_allclose(at[normal], under[normal], rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(nu=st.floats(0.3, 1000.0), lam_hi=st.floats(-2.0, 3.3),
+       lam_decades=st.floats(0.0, 3.0), z_sd=st.floats(-8.0, 8.0),
+       z_decades=st.floats(0.01, 6.0))
+def test_mesh_matches_elements(nu, lam_hi, lam_decades, z_sd, z_decades):
+    # the mesh route of `special._pdf` against the per-element routes on 19 x 17 meshes:
+    # lam up to 2000, and up to 50 where larger lam takes the Debye route; z from its top,
+    # mean + z_sd sd of the largest lam, down z_decades decades (not below 1e-8)
+    top = 10.0 ** lam_hi
+    if nu >= 2.0 * (special._DEBYE_MIN_ORDER + 1.0):
+        top = min(top, special._BESSEL_MIN_LAM)
+    lam = np.geomspace(top * 10.0 ** -lam_decades, top, 17)[None, :]
+    z_top = max(nu + top + z_sd * math.sqrt(2.0 * nu + 4.0 * top), 1e-6)
+    z = np.geomspace(max(z_top * 10.0 ** -z_decades, 1e-8), z_top, 19)[:, None]
+    route = special._mesh_pdf(z, nu, lam)
+    assume(route is not None)                    # every q above the route's
+    mesh, redo = route
+    each = special._pdf_elements(z, nu, lam)
+    np.testing.assert_array_equal(special._pdf(z, nu, lam)[redo], each[redo])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        apart = ~redo & ~(np.abs(mesh / each - 1.0) <= 1e-12)
+    # where the per-element route is itself off (up to 1.1e-12 at nu near 1000, far in
+    # the left tail), the mesh must be right
+    with mp.workdps(30):
+        for i, j in zip(*np.nonzero(apart)):
+            ref = float(mp_chi2nc_pdf(z[i, 0], nu, lam[0, j]))
+            assert mesh[i, j] == pytest.approx(ref, rel=1e-12, abs=0)
+

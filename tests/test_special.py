@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import chndtrix, iv, ndtr
+from scipy.special._ufuncs import _ncx2_pdf
 
 import diffcop
 from diffcop import copula, models, special
@@ -291,6 +292,125 @@ class TestChi2ncPdf:
             special.chi2nc_pdf_bessel_form(1.0, 2.0, 0.0)
         with pytest.raises(DomainError):
             special.chi2nc_pdf_bessel_form(0.0, 2.0, 1.0)
+
+
+# outer meshes like the benchmark's cir numerators: (nu, z range, lam range, n)
+BENCHMARK_MESHES = [
+    (1.04, (1.1e-3, 154.0), (1.04e-3, 146.0), 101),       # gamma = 1 from the boundary
+    (5.23, (13.3, 331.0), (12.6, 315.0), 51),             # q = lam z / 4 up to 2.6e4
+    (126.4, (105.0, 190.0), (13.0, 22.9), 51),
+]
+
+
+def outer(z_range, lam_range, n):
+    return np.geomspace(*z_range, n)[:, None], np.geomspace(*lam_range, n)[None, :]
+
+
+class TestChi2ncMesh:
+    """The mesh route of `special._pdf`: the Poisson mixture as one matrix product."""
+
+    @pytest.mark.parametrize("nu, z_range, lam_range, n", BENCHMARK_MESHES)
+    def test_against_mpmath(self, mp30, nu, z_range, lam_range, n):
+        z, lam = outer(z_range, lam_range, n)
+        mesh, redo = special._mesh_pdf(z, nu, lam)
+        assert not redo.any()
+        f = special.chi2nc_pdf(z, nu, lam)
+        np.testing.assert_array_equal(f, mesh)
+        # the corners and the smallest cell (1.4e-35 at nu = 1.04, 9.3e-48 at 5.23)
+        cells = {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1),
+                 np.unravel_index(f.argmin(), f.shape)}
+        for i, j in cells:
+            ref = float(mp_chi2nc_pdf(z[i, 0], nu, lam[0, j]))
+            assert f[i, j] == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0])
+    def test_zero_row_and_column_are_redone(self, nu):
+        z = np.r_[0.0, np.geomspace(0.01, 30.0, 20)][:, None]
+        lam = np.r_[0.0, np.geomspace(0.1, 40.0, 20)][None, :]
+        _, redo = special._mesh_pdf(z, nu, lam)
+        assert redo[0].all() and redo[:, 0].all() and not redo[1:, 1:].any()
+        f = special.chi2nc_pdf(z, nu, lam)
+        loop = np.array([[special.chi2nc_pdf(zi, nu, li) for li in lam[0]] for zi in z[:, 0]])
+        np.testing.assert_array_equal(f[0], loop[0])             # inf, e^{-lam/2}/2 or 0
+        np.testing.assert_array_equal(f[:, 0], loop[:, 0])       # the central law
+        np.testing.assert_allclose(f, loop, rtol=1e-12, atol=0)
+
+    def test_underflowing_corner_is_redone(self):
+        # below 1e-290 the mesh value is redone per element: 1.4e-297 at the far corner
+        z = np.geomspace(1.0, 1380.0, 20)[:, None]
+        lam = np.geomspace(0.1, 5.0, 20)[None, :]
+        _, redo = special._mesh_pdf(z, 1.0, lam)
+        assert redo[-1, 0] and not redo[0].any()
+        f = special._pdf(z, 1.0, lam)
+        np.testing.assert_array_equal(f[redo], special._pdf_elements(z, 1.0, lam)[redo])
+        with mp.workdps(30):
+            assert f[-1, 0] == pytest.approx(float(mp_chi2nc_pdf(1380.0, 1.0, 0.1)), rel=1e-12)
+
+    def test_orientation(self):
+        nu, *mesh = BENCHMARK_MESHES[0]
+        z, lam = outer(*mesh)
+        f = special.chi2nc_pdf(z, nu, lam)
+        np.testing.assert_array_equal(special.chi2nc_pdf(z.T, nu, lam.T), f.T)
+
+    @pytest.mark.parametrize("z, nu, lam", [
+        (np.linspace(1.0, 9.0, 300), 3.0, 2.0),                            # one law
+        (np.linspace(1.0, 9.0, 300), 3.0, np.linspace(1.0, 9.0, 300)),     # elementwise
+        (np.linspace(1.0, 9.0, 15)[:, None], 3.0, np.linspace(1.0, 9.0, 15)),  # lam 1-d
+        (np.linspace(1.0, 9.0, 15)[:, None], 3.0, np.linspace(1.0, 9.0, 15)[:, None]),
+        (np.linspace(1.9e3, 3.4e3, 51)[:, None], 131.3, np.linspace(1.8e3, 3.2e3, 51)[None, :]),
+        (np.linspace(1.6e3, 2.0e3, 11)[:, None], 6.0, np.linspace(8e2, 1e3, 11)[None, :]),
+        (0.0, 3.0, np.array([[2.0]])),                                     # q = 0
+        (np.empty((0, 1)), 3.0, np.array([[2.0, 3.0]])),
+    ])
+    def test_stays_per_element(self, z, nu, lam):
+        # not an outer mesh of two 2-d arrays; every cell on the Debye route; every q above
+        # ``_MESH_MAX_Q``; no q above 0; no cell
+        assert special._mesh_pdf(np.asarray(z, dtype=float), nu, np.asarray(lam)) is None
+
+    def test_debye_cells_and_large_q_are_redone(self):
+        # lam > 50 at nu/2 - 1 >= 50 stays on the Debye route, and q above 3e5 per element
+        z = np.linspace(100.0, 140.0, 21)[:, None]
+        lam = np.linspace(40.0, 60.0, 21)[None, :]
+        _, redo = special._mesh_pdf(z, 126.0, lam)
+        np.testing.assert_array_equal(redo, np.broadcast_to(lam > 50.0, redo.shape))
+        z = np.linspace(900.0, 1500.0, 21)[:, None]
+        lam = np.linspace(900.0, 1400.0, 21)[None, :]
+        _, redo = special._mesh_pdf(z, 6.0, lam)
+        np.testing.assert_array_equal(redo, z * lam / 4.0 > special._MESH_MAX_Q)
+        assert 0 < redo.sum() < redo.size
+
+    @pytest.mark.parametrize("nu, z, lam", [
+        (1.04, np.geomspace(1e-3, 154.0, 12), np.geomspace(1e-3, 146.0, 13)),
+        (126.0, np.linspace(100.0, 140.0, 12), np.linspace(40.0, 60.0, 13)),
+        (6.0, np.linspace(900.0, 1500.0, 12), np.linspace(900.0, 1400.0, 13)),
+        (2.5, np.r_[0.0, np.geomspace(0.01, 1400.0, 11)], np.r_[0.0, np.geomspace(0.1, 5.0, 12)]),
+    ])
+    def test_a_cell_alone_takes_its_grid_route(self, nu, z, lam):
+        # the route of a cell depends on the cell alone: its 1 x 1 mesh gives the grid's
+        # value but for the order of the sum
+        grid = special.chi2nc_pdf(z[:, None], nu, lam[None, :])
+        alone = np.array([[special.chi2nc_pdf(np.array([[zi]]), nu, np.array([[li]]))[0, 0]
+                           for li in lam] for zi in z])
+        np.testing.assert_allclose(grid, alone, rtol=1e-14, atol=0)
+
+    def test_benchmark_numerators_never_reach_boost(self, monkeypatch):
+        # the cir and rayleigh from_transition grids at n = 51 and the gamma = 1 closed form
+        # at n = 101: only their 1-d denominators call Boost's density
+        sizes = []
+
+        def recording(z, nu, lam):
+            sizes.append(np.broadcast(z, lam).size)
+            return _ncx2_pdf(z, nu, lam)
+
+        monkeypatch.setattr(special, "_ncx2_pdf", recording)
+        cir = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
+        ray = models.make_model("rayleigh", {"a": 1.0, "b": -0.5}, x0=1.0)
+        for surface, n in ((copula.from_transition(cir, 0.8, 1.5), 51),
+                           (copula.from_transition(ray, 0.8, 1.5), 51),
+                           (copula.cir_closed_form(0.1, 1.0, 0.0, 30.0, 30.5), 101)):
+            sizes.clear()
+            assert np.all(np.isfinite(copula.grid_eval(surface, n)))
+            assert sizes and max(sizes) == n
 
 
 class TestChi2ncCdfQuantile:
