@@ -68,6 +68,9 @@ __all__ = [
     "simulate_paths", "euler_maruyama",
 ]
 
+# numpy draws no Poisson mean above this, about 9.2e18
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 _CATALOG_IDS = ("bm", "bm_drift", "gbm", "ou", "rbm", "cir", "cir_special",
                 "rayleigh", "bessel")
 
@@ -368,13 +371,28 @@ class _Ncx2Law:
         return (_chi2nc_quantile(_check_p(p), self.k.df, self.lam) / self.twoc)[()]
 
     def sample(self, rng, size=None):
+        """Draws of X_t: chi2nc(df, lam) / 2c, by one of two exact routes.
+
+        For df > 1, chi2nc(df, lam) = chi2_{df-1} + (Z + sqrt(lam))^2 with Z standard
+        normal (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 3.4):
+        one gamma and one normal variate per draw.  For df <= 1, where chi2_{df-1} does
+        not exist, the Poisson mixture chi2_{df + 2N}, N ~ Poisson(lam/2).  A
+        noncentrality beyond numpy's Poisson range raises `DomainError` on both routes.
+        """
         lam = np.broadcast_to(self.raw_lam, np.shape(self.y) if size is None else size)
-        try:
-            mix = rng.poisson(lam / 2.0)
-        except ValueError:      # numpy draws no Poisson mean beyond about 9.2e18
+        if not np.max(lam, initial=0.0) <= 2.0 * _POISSON_MEAN_MAX:       # also NaN
             raise DomainError(f"the cir-family draw at t = {self.t} passes numpy's Poisson range "
-                              f"(noncentrality {np.max(lam):.3g}): its paths explode") from None
-        return 2.0 * rng.standard_gamma(self.k.df / 2.0 + mix) / self.twoc
+                              f"(noncentrality {np.max(lam):.3g}): its paths explode")
+        df = self.k.df
+        if df > 1.0:
+            out = rng.standard_normal(lam.shape)
+            out += np.sqrt(lam)
+            out *= out
+            out += 2.0 * rng.standard_gamma(0.5 * (df - 1.0), lam.shape)
+        else:
+            out = 2.0 * rng.standard_gamma(0.5 * df + rng.poisson(0.5 * lam))
+        out /= self.twoc
+        return out
 
     def pdf_dx(self, x):
         """d pdf/dx; at x = 0 the right-hand limit (see `special._chi2nc_pdf_dz`)."""

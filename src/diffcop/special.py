@@ -67,19 +67,26 @@ validation suite cross-checks the two at lam up to 200 and nu up to 120, and
 the mesh route against it on one 20 x 20 mesh at nu = 25.
 
 `chi2nc_quantile` has one fixed-law path for many probabilities of one law
-(scalar ``lam``, at least ``_FIXED_LAW_MIN_SIZE`` points): the fast numerical
-inversion of Hoermann & Leydold (ACM TOMACS 13, 2003), the idea behind
-scipy's PINV, which lives under ``scipy.stats``.  It tabulates log x against
-z = Phi^{-1}(p) at nodes ``_FIXED_LAW_DZ`` apart across the request's z range,
-solving each node with ``chndtrix`` and taking its slope phi(z) / (f(x) x)
-from the density.  Each point then takes the cubic Hermite value of that
-table and one Newton step, with one ``chndtr`` call and the interpolant's own
-slope.  One more ``chndtr`` call checks the root: it is kept only when
-|F(x) - p| <= 1e-12 min(p, 1 - p) and the step that residual implies (or one
-ulp of p, if larger) is at most 1e-13 x.  Every other root, such as one in
-the far upper tail where F is flat in double precision, comes from
-``chndtrix``, and so does the whole call when the table is not strictly
-increasing.  Array ``lam`` and smaller requests always use ``chndtrix``.
+(scalar ``lam`` and at least ``_FIXED_LAW_MIN_SIZE`` points, or
+``_CENTRAL_LAW_MIN_SIZE`` at lam = 0): the fast numerical inversion of
+Hoermann & Leydold (ACM TOMACS 13, 2003), the idea behind scipy's PINV, which
+lives under ``scipy.stats``.  It tabulates y = log x against z = Phi^{-1}(p)
+at nodes ``_FIXED_LAW_DZ`` apart across the request's z range, solving each
+node with one ``chndtrix`` call and taking y' = phi(z) / (f x) and
+y'' = -z y' - y'^2 (1 + x f'/f) from the density and its derivative.  Each
+interval holds the quintic Hermite interpolant of y, y' and y'' at its ends,
+and the jump of its z^5 coefficient to a neighbour estimates its error.  An
+interval that one Newton step may not certify is cut into equal parts, as far
+as its points pay for their nodes (`_parts`).  Each point then takes the
+table's value and one ``chndtr`` residual r = F(x) - p.  The start is kept
+when |r| <= 1e-12 min(p, 1 - p) and the step r implies (or one ulp of p, if
+larger) is at most 1e-13 x, and it takes that free Newton step; a start that
+fails takes the step and a second residual under the same test.  Every root
+that still fails, such as one in the far upper tail where F is flat in double
+precision, comes from ``chndtrix``, and so does the whole call when the table
+is not strictly increasing.  At nu >= 25 every start passes, so a call costs
+one ``chndtrix`` call on its nodes and one ``chndtr`` pass over its points.
+Array ``lam`` and smaller requests always use ``chndtrix``.
 
 All functions accept scalars or ndarrays in their principal argument and are
 pure; the noncentral chi-square functions also broadcast an array ``lam``.
@@ -277,6 +284,14 @@ _BOOST_MIN_PDF = 1e-100
 # best of 7, 2-vCPU x86-64, scipy 1.17.1: 40 against 1105 ns at (nu, lam) = (102, 100),
 # 46 against 313 ns at (102, 1e4), 41 against 418 ns at (625, 12000).
 _DEBYE_MIN_ORDER = 50.0
+# ...for x = sqrt(lam z) above this, q = x^2 / 4 above 1; smaller x take the 0F1 series, whose
+# terms fall by q / (m (a + m)) <= 1/51 there.  At small x the expansion's terms a/2
+# log(z/lam) and a asinh(a/x) grow as a log(a/x) and cancel: at (z, nu, lam) =
+# (133.48, 980.41, 2.5548e-4), order 489 and q = 0.0085, it was 1.05e-12 off mpmath and the
+# series 8.4e-14.  Worst of 6 random points per (nu, q) against mpmath, z from nu/20 to
+# 1.5 nu, expansion / series: 1.2e-12 / 3.9e-13 at (980, 1e-4), 7.6e-13 / 3.5e-13 at
+# (625, 1e-4), 4.0e-13 / 4.8e-13 at (980, 1); above q = 1 both stay below 5e-13.
+_DEBYE_MIN_X = 2.0
 # The Debye polynomials u_1..u_6 of DLMF 10.41.10: u_k(p) = sum_i _DEBYE_U[k-1][i] p^(k+2i).
 _DEBYE_U = (
     (1/8, -5/24),
@@ -300,9 +315,10 @@ def _bessel_form(z, nu: float, lam):
 
     sqrt z - sqrt lam taken as (z - lam)/(sqrt z + sqrt lam).  Below the order
     ``_DEBYE_MIN_ORDER`` the Bessel factor is scipy's ``ive``, and from it on its
-    log is `_add_log_ive`'s uniform expansion.  Where ``ive`` is not a normal
-    double (a large order at a small argument) or the form is not finite, the
-    same density is summed as
+    log is `_add_log_ive`'s uniform expansion, for x above ``_DEBYE_MIN_X``.  Where
+    ``ive`` is not a normal double (a large order at a small argument), where x is
+    at most ``_DEBYE_MIN_X`` on the expansion's route, or where the form is not
+    finite, the same density is summed as
 
         f = 1/2 exp(a log(z/2) - (z + lam)/2 - ln Gamma(a + 1)) 0F1(; a + 1; lam z / 4),
 
@@ -327,8 +343,8 @@ def _bessel_form(z, nu: float, lam):
             low = ~(t >= _TINY)
             out += np.log(t, out=t)
         else:
+            low = t <= _DEBYE_MIN_X
             _add_log_ive(out, t, a)
-            low = False
         del t
         np.exp(out, out=out)
         out *= 0.5
@@ -472,15 +488,29 @@ def _mesh_pdf(z, nu: float, lam):
     # the terms rise while k (b + k - 1) <= q and fall after, each by the ratio
     # q / (k (b + k - 1)); the sum ends before the first term past the largest that lies
     # ``_MESH_EFOLDS`` below it
+    # ``_MESH_EFOLDS`` below it.  Past the largest, at k0, the fall is about
+    # (k - k0)^2 (1/k0 + 1/(b + k0)) / 2 e-folds, so a first stretch twice the span that
+    # gives ends there in one step, and longer ones follow where it does not
     n_terms = max(int(0.5 * (math.sqrt((b - 1.0) ** 2 + 4.0 * q) - (b - 1.0))), 0)
-    fall = 0.0
-    while fall >= -_MESH_EFOLDS:
-        n_terms += 1
-        fall += math.log(q / (n_terms * (b - 1.0 + n_terms)))
+    span = 2 * int(math.sqrt(2.0 * _MESH_EFOLDS
+                             / (1.0 / (n_terms + 1.0) + 1.0 / (b + n_terms)))) + 2
+    top = 0.0
+    while True:
+        j = np.arange(n_terms + 1.0, n_terms + 1.0 + span)
+        fall = top + np.cumsum(np.log(q / (j * (b - 1.0 + j))))
+        past = np.flatnonzero(fall < -_MESH_EFOLDS)
+        if past.size:
+            n_terms += int(past[0]) + 1
+            break
+        n_terms, top, span = n_terms + span, fall[-1], 2 * span
     k = np.arange(n_terms, dtype=float)
     with np.errstate(all="ignore"):
-        g = _poisson_terms(k + (b - 1.0), 0.5 * z)
-        w = _poisson_terms(k, 0.5 * lam.reshape(-1, 1))
+        if z.size == lam.size == 1:         # one cell: one call gives both factors
+            g, w = _poisson_terms(np.stack([k + (b - 1.0), k]),
+                                  0.5 * np.concatenate([z, lam]))[:, None]
+        else:
+            g = _poisson_terms(k + (b - 1.0), 0.5 * z)
+            w = _poisson_terms(k, 0.5 * lam.reshape(-1, 1))
         out = g @ w.T
         redo = ~((out >= _MESH_MIN_PDF * np.maximum(g[:, :1], 1.0)) & (out < np.inf))
     redo |= debye
@@ -491,8 +521,9 @@ def _mesh_pdf(z, nu: float, lam):
 
 
 def _poisson_terms(x, mu):
-    """mu^x e^{-mu} / Gamma(x + 1) for a column ``mu`` and an increasing row ``x`` > -1,
-    as an array of their broadcast shape, no factor below exp(``_LOG_FLOOR``).
+    """mu^x e^{-mu} / Gamma(x + 1) for a column ``mu`` and increasing rows ``x`` > -1, one
+    row or one per element of ``mu``, as an array of their broadcast shape, no factor
+    below exp(``_LOG_FLOOR``).
 
     The exponent is taken as x log(mu/x) - mu - c(x), c(x) = ln Gamma(x + 1) - x log x,
     whose rounding stays near eps (x |log(mu/x)| + mu) where x log mu - mu -
@@ -511,8 +542,10 @@ def _poisson_terms(x, mu):
     out *= x
     out -= mu
     out -= c
-    if x[0] <= 0.0:
-        out[:, 0] = (x[0] * np.log(mu) - mu - gammaln(x[0] + 1.0))[:, 0]
+    first = x[..., :1]
+    if (first <= 0.0).any():
+        out[:, :1] = np.where(first <= 0.0, first * np.log(mu) - mu - gammaln(first + 1.0),
+                              out[:, :1])
     np.maximum(out, _LOG_FLOOR, out=out)
     return np.exp(out, out=out)
 
@@ -583,7 +616,7 @@ def _chi2nc_pdf(z, nu: float, lam):
     return out
 
 
-def _chi2nc_pdf_dz(z, nu: float, lam):
+def _chi2nc_pdf_dz(z, nu: float, lam, f=None):
     """d/dz of `chi2nc_pdf` (z >= 0), from the degree-raising recurrence
 
         f'(z; nu, lam) = 1/2 [(lam/z) f(z; nu+2, lam) + ((nu-2)/z - 1) f(z; nu, lam)].
@@ -591,14 +624,17 @@ def _chi2nc_pdf_dz(z, nu: float, lam):
     At z = 0 it returns the right-hand limit, set by the j = 0 and j = 1 terms
     w_j z^{nu/2+j-1} e^{-z/2} of the Poisson mixture: -inf for nu < 2,
     e^{-lam/2} (lam/2 - 1)/4 at nu = 2, +inf for 2 < nu < 4, e^{-lam/2}/4 at
-    nu = 4 and 0 above.
+    nu = 4 and 0 above.  A caller that holds f(z; nu, lam) at z > 0 passes it as ``f``.
     """
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
     zero = z == 0.0
     zp = np.where(zero, 1.0, z)
-    out = 0.5 * (lam / zp * _pdf(zp, nu + 2.0, lam)
-                 + ((nu - 2.0) / zp - 1.0) * _pdf(zp, nu, lam))
+    if f is None:
+        f = _pdf(zp, nu, lam)
+    out = 0.5 * ((nu - 2.0) / zp - 1.0) * f
+    if any_true(lam != 0.0):                # the first term vanishes for a central law
+        out = out + 0.5 * lam / zp * _pdf(zp, nu + 2.0, lam)
     if any_true(zero):
         e = np.exp(-lam / 2.0)
         at_zero = (-np.inf if nu < 2.0 else 0.25 * e * (0.5 * lam - 1.0) if nu == 2.0
@@ -650,27 +686,44 @@ def chi2nc_cdf(z, nu: float, lam):
 
 
 # The fixed-law path of `chi2nc_quantile` (see the module docstring) runs from this
-# many points of one law.  Its table costs a chndtrix and a density call per node,
-# 50-65 nodes for 256-1000 uniform p, so small requests are cheaper through chndtrix.
-# Time against chndtrix for uniform p, best of 7, two runs, 2-vCPU x86-64, scipy 1.17.1:
-#   (nu, lam) = (625, 12):  1.32-1.37x at n = 101, 0.68-0.73x at 256, 0.44x at 1000;
-#   (6.25, 100):            0.98-1.02x at 101, 0.69-0.72x at 256, 0.41-0.42x at 1000;
-#   (1, 0), where chndtrix is cheapest (0.9 us a point): 1.14-1.56x at 256, 0.53-0.79x
-#   at 1000;  (0.5, 3), where most roots fail the check: 1.35-1.45x at 256, 0.95-1.04x
-#   at 1000, 0.83-0.90x at 1e4.
-_FIXED_LAW_MIN_SIZE = 256
-# Node spacing in z.  At 0.15 and 0.2 the table is too coarse for most roots of
-# the (1, 0) law to pass the check, and the call costs more than chndtrix alone.
-_FIXED_LAW_DZ = 0.1
+# many points of a law with lam > 0, and from ``_CENTRAL_LAW_MIN_SIZE`` at lam = 0,
+# where chndtrix is cheapest (0.3-0.5 us a point).  The table costs one chndtrix call
+# on 30-40 nodes for 201-1e4 uniform p, and a density and its derivative there.  Time
+# of the path against chndtrix for uniform p, median of 9 alternating best-of-5 pairs,
+# 2-vCPU shared x86-64 host, scipy 1.17.1:
+#   (655.6, 0.39), the benchmark's n = 201 cir grid: 0.51x at 201, 0.23x at 1000;
+#   (625, 12): 0.45x at 201, 0.39x at 256, 0.24x at 1000;
+#   (6.25, 100): 0.51x at 201, 0.28x at 1000;  (1, 1): 0.60x at 201, 0.28x at 1000;
+#   (0.5, 3): 1.08x at 256, 0.52x at 1000, 0.24x at 1e4;
+#   (1, 0): 1.44x at 201, 1.19x at 256, 0.86x at 400, 0.54x at 1000;
+#   (2, 0): 2.50x at 201, 1.48x at 400, 0.91x at 1000;  (25, 0): 0.86x at 201.
+_FIXED_LAW_MIN_SIZE = 201
+_CENTRAL_LAW_MIN_SIZE = 400
+# Node spacing in z.  At 0.2 every start passes at nu >= 25 (the jump estimate reads
+# 1e-17 to 6e-16 at (625, 12)), while the central laws of small nu are 1e-11 to 2e-9 off
+# and take the second residual: (1, 0) would need 0.03 for its starts to pass.
+_FIXED_LAW_DZ = 0.2
+# The estimated interpolation error, in log x, that a start may have to pass the check;
+# an interval is cut into parts that bring it this low ...
+_FIXED_LAW_START_ERR = 2e-14
+# ... when its estimate is above this, where one Newton step may leave a root that the
+# check refuses and chndtrix solves again: at (0.5, 3), whose mass splits into a spike
+# at 0 and a bulk, estimates reach 5e-6 near z = -1.3 and, uncut, 19% of 1000 roots
+# went to chndtrix.  Below it a failed start costs one chndtr residual, cheaper than
+# the nodes that would let it pass.
+_FIXED_LAW_NEWTON_ERR = 1e-8
+# ... and into no more new nodes than its points over this: a node costs a chndtrix
+# call, a root that the check refuses costs one as well.
+_FIXED_LAW_NODE_COST = 2
 
 
 def chi2nc_quantile(p, nu: float, lam):
     """Quantile of the noncentral chi-square law; ``lam`` may be an array.
 
     Many probabilities of one law (scalar ``lam``, at least
-    ``_FIXED_LAW_MIN_SIZE`` points) take the checked fixed-law path of the
-    module docstring; the rest are ``chndtrix``.  Probabilities below
-    ``_CHNDTR_MIN_CDF``, where ``chndtr`` is not exact, are then solved
+    ``_FIXED_LAW_MIN_SIZE`` points, ``_CENTRAL_LAW_MIN_SIZE`` at lam = 0) take
+    the checked fixed-law path of the module docstring; the rest are
+    ``chndtrix``.  Probabilities below ``_CHNDTR_MIN_CDF``, where ``chndtr`` is not exact, are then solved
     against `chi2nc_cdf` by `invert_monotone_cdf`, from a bracket whose
     upper end is that first root.
     """
@@ -684,7 +737,8 @@ def chi2nc_quantile(p, nu: float, lam):
 def _chi2nc_quantile(p, nu: float, lam):
     """`chi2nc_quantile`'s core, for p in (0, 1)."""
     p, lam = np.asarray(p, dtype=float), np.asarray(lam, dtype=float)
-    if lam.ndim == 0 and p.size >= _FIXED_LAW_MIN_SIZE:
+    if lam.ndim == 0 and p.size >= (_FIXED_LAW_MIN_SIZE if lam > 0.0
+                                    else _CENTRAL_LAW_MIN_SIZE):
         out = _fixed_law_quantile(p.ravel(), nu, float(lam)).reshape(p.shape)
     else:
         out = np.asarray(chndtrix(p, nu, lam))
@@ -700,34 +754,135 @@ def _chi2nc_quantile(p, nu: float, lam):
 
 
 def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
-    """``chndtrix(p, nu, lam)`` for 1-d ``p`` by a checked Hermite table in z."""
+    """``chndtrix(p, nu, lam)`` for 1-d ``p`` by a checked quintic Hermite table in z."""
     z = ndtri(p)
     lo, hi = z.min(), z.max()
-    zk = np.linspace(lo, hi, max(2, math.ceil((hi - lo) / _FIXED_LAW_DZ) + 1))
-    h = zk[1] - zk[0]
+    m = max(1, math.ceil((hi - lo) / _FIXED_LAW_DZ))
+    zk = lo + (hi - lo) / m * np.arange(m + 1.0)
     with np.errstate(all="ignore"):
-        xk = chndtrix(ndtr(zk), nu, lam)
-        yk = np.log(xk)
-        dk = h * _norm_pdf(zk) / (_pdf(xk, nu, lam) * xk)      # dy/dt, t = (z - zk)/h
-        if not (np.all(np.diff(yk) > 0.0) and np.all(np.isfinite(dk) & (dk > 0.0))):
+        nodes = _law_nodes(zk, nu, lam)
+        if nodes is None:
             return chndtrix(p, nu, lam)
-        s = (z - lo) / h
-        k = np.minimum(s.astype(np.intp), zk.size - 2)
-        t = s - k
-        y0, d0, d1 = yk[k], dk[k], dk[k + 1]
-        dy = yk[k + 1] - y0
-        c2, c3 = 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy
-        x0 = np.exp(y0 + t * (d0 + t * (c2 + t * c3)))
+        table = _quintic_table(zk, *nodes)
+        scale = m / (hi - lo)                   # 1 / h
+        t = (z - lo) * scale
+        k = np.minimum(t.astype(np.intp), m - 1)
+        t -= k
+        # The quintic's error on an interval is about |c6| t^3 (1 - t)^3 <= |c6| / 64, with
+        # c6 ~ h^6 y^(6) / 720 ~ (the jump of c5 to a neighbour) / 6
+        jump = np.abs(np.diff(table[-1])) / 384.0
+        if jump.size and jump.max() > _FIXED_LAW_NEWTON_ERR:
+            err = np.maximum(np.append(jump, 0.0), np.append(0.0, jump))
+            parts = _parts(err, np.bincount(k, minlength=m))
+            if parts is not None:
+                table = _refined_table(zk, nodes, parts, nu, lam)
+                if table is None:
+                    return chndtrix(p, nu, lam)
+                # the interval's parts are equal, and its columns follow each other
+                n_parts = parts[k]
+                t *= n_parts
+                j = np.minimum(t.astype(np.intp), n_parts - 1)
+                t -= j
+                k = np.cumsum(parts)[k] - n_parts + j
+                scale = scale * n_parts
+        c = table[:, k]
+        x, g = c[5] * t, 5.0 * c[5]             # Horner's scheme, in place, for y and dy/dt
+        for j in range(4, 0, -1):
+            x += c[j]
+            x *= t
+            g *= t
+            g += j * c[j]
+        x += c[0]
+        np.exp(x, out=x)
         # d log x / dp from the interpolant's slope: 1 / (x f~)
-        g = (d0 + t * (2.0 * c2 + 3.0 * t * c3)) / (h * _norm_pdf(z))
-        x = x0 * (1.0 - (chndtr(x0, nu, lam) - p) * g)
+        g *= scale / _norm_pdf(z)
+        # a residual r = F(x) - p certifies x where |r| <= 1e-12 min(p, 1 - p) and the step
+        # it implies, |r| g, and the one of an ulp of p are at most 1e-13
+        cap = 1e-13 / g
+        bound = np.minimum(1e-12 * np.minimum(p, 1.0 - p), cap)
+        bound[~(np.spacing(p) <= cap)] = -1.0
         r = chndtr(x, nu, lam) - p
-        step = np.maximum(np.abs(r), np.spacing(p)) * g
-        ok = (np.abs(r) <= 1e-12 * np.minimum(p, 1.0 - p)) & (step > 0.0) & (step <= 1e-13)
-    redo = ~ok
-    if np.any(redo):
-        x[redo] = chndtrix(p[redo], nu, lam)
+        x *= 1.0 - r * g                    # a Newton step, certified or not
+        redo = ~(np.abs(r) <= bound)
+        if redo.any():
+            xr, gr, pr = x[redo], g[redo], p[redo]
+            r = chndtr(xr, nu, lam) - pr
+            xr *= 1.0 - r * gr
+            fail = ~(np.abs(r) <= bound[redo])
+            if fail.any():
+                xr[fail] = chndtrix(pr[fail], nu, lam)
+            x[redo] = xr
     return x
+
+
+def _parts(err, count):
+    """Equal parts per interval of estimated error ``err`` holding ``count`` points, or
+    None for one part each.
+
+    An interval that one Newton step may not certify (``err`` above
+    ``_FIXED_LAW_NEWTON_ERR``) gets as many parts as bring its error to
+    ``_FIXED_LAW_START_ERR``, the error shrinking as h^6, but no more new nodes than
+    its points over ``_FIXED_LAW_NODE_COST``.
+    """
+    new = np.minimum(np.ceil((err / _FIXED_LAW_START_ERR) ** (1 / 6)) - 1.0,
+                     count // _FIXED_LAW_NODE_COST)
+    new = np.where(err > _FIXED_LAW_NEWTON_ERR, new, 0.0).astype(np.intp)
+    return new + 1 if new.any() else None
+
+
+def _refined_table(zk, nodes, parts, nu: float, lam: float):
+    """The quintic table of ``zk`` with each interval cut into ``parts`` equal ones, or
+    None where the new nodes are not a table."""
+    at = np.repeat(np.arange(parts.size), parts - 1)
+    first = np.repeat(np.cumsum(parts - 1) - (parts - 1), parts - 1)
+    znew = zk[at] + (np.arange(1, at.size + 1) - first) / parts[at] * (zk[at + 1] - zk[at])
+    more = _law_nodes(znew, nu, lam)
+    if more is None:
+        return None
+    order = np.argsort(np.concatenate([zk, znew]))
+    nodes = [np.concatenate(pair)[order] for pair in zip(nodes, more)]
+    if not np.all(nodes[0][1:] > nodes[0][:-1]):
+        return None
+    return _quintic_table(np.concatenate([zk, znew])[order], *nodes)
+
+
+def _law_nodes(zk, nu: float, lam: float):
+    """[y, y', y''] of y = log x at z = ``zk``, x the chndtrix root of Phi(z), or None
+    where they are not a table: with f the density, y' = phi(z) / (f x) and
+    y'' = -z y' - y'^2 (1 + x f' / f)."""
+    xk = chndtrix(ndtr(zk), nu, lam)
+    f = _pdf(xk, nu, lam)
+    d1 = _norm_pdf(zk) / (f * xk)
+    d2 = -zk * d1 - d1 * d1 * (1.0 + xk * _chi2nc_pdf_dz(xk, nu, lam, f) / f)
+    if not (np.all(xk[1:] > xk[:-1]) and np.all(d1 > 0.0) and np.isfinite(d2).all()):
+        return None
+    return [np.log(xk), d1, d2]
+
+
+# c3, c4 and c5 of the quintic Hermite interpolant from y1 - y0, h y'_0, h y'_1, h^2 y''_0
+# and h^2 y''_1 (c0 = y0, c1 = h y'_0 and c2 = h^2 y''_0 / 2 are the node's own)
+_QUINTIC = np.array([[10.0, -6.0, -4.0, -1.5, 0.5],
+                     [-15.0, 8.0, 7.0, 1.5, -1.0],
+                     [6.0, -3.0, -3.0, -0.5, 0.5]])
+
+
+def _quintic_table(zk, y, d1, d2) -> np.ndarray:
+    """Rows c0..c5, one column per interval, of the quintic Hermite
+    interpolant y = sum_j c_j t^j, t = (z - zk) / h, that matches y, y' and y''
+    at both nodes."""
+    h = zk[1:] - zk[:-1]
+    v = np.empty((5, h.size))
+    np.subtract(y[1:], y[:-1], out=v[0])
+    np.multiply(h, d1[:-1], out=v[1])
+    np.multiply(h, d1[1:], out=v[2])
+    h2 = h * h
+    np.multiply(h2, d2[:-1], out=v[3])
+    np.multiply(h2, d2[1:], out=v[4])
+    out = np.empty((6, h.size))
+    out[0], out[1] = y[:-1], v[1]
+    np.multiply(0.5, v[3], out=out[2])
+    np.matmul(_QUINTIC, v, out=out[3:])
+    return out
 
 
 def chi2nc_pdf_bessel_form(z, nu: float, lam: float):

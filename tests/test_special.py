@@ -246,6 +246,13 @@ class TestChi2ncPdf:
         ref = float(mp_chi2nc_pdf(z, nu, lam))
         assert special.chi2nc_pdf(z, nu, lam) == pytest.approx(ref, rel=1e-12, abs=0)
 
+    def test_high_order_at_small_argument_against_mpmath(self, mp30):
+        # order nu/2 - 1 = 489 at q = lam z / 4 = 0.0085: the uniform expansion's large terms
+        # cancel there (1.05e-12 off), so the cell takes the 0F1 series
+        z, nu, lam = 133.4813826467861, 980.4077891036602, 2.554800152675199e-4
+        ref = float(mp_chi2nc_pdf(z, nu, lam))
+        assert special.chi2nc_pdf(z, nu, lam) == pytest.approx(ref, rel=1e-12, abs=0)
+
     @staticmethod
     def _kernel_pdf_dx_worst_error(t):
         # Ncx2Kernel.pdf_dx = d/dx [2c f(2c x; df, lam)], left tail to right tail
@@ -507,6 +514,25 @@ class TestChi2ncCdfQuantile:
         np.testing.assert_array_equal(special.chi2nc_quantile(same, 625.0, 12.0),
                                       chndtrix(same, 625.0, 12.0))
         np.testing.assert_array_equal(calls[-1], same)
+
+    def test_fixed_law_call_economy(self, monkeypatch):
+        # 1000 points of a law whose starts all pass: one chndtrix call for the table's
+        # nodes, one chndtr pass over the points, and no second one
+        chndtrix_sizes, chndtr_sizes = [], []
+
+        def counted(record, fn):
+            def call(x, nu, lam):
+                record.append(np.size(x))
+                return fn(x, nu, lam)
+            return call
+
+        monkeypatch.setattr(special, "chndtrix", counted(chndtrix_sizes, chndtrix))
+        monkeypatch.setattr(special, "chndtr", counted(chndtr_sizes, special.chndtr))
+        p = (np.arange(1000) + 0.5) / 1000
+        x = special.chi2nc_quantile(p, 625.0, 12.0)
+        assert len(chndtrix_sizes) == 1 and chndtrix_sizes[0] < 100
+        assert chndtr_sizes == [1000]
+        np.testing.assert_allclose(x, chndtrix(p, 625.0, 12.0), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("nu, lam, z", [(5.0, 300.0, 0.1), (1.0, 1000.0, 1.0),
                                             (0.5, 200.0, 1e-3), (0.3, 150.0, 0.05)])
