@@ -377,12 +377,16 @@ class _Ncx2Law:
         normal (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, 3.4):
         one gamma and one normal variate per draw.  For df <= 1, where chi2_{df-1} does
         not exist, the Poisson mixture chi2_{df + 2N}, N ~ Poisson(lam/2).  A
-        noncentrality beyond numpy's Poisson range raises `DomainError` on both routes.
+        noncentrality beyond numpy's Poisson range, or below 0 (a start below 0),
+        raises `DomainError` on both routes.
         """
         lam = np.broadcast_to(self.raw_lam, np.shape(self.y) if size is None else size)
         if not np.max(lam, initial=0.0) <= 2.0 * _POISSON_MEAN_MAX:       # also NaN
             raise DomainError(f"the cir-family draw at t = {self.t} passes numpy's Poisson range "
                               f"(noncentrality {np.max(lam):.3g}): its paths explode")
+        if np.min(lam, initial=0.0) < 0.0:
+            raise DomainError(f"the cir-family draw at t = {self.t} starts below 0 "
+                              f"(noncentrality {np.min(lam):.3g})")
         df = self.k.df
         if df > 1.0:
             out = rng.standard_normal(lam.shape)

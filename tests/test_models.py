@@ -608,6 +608,16 @@ class TestPaths:
         before = models.simulate_paths(rayleigh, times[times < 21.6], 100, seed=0)
         assert np.isfinite(before.paths).all()
 
+    @pytest.mark.parametrize("name, params", [
+        ("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}),          # normal route, df = 6.25
+        ("bessel", {"delta": 0.5}),                                  # mixture route
+    ])
+    def test_cir_family_draw_from_below_zero_raises(self, name, params):
+        model = models.make_model(name, params, x0=1.0)
+        kernel = model.kernel.base if name == "bessel" else model.kernel
+        with pytest.raises(DomainError, match=r"starts below 0"):
+            kernel.sample(0.0, np.array([1.0, -1.0]), 1.0, np.random.default_rng(0))
+
     def test_csv_round_trip(self, tmp_path):
         ou = build("ou")
         ens = models.simulate_paths(ou, [0.5, 1.0], 5, seed=9)
