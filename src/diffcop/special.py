@@ -67,19 +67,16 @@ validation suite cross-checks the two at lam up to 200 and nu up to 120, and
 the mesh route against it on one 20 x 20 mesh at nu = 25.
 
 `chi2nc_quantile` has one fixed-law path for many probabilities of one law
-(scalar ``lam`` and at least ``_FIXED_LAW_MIN_SIZE`` points, or
-``_CENTRAL_LAW_MIN_SIZE`` at lam = 0): the fast numerical inversion of
-Hoermann & Leydold (ACM TOMACS 13, 2003), the idea behind scipy's PINV, which
-lives under ``scipy.stats``.  It tabulates y = log x against z = Phi^{-1}(p)
-at nodes ``_FIXED_LAW_DZ`` apart across the request's z range, solving each
-node with one ``chndtrix`` call and taking y' = phi(z) / (f x) and
-y'' = -z y' - y'^2 (1 + x f'/f) from the density and its derivative.  Each
-interval holds the quintic Hermite interpolant of y, y' and y'' at its ends,
-and the jump of its z^5 coefficient to a neighbour estimates its error.  An
-interval that one Newton step may not certify is cut into equal parts, as far
-as its points pay for their nodes (`_parts`).  Each point then takes the
-table's value and one ``chndtr`` residual r = F(x) - p.  The start is kept
-when |r| <= 1e-12 min(p, 1 - p) and the step r implies (or one ulp of p, if
+(scalar ``lam``, at least ``_FIXED_LAW_MIN_SIZE`` points): the fast numerical
+inversion of Hoermann & Leydold (ACM TOMACS 13, 2003), the idea behind
+scipy's PINV, which lives under ``scipy.stats``.  It tabulates y = log x
+against z = Phi^{-1}(p) at nodes ``_FIXED_LAW_DZ`` apart across the request's
+z range, solving each node with one ``chndtrix`` call and taking
+y' = phi(z) / (f x) and y'' = -z y' - y'^2 (1 + x f'/f) from the density and
+its derivative.  Each interval holds the quintic Hermite interpolant of y, y'
+and y'' at its ends.  Each point then takes the table's value and one
+``chndtr`` residual r = F(x) - p.  The start is kept when
+|r| <= 1e-12 min(p, 1 - p) and the step r implies (or one ulp of p, if
 larger) is at most 1e-13 x, and it takes that free Newton step; a start that
 fails takes the step and a second residual under the same test.  Every root
 that still fails, such as one in the far upper tail where F is flat in double
@@ -488,21 +485,11 @@ def _mesh_pdf(z, nu: float, lam):
     # the terms rise while k (b + k - 1) <= q and fall after, each by the ratio
     # q / (k (b + k - 1)); the sum ends before the first term past the largest that lies
     # ``_MESH_EFOLDS`` below it
-    # ``_MESH_EFOLDS`` below it.  Past the largest, at k0, the fall is about
-    # (k - k0)^2 (1/k0 + 1/(b + k0)) / 2 e-folds, so a first stretch twice the span that
-    # gives ends there in one step, and longer ones follow where it does not
     n_terms = max(int(0.5 * (math.sqrt((b - 1.0) ** 2 + 4.0 * q) - (b - 1.0))), 0)
-    span = 2 * int(math.sqrt(2.0 * _MESH_EFOLDS
-                             / (1.0 / (n_terms + 1.0) + 1.0 / (b + n_terms)))) + 2
-    top = 0.0
-    while True:
-        j = np.arange(n_terms + 1.0, n_terms + 1.0 + span)
-        fall = top + np.cumsum(np.log(q / (j * (b - 1.0 + j))))
-        past = np.flatnonzero(fall < -_MESH_EFOLDS)
-        if past.size:
-            n_terms += int(past[0]) + 1
-            break
-        n_terms, top, span = n_terms + span, fall[-1], 2 * span
+    fall = 0.0
+    while fall >= -_MESH_EFOLDS:
+        n_terms += 1
+        fall += math.log(q / (n_terms * (b - 1.0 + n_terms)))
     k = np.arange(n_terms, dtype=float)
     with np.errstate(all="ignore"):
         if z.size == lam.size == 1:         # one cell: one call gives both factors
@@ -686,44 +673,34 @@ def chi2nc_cdf(z, nu: float, lam):
 
 
 # The fixed-law path of `chi2nc_quantile` (see the module docstring) runs from this
-# many points of a law with lam > 0, and from ``_CENTRAL_LAW_MIN_SIZE`` at lam = 0,
-# where chndtrix is cheapest (0.3-0.5 us a point).  The table costs one chndtrix call
-# on 30-40 nodes for 201-1e4 uniform p, and a density and its derivative there.  Time
-# of the path against chndtrix for uniform p, median of 9 alternating best-of-5 pairs,
-# 2-vCPU shared x86-64 host, scipy 1.17.1:
-#   (655.6, 0.39), the benchmark's n = 201 cir grid: 0.51x at 201, 0.23x at 1000;
-#   (625, 12): 0.45x at 201, 0.39x at 256, 0.24x at 1000;
-#   (6.25, 100): 0.51x at 201, 0.28x at 1000;  (1, 1): 0.60x at 201, 0.28x at 1000;
-#   (0.5, 3): 1.08x at 256, 0.52x at 1000, 0.24x at 1e4;
-#   (1, 0): 1.44x at 201, 1.19x at 256, 0.86x at 400, 0.54x at 1000;
-#   (2, 0): 2.50x at 201, 1.48x at 400, 0.91x at 1000;  (25, 0): 0.86x at 201.
+# many points of one law.  The table costs one chndtrix call on 30-40 nodes for 201-1e4
+# uniform p, and a density and its derivative there.  Time of `_chi2nc_quantile` on
+# uniform p against chndtrix alone (median of 9 rounds of best-of-5, alternating with
+# chndtrix and with the cubic table of 0.1 spacing from 256 points that this replaced;
+# 2-vCPU shared x86-64 host, scipy 1.17.1):
+#   (655.6, 0.39), the benchmark's n = 201 cir grid: 0.49x at 201, 0.24x at 1000;
+#   (625, 12): 0.56x at 201, 0.48x at 256, 0.23x at 1000;
+#   (6.25, 100): 0.59x at 201, 0.57x at 256, 0.28x at 1000;
+#   (0.5, 3), whose mass splits into a spike at 0 and a bulk: 0.91x at 201, 0.83x at
+#   256, 0.50x at 1000;  (1, 1): 0.81x at 201;  (6.25, 0): 0.84x at 201;
+#   (25, 0): 0.80x at 201;
+#   (1, 0) and (2, 0), where chndtrix is cheapest (0.7-0.8 and 0.27 us a point) and the
+#   starts take the second residual: 1.87x and 2.45x at 201, 1.52x and 2.02x at 256,
+#   0.60x and 0.90x at 1000; against the cubic table 1.07x and 1.10-1.12x at 256-1000.
 _FIXED_LAW_MIN_SIZE = 201
-_CENTRAL_LAW_MIN_SIZE = 400
-# Node spacing in z.  At 0.2 every start passes at nu >= 25 (the jump estimate reads
-# 1e-17 to 6e-16 at (625, 12)), while the central laws of small nu are 1e-11 to 2e-9 off
-# and take the second residual: (1, 0) would need 0.03 for its starts to pass.
+# Node spacing in z.  At 0.2 every start passes at nu >= 25, while the central laws of
+# small nu are 1e-11 to 2e-9 off and take the second residual: (1, 0) would need 0.03
+# for its starts to pass.
 _FIXED_LAW_DZ = 0.2
-# The estimated interpolation error, in log x, that a start may have to pass the check;
-# an interval is cut into parts that bring it this low ...
-_FIXED_LAW_START_ERR = 2e-14
-# ... when its estimate is above this, where one Newton step may leave a root that the
-# check refuses and chndtrix solves again: at (0.5, 3), whose mass splits into a spike
-# at 0 and a bulk, estimates reach 5e-6 near z = -1.3 and, uncut, 19% of 1000 roots
-# went to chndtrix.  Below it a failed start costs one chndtr residual, cheaper than
-# the nodes that would let it pass.
-_FIXED_LAW_NEWTON_ERR = 1e-8
-# ... and into no more new nodes than its points over this: a node costs a chndtrix
-# call, a root that the check refuses costs one as well.
-_FIXED_LAW_NODE_COST = 2
 
 
 def chi2nc_quantile(p, nu: float, lam):
     """Quantile of the noncentral chi-square law; ``lam`` may be an array.
 
     Many probabilities of one law (scalar ``lam``, at least
-    ``_FIXED_LAW_MIN_SIZE`` points, ``_CENTRAL_LAW_MIN_SIZE`` at lam = 0) take
-    the checked fixed-law path of the module docstring; the rest are
-    ``chndtrix``.  Probabilities below ``_CHNDTR_MIN_CDF``, where ``chndtr`` is not exact, are then solved
+    ``_FIXED_LAW_MIN_SIZE`` points) take the checked fixed-law path of the
+    module docstring; the rest are ``chndtrix``.  Probabilities below
+    ``_CHNDTR_MIN_CDF``, where ``chndtr`` is not exact, are then solved
     against `chi2nc_cdf` by `invert_monotone_cdf`, from a bracket whose
     upper end is that first root.
     """
@@ -737,8 +714,7 @@ def chi2nc_quantile(p, nu: float, lam):
 def _chi2nc_quantile(p, nu: float, lam):
     """`chi2nc_quantile`'s core, for p in (0, 1)."""
     p, lam = np.asarray(p, dtype=float), np.asarray(lam, dtype=float)
-    if lam.ndim == 0 and p.size >= (_FIXED_LAW_MIN_SIZE if lam > 0.0
-                                    else _CENTRAL_LAW_MIN_SIZE):
+    if lam.ndim == 0 and p.size >= _FIXED_LAW_MIN_SIZE:
         out = _fixed_law_quantile(p.ravel(), nu, float(lam)).reshape(p.shape)
     else:
         out = np.asarray(chndtrix(p, nu, lam))
@@ -760,31 +736,16 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
     m = max(1, math.ceil((hi - lo) / _FIXED_LAW_DZ))
     zk = lo + (hi - lo) / m * np.arange(m + 1.0)
     with np.errstate(all="ignore"):
-        nodes = _law_nodes(zk, nu, lam)
-        if nodes is None:
+        xk = chndtrix(ndtr(zk), nu, lam)
+        f = _pdf(xk, nu, lam)
+        d1 = _norm_pdf(zk) / (f * xk)                           # y' and y'' of y = log x
+        d2 = -zk * d1 - d1 * d1 * (1.0 + xk * _chi2nc_pdf_dz(xk, nu, lam, f) / f)
+        if not (np.all(xk[1:] > xk[:-1]) and np.all(d1 > 0.0) and np.isfinite(d2).all()):
             return chndtrix(p, nu, lam)
-        table = _quintic_table(zk, *nodes)
-        scale = m / (hi - lo)                   # 1 / h
-        t = (z - lo) * scale
+        table = _quintic_table(zk, np.log(xk), d1, d2)
+        t = (z - lo) * (m / (hi - lo))
         k = np.minimum(t.astype(np.intp), m - 1)
         t -= k
-        # The quintic's error on an interval is about |c6| t^3 (1 - t)^3 <= |c6| / 64, with
-        # c6 ~ h^6 y^(6) / 720 ~ (the jump of c5 to a neighbour) / 6
-        jump = np.abs(np.diff(table[-1])) / 384.0
-        if jump.size and jump.max() > _FIXED_LAW_NEWTON_ERR:
-            err = np.maximum(np.append(jump, 0.0), np.append(0.0, jump))
-            parts = _parts(err, np.bincount(k, minlength=m))
-            if parts is not None:
-                table = _refined_table(zk, nodes, parts, nu, lam)
-                if table is None:
-                    return chndtrix(p, nu, lam)
-                # the interval's parts are equal, and its columns follow each other
-                n_parts = parts[k]
-                t *= n_parts
-                j = np.minimum(t.astype(np.intp), n_parts - 1)
-                t -= j
-                k = np.cumsum(parts)[k] - n_parts + j
-                scale = scale * n_parts
         c = table[:, k]
         x, g = c[5] * t, 5.0 * c[5]             # Horner's scheme, in place, for y and dy/dt
         for j in range(4, 0, -1):
@@ -795,7 +756,7 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
         x += c[0]
         np.exp(x, out=x)
         # d log x / dp from the interpolant's slope: 1 / (x f~)
-        g *= scale / _norm_pdf(z)
+        g *= m / ((hi - lo) * _norm_pdf(z))
         # a residual r = F(x) - p certifies x where |r| <= 1e-12 min(p, 1 - p) and the step
         # it implies, |r| g, and the one of an ulp of p are at most 1e-13
         cap = 1e-13 / g
@@ -813,50 +774,6 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
                 xr[fail] = chndtrix(pr[fail], nu, lam)
             x[redo] = xr
     return x
-
-
-def _parts(err, count):
-    """Equal parts per interval of estimated error ``err`` holding ``count`` points, or
-    None for one part each.
-
-    An interval that one Newton step may not certify (``err`` above
-    ``_FIXED_LAW_NEWTON_ERR``) gets as many parts as bring its error to
-    ``_FIXED_LAW_START_ERR``, the error shrinking as h^6, but no more new nodes than
-    its points over ``_FIXED_LAW_NODE_COST``.
-    """
-    new = np.minimum(np.ceil((err / _FIXED_LAW_START_ERR) ** (1 / 6)) - 1.0,
-                     count // _FIXED_LAW_NODE_COST)
-    new = np.where(err > _FIXED_LAW_NEWTON_ERR, new, 0.0).astype(np.intp)
-    return new + 1 if new.any() else None
-
-
-def _refined_table(zk, nodes, parts, nu: float, lam: float):
-    """The quintic table of ``zk`` with each interval cut into ``parts`` equal ones, or
-    None where the new nodes are not a table."""
-    at = np.repeat(np.arange(parts.size), parts - 1)
-    first = np.repeat(np.cumsum(parts - 1) - (parts - 1), parts - 1)
-    znew = zk[at] + (np.arange(1, at.size + 1) - first) / parts[at] * (zk[at + 1] - zk[at])
-    more = _law_nodes(znew, nu, lam)
-    if more is None:
-        return None
-    order = np.argsort(np.concatenate([zk, znew]))
-    nodes = [np.concatenate(pair)[order] for pair in zip(nodes, more)]
-    if not np.all(nodes[0][1:] > nodes[0][:-1]):
-        return None
-    return _quintic_table(np.concatenate([zk, znew])[order], *nodes)
-
-
-def _law_nodes(zk, nu: float, lam: float):
-    """[y, y', y''] of y = log x at z = ``zk``, x the chndtrix root of Phi(z), or None
-    where they are not a table: with f the density, y' = phi(z) / (f x) and
-    y'' = -z y' - y'^2 (1 + x f' / f)."""
-    xk = chndtrix(ndtr(zk), nu, lam)
-    f = _pdf(xk, nu, lam)
-    d1 = _norm_pdf(zk) / (f * xk)
-    d2 = -zk * d1 - d1 * d1 * (1.0 + xk * _chi2nc_pdf_dz(xk, nu, lam, f) / f)
-    if not (np.all(xk[1:] > xk[:-1]) and np.all(d1 > 0.0) and np.isfinite(d2).all()):
-        return None
-    return [np.log(xk), d1, d2]
 
 
 # c3, c4 and c5 of the quintic Hermite interpolant from y1 - y0, h y'_0, h y'_1, h^2 y''_0

@@ -477,7 +477,8 @@ class TestChi2ncCdfQuantile:
         width = 4.0 * np.spacing(p) / float(mp_chi2nc_pdf(root, nu, lam))
         assert abs(q - float(root)) <= 1e-12 * float(root) + width
 
-    @pytest.mark.parametrize("nu, lam", [(6.25, 100.0), (625.0, 12.0), (0.5, 3.0), (2.0, 0.0)])
+    @pytest.mark.parametrize("nu, lam", [(6.25, 100.0), (625.0, 12.0), (0.5, 3.0), (2.0, 0.0),
+                                         (1.0, 0.0)])
     def test_fixed_law_tail_quantiles_against_mpmath(self, mp30, nu, lam):
         # the tail points of test_tail_quantile_against_mpmath, embedded in an
         # array large enough for the fixed-law path
@@ -533,6 +534,22 @@ class TestChi2ncCdfQuantile:
         assert len(chndtrix_sizes) == 1 and chndtrix_sizes[0] < 100
         assert chndtr_sizes == [1000]
         np.testing.assert_allclose(x, chndtrix(p, 625.0, 12.0), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("nu, lam", [(1.0, 0.0), (2.0, 0.0)])
+    def test_central_law_takes_the_table(self, monkeypatch, nu, lam):
+        # the tail test's array of a central law reaches the table: its first chndtrix
+        # call solves the nodes, not the points
+        sizes = []
+
+        def counted(p, nu, lam):
+            sizes.append(np.size(p))
+            return chndtrix(p, nu, lam)
+
+        monkeypatch.setattr(special, "chndtrix", counted)
+        p = np.linspace(0.001, 0.999, special._FIXED_LAW_MIN_SIZE)
+        x = special.chi2nc_quantile(p, nu, lam)
+        assert sizes and sizes[0] < p.size // 2
+        np.testing.assert_allclose(x, chndtrix(p, nu, lam), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("nu, lam, z", [(5.0, 300.0, 0.1), (1.0, 1000.0, 1.0),
                                             (0.5, 200.0, 1e-3), (0.3, 150.0, 0.05)])
