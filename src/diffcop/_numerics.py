@@ -4,11 +4,11 @@ Every OU-type time change runs on one clock, ``clock(a, t) = (e^{a t} - 1)/a``
 (t at a = 0), and ``clock_inv``: the kernels of `models`, the chains of `stt`
 and the OU and cir copulas.
 
-Every inversion of the package goes through `invert_monotone_cdf`, one
-safeguarded Newton/bisection solver that first grows its bracket inside the
-state space: the quantiles that scipy does not provide (the reflected-BM
-kernel, pushed-forward marginals, the far left tail of the noncentral
-chi-square law) and the inverses of the Wiener time change and space map.
+Every inversion of the package but the noncentral chi-square quantile
+(``chndtrix`` and the fixed-law table of `special`) goes through
+`invert_monotone_cdf`, one safeguarded Newton/bisection solver that first
+grows its bracket inside the state space: the reflected-BM kernel, pushed and
+tabulated marginals, that law's far left tail and the Wiener inverse maps.
 
 Every integral of the package goes through `integrate`, one vectorized
 adaptive Gauss-Legendre engine: the copula CDFs and conditionals, the

@@ -64,7 +64,7 @@ from .special import (_chi2nc_cdf, _chi2nc_pdf, _chi2nc_pdf_dz, _chi2nc_quantile
 
 __all__ = [
     "DiffusionSpec", "Marginal", "Kernel", "MappedKernel", "Model",
-    "PathEnsemble", "make_model", "catalog_ids", "marginal", "sample_transition",
+    "PathEnsemble", "make_model", "catalog_ids", "sample_transition",
     "simulate_paths", "euler_maruyama",
 ]
 
@@ -99,7 +99,10 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class Marginal:
-    """Law of X_t for one start, as `Kernel.bind` returns it; t = inf is the stationary law."""
+    """Law of X_t for one start, as `Kernel.bind` returns it; t = inf is the stationary law.
+
+    The package's one law type: a recombination target is a callable t -> Marginal.
+    """
 
     t: float
     pdf: Callable
@@ -544,10 +547,6 @@ class Model:
         """The law of X_t, the kernel bound at (t0, x0, t); requires t > t0."""
         require(t > self.t0, f"marginal requires t > t0 = {self.t0}, got t = {t}")
         return self.kernel.bind(self.t0, self.x0, t)
-
-
-def marginal(model: Model, t: float) -> Marginal:
-    return model.marginal(t)
 
 
 def sample_transition(model: Model, s: float, y, t: float, rng, size=None):

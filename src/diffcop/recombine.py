@@ -1,7 +1,8 @@
 """Build new diffusions by combining a source copula with prescribed marginals.
 
-Given a source diffusion X and a time-indexed family of continuous, strictly
-increasing target distributions F^Z_t, the recombined process
+Given a source diffusion X and target marginals F^Z_t with continuous, strictly
+increasing cdfs, any t -> `models.Marginal` (a model's `Model.marginal`, one fit
+of a cdf table, a pushed law of `stt`), the recombined process
 
     Z_t = (F^Z_t)^{-1}(F^X_t(X_t))
 
@@ -22,13 +23,13 @@ any exact-crossing claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from ._numerics import require
+from ._numerics import invert_monotone_cdf, require
 from .errors import DomainError
-from .models import MappedKernel, Model, PathEnsemble, _resolve_rng
+from .models import MappedKernel, Marginal, Model, PathEnsemble, _resolve_rng
 
 __all__ = [
     "model_marginal_family", "tabulated_marginal_family",
@@ -37,77 +38,62 @@ __all__ = [
 ]
 
 
-class _ModelMarginalFamily:
-    """Marginal family borrowed from a catalog model's own marginals."""
-
-    def __init__(self, model: Model):
-        self.model = model
-
-    def cdf(self, t, x):
-        return self.model.marginal(t).cdf(x)
-
-    def quantile(self, t, p):
-        return self.model.marginal(t).quantile(p)
-
-    def pdf(self, t, x):
-        return self.model.marginal(t).pdf(x)
+def model_marginal_family(model: Model) -> Callable[[float], Marginal]:
+    """A model's marginals as a target; `Model.marginal` is looked up at each call."""
+    return lambda t: model.marginal(t)
 
 
-class _TabulatedMarginalFamily:
-    """Time-constant marginal from a (x, F(x)) table, monotone-cubic interpolated."""
+def tabulated_marginal_family(xs, cdf_values) -> Callable[[float], Marginal]:
+    """A time-constant target from a table (x, F(x)): one monotone-cubic (PCHIP) fit of F, its
+    derivative and its inverse by `invert_monotone_cdf`; p beyond the table maps to its ends."""
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(cdf_values, dtype=float)
+    require(xs.ndim == 1 and xs.size >= 4, "need at least 4 table points")
+    require(np.all(np.diff(xs) > 0), "table abscissae must be strictly increasing")
+    if not np.all(np.diff(fs) > 0):
+        raise DomainError("target cdf table is not strictly increasing (not invertible)")
+    require(fs[0] >= 0.0 and fs[-1] <= 1.0, "cdf values must lie in [0, 1]")
+    # imported here, not with the module: scipy.interpolate loads scipy.optimize, linalg,
+    # sparse and spatial, about 0.2 s and 23 MB that `import diffcop` does without
+    from scipy.interpolate import PchipInterpolator
+    fit = PchipInterpolator(xs, fs)
+    density = fit.derivative()
 
-    def __init__(self, xs, cdf_values):
-        xs = np.asarray(xs, dtype=float)
-        fs = np.asarray(cdf_values, dtype=float)
-        require(xs.ndim == 1 and xs.size >= 4, "need at least 4 table points")
-        require(np.all(np.diff(xs) > 0), "table abscissae must be strictly increasing")
-        if not np.all(np.diff(fs) > 0):
-            raise DomainError("target cdf table is not strictly increasing (not invertible)")
-        require(fs[0] >= 0.0 and fs[-1] <= 1.0, "cdf values must lie in [0, 1]")
-        # imported here, not with the module: scipy.interpolate loads scipy.optimize, linalg,
-        # sparse and spatial, about 0.2 s and 23 MB that `import diffcop` does without
-        from scipy.interpolate import PchipInterpolator
-        self._cdf = PchipInterpolator(xs, fs)
-        self._quantile = PchipInterpolator(fs, xs)
-        self._pdf = self._cdf.derivative()
-        self._span = (fs[0], fs[-1])
+    def cdf(x):
+        return np.clip(fit(np.asarray(x, dtype=float)), 0.0, 1.0)[()]
 
-    def cdf(self, t, x):
-        return np.clip(self._cdf(np.asarray(x, dtype=float)), 0.0, 1.0)
+    def pdf(x):
+        return np.clip(density(np.asarray(x, dtype=float)), 0.0, None)[()]
 
-    def quantile(self, t, p):
-        p = np.clip(np.asarray(p, dtype=float), self._span[0], self._span[1])
-        return self._quantile(p)[()]
+    def quantile(p):
+        p = np.asarray(p, dtype=float)
+        inner = (p > fs[0]) & (p < fs[-1])
+        p_in = np.where(inner, p, 0.5 * (fs[0] + fs[-1]))
+        # the table's chords start Newton in the right interval: 3 evaluations, not 10
+        x = invert_monotone_cdf(lambda y: (fit(y), density(y)), p_in, xs[0], xs[-1],
+                                start=np.interp(p_in, fs, xs), bounds=(xs[0], xs[-1]))
+        return np.select([inner, p <= fs[0], p >= fs[-1]], [x, xs[0], xs[-1]], np.nan)[()]
 
-    def pdf(self, t, x):
-        return np.clip(self._pdf(np.asarray(x, dtype=float)), 0.0, None)
-
-
-def model_marginal_family(model: Model) -> _ModelMarginalFamily:
-    return _ModelMarginalFamily(model)
-
-
-def tabulated_marginal_family(xs, cdf_values) -> _TabulatedMarginalFamily:
-    return _TabulatedMarginalFamily(xs, cdf_values)
+    return lambda t: Marginal(t, pdf, cdf, quantile)
 
 
 @dataclass(frozen=True)
 class RecombinedProcess:
-    """Z_t = (F^Z_t)^{-1}(F^X_t(X_t)): source copula, target marginals.
+    """Z_t = (F^Z_t)^{-1}(F^X_t(X_t)): source copula, target marginals ``target(t)``.
 
     The transition ``kernel`` of Z is the `MappedKernel` of the source kernel through `map`.
     """
 
     source: Model
-    target: object          # marginal family: cdf(t, x), quantile(t, p), pdf(t, x)
+    target: Callable[[float], Marginal]
 
     def map(self, t: float, x):
         """The recombination map x -> z at time t (strictly increasing in x)."""
         p = np.clip(self.source.marginal(t).cdf(x), 1e-15, 1.0 - 1e-15)
-        return self.target.quantile(t, p)
+        return self.target(t).quantile(p)
 
     def inverse_map(self, t: float, z):
-        p = np.clip(self.target.cdf(t, z), 1e-15, 1.0 - 1e-15)
+        p = np.clip(self.target(t).cdf(z), 1e-15, 1.0 - 1e-15)
         return self.source.marginal(t).quantile(p)
 
     @property
@@ -118,7 +104,7 @@ class RecombinedProcess:
     def _jacobian(self, t: float, x, z):
         # dz/dx = f^X_t(x)/f^Z_t(z), infinite (density 0) where the target density is 0
         with np.errstate(divide="ignore"):
-            return self.source.marginal(t).pdf(x) / np.asarray(self.target.pdf(t, z), dtype=float)
+            return self.source.marginal(t).pdf(x) / np.asarray(self.target(t).pdf(z), dtype=float)
 
     def transition_pdf(self, s: float, z1, t: float, z2):
         return self.kernel.pdf(s, z1, t, z2)
@@ -139,10 +125,12 @@ class RecombinedProcess:
 
 
 def recombine(model: Model, target, probe_time: float | None = None) -> RecombinedProcess:
-    """Wrap a source model and a target marginal family; validates invertibility."""
+    """Wrap a source model and a target ``t -> Marginal``; validates invertibility."""
     t_probe = probe_time if probe_time is not None else model.t0 + 1.0
-    probs = np.linspace(0.05, 0.95, 7)
-    q = np.asarray(target.quantile(t_probe, probs), dtype=float)
+    law = target(t_probe) if callable(target) else None
+    if not hasattr(law, "quantile"):
+        raise DomainError("target must be a callable t -> Marginal, as Model.marginal is")
+    q = np.asarray(law.quantile(np.linspace(0.05, 0.95, 7)), dtype=float)
     if not (np.all(np.isfinite(q)) and np.all(np.diff(q) > 0)):
         raise DomainError("target marginal cdf is not strictly increasing (not invertible)")
     return RecombinedProcess(source=model, target=target)

@@ -56,9 +56,9 @@ def _marginal_cases(label, marg, xs):
 
 
 def _family_cases(label, family, xs):
-    return [(f"{label}.cdf", lambda x: family.cdf(1.3, x), xs),
-            (f"{label}.pdf", lambda x: family.pdf(1.3, x), xs),
-            (f"{label}.quantile", lambda p: family.quantile(1.3, p), P)]
+    return [(f"{label}.cdf", lambda x: family(1.3).cdf(x), xs),
+            (f"{label}.pdf", lambda x: family(1.3).pdf(x), xs),
+            (f"{label}.quantile", lambda p: family(1.3).quantile(p), P)]
 
 
 def _recombine_cases():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from diffcop import models, uniformize
+from diffcop import models, stt, uniformize
 from diffcop.errors import DomainError
+from diffcop.special import norm_cdf
 from diffcop.recombine import (FirstPassageSample, first_passage_times,
                                model_marginal_family, recombine,
                                tabulated_marginal_family)
@@ -25,17 +26,22 @@ class TestMarginalFamilies:
         ou = ou_model()
         fam = model_marginal_family(ou)
         marg = ou.marginal(1.3)
-        assert fam.cdf(1.3, 0.4) == marg.cdf(0.4)
-        assert fam.quantile(1.3, 0.7) == marg.quantile(0.7)
+        assert fam(1.3).cdf(0.4) == marg.cdf(0.4)
+        assert fam(1.3).quantile(0.7) == marg.quantile(0.7)
 
     def test_tabulated_family_round_trip(self):
-        # forward and inverse interpolants are independent fits of the table,
-        # so the round trip carries the interpolation error of the grid
         xs = np.linspace(-3.0, 3.0, 400)
-        fam = tabulated_marginal_family(xs, 0.5 * (1.0 + np.tanh(xs)))
-        for p in (0.1, 0.4, 0.8):
-            q = float(fam.quantile(0.0, p))
-            assert float(fam.cdf(0.0, q)) == pytest.approx(p, abs=1e-5)
+        fs = 0.5 * (1.0 + np.tanh(xs))
+        law = tabulated_marginal_family(xs, fs)(0.0)
+        p = np.linspace(fs[0], fs[-1], 201)[1:-1]
+        np.testing.assert_allclose(law.cdf(law.quantile(p)), p, rtol=1e-12, atol=0.0)
+
+    def test_tabulated_quantile_at_span_ends(self):
+        xs = np.linspace(0.0, 10.0, 50)
+        fs = 0.01 + 0.98 * (1.0 - np.exp(-xs)) / (1.0 - np.exp(-10.0))
+        law = tabulated_marginal_family(xs, fs)(0.0)
+        ends = law.quantile(np.array([0.0, 0.005, fs[0], fs[-1], 0.995, 1.0]))
+        np.testing.assert_allclose(ends, [0.0, 0.0, 0.0, 10.0, 10.0, 10.0], rtol=1e-12, atol=1e-12)
 
     def test_non_monotone_table_rejected(self):
         xs = np.linspace(0.0, 1.0, 10)
@@ -43,6 +49,62 @@ class TestMarginalFamilies:
         fs[4] = fs[5]
         with pytest.raises(DomainError):
             tabulated_marginal_family(xs, fs)
+
+
+def _bm_folded(t):
+    return stt.pushforward_marginal(models.make_model("bm", {}, x0=0.0), stt.absolute_value(), t)
+
+
+class _OldStyleFamily:
+    """A target of the old interface: cdf(t, x), quantile(t, p), pdf(t, x)."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def cdf(self, t, x):
+        return self.model.marginal(t).cdf(x)
+
+    def quantile(self, t, p):
+        return self.model.marginal(t).quantile(p)
+
+    def pdf(self, t, x):
+        return self.model.marginal(t).pdf(x)
+
+
+TARGETS = {
+    "model": lambda: model_marginal_family(
+        models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)),
+    "table": lambda: tabulated_marginal_family(np.linspace(-3.0, 3.0, 400),
+                                               0.5 * (1.0 + np.tanh(np.linspace(-3.0, 3.0, 400)))),
+    "pushed": lambda: _bm_folded,
+}
+
+
+class TestTargets:
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    def test_inverse_map_undoes_map(self, name):
+        ou = ou_model()
+        proc = recombine(ou, TARGETS[name]())
+        x = ou.marginal(1.3).quantile(np.linspace(0.01, 0.99, 99))
+        back = proc.inverse_map(1.3, proc.map(1.3, x))
+        np.testing.assert_allclose(back, x, rtol=1e-12, atol=1e-12)
+
+    def test_pushed_target_gives_folded_normal_paths(self):
+        proc = recombine(ou_model(), _bm_folded)
+        ens = proc.sample_paths([0.5, 1.0], 20_000, seed=33)
+        for col, t in enumerate((0.5, 1.0)):
+            folded = lambda z, t=t: 2.0 * norm_cdf(np.asarray(z) / math.sqrt(t)) - 1.0
+            assert uniformize.ks_statistic(ens.paths[:, col], folded) <= 0.015
+
+    @pytest.mark.parametrize("target", [
+        3.0,
+        ou_model(),
+        lambda t: (lambda x: x),
+        _OldStyleFamily(ou_model()),
+    ], ids=["number", "model", "callable-without-quantile", "old-style-family"])
+    def test_target_that_is_not_t_to_marginal_rejected(self, target):
+        with pytest.raises(DomainError, match=r"t -> Marginal"):
+            recombine(ou_model(), target)
 
 
 class TestRecombination:
@@ -66,18 +128,11 @@ class TestRecombination:
     def test_non_invertible_target_rejected(self):
         ou = ou_model()
 
-        class Flat:
-            def cdf(self, t, x):
-                return np.full_like(np.asarray(x, dtype=float), 0.5)
-
-            def quantile(self, t, p):
-                return np.zeros_like(np.asarray(p, dtype=float))
-
-            def pdf(self, t, x):
-                return np.zeros_like(np.asarray(x, dtype=float))
-
+        flat = models.Marginal(0.0, pdf=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                               cdf=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
+                               quantile=lambda p: np.zeros_like(np.asarray(p, dtype=float)))
         with pytest.raises(DomainError):
-            recombine(ou, Flat())
+            recombine(ou, lambda t: flat)
 
     def test_marginal_replacement_and_copula_preservation(self):
         target = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
