@@ -16,12 +16,20 @@ motion (a two-term mixture of Gaussian copula kernels in half-normal
 quantiles), and the square-root mean-reverting (cir) family in noncentral
 chi-square form.
 
-CDFs, and conditionals of surfaces without a conditional core, are integrals
-of the surface over the unit interval.  Each runs in probit coordinates,
-int_a^b g(w) dw = int g(Phi(z)) phi(z) dz over z in [Phi^-1(a), Phi^-1(b)],
-by `_numerics.integrate`, the package's one adaptive Gauss-Legendre engine,
-with all points of a call in one batch.  Near w = 0 a conditional C(v|w)
-behaves like 1 - c w^k (k = rho^2/(1 - rho^2) for the Gaussian copula), which
+The Gaussian copula of the Brownian and OU families has a closed-form CDF,
+C(u, v) = Phi_2(Phi^-1 u, Phi^-1 v; rho), by Genz's bivariate normal
+(`special._bvn_upper`), and so has the rbm copula below rho = 0.925, by
+Plackett's integral for a square.  Both sum positive terms on one fixed
+20-point Gauss-Legendre rule, so they keep their relative accuracy in the
+copula corners.
+
+Every other CDF, and the conditional of a surface without a conditional
+core, is an integral of the surface over the unit interval.  Each runs in
+probit coordinates, int_a^b g(w) dw = int g(Phi(z)) phi(z) dz over z in
+[Phi^-1(a), Phi^-1(b)], by `_numerics.integrate`, the package's one adaptive
+Gauss-Legendre engine, with all points of a call in one batch.  Near w = 0 a
+conditional C(v|w) behaves like 1 - c w^k (k = rho^2/(1 - rho^2) for the
+Gaussian copula), which
 cost a rule in w a dozen or more bisection rounds toward 0; in z it is a
 smooth, Gaussian-weighted integrand that takes a few rounds.  At short lags
 C(v|w) steps from 1 to 0 near w = v over a width in w that a rule in w could
@@ -41,9 +49,10 @@ import numpy as np
 
 from ._numerics import clock, integrate, require
 from .errors import DomainError
-from .models import Model
-from .special import (_chi2nc_cdf, _chi2nc_pdf, _chi2nc_quantile, _norm_cdf, _norm_pdf,
-                      _norm_quantile)
+from .models import FoldedGaussianKernel, Model
+from .special import (_BVN_MAX_PROBIT, _PLACKETT_MAX_RHO, _bvn_upper, _chi2nc_cdf, _chi2nc_pdf,
+                      _chi2nc_quantile, _half_norm_quantile, _norm_cdf, _norm_pdf, _norm_quantile,
+                      _plackett_rule)
 
 __all__ = [
     "CopulaSurface", "from_transition", "gaussian_closed_form", "ou_closed_form",
@@ -55,6 +64,7 @@ __all__ = [
 _CLAMP = 1e-12   # corner clamp before quantile evaluation
 _Z_END = 8.5     # probit range of the unit-interval integrals: Phi(-8.5) = 9.5e-18
 _W_END = float(_norm_cdf(-_Z_END))
+_FOLD = FoldedGaussianKernel()    # the rbm conditional
 
 
 def _unit(x, name: str) -> np.ndarray:
@@ -108,20 +118,25 @@ class CopulaSurface:
     the unit square corners at 1e-12 and return a float for scalar arguments;
     `density` evaluates a scalar pair as a 1 x 1 grid, which agrees with the
     same cell of any grid to round-off (1e-14).
-    The CDF integrates the conditional over u and, without a conditional
-    core, the conditional integrates the density over v.  Both integrate in
-    probit coordinates z = Phi^-1(w) over |z| <= 8.5, by the adaptive
-    Gauss-Legendre rounds of `_numerics.integrate`, which pass the nodes of
-    every point to one core call (see `_unit_integral` for the range bound
-    and the clamp).
+    A surface with a CDF core takes C(u, v) from it.  That core receives u, v
+    unclamped in [0, 1], corners included, and must return finite values
+    there.  The surface clips its values to the Frechet bounds
+    max(u + v - 1, 0) <= C <= min(u, v), which give C(u, 0) = C(0, v) = 0,
+    and puts in C(1, v) = v and C(u, 1) = u exactly.  Without a CDF core the
+    CDF integrates the conditional over u and, without a conditional core,
+    the conditional integrates the density over v.  Both integrate in probit
+    coordinates z = Phi^-1(w) over |z| <= 8.5, by the adaptive Gauss-Legendre
+    rounds of `_numerics.integrate`, which pass the nodes of every point to
+    one core call (see `_unit_integral` for the range bound and the clamp).
     """
 
     def __init__(self, density_core: Callable, conditional_core: Callable | None = None,
-                 *, time_pair: tuple[float, float], provenance: str,
-                 params: dict | None = None):
+                 cdf_core: Callable | None = None, *, time_pair: tuple[float, float],
+                 provenance: str, params: dict | None = None):
         require(time_pair[1] > time_pair[0] > 0.0, f"need 0 < s < t, got {time_pair}")
         self._density_core = density_core
         self._conditional_core = conditional_core
+        self._cdf_core = cdf_core
         self.time_pair = (float(time_pair[0]), float(time_pair[1]))
         self.provenance = provenance
         self.params = dict(params or {})
@@ -142,10 +157,16 @@ class CopulaSurface:
         return self._eval(self._conditional, _unit(u, "u"), _unit(v, "v"))
 
     def cdf(self, u, v):
-        # C(u, 0) = 0 exactly: the clamped conditional C(1e-12|w) would integrate to ~1e-12
-        u, v = _unit(u, "u"), _unit(v, "v")
-        return self._eval(lambda u, v: _unit_integral(
-            self._conditional, 0.0, np.where(v > 0.0, u, 0.0), v), u, v)
+        return self._eval(self._cdf, _unit(u, "u"), _unit(v, "v"))
+
+    def _cdf(self, u, v):
+        """C(u, v) for u, v already in [0, 1]: unclamped, unchecked."""
+        if self._cdf_core is None:
+            # C(u, 0) = 0 exactly: the clamped conditional C(1e-12|w) would integrate to ~1e-12
+            return _unit_integral(self._conditional, 0.0, np.where(v > 0.0, u, 0.0), v)
+        # the Frechet bounds give C = 0 on the edges u = 0 and v = 0 (see the class docstring)
+        c = np.minimum(np.maximum(self._cdf_core(u, v), u + v - 1.0), np.minimum(u, v))
+        return np.where(u == 1.0, v, np.where(v == 1.0, u, np.maximum(c, 0.0)))
 
     def _conditional(self, u, v):
         """C(v|u) for u, v already in [0, 1], such as quadrature nodes: clamped, unchecked."""
@@ -163,9 +184,10 @@ def conditional(surface: CopulaSurface, u, v):
 def cdf(surface: CopulaSurface, u, v):
     """The copula CDF C_{s,t}(u, v) = int_0^u C_{t|s}(v|w) dw.
 
-    Integrated in z = Phi^-1(w) over [-8.5, Phi^-1(u)] by Gauss-Legendre rounds,
-    with nodes mapped back to w = Phi(z) <= 1 - 1e-12; the cut range costs at
-    most 9.5e-18 per end.
+    From the surface's CDF core where it has one (the Gaussian closed forms, and
+    the rbm one below rho = 0.925).  Otherwise integrated in z = Phi^-1(w) over
+    [-8.5, Phi^-1(u)] by Gauss-Legendre rounds, with nodes mapped back to
+    w = Phi(z) <= 1 - 1e-12; the cut range costs at most 9.5e-18 per end.
     """
     return surface.cdf(u, v)
 
@@ -205,7 +227,11 @@ def _gaussian_rho_surface(rho: float, time_pair, provenance, params) -> CopulaSu
         zu, zv = _norm_quantile(u), _norm_quantile(v)
         return _norm_cdf((zv - rho * zu) / w)
 
-    return CopulaSurface(dens, cond, time_pair=time_pair,
+    def cdf(u, v):
+        # Phi_2(Phi^-1 u, Phi^-1 v; rho) as the upper probability of the negated probits
+        return _bvn_upper(-_norm_quantile(u), -_norm_quantile(v), rho)
+
+    return CopulaSurface(dens, cond, cdf, time_pair=time_pair,
                          provenance=provenance, params=params)
 
 
@@ -242,26 +268,45 @@ def rbm_closed_form(s: float, t: float) -> CopulaSurface:
     """Copula of reflected Brownian motion |B| started at 0.
 
     A two-term mixture of Gaussian copula kernels evaluated at half-normal
-    quantiles zt(u) = Phi^{-1}((1+u)/2):
+    quantiles zt(u) = Phi^{-1}((1+u)/2) = sqrt(2) erfinv(u):
 
         c(u,v) = [phi((zt_v - rho zt_u)/w) + phi((zt_v + rho zt_u)/w)]
                  / (2 w phi(zt_v)),       rho = sqrt(s/t), w = sqrt(1-rho^2).
+
+    The conditional is the cdf at zt_v of the fold of Normal(rho zt_u, w^2), by
+    `models.FoldedGaussianKernel`, whose series keeps it relative at small v.
+    Below rho = 0.925 the CDF is Plackett's integral for the square,
+    P(|Z1| <= h, |Z2| <= k) = u v + (1/pi) int_0^{asin rho}
+    exp(-(h^2 - 2 h k sin t + k^2)/(2 cos^2 t)) (1 - exp(-2 h k sin t / cos^2 t)) dt,
+    with h = zt_u, k = zt_v, a sum of positive terms; from there on it is
+    integrated (see `special._PLACKETT_MAX_RHO`).
     """
     require(t > s > 0.0, f"need 0 < s < t, got s={s}, t={t}")
     rho = math.sqrt(s / t)
     w = math.sqrt(1.0 - rho * rho)
 
     def dens(u, v):
-        zu, zv = _norm_quantile((1.0 + u) / 2.0), _norm_quantile((1.0 + v) / 2.0)
+        zu, zv = _half_norm_quantile(u), _half_norm_quantile(v)
         return (_norm_pdf((zv - rho * zu) / w)
                 + _norm_pdf((zv + rho * zu) / w)) / (2.0 * w * _norm_pdf(zv))
 
     def cond(u, v):
-        zu, zv = _norm_quantile((1.0 + u) / 2.0), _norm_quantile((1.0 + v) / 2.0)
-        return _norm_cdf((zv - rho * zu) / w) + _norm_cdf((zv + rho * zu) / w) - 1.0
+        # the fold of Normal(rho zu, w^2): B_{w^2} of a standard Brownian motion from rho zu
+        zu, zv = _half_norm_quantile(u), _half_norm_quantile(v)
+        return _FOLD.cdf(0.0, rho * zu, 1.0 - rho * rho, zv)
 
-    return CopulaSurface(dens, cond, time_pair=(s, t),
-                         provenance="closed_form", params={"family": "rbm"})
+    def cdf(u, v):
+        # infinite at u = 1 or v = 1, where the surface puts in the margins: cut as in _bvn_upper
+        h = np.minimum(_half_norm_quantile(u), _BVN_MAX_PROBIT)
+        k = np.minimum(_half_norm_quantile(v), _BVN_MAX_PROBIT)
+        weights, sn = _plackett_rule(rho)
+        hk, c2 = (h * k)[..., None], 1.0 - sn * sn
+        terms = (np.exp(-((h * h + k * k)[..., None] - 2.0 * sn * hk) / (2.0 * c2))
+                 * -np.expm1(-2.0 * sn * hk / c2))
+        return u * v + (terms * weights).sum(axis=-1) / math.pi
+
+    return CopulaSurface(dens, cond, cdf if rho < _PLACKETT_MAX_RHO else None,
+                         time_pair=(s, t), provenance="closed_form", params={"family": "rbm"})
 
 
 def cir_closed_form(alpha: float, gamma: float, x0: float, s: float, t: float) -> CopulaSurface:
@@ -332,7 +377,8 @@ def grid_eval(surface: CopulaSurface, n: int) -> np.ndarray:
 def cdf_on_grid(surface: CopulaSurface, us, vs) -> np.ndarray:
     """Copula CDF on a sorted grid: C[i, j] = C(us[i], vs[j]).
 
-    The conditional of each v over each u-strip [us[i-1], us[i]] (us[-1] = 0)
+    A surface with a CDF core evaluates it once on the (us, vs) mesh.  Otherwise
+    the conditional of each v over each u-strip [us[i-1], us[i]] (us[-1] = 0)
     is one integral of the same Gauss-Legendre rounds, in probit coordinates as
     in `cdf` (|z| <= 8.5, nodes w = Phi(z) <= 1 - 1e-12); strips are summed in u.
     """
@@ -340,6 +386,8 @@ def cdf_on_grid(surface: CopulaSurface, us, vs) -> np.ndarray:
     vs = _unit(vs, "v")
     require(np.all(np.diff(us) > 0) and us[0] > 0.0 and us[-1] <= 1.0,
             "us must be strictly increasing in (0, 1]")
+    if surface._cdf_core is not None:
+        return surface._cdf(us[:, None], vs[None, :])
     edges = np.concatenate(([0.0], us))[:, None]
     strips = _unit_integral(surface._conditional, edges[:-1], edges[1:], vs[None, :])
     return np.cumsum(strips, axis=0)
@@ -349,6 +397,9 @@ def cell_masses(surface: CopulaSurface, m: int) -> np.ndarray:
     """Exact copula mass of each cell of the m x m uniform grid.
 
     mass[i, j] = P(U in cell_j, V in cell_i); rows index v, columns index u.
+    A mass is a second difference of CDF values up to 1, so one below about
+    1e-16 (far from the diagonal at short lags) is rounding; a negative one
+    reads 0.
     """
     _require_size(m, 1, "m")
     edges = np.linspace(0.0, 1.0, m + 1)
@@ -356,7 +407,7 @@ def cell_masses(surface: CopulaSurface, m: int) -> np.ndarray:
     cdf_grid[1:, 1:-1] = cdf_on_grid(surface, edges[1:], edges[1:-1])
     cdf_grid[1:, -1] = edges[1:]                   # C(u, 1) = u
     inc = np.diff(np.diff(cdf_grid, axis=0), axis=1)
-    return inc.T
+    return np.maximum(inc, 0.0).T
 
 
 def write_grid_csv(surface: CopulaSurface, n: int, path) -> np.ndarray:

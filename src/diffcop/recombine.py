@@ -45,7 +45,8 @@ def model_marginal_family(model: Model) -> Callable[[float], Marginal]:
 
 def tabulated_marginal_family(xs, cdf_values) -> Callable[[float], Marginal]:
     """A time-constant target from a table (x, F(x)): one monotone-cubic (PCHIP) fit of F, its
-    derivative and its inverse by `invert_monotone_cdf`; p beyond the table maps to its ends."""
+    derivative and its inverse by `invert_monotone_cdf`.  Beyond the table the cdf holds the
+    table's end values and the pdf is 0, and p beyond them maps to the table's ends."""
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(cdf_values, dtype=float)
     require(xs.ndim == 1 and xs.size >= 4, "need at least 4 table points")
@@ -60,10 +61,12 @@ def tabulated_marginal_family(xs, cdf_values) -> Callable[[float], Marginal]:
     density = fit.derivative()
 
     def cdf(x):
-        return np.clip(fit(np.asarray(x, dtype=float)), 0.0, 1.0)[()]
+        # held at the table's ends: the fit's end cubics extrapolate to values off the law
+        return np.clip(fit(np.clip(x, xs[0], xs[-1])), 0.0, 1.0)[()]
 
     def pdf(x):
-        return np.clip(density(np.asarray(x, dtype=float)), 0.0, None)[()]
+        x = np.asarray(x, dtype=float)
+        return np.where((x < xs[0]) | (x > xs[-1]), 0.0, np.clip(density(x), 0.0, None))[()]
 
     def quantile(p):
         p = np.asarray(p, dtype=float)

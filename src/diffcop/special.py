@@ -1,4 +1,5 @@
-"""Special-function kernels: Gaussian law, modified Bessel I_a, noncentral chi-square.
+"""Special-function kernels: Gaussian law, bivariate normal, modified Bessel I_a, noncentral
+chi-square.
 
 The noncentral chi-square cdf and quantile are validated wrappers over
 scipy's compiled ``scipy.special.chndtr`` and ``scipy.special.chndtrix``.
@@ -90,7 +91,9 @@ pure; the noncentral chi-square functions also broadcast an array ``lam``.
 
 Each public function checks its arguments and then calls a private core that
 checks nothing: `_norm_pdf`, `_norm_cdf`, `_norm_quantile` (scipy's ``ndtri``),
-`_chi2nc_pdf`, `_chi2nc_cdf` and `_chi2nc_quantile`.  A core takes float64
+`_chi2nc_pdf`, `_chi2nc_cdf` and `_chi2nc_quantile`.  `_half_norm_quantile` and the
+bivariate normal upper probability `_bvn_upper` (Genz's BVNU) are cores without a
+public wrapper; the copula cores call them.  A core takes float64
 arrays of any shape, ``lam`` broadcasting against the principal argument, and
 returns values of the broadcast shape (a NumPy scalar or a 0-d array for 0-d
 input).  Callers that have checked their input
@@ -104,10 +107,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import chndtr, chndtrix, erfc, gammaln, ive, ndtr, ndtri
+from scipy.special import chndtr, chndtrix, erfc, erfinv, gammaln, ive, ndtr, ndtri
 from scipy.special._ufuncs import _ncx2_pdf
 
-from ._numerics import any_true, integrate, invert_monotone_cdf
+from ._numerics import _GL20, any_true, integrate, invert_monotone_cdf
 from .errors import DomainError, NumericsError
 
 __all__ = [
@@ -173,6 +176,81 @@ def norm_quantile(p):
     if (arr <= 0.0).any() or (arr >= 1.0).any():        # the methods skip np.any's dispatch
         raise DomainError("p must lie in the open interval (0, 1)")
     return _unwrap(_norm_quantile(arr), scalar)
+
+
+def _half_norm_quantile(p):
+    """|Z|'s quantile sqrt(2) erfinv(p) = Phi^-1((1 + p)/2), without rounding (1 + p)/2 to
+    the ulp of 1/2 (which drops all of p below 1.1e-16)."""
+    return _SQRT2 * erfinv(p)
+
+
+# ---------------------------------------------------------------------------
+# Bivariate normal law
+# ---------------------------------------------------------------------------
+
+# Below this correlation Plackett's integral on the 20-point rule is accurate (Genz's
+# switch); above it `_bvn_upper` takes Genz's expansion in 1 - rho^2.  The square
+# P(|X| <= h, |Y| <= k) by Plackett's integral (`copula.rbm_closed_form`) has no second
+# branch.  Against a 30-digit mpmath quadrature, its worst relative error on the half-normal
+# probits of u, v in {1e-12, 1e-6, 0.02, 0.5, 0.98} is 1.7e-15 at rho = 0.925, 1.9e-14 at
+# 0.95 and 2.7e-2 at 0.99995, so the rbm surface integrates its conditional from here on.
+_PLACKETT_MAX_RHO = 0.925
+_BVN_MAX_PROBIT = 40.0            # Phi(-40) underflows to 0: farther probits read as +-40
+
+
+def _plackett_rule(rho: float):
+    """(weights, sin theta) of the 20-point Gauss-Legendre rule on theta in [0, asin rho]:
+    int_0^{asin rho} g(theta) dtheta = sum(g(theta_i) weights_i)."""
+    nodes, weights = _GL20
+    half = 0.5 * math.asin(rho)
+    return half * weights, np.sin(half * (1.0 + nodes))
+
+
+def _bvn_upper(h, k, rho: float):
+    """P(X > h, Y > k) for standard normals of correlation 0 <= rho < 1: Genz's BVNU.
+
+    Genz (Statistics and Computing 14, 2004) on the 20-point Gauss-Legendre rule of
+    `_numerics`.  Below rho = 0.925 it is Plackett's identity (Biometrika 41, 1954),
+
+        P = Phi(-h) Phi(-k) + 1/(2 pi) int_0^{asin rho} exp(-(h^2 - 2 h k sin t + k^2)
+                                                             / (2 cos^2 t)) dt,
+
+    a sum of positive terms, so the value keeps its relative accuracy in the tails.  From
+    0.925 on it is Phi(-max(h, k)) less Genz's integral over x = sqrt(1 - r^2) in
+    [0, sqrt(1 - rho^2)]: a closed form of its integrand's expansion in x^2 plus the rule
+    on the rest.  Against a 30-digit mpmath quadrature at the probits of
+    {1e-12, 1e-6, 0.02, 0.5, 0.98}^2 and rho from 0.1 to 0.99995 it is within 1.7e-14
+    relative.  h and k broadcast and may be infinite: cut at +-40, where Phi(-40)
+    underflows to 0, they give the limits exactly.  The rule's sum runs along a last axis
+    of 20 contiguous nodes, so a value does not depend on the batch it comes in.
+    """
+    h = np.minimum(np.maximum(h, -_BVN_MAX_PROBIT), _BVN_MAX_PROBIT)
+    k = np.minimum(np.maximum(k, -_BVN_MAX_PROBIT), _BVN_MAX_PROBIT)
+    hk = h * k
+    if rho < _PLACKETT_MAX_RHO:
+        weights, sn = _plackett_rule(rho)
+        expo = (sn * hk[..., None] - 0.5 * (h * h + k * k)[..., None]) / (1.0 - sn * sn)
+        integral = (np.exp(expo) * weights).sum(axis=-1)
+        return integral / (2.0 * math.pi) + _norm_cdf(-h) * _norm_cdf(-k)
+    a2 = (1.0 - rho) * (1.0 + rho)
+    a = math.sqrt(a2)
+    bs = (h - k) ** 2
+    b = np.sqrt(bs)
+    c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
+    # below hk = -100 Genz drops the second term, whose Phi(-b/a) underflows there; the cap
+    # keeps its exponential finite
+    expansion = (a * np.exp(-0.5 * (bs / a2 + hk))
+                 * (1.0 - c * (bs - a2) * (1.0 - d * bs) / 3.0 + c * d * a2 * a2)
+                 - np.exp(-0.5 * np.maximum(hk, -100.0)) * math.sqrt(2.0 * math.pi)
+                 * _norm_cdf(-b / a) * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+    nodes, weights = _GL20
+    xs = (0.5 * a * (1.0 + nodes)) ** 2
+    rs = np.sqrt(1.0 - xs)
+    bs, hk, c, d = bs[..., None], hk[..., None], c[..., None], d[..., None]
+    taylor = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+    rest = np.exp(-0.5 * (bs / xs + hk)) * (taylor - np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs)
+    rest = 0.5 * a * (rest * weights).sum(axis=-1)
+    return _norm_cdf(-np.maximum(h, k)) - (expansion - rest) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

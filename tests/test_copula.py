@@ -220,6 +220,17 @@ class TestRbmClosedForm:
                     for u in pts for v in pts)
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("u, v", [(0.5, 1e-12), (0.5, 1e-10), (0.3, 1e-6)])
+    def test_conditional_at_small_v_matches_mpmath(self, u, v):
+        # Phi^-1((1 + v)/2) rounds (1 + v)/2 to the ulp of 1/2, and the difference of the two
+        # Gaussian cdfs cancels: both cost relative accuracy as v -> 0
+        with mpmath.workdps(40):
+            rho, h, k = mpmath.sqrt(mpmath.mpf(1) / 2), _mp_half_quantile(u), _mp_half_quantile(v)
+            w = mpmath.sqrt(1 - rho ** 2)
+            exact = float(mpmath.ncdf((k - rho * h) / w) - mpmath.ncdf((-k - rho * h) / w))
+        got = copula.rbm_closed_form(1.0, 2.0).conditional(u, v)
+        assert got == pytest.approx(exact, rel=1e-11, abs=0.0)
+
     def test_normalization(self):
         surf = copula.rbm_closed_form(1.0, 2.0)
         for v in (0.25, 0.7):
@@ -425,6 +436,11 @@ def _mp_norm_quantile(p):
     return mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
 
 
+def _mp_half_quantile(p):
+    """|Z|'s quantile sqrt(2) erfinv(p)."""
+    return mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(p))
+
+
 def _mp_breaks(lo, hi, drops, halfwidth):
     """[lo, ..., hi] with each drop and drop +- halfwidth that falls inside."""
     inner = {x for d in drops for x in (d - halfwidth, d, d + halfwidth) if lo < x < hi}
@@ -478,6 +494,24 @@ def test_cdf_matches_mpmath_at_corners(family, s, t):
                                rtol=1e-8, atol=0.0)
 
 
+FAR_CORNERS = np.array([1e-12, 1e-6])
+
+
+@pytest.mark.parametrize("family,lag", [("gaussian", 1.0), ("gaussian", 1e-4), ("rbm", 1.0)])
+def test_closed_form_cdf_matches_mpmath_in_far_corners(family, lag):
+    # the CDF cores sum positive terms, so they stay relative where C is 1e-24 to 1e-6; rbm
+    # has its core only below rho = 0.925 (a lag of 0.17 at s = 1)
+    surf = (copula.gaussian_closed_form if family == "gaussian" else copula.rbm_closed_form)(
+        1.0, 1.0 + lag)
+    assert surf._cdf_core is not None
+    oracle = _mp_gaussian_cdf if family == "gaussian" else _mp_rbm_cdf
+    with mpmath.workdps(30):
+        rho = mpmath.sqrt(1 / (1 + mpmath.mpf(lag)))
+        exact = np.array([[float(oracle(rho, u, v)) for v in FAR_CORNERS] for u in FAR_CORNERS])
+    got = copula.cdf_on_grid(surf, FAR_CORNERS, FAR_CORNERS)
+    np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+
+
 _OU = models.make_model("ou", CATALOG["ou"][0], x0=CATALOG["ou"][1])
 _CIR = models.make_model("cir", CATALOG["cir"][0], x0=CATALOG["cir"][1])
 _BM = models.make_model("bm", x0=0.0)
@@ -508,8 +542,10 @@ def test_cdf_has_uniform_margins(name, lag):
 def test_cdf_on_grid_takes_few_rounds(name, monkeypatch):
     # each quadrature round is one call of the conditional at the nodes; integrands in probit
     # coordinates converge in a few rounds where w-space rules bisect toward w = 0 for a
-    # dozen or more
+    # dozen or more.  The closed forms are rebuilt without their CDF core, which needs no rounds
     surf = MESH_SURFACES[name]()
+    surf = copula.CopulaSurface(surf._density_core, surf._conditional_core,
+                                time_pair=surf.time_pair, provenance=surf.provenance)
     conditional, calls = surf._conditional, []
 
     def counted(u, v):

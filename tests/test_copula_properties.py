@@ -1,10 +1,12 @@
 """Property tests of copula surfaces over their parameter domains."""
 
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from diffcop import copula  # noqa: E402
 
@@ -25,3 +27,33 @@ def test_cir_mesh_matches_pointwise(gamma, x0, s, lag):
         for j, u in enumerate(mids):
             assert grid[i, j] == pytest.approx(surf.density(u, v), rel=1e-14, abs=0.0)
             assert cond[i, j] == pytest.approx(surf.conditional(u, v), rel=1e-14, abs=0.0)
+
+
+CLOSED_FORMS = {
+    "gaussian": lambda alpha, s, t: copula.gaussian_closed_form(s, t),
+    "ou": copula.ou_closed_form,
+    "rbm": lambda alpha, s, t: copula.rbm_closed_form(s, t),
+}
+# multiples of 2^-20, so that u + v - 1 is exact; 0 and 1 included
+UNIT = st.integers(0, 2 ** 20).map(lambda i: i / 2 ** 20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CLOSED_FORMS)), alpha=st.floats(-0.5, 2.0),
+       lag=st.floats(-4.0, math.log10(99.0)).map(lambda e: 10.0 ** e),
+       us=st.lists(UNIT, min_size=3, max_size=3), vs=st.lists(UNIT, min_size=3, max_size=3))
+def test_closed_form_cdf_matches_quadrature(name, alpha, lag, us, vs):
+    # the CDF core against the same surface without it, which integrates its conditional
+    surf = CLOSED_FORMS[name](alpha, 1.0, 1.0 + lag)
+    assume(surf._cdf_core is not None)                   # rbm has one below rho = 0.925 only
+    bare = copula.CopulaSurface(surf._density_core, surf._conditional_core,
+                                time_pair=surf.time_pair, provenance=surf.provenance)
+    u, v = np.array(us)[:, None], np.array(vs)[None, :]
+    got, quad = surf.cdf(u, v), bare.cdf(u, v)
+    seen = quad >= 1e-4
+    np.testing.assert_allclose(got[seen], quad[seen], rtol=1e-9, atol=0.0)
+    # the Frechet bounds, and cell masses that are probabilities
+    assert np.all(np.maximum(u + v - 1.0, 0.0) <= got) and np.all(got <= np.minimum(u, v))
+    masses = copula.cell_masses(surf, 20)
+    assert np.all(masses >= 0.0)
+    assert abs(masses.sum() - 1.0) <= 1e-13

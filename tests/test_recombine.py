@@ -43,6 +43,21 @@ class TestMarginalFamilies:
         ends = law.quantile(np.array([0.0, 0.005, fs[0], fs[-1], 0.995, 1.0]))
         np.testing.assert_allclose(ends, [0.0, 0.0, 0.0, 10.0, 10.0, 10.0], rtol=1e-12, atol=1e-12)
 
+    def test_tabulated_law_beyond_the_table(self):
+        # the fit's end cubics extrapolated: cdf(-6) read 0.17 against cdf(-3) = 0.0025, and
+        # the pdf of a 1 - e^-x table read 1.2 at x = -1
+        xs = np.linspace(-3.0, 3.0, 400)
+        fs = 0.5 * (1.0 + np.tanh(xs))
+        law = tabulated_marginal_family(xs, fs)(0.0)
+        np.testing.assert_array_equal(law.cdf(np.array([-6.0, -4.0, 4.0, 6.0])),
+                                      law.cdf(np.array([-3.0, -3.0, 3.0, 3.0])))
+        assert law.cdf(-3.0) == pytest.approx(fs[0], rel=1e-15)
+        np.testing.assert_array_equal(law.pdf(np.array([-6.0, -3.1, 3.1, 6.0])), 0.0)
+        xs = np.linspace(0.0, 10.0, 200)
+        law = tabulated_marginal_family(xs, 1.0 - np.exp(-xs))(0.0)
+        assert law.pdf(-1.0) == 0.0 and law.cdf(-1.0) == 0.0
+        assert law.pdf(0.5) == pytest.approx(math.exp(-0.5), rel=1e-3)
+
     def test_non_monotone_table_rejected(self):
         xs = np.linspace(0.0, 1.0, 10)
         fs = np.linspace(0.0, 1.0, 10)
@@ -88,6 +103,13 @@ class TestTargets:
         x = ou.marginal(1.3).quantile(np.linspace(0.01, 0.99, 99))
         back = proc.inverse_map(1.3, proc.map(1.3, x))
         np.testing.assert_allclose(back, x, rtol=1e-12, atol=1e-12)
+
+    def test_inverse_map_beyond_the_table_returns_its_end(self):
+        ou = ou_model()
+        proc = recombine(ou, TARGETS["table"]())
+        ends = proc.inverse_map(1.3, np.array([-3.0, 3.0]))
+        np.testing.assert_array_equal(proc.inverse_map(1.3, np.array([-6.0, -4.0, 4.0, 6.0])),
+                                      ends[[0, 0, 1, 1]])
 
     def test_pushed_target_gives_folded_normal_paths(self):
         proc = recombine(ou_model(), _bm_folded)
