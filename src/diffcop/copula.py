@@ -12,9 +12,9 @@ and the conditional (the transition distribution of the uniformized process)
 Closed forms are provided for the Brownian family (a Gaussian copula with
 rho = sqrt(s/t)), the Ornstein-Uhlenbeck family (the same copula on the
 clock phi(t) = (e^{2 alpha t} - 1)/(2 alpha) of `_numerics.clock`), reflected Brownian
-motion (a two-term mixture of Gaussian copula kernels in half-normal
-quantiles), and the square-root mean-reverting (cir) family in noncentral
-chi-square form.
+motion (the fold kernel `models.FoldedGaussianKernel` at half-normal quantiles),
+and the square-root mean-reverting (cir) family: the `from_transition` quotient of
+the catalog cir model in canonical units, whose kernel is `models.Ncx2Kernel`.
 
 The Gaussian copula of the Brownian and OU families has a closed-form CDF,
 C(u, v) = Phi_2(Phi^-1 u, Phi^-1 v; rho), by Genz's bivariate normal
@@ -49,10 +49,9 @@ import numpy as np
 
 from ._numerics import clock, integrate, require
 from .errors import DomainError
-from .models import FoldedGaussianKernel, Model
-from .special import (_BVN_MAX_PROBIT, _PLACKETT_MAX_RHO, _bvn_upper, _chi2nc_cdf, _chi2nc_pdf,
-                      _chi2nc_quantile, _half_norm_quantile, _norm_cdf, _norm_pdf, _norm_quantile,
-                      _plackett_rule)
+from .models import FoldedGaussianKernel, Model, _cir_family
+from .special import (_BVN_MAX_PROBIT, _PLACKETT_MAX_RHO, _bvn_upper, _half_norm_quantile,
+                      _norm_cdf, _norm_pdf, _norm_quantile, _plackett_rule)
 
 __all__ = [
     "CopulaSurface", "from_transition", "gaussian_closed_form", "ou_closed_form",
@@ -64,7 +63,7 @@ __all__ = [
 _CLAMP = 1e-12   # corner clamp before quantile evaluation
 _Z_END = 8.5     # probit range of the unit-interval integrals: Phi(-8.5) = 9.5e-18
 _W_END = float(_norm_cdf(-_Z_END))
-_FOLD = FoldedGaussianKernel()    # the rbm conditional
+_FOLD = FoldedGaussianKernel()    # the rbm density and conditional
 
 
 def _unit(x, name: str) -> np.ndarray:
@@ -83,6 +82,12 @@ def _probit(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     z = _norm_quantile(np.maximum(np.minimum(w, 1.0 - w), _W_END))
     return np.where(w < 0.5, z, -z)
+
+
+def _frechet(c, u, v) -> np.ndarray:
+    """CDF values ``c`` at (u, v) within the Frechet bounds; see `CopulaSurface`."""
+    c = np.minimum(np.maximum(c, u + v - 1.0), np.minimum(u, v))
+    return np.where(u == 1.0, v, np.where(v == 1.0, u, np.maximum(c, 0.0)))
 
 
 def _unit_integral(f: Callable, lo, hi, at) -> np.ndarray:
@@ -120,14 +125,14 @@ class CopulaSurface:
     same cell of any grid to round-off (1e-14).
     A surface with a CDF core takes C(u, v) from it.  That core receives u, v
     unclamped in [0, 1], corners included, and must return finite values
-    there.  The surface clips its values to the Frechet bounds
-    max(u + v - 1, 0) <= C <= min(u, v), which give C(u, 0) = C(0, v) = 0,
-    and puts in C(1, v) = v and C(u, 1) = u exactly.  Without a CDF core the
-    CDF integrates the conditional over u and, without a conditional core,
-    the conditional integrates the density over v.  Both integrate in probit
-    coordinates z = Phi^-1(w) over |z| <= 8.5, by the adaptive Gauss-Legendre
-    rounds of `_numerics.integrate`, which pass the nodes of every point to
-    one core call (see `_unit_integral` for the range bound and the clamp).
+    there.  Without a CDF core the CDF integrates the conditional over u and,
+    without a conditional core, the conditional integrates the density over v.
+    Both integrate in probit coordinates z = Phi^-1(w) over |z| <= 8.5, by the
+    adaptive Gauss-Legendre rounds of `_numerics.integrate`, which pass the
+    nodes of every point to one core call (see `_unit_integral` for the range
+    bound and the clamp).  Either way the surface clips the CDF to the Frechet
+    bounds max(u + v - 1, 0) <= C <= min(u, v), which give C(u, 0) = C(0, v) = 0,
+    and puts in C(1, v) = v and C(u, 1) = u exactly.
     """
 
     def __init__(self, density_core: Callable, conditional_core: Callable | None = None,
@@ -160,13 +165,10 @@ class CopulaSurface:
         return self._eval(self._cdf, _unit(u, "u"), _unit(v, "v"))
 
     def _cdf(self, u, v):
-        """C(u, v) for u, v already in [0, 1]: unclamped, unchecked."""
-        if self._cdf_core is None:
-            # C(u, 0) = 0 exactly: the clamped conditional C(1e-12|w) would integrate to ~1e-12
-            return _unit_integral(self._conditional, 0.0, np.where(v > 0.0, u, 0.0), v)
-        # the Frechet bounds give C = 0 on the edges u = 0 and v = 0 (see the class docstring)
-        c = np.minimum(np.maximum(self._cdf_core(u, v), u + v - 1.0), np.minimum(u, v))
-        return np.where(u == 1.0, v, np.where(v == 1.0, u, np.maximum(c, 0.0)))
+        """C(u, v) for u, v already in [0, 1]: unclamped, unchecked, within the Frechet bounds."""
+        c = (_unit_integral(self._conditional, 0.0, u, v) if self._cdf_core is None
+             else self._cdf_core(u, v))
+        return _frechet(c, u, v)
 
     def _conditional(self, u, v):
         """C(v|u) for u, v already in [0, 1], such as quadrature nodes: clamped, unchecked."""
@@ -188,6 +190,7 @@ def cdf(surface: CopulaSurface, u, v):
     the rbm one below rho = 0.925).  Otherwise integrated in z = Phi^-1(w) over
     [-8.5, Phi^-1(u)] by Gauss-Legendre rounds, with nodes mapped back to
     w = Phi(z) <= 1 - 1e-12; the cut range costs at most 9.5e-18 per end.
+    Both are clipped to the Frechet bounds.
     """
     return surface.cdf(u, v)
 
@@ -273,8 +276,9 @@ def rbm_closed_form(s: float, t: float) -> CopulaSurface:
         c(u,v) = [phi((zt_v - rho zt_u)/w) + phi((zt_v + rho zt_u)/w)]
                  / (2 w phi(zt_v)),       rho = sqrt(s/t), w = sqrt(1-rho^2).
 
-    The conditional is the cdf at zt_v of the fold of Normal(rho zt_u, w^2), by
-    `models.FoldedGaussianKernel`, whose series keeps it relative at small v.
+    The density's numerator and the conditional are the pdf and the cdf at zt_v
+    of the fold of Normal(rho zt_u, w^2), by `models.FoldedGaussianKernel`, whose
+    series keeps the conditional relative at small v.
     Below rho = 0.925 the CDF is Plackett's integral for the square,
     P(|Z1| <= h, |Z2| <= k) = u v + (1/pi) int_0^{asin rho}
     exp(-(h^2 - 2 h k sin t + k^2)/(2 cos^2 t)) (1 - exp(-2 h k sin t / cos^2 t)) dt,
@@ -283,17 +287,17 @@ def rbm_closed_form(s: float, t: float) -> CopulaSurface:
     """
     require(t > s > 0.0, f"need 0 < s < t, got s={s}, t={t}")
     rho = math.sqrt(s / t)
-    w = math.sqrt(1.0 - rho * rho)
+    w2 = 1.0 - rho * rho
 
+    # the fold of Normal(rho zu, w^2): B_{w^2} of a standard Brownian motion from rho zu,
+    # over the half-normal marginal density 2 phi(zv)
     def dens(u, v):
         zu, zv = _half_norm_quantile(u), _half_norm_quantile(v)
-        return (_norm_pdf((zv - rho * zu) / w)
-                + _norm_pdf((zv + rho * zu) / w)) / (2.0 * w * _norm_pdf(zv))
+        return _FOLD.pdf(0.0, rho * zu, w2, zv) / (2.0 * _norm_pdf(zv))
 
     def cond(u, v):
-        # the fold of Normal(rho zu, w^2): B_{w^2} of a standard Brownian motion from rho zu
         zu, zv = _half_norm_quantile(u), _half_norm_quantile(v)
-        return _FOLD.cdf(0.0, rho * zu, 1.0 - rho * rho, zv)
+        return _FOLD.cdf(0.0, rho * zu, w2, zv)
 
     def cdf(u, v):
         # infinite at u = 1 or v = 1, where the surface puts in the margins: cut as in _bvn_upper
@@ -312,43 +316,28 @@ def rbm_closed_form(s: float, t: float) -> CopulaSurface:
 def cir_closed_form(alpha: float, gamma: float, x0: float, s: float, t: float) -> CopulaSurface:
     """Copula of the square-root mean-reverting (cir) family in chi-square form.
 
-    Uses the kernel parametrization fixed in `models` written in the canonical
-    state units sigma^2 = 4 alpha, in which  K(r) = 1/(1 - e^{-alpha r})  and
+    The `from_transition` quotient of the catalog cir model in the canonical
+    state units sigma^2 = 4 alpha, whose kernel `models.Ncx2Kernel(gamma, alpha,
+    2 sqrt(alpha))` reads, with K(r) = 1/(1 - e^{-alpha r}),
 
         K(r) X_{s+r} | X_s = x  ~  chi2nc(gamma, K(r) e^{-alpha r} x),
 
     so the surface depends on (alpha, gamma, x0, s, t) only; ``x0`` is the
-    initial state in those canonical units (x0 = 0 starts the process at the
-    lower boundary, giving the central chi-square marginals of the
-    reflected-Brownian construction when gamma = 1).
+    initial state in those canonical units, at t0 = 0 (x0 = 0 starts the
+    process at the lower boundary, giving the central chi-square marginals of
+    the reflected-Brownian construction when gamma = 1).
     """
     require(alpha > 0.0, "alpha must be positive")
     require(gamma > 0.0, "gamma must be positive")
     require(x0 >= 0.0, "x0 must be nonnegative")
     require(t > s > 0.0, f"need 0 < s < t, got s={s}, t={t}")
-
-    d = t - s
-    K = lambda r: 1.0 / (alpha * clock(-alpha, r))
-    A, Bs, Bt = K(d), K(s), K(t)
-    lam_s = Bs * math.exp(-alpha * s) * x0
-    lam_t = Bt * math.exp(-alpha * t) * x0
-    decay = math.exp(-alpha * d)
-
-    def dens(u, v):
-        xi_u = _chi2nc_quantile(u, gamma, lam_s)
-        xi_v = _chi2nc_quantile(v, gamma, lam_t)
-        lam_tr = (A / Bs) * decay * xi_u
-        num = A * _chi2nc_pdf((A / Bt) * xi_v, gamma, lam_tr)
-        den = Bt * _chi2nc_pdf(xi_v, gamma, lam_t)
-        return num / den
-
-    def cond(u, v):
-        xi_u = _chi2nc_quantile(u, gamma, lam_s)
-        xi_v = _chi2nc_quantile(v, gamma, lam_t)
-        return _chi2nc_cdf((A / Bt) * xi_v, gamma, (A / Bs) * decay * xi_u)
-
-    return CopulaSurface(dens, cond, time_pair=(s, t), provenance="closed_form",
-                         params={"family": "cir", "alpha": alpha, "gamma": gamma, "x0": x0})
+    beta, sigma = gamma * alpha, 2.0 * math.sqrt(alpha)
+    model = _cir_family("cir", alpha, beta, sigma, x0, 0.0,
+                        {"alpha": alpha, "beta": beta, "sigma": sigma})
+    surface = from_transition(model, s, t)
+    surface.provenance = "closed_form"
+    surface.params = {"family": "cir", "alpha": alpha, "gamma": gamma, "x0": x0}
+    return surface
 
 
 def independence_surface(time_pair=(1.0, 2.0)) -> CopulaSurface:
@@ -380,17 +369,19 @@ def cdf_on_grid(surface: CopulaSurface, us, vs) -> np.ndarray:
     A surface with a CDF core evaluates it once on the (us, vs) mesh.  Otherwise
     the conditional of each v over each u-strip [us[i-1], us[i]] (us[-1] = 0)
     is one integral of the same Gauss-Legendre rounds, in probit coordinates as
-    in `cdf` (|z| <= 8.5, nodes w = Phi(z) <= 1 - 1e-12); strips are summed in u.
+    in `cdf` (|z| <= 8.5, nodes w = Phi(z) <= 1 - 1e-12); strips are summed in u
+    and clipped to the Frechet bounds.
     """
     us = np.asarray(us, dtype=float)
     vs = _unit(vs, "v")
     require(np.all(np.diff(us) > 0) and us[0] > 0.0 and us[-1] <= 1.0,
             "us must be strictly increasing in (0, 1]")
+    u, v = us[:, None], vs[None, :]
     if surface._cdf_core is not None:
-        return surface._cdf(us[:, None], vs[None, :])
+        return surface._cdf(u, v)
     edges = np.concatenate(([0.0], us))[:, None]
-    strips = _unit_integral(surface._conditional, edges[:-1], edges[1:], vs[None, :])
-    return np.cumsum(strips, axis=0)
+    strips = _unit_integral(surface._conditional, edges[:-1], edges[1:], v)
+    return _frechet(np.cumsum(strips, axis=0), u, v)
 
 
 def cell_masses(surface: CopulaSurface, m: int) -> np.ndarray:

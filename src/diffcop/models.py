@@ -51,7 +51,7 @@ unchecked cores of `special`.  Every catalog marginal has an analytic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
@@ -124,7 +124,7 @@ def _check_nan(a, name: str) -> None:
 
 def _check_p(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if any_true(~((p > 0.0) & (p < 1.0))):                # NaN fails the comparisons too
+    if not (p.min(initial=0.5) > 0.0 and p.max(initial=0.5) < 1.0):   # NaN fails them too
         raise DomainError("p must lie in the open interval (0, 1)")
     return p
 
@@ -353,22 +353,23 @@ class _Ncx2Law:
         return _validate_nu_lambda(self.k.df, self.raw_lam)
 
     def _inside(self, x, fill):
-        """The misses x < 0 and x = inf, and x with ``fill`` in their place."""
+        """The misses x < 0 and x = inf, None without any (two reductions tell, so no mask of
+        x's shape is made), and x with ``fill`` in their place."""
         x = np.asarray(x, dtype=float)
+        if x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < np.inf:
+            return None, x
         _check_nan(x, "x")
         miss = (x < 0.0) | (x == np.inf)
         return miss, np.where(miss, fill, x)
 
     def pdf(self, x):
         miss, x = self._inside(x, 0.0)
-        out = self.twoc * _chi2nc_pdf(self.twoc * x, self.k.df, self.lam)
-        return np.where(miss, 0.0, out)[()]
+        return _masked(self.twoc * _chi2nc_pdf(self.twoc * x, self.k.df, self.lam), miss, 0.0)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        _check_nan(x, "x")
-        out = _chi2nc_cdf(self.twoc * np.maximum(x, 0.0), self.k.df, self.lam)
-        return np.where(x < 0.0, 0.0, out)[()]
+        miss, z = self._inside(x, 0.0)
+        out = _chi2nc_cdf(self.twoc * z, self.k.df, self.lam)
+        return _masked(out, miss, np.asarray(x) > 0.0)             # 1 at x = inf, 0 below 0
 
     def quantile(self, p):
         return (_chi2nc_quantile(_check_p(p), self.k.df, self.lam) / self.twoc)[()]
@@ -404,8 +405,8 @@ class _Ncx2Law:
     def pdf_dx(self, x):
         """d pdf/dx; at x = 0 the right-hand limit (see `special._chi2nc_pdf_dz`)."""
         miss, x = self._inside(x, 1.0)
-        out = self.twoc ** 2 * _chi2nc_pdf_dz(self.twoc * x, self.k.df, self.lam)
-        return np.where(miss, 0.0, out)[()]
+        return _masked(self.twoc ** 2 * _chi2nc_pdf_dz(self.twoc * x, self.k.df, self.lam),
+                       miss, 0.0)
 
     def cdf_dt(self, x):
         """d cdf/dt of F = P(chi2nc(df, lam) <= 2c x), with r = t - s:
@@ -592,16 +593,16 @@ def _check_x0(x0: float, interval, name: str, allow_lower: bool = False) -> None
             f"x0 = {x0} must lie in the interior of {interval} for model '{name}'")
 
 
-def _with_stationary(model: Model, ergodic: bool) -> Model:
-    """The model with its stationary law, the marginal at an infinite lag, when ``ergodic``."""
-    return replace(model, stationary=model.marginal(math.inf)) if ergodic else model
+def _with_stationary(spec, kernel, x0, t0, ergodic: bool) -> Model:
+    """The model, with its stationary law, the marginal at an infinite lag, when ``ergodic``."""
+    return Model(spec, kernel, x0, t0, kernel.bind(t0, x0, math.inf) if ergodic else None)
 
 
 def _ou_family(name, params, al, be, sg, x0, t0):
     spec = DiffusionSpec(name, params, (-np.inf, np.inf), ("natural", "natural"),
                          drift=lambda x, t: -al * np.asarray(x, float) + be,
                          diffusion=lambda x, t: np.full_like(np.asarray(x, float), sg)[()])
-    return _with_stationary(Model(spec, GaussianKernel(al, be, sg), x0, t0), al > 0.0)
+    return _with_stationary(spec, GaussianKernel(al, be, sg), x0, t0, al > 0.0)
 
 
 def _build_bm(params, x0, t0):
@@ -641,12 +642,13 @@ def _build_rbm(params, x0, t0):
 
 
 def _cir_family(name, al, be, sg, x0, t0, params):
+    # any x0 >= 0: the builders check x0 > 0, and `copula.cir_closed_form` starts at 0 too
     gamma = 4.0 * be / sg ** 2
     lower = "entrance" if be >= sg ** 2 / 2.0 else "regular-reflecting"
     spec = DiffusionSpec(name, params, (0.0, np.inf), (lower, "natural"),
                          drift=lambda x, t: -al * np.asarray(x, float) + be,
                          diffusion=lambda x, t: sg * np.sqrt(np.asarray(x, float)))
-    return _with_stationary(Model(spec, Ncx2Kernel(gamma, al, sg), x0, t0), al > 0.0)
+    return _with_stationary(spec, Ncx2Kernel(gamma, al, sg), x0, t0, al > 0.0)
 
 
 def _build_cir(params, x0, t0):
@@ -673,7 +675,7 @@ def _sqrt_family(name, params, a, b, x0, t0):
     kern = MappedKernel(Ncx2Kernel(2.0 * a + 1.0, -2.0 * b, 2.0), lambda t, x: np.sqrt(x),
                         lambda t, y: y * y, lambda t, x, y: 0.5 / y, (0.0, np.inf),
                         djac_dx=lambda t, x, y: -0.25 / (x * y), static=True)
-    return _with_stationary(Model(spec, kern, x0, t0), b < 0.0)
+    return _with_stationary(spec, kern, x0, t0, b < 0.0)
 
 
 def _build_rayleigh(params, x0, t0):
@@ -787,6 +789,16 @@ def simulate_paths(model: Model, times, n_paths: int, rng=None, seed=None) -> Pa
     meta = {"model": model.name, "params": dict(model.spec.params),
             "x0": model.x0, "t0": model.t0}
     return PathEnsemble(times=times, paths=paths, seed=seed, meta=meta)
+
+
+def _map_paths(model: Model, times, n_paths: int, rng, seed, f: Callable,
+               tag: str) -> PathEnsemble:
+    """Exact paths of ``model``, the states x at each time t mapped to f(t, x), tagged."""
+    ens = simulate_paths(model, times, n_paths, rng=rng, seed=seed)
+    out = np.empty_like(ens.paths)
+    for i, t in enumerate(ens.times):
+        out[:, i] = np.asarray(f(float(t), ens.paths[:, i]), dtype=float)
+    return PathEnsemble(times=ens.times, paths=out, seed=ens.seed, meta={**ens.meta, tag: True})
 
 
 def euler_maruyama(drift, diffusion, x0: float, t0: float, t_end: float, dt: float,

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._numerics import invert_monotone_cdf, require
 from .errors import DomainError
-from .models import MappedKernel, Marginal, Model, PathEnsemble, _resolve_rng
+from .models import MappedKernel, Marginal, Model, PathEnsemble, _map_paths, _resolve_rng
 
 __all__ = [
     "model_marginal_family", "tabulated_marginal_family",
@@ -117,14 +117,7 @@ class RecombinedProcess:
 
     def sample_paths(self, times, n_paths: int, rng=None, seed=None) -> PathEnsemble:
         """Exact Z-paths: exact X-paths mapped pointwise through the recombination."""
-        from .models import simulate_paths
-        ens = simulate_paths(self.source, times, n_paths, rng=rng, seed=seed)
-        z = np.empty_like(ens.paths)
-        for i, t in enumerate(ens.times):
-            z[:, i] = np.asarray(self.map(float(t), ens.paths[:, i]), dtype=float)
-        meta = dict(ens.meta)
-        meta["recombined"] = True
-        return PathEnsemble(times=ens.times, paths=z, seed=ens.seed, meta=meta)
+        return _map_paths(self.source, times, n_paths, rng, seed, self.map, "recombined")
 
 
 def recombine(model: Model, target, probe_time: float | None = None) -> RecombinedProcess:

@@ -310,10 +310,10 @@ def _hyp0f1(b: float, q: np.ndarray, rel_tol: float) -> np.ndarray:
 
 def _validate_nu_lambda(nu: float, lam) -> np.ndarray:
     """Check nu > 0 and every lam >= 0; returns lam as an array."""
-    if not (np.isfinite(nu) and nu > 0.0):
+    if not 0.0 < nu < np.inf:
         raise DomainError("degrees of freedom nu must be positive")
     lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+    if not (lam.min(initial=0.0) >= 0.0 and lam.max(initial=0.0) < np.inf):  # NaN fails them too
         raise DomainError("noncentrality lambda must be nonnegative")
     return lam
 

@@ -29,7 +29,7 @@ import numpy as np
 from ._numerics import central_diff, rel_step, require
 from .copula import CopulaSurface
 from .errors import DomainError
-from .models import Model, PathEnsemble, simulate_paths
+from .models import Model, PathEnsemble, _map_paths
 
 __all__ = [
     "uniformized_coefficients",
@@ -159,14 +159,8 @@ def simulate_uniformized(model: Model, times, n_paths: int, rng=None,
 
     The grid must start strictly after t0 (the marginal at t0 is degenerate).
     """
-    ens = simulate_paths(model, times, n_paths, rng=rng, seed=seed)
-    u_paths = np.empty_like(ens.paths)
-    for i, t in enumerate(ens.times):
-        marg = model.marginal(float(t))
-        u_paths[:, i] = np.asarray(marg.cdf(ens.paths[:, i]), dtype=float)
-    meta = dict(ens.meta)
-    meta["uniformized"] = True
-    return PathEnsemble(times=ens.times, paths=u_paths, seed=ens.seed, meta=meta)
+    return _map_paths(model, times, n_paths, rng, seed,
+                      lambda t, x: model.marginal(t).cdf(x), "uniformized")
 
 
 class EmpiricalCopula:

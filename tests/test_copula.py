@@ -239,7 +239,43 @@ class TestRbmClosedForm:
             assert abs(mass - 1.0) <= 1e-5
 
 
+def _mp_ncx2_pdf(z, nu, lam):
+    """The noncentral chi-square density in Bessel form (the central one at lam = 0)."""
+    if lam == 0:
+        return mpmath.exp((nu / 2 - 1) * mpmath.log(z / 2) - z / 2 - mpmath.loggamma(nu / 2)) / 2
+    return (mpmath.exp(-(z + lam) / 2) * (z / lam) ** (nu / 4 - mpmath.mpf(1) / 2)
+            * mpmath.besseli(nu / 2 - 1, mpmath.sqrt(lam * z)) / 2)
+
+
+def cir_density_oracle(alpha, gamma, x0, s, t, us, vs):
+    """The canonical cir kernel quotient K_d f(K_d x_v; gamma, K_d e^{-alpha d} x_u) /
+    (K_t f(K_t x_v; gamma, lam_t)), K(r) = 1/(1 - e^{-alpha r}), lam_r = K(r) e^{-alpha r} x0,
+    at 40 digits, read at the library's quantiles x = chi2nc_quantile(p; gamma, lam_r) / K(r)
+    of the marginals at r = s and t; rows v, columns u."""
+    with mpmath.workdps(40):
+        alpha, gamma, x0, s, t = (mpmath.mpf(a) for a in (alpha, gamma, x0, s, t))
+        K = lambda r: 1 / -mpmath.expm1(-alpha * r)
+        lam = lambda r: K(r) * mpmath.exp(-alpha * r) * x0
+        x = lambda p, r: special.chi2nc_quantile(p, float(gamma), float(lam(r))) / K(r)
+        xs, xt = [x(u, s) for u in us], [x(v, t) for v in vs]
+        kd, decay = K(t - s), mpmath.exp(-alpha * (t - s))
+        return np.array([[float(kd * _mp_ncx2_pdf(kd * xv, gamma, kd * decay * xu)
+                                / (K(t) * _mp_ncx2_pdf(K(t) * xv, gamma, lam(t))))
+                          for xu in xs] for xv in xt])
+
+
 class TestCirClosedForm:
+    @pytest.mark.parametrize("make", [*BENCHMARK_SURFACES.values(),
+                                      lambda: copula.cir_closed_form(0.1, 625.0, 10.0, 30.0, 30.5)],
+                             ids=[*BENCHMARK_SURFACES, "cir_gamma625_x0_positive"])
+    def test_density_matches_mpmath(self, make):
+        surf = make()
+        p = surf.params
+        cells = np.linspace(0.01, 0.99, 5)
+        exact = cir_density_oracle(p["alpha"], p["gamma"], p["x0"], *surf.time_pair, cells, cells)
+        np.testing.assert_allclose(surf.density(cells[None, :], cells[:, None]), exact,
+                                   rtol=1e-12, atol=0.0)
+
     def test_gamma_one_is_time_changed_rbm(self):
         alpha = 0.1
         surf = copula.cir_closed_form(alpha, 1.0, 0.0, 30.0, 30.5)
@@ -510,6 +546,18 @@ def test_closed_form_cdf_matches_mpmath_in_far_corners(family, lag):
         exact = np.array([[float(oracle(rho, u, v)) for v in FAR_CORNERS] for u in FAR_CORNERS])
     got = copula.cdf_on_grid(surf, FAR_CORNERS, FAR_CORNERS)
     np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [1.05, 1.0001])
+def test_integrated_cdf_obeys_the_frechet_bounds(t):
+    # rbm above rho = 0.925 has no CDF core: its integrated CDF, pointwise and as strip sums,
+    # is clipped to max(u + v - 1, 0) <= C <= min(u, v) like a core's
+    surf = copula.rbm_closed_form(1.0, t)
+    assert surf._cdf_core is None
+    w = np.arange(33) / 32.0
+    for got, u in ((surf.cdf(w[:, None], w), w), (copula.cdf_on_grid(surf, w[1:], w), w[1:])):
+        u, v = u[:, None], w[None, :]
+        assert np.all(np.maximum(u + v - 1.0, 0.0) <= got) and np.all(got <= np.minimum(u, v))
 
 
 _OU = models.make_model("ou", CATALOG["ou"][0], x0=CATALOG["ou"][1])

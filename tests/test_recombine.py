@@ -111,6 +111,16 @@ class TestTargets:
         np.testing.assert_array_equal(proc.inverse_map(1.3, np.array([-6.0, -4.0, 4.0, 6.0])),
                                       ends[[0, 0, 1, 1]])
 
+    def test_sample_paths_map_the_source_paths_of_the_same_seed(self):
+        ou = ou_model()
+        proc = recombine(ou, _bm_folded)
+        times = [0.5, 1.0, 1.5]
+        ens = proc.sample_paths(times, 64, seed=9)
+        x = models.simulate_paths(ou, times, 64, seed=9)
+        for col, t in enumerate(times):
+            np.testing.assert_array_equal(ens.paths[:, col], proc.map(t, x.paths[:, col]))
+        assert ens.meta == {**x.meta, "recombined": True} and ens.seed == 9
+
     def test_pushed_target_gives_folded_normal_paths(self):
         proc = recombine(ou_model(), _bm_folded)
         ens = proc.sample_paths([0.5, 1.0], 20_000, seed=33)

@@ -216,6 +216,15 @@ class TestSimulation:
         b = uniformize.simulate_uniformized(ou, [0.5, 1.0], 32, seed=4)
         np.testing.assert_array_equal(a.paths, b.paths)
 
+    def test_maps_the_exact_paths_of_the_same_seed(self):
+        ou = models.make_model("ou", {"alpha": 1.0, "beta": 0.5, "sigma": 0.9}, x0=0.2)
+        times = [0.5, 1.0, 1.5]
+        ens = uniformize.simulate_uniformized(ou, times, 64, seed=8)
+        x = models.simulate_paths(ou, times, 64, seed=8)
+        for col, t in enumerate(times):
+            np.testing.assert_array_equal(ens.paths[:, col], ou.marginal(t).cdf(x.paths[:, col]))
+        assert ens.meta == {**x.meta, "uniformized": True} and ens.seed == 8
+
     def test_binned_density_matches_surface(self):
         ou = models.make_model("ou", {"alpha": 1.0, "beta": 0.5, "sigma": 0.9}, x0=0.2)
         ens = uniformize.simulate_uniformized(ou, [0.5, 1.0], 200_000, seed=21)
