@@ -1,4 +1,5 @@
-"""Shared numerical kernels: the exponential clock, monotone-CDF inversion, quadrature.
+"""Shared numerical kernels: the exponential clock, monotone-CDF inversion, the Hermite
+table of quantile starts, quadrature.
 
 Every OU-type time change runs on one clock, ``clock(a, t) = (e^{a t} - 1)/a``
 (t at a = 0), and ``clock_inv``: the kernels of `models`, the chains of `stt`
@@ -9,6 +10,13 @@ Every inversion of the package but the noncentral chi-square quantile
 `invert_monotone_cdf`, one safeguarded Newton/bisection solver that first
 grows its bracket inside the state space: the reflected-BM kernel, pushed and
 tabulated marginals, that law's far left tail and the Wiener inverse maps.
+
+Every quantile table is one Hermite interpolant (Hoermann & Leydold, ACM TOMACS
+13, 2003): `hermite_table` builds per-cell coefficients from values and slopes
+(cubic), plus second derivatives (quintic), and `hermite_eval` reads value and
+slope at (cell, t).  `special`'s fixed-law quantile holds a quintic of log x in
+the probit, `stt`'s pushed marginals a cubic of their levels in the probit of
+the mass.
 
 Every integral of the package goes through `integrate`, one vectorized
 adaptive Gauss-Legendre engine: the copula CDFs and conditionals, the
@@ -160,6 +168,46 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
         raise NumericsError(f"monotone inversion did not converge in {max_iter} iterations "
                             f"({int(np.sum(~done))} of {done.size} roots open)")
     return float(x[0]) if np.ndim(p) == 0 else x.reshape(np.shape(p))
+
+
+# The upper coefficients of the Hermite interpolant on [0, 1], by its degree, from y1 - y0 and
+# the end derivatives scaled to the cell, h y'_0, h y'_1 (and h^2 y''_0, h^2 y''_1); the lower
+# ones, c0 = y0, c1 = h y'_0 (and c2 = h^2 y''_0 / 2), are the left node's own
+_HERMITE_UPPER = {3: np.array([[3.0, -2.0, -1.0],
+                               [-2.0, 1.0, 1.0]]),
+                  5: np.array([[10.0, -6.0, -4.0, -1.5, 0.5],
+                               [-15.0, 8.0, 7.0, 1.5, -1.0],
+                               [6.0, -3.0, -3.0, -0.5, 0.5]])}
+
+
+def hermite_table(x, y, d1, d2=None) -> np.ndarray:
+    """Rows c0..cn, one column per cell between the ascending nodes ``x``, of the Hermite
+    interpolant y = sum_j c_j t^j, t = (x' - x_k) / (x_{k+1} - x_k), that matches ``y`` and
+    its slope ``d1`` at both nodes: the cubic (n = 3), or with the second derivatives
+    ``d2`` the quintic (n = 5)."""
+    h = x[1:] - x[:-1]
+    v = [y[1:] - y[:-1], h * d1[:-1], h * d1[1:]]
+    low = [y[:-1], v[1]]
+    if d2 is not None:
+        h2 = h * h
+        v += [h2 * d2[:-1], h2 * d2[1:]]
+        low.append(0.5 * v[3])
+    return np.vstack(low + [_HERMITE_UPPER[len(v)] @ np.array(v)])
+
+
+def hermite_eval(table: np.ndarray, k, t):
+    """`hermite_table`'s interpolant in the cells ``k`` at ``t``, and its slope dy/dt, by
+    Horner's scheme."""
+    c = table[:, k]
+    n = c.shape[0] - 1
+    y, g = c[n] * t, n * c[n]
+    for j in range(n - 1, 0, -1):
+        y += c[j]
+        y *= t
+        g *= t
+        g += j * c[j]
+    y += c[0]
+    return y, g
 
 
 def integrate(f: Callable, lo, hi, at, *, abs_tol: float = 1e-13,

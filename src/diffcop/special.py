@@ -75,7 +75,8 @@ against z = Phi^{-1}(p) at nodes ``_FIXED_LAW_DZ`` apart across the request's
 z range, solving each node with one ``chndtrix`` call and taking
 y' = phi(z) / (f x) and y'' = -z y' - y'^2 (1 + x f'/f) from the density and
 its derivative.  Each interval holds the quintic Hermite interpolant of y, y'
-and y'' at its ends.  Each point then takes the table's value and one
+and y'' at its ends, the package's one Hermite table (`_numerics.hermite_table`,
+read by `hermite_eval`).  Each point then takes the table's value and one
 ``chndtr`` residual r = F(x) - p.  The start is kept when
 |r| <= 1e-12 min(p, 1 - p) and the step r implies (or one ulp of p, if
 larger) is at most 1e-13 x, and it takes that free Newton step; a start that
@@ -110,7 +111,8 @@ import numpy as np
 from scipy.special import chndtr, chndtrix, erfc, erfinv, gammaln, ive, ndtr, ndtri
 from scipy.special._ufuncs import _ncx2_pdf
 
-from ._numerics import _GL20, any_true, integrate, invert_monotone_cdf
+from ._numerics import (_GL20, any_true, hermite_eval, hermite_table, integrate,
+                        invert_monotone_cdf)
 from .errors import DomainError, NumericsError
 
 __all__ = [
@@ -570,12 +572,8 @@ def _mesh_pdf(z, nu: float, lam):
         fall += math.log(q / (n_terms * (b - 1.0 + n_terms)))
     k = np.arange(n_terms, dtype=float)
     with np.errstate(all="ignore"):
-        if z.size == lam.size == 1:         # one cell: one call gives both factors
-            g, w = _poisson_terms(np.stack([k + (b - 1.0), k]),
-                                  0.5 * np.concatenate([z, lam]))[:, None]
-        else:
-            g = _poisson_terms(k + (b - 1.0), 0.5 * z)
-            w = _poisson_terms(k, 0.5 * lam.reshape(-1, 1))
+        g = _poisson_terms(k + (b - 1.0), 0.5 * z)
+        w = _poisson_terms(k, 0.5 * lam.reshape(-1, 1))
         out = g @ w.T
         redo = ~((out >= _MESH_MIN_PDF * np.maximum(g[:, :1], 1.0)) & (out < np.inf))
     redo |= debye
@@ -586,9 +584,8 @@ def _mesh_pdf(z, nu: float, lam):
 
 
 def _poisson_terms(x, mu):
-    """mu^x e^{-mu} / Gamma(x + 1) for a column ``mu`` and increasing rows ``x`` > -1, one
-    row or one per element of ``mu``, as an array of their broadcast shape, no factor
-    below exp(``_LOG_FLOOR``).
+    """mu^x e^{-mu} / Gamma(x + 1) for a column ``mu`` and an increasing row ``x`` > -1,
+    as an array of their broadcast shape, no factor below exp(``_LOG_FLOOR``).
 
     The exponent is taken as x log(mu/x) - mu - c(x), c(x) = ln Gamma(x + 1) - x log x,
     whose rounding stays near eps (x |log(mu/x)| + mu) where x log mu - mu -
@@ -607,10 +604,8 @@ def _poisson_terms(x, mu):
     out *= x
     out -= mu
     out -= c
-    first = x[..., :1]
-    if (first <= 0.0).any():
-        out[:, :1] = np.where(first <= 0.0, first * np.log(mu) - mu - gammaln(first + 1.0),
-                              out[:, :1])
+    if x[0] <= 0.0:
+        out[:, 0] = (x[0] * np.log(mu) - mu - gammaln(x[0] + 1.0))[:, 0]
     np.maximum(out, _LOG_FLOOR, out=out)
     return np.exp(out, out=out)
 
@@ -820,18 +815,11 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
         d2 = -zk * d1 - d1 * d1 * (1.0 + xk * _chi2nc_pdf_dz(xk, nu, lam, f) / f)
         if not (np.all(xk[1:] > xk[:-1]) and np.all(d1 > 0.0) and np.isfinite(d2).all()):
             return chndtrix(p, nu, lam)
-        table = _quintic_table(zk, np.log(xk), d1, d2)
+        table = hermite_table(zk, np.log(xk), d1, d2)
         t = (z - lo) * (m / (hi - lo))
         k = np.minimum(t.astype(np.intp), m - 1)
         t -= k
-        c = table[:, k]
-        x, g = c[5] * t, 5.0 * c[5]             # Horner's scheme, in place, for y and dy/dt
-        for j in range(4, 0, -1):
-            x += c[j]
-            x *= t
-            g *= t
-            g += j * c[j]
-        x += c[0]
+        x, g = hermite_eval(table, k, t)                        # y and dy/dt
         np.exp(x, out=x)
         # d log x / dp from the interpolant's slope: 1 / (x f~)
         g *= m / ((hi - lo) * _norm_pdf(z))
@@ -852,32 +840,6 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
                 xr[fail] = chndtrix(pr[fail], nu, lam)
             x[redo] = xr
     return x
-
-
-# c3, c4 and c5 of the quintic Hermite interpolant from y1 - y0, h y'_0, h y'_1, h^2 y''_0
-# and h^2 y''_1 (c0 = y0, c1 = h y'_0 and c2 = h^2 y''_0 / 2 are the node's own)
-_QUINTIC = np.array([[10.0, -6.0, -4.0, -1.5, 0.5],
-                     [-15.0, 8.0, 7.0, 1.5, -1.0],
-                     [6.0, -3.0, -3.0, -0.5, 0.5]])
-
-
-def _quintic_table(zk, y, d1, d2) -> np.ndarray:
-    """Rows c0..c5, one column per interval, of the quintic Hermite
-    interpolant y = sum_j c_j t^j, t = (z - zk) / h, that matches y, y' and y''
-    at both nodes."""
-    h = zk[1:] - zk[:-1]
-    v = np.empty((5, h.size))
-    np.subtract(y[1:], y[:-1], out=v[0])
-    np.multiply(h, d1[:-1], out=v[1])
-    np.multiply(h, d1[1:], out=v[2])
-    h2 = h * h
-    np.multiply(h2, d2[:-1], out=v[3])
-    np.multiply(h2, d2[1:], out=v[4])
-    out = np.empty((6, h.size))
-    out[0], out[1] = y[:-1], v[1]
-    np.multiply(0.5, v[3], out=out[2])
-    np.matmul(_QUINTIC, v, out=out[3:])
-    return out
 
 
 def chi2nc_pdf_bessel_form(z, nu: float, lam: float):

@@ -14,8 +14,9 @@ pieces' parts mapped below the level (`_pushed_cdf`).  A pushed marginal
 from one pass, one call each of X's cdf and density; where a mass difference
 cancels in a tail, the part is integrated from the density instead, and above
 the median it solves on the survival side.  Each quantile solve starts inside
-its cell of a table of the law at psi of X's quantiles, by a cubic Hermite
-interpolant, so a few Newton steps finish it.  Pushed marginals give the Y
+its cell of a table of the law at psi of X's quantiles, by the cubic Hermite
+interpolant of `_numerics` in the probit of the side's mass, so a few Newton
+steps finish it.  Pushed marginals give the Y
 quantiles and the weights
 
     w(s, z, q) = (f_s(z)/|J_s(z)|) / sum_{a: psi(s,a)=q} (f_s(a)/|J_s(a)|);
@@ -43,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import (central_diff, clock, clock_inv, integrate, invert_monotone_cdf,
-                        rel_step, require)
+from ._numerics import (central_diff, clock, clock_inv, hermite_eval, hermite_table, integrate,
+                        invert_monotone_cdf, rel_step, require)
 from .copula import CopulaSurface
 from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
@@ -206,30 +207,23 @@ def _pushed_cdf(cdf: Callable, ends, split: _Split, q):
 _CANCELLED = 1.0 / 256
 # X's quantiles at these probabilities place the start table's levels: a probit
 # grid, out to where a monotone map's levels fall below the table's floor of
-# `_CANCELLED` per piece, and on either side of each inner piece end (a fold,
-# whose level ends the support) these shares of the mass on that side.
+# `_CANCELLED` per piece.
 _TABLE_U = _norm_cdf(np.linspace(-3.0, 3.0, 25))
-_TABLE_NEAR = (0.01, 0.05)
 
 
 @dataclass(frozen=True)
 class _StartTable:
     """Levels ``y`` (ascending) at which a pushed law is exact, their probits
-    ``zeta`` and slopes ``d_zeta`` = dy/dzeta.  Per cell between two levels, the
-    cubic y = y0 + s (a1 + s (a2 + s a3)) in s = (u - u0) / h, where u is the
-    mass on the levels' side where ``use_c``, else zeta.  Per support end, the
-    mass between it and the end level (``end_mass``) and the exponent ``kappa``
-    of the power law of that mass which meets the end level's density."""
+    ``zeta`` and slopes ``d_zeta`` = dy/dzeta, and per cell between two levels the
+    coefficients of the cubic Hermite interpolant of y in zeta
+    (`_numerics.hermite_table`).  Per support end, the mass between it and the end
+    level (``end_mass``) and the exponent ``kappa`` of the power law of that mass
+    which meets the end level's density."""
 
     y: np.ndarray
     zeta: np.ndarray
     d_zeta: np.ndarray
-    use_c: np.ndarray
-    u0: np.ndarray
-    h: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
+    cubic: np.ndarray
     kappa: tuple[float, float]
     end_mass: tuple[float, float]
 
@@ -306,18 +300,14 @@ class _PushedMarginal:
 
     @cached_property
     def _table(self) -> _StartTable:
-        """psi of X's quantiles at `_TABLE_U` and near each inner piece end, the
-        levels kept where the mass on the level's side is at least `_CANCELLED`
-        per piece, so exact as a difference, and the density is positive.  zeta
-        is Phi^-1 of the mass below a level up to the median, and -Phi^-1 of the
-        mass above it beyond.  A cell interpolates in that mass (c) where both its
-        levels lie on one side and its end slopes dy/dc differ by a smaller ratio
-        than its slopes dy/dzeta."""
+        """psi of X's quantiles at `_TABLE_U`, the levels kept where the mass on
+        the level's side is at least `_CANCELLED` per piece, so exact as a
+        difference, the density is positive and zeta rises.  zeta is Phi^-1 of the
+        mass below a level up to the median, and -Phi^-1 of the mass above it
+        beyond; every cell interpolates y in zeta."""
         split, marg = self.split, self.marg
-        near = [u for f in self.ends[split.inner].ravel().tolist() if 0.0 < f < 1.0
-                for r in _TABLE_NEAR for u in (f * (1.0 - r), f + (1.0 - f) * r)]
-        y = np.sort(np.asarray(split.transform.psi(split.t, marg.quantile(
-            np.concatenate((_TABLE_U, near)))), dtype=float))
+        y = np.sort(np.asarray(split.transform.psi(split.t, marg.quantile(_TABLE_U)),
+                               dtype=float))
         x, found, hit = _piece_inverses(split, y)
         g = self._density(x, found)
         below = self._side(marg.cdf(x), hit, y, False)[0]
@@ -332,22 +322,11 @@ class _PushedMarginal:
                                 f"at time {split.t}")
         y, c, g, upper, zeta = y[keep], c[keep], g[keep], upper[keep], zeta[keep]
         d_zeta = _norm_pdf(zeta) / g
-        # log of the end slopes' ratio per cell: in c, g1/g0; in zeta, times phi(z0)/phi(z1)
-        ratio = np.log(g[1:] / g[:-1])
-        use_c = (upper[1:] == upper[:-1]) & (np.abs(ratio) < np.abs(
-            ratio + 0.5 * (zeta[1:] * zeta[1:] - zeta[:-1] * zeta[:-1])))
-        pick = lambda a: np.where(use_c, a[0], a[1])
-        u0 = pick((c[:-1], zeta[:-1]))
-        h = pick((c[1:], zeta[1:])) - u0
-        d0 = pick((np.where(upper, -1.0, 1.0)[:-1] / g[:-1], d_zeta[:-1])) * h
-        d1 = pick((np.where(upper, -1.0, 1.0)[1:] / g[1:], d_zeta[1:])) * h
-        dy = y[1:] - y[:-1]
         (y_lo, c_lo, g_lo, up_lo), (y_hi, c_hi, g_hi, up_hi) = (
             (float(y[i]), float(c[i]), float(g[i]), bool(upper[i])) for i in (0, -1))
         mass = (1.0 - c_lo if up_lo else c_lo, c_hi if up_hi else 1.0 - c_hi)
         lo, hi = split.support
-        return _StartTable(y, zeta, d_zeta, use_c, u0, h, d0, 3.0 * dy - 2.0 * d0 - d1,
-                           d0 + d1 - 2.0 * dy,
+        return _StartTable(y, zeta, d_zeta, hermite_table(zeta, y, d_zeta),
                            (g_lo * (y_lo - lo) / mass[0], g_hi * (hi - y_hi) / mass[1]), mass)
 
     def _start(self, p, tail, upper):
@@ -366,10 +345,9 @@ class _PushedMarginal:
         z = np.where(upper, -1.0, 1.0) * _norm_quantile(tail)
         k = np.searchsorted(tab.zeta, z)
         j = np.clip(k - 1, 0, y.size - 2)
-        s = (np.where(tab.use_c[j], tail, z) - tab.u0[j]) / tab.h[j]
         lo, hi = y[j], y[j + 1]
-        start = np.minimum(np.maximum(lo + s * (tab.a1[j] + s * (tab.a2[j] + s * tab.a3[j])),
-                                      lo), hi)
+        t = (z - tab.zeta[j]) / (tab.zeta[j + 1] - tab.zeta[j])
+        start = np.minimum(np.maximum(hermite_eval(tab.cubic, j, t)[0], lo), hi)
         lo_bound, hi_bound = lo.copy(), hi.copy()
         for out, n, end, mass in ((k == 0, 0, self.split.support[0], p),
                                   (k == y.size, -1, self.split.support[1], 1.0 - p)):

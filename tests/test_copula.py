@@ -287,16 +287,23 @@ class TestCirClosedForm:
         assert worst <= 1e-8
 
     def test_matches_from_transition_in_canonical_units(self):
+        # the closed form lives in canonical units (sigma = 2 sqrt(alpha)); the state map
+        # y = 4 alpha x / sigma^2, increasing, takes cir(alpha, gamma sigma^2 / 4, sigma)
+        # from x0 sigma^2 / (4 alpha) there, so the copulas agree in any other units
         alpha, gamma, x0 = 0.6, 4.0, 0.9
-        sigma_c = 2.0 * math.sqrt(alpha)
-        model = models.make_model(
-            "cir", {"alpha": alpha, "beta": gamma * alpha, "sigma": sigma_c}, x0=x0)
-        direct = copula.from_transition(model, 0.8, 1.5)
         closed = copula.cir_closed_form(alpha, gamma, x0, 0.8, 1.5)
+        assert closed.provenance == "closed_form"
+        assert closed.params == {"family": "cir", "alpha": alpha, "gamma": gamma, "x0": x0}
         pts = np.linspace(0.15, 0.85, 5)
-        worst = max(abs(float(direct.density(u, v)) - float(closed.density(u, v)))
-                    for u in pts for v in pts)
-        assert worst <= 1e-8
+        u, v = pts[None, :], pts[:, None]
+        for sigma in (0.3, 1.0, 5.0):
+            model = models.make_model(
+                "cir", {"alpha": alpha, "beta": gamma * sigma ** 2 / 4.0, "sigma": sigma},
+                x0=x0 * sigma ** 2 / (4.0 * alpha))
+            direct = copula.from_transition(model, 0.8, 1.5)
+            for read in ("density", "conditional"):
+                np.testing.assert_allclose(getattr(closed, read)(u, v), getattr(direct, read)(u, v),
+                                           rtol=1e-12, atol=0.0)
 
     def test_beta_sigma_sweep_at_fixed_gamma(self):
         alpha, gamma = 0.6, 4.0

@@ -1,4 +1,5 @@
-"""The shared numerical kernels: the clock, the monotone solver and the Gauss-Legendre engine."""
+"""The shared numerical kernels: the clock, the monotone solver, the Hermite table and the
+Gauss-Legendre engine."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from diffcop import builtin_chain, make_model, special
-from diffcop._numerics import clock, clock_inv, integrate, invert_monotone_cdf
+from diffcop._numerics import (clock, clock_inv, hermite_eval, hermite_table, integrate,
+                               invert_monotone_cdf)
 from diffcop.errors import DomainError, NumericsError
 
 
@@ -191,3 +193,23 @@ def test_solver_returns_a_float_for_a_scalar_and_the_shape_of_an_array():
     assert isinstance(x, np.ndarray) and x.shape == (2, 2)
     assert np.all(np.abs(special.norm_cdf(x) - p) <= 1e-12 * np.minimum(p, 1.0 - p))
     assert solve(np.array([0.3])).shape == (1,)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hermite_table_reproduces_polynomials_of_its_degree(degree, seed):
+    # from y and y' the cubic, with y'' too the quintic: each is exact on a polynomial of its
+    # degree, cell by cell, on uneven nodes
+    rng = np.random.default_rng(seed)
+    poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
+    x = -2.0 + np.cumsum(rng.uniform(0.05, 1.0, 9))
+    table = hermite_table(x, poly(x), poly.deriv()(x), poly.deriv(2)(x) if degree == 5 else None)
+    assert table.shape == (degree + 1, x.size - 1)
+    k = np.repeat(np.arange(x.size - 1), 9)
+    t = np.tile(np.linspace(0.0, 1.0, 9), x.size - 1)
+    h = (x[1:] - x[:-1])[k]
+    y, slope = hermite_eval(table, k, t)
+    at = x[k] + t * h
+    np.testing.assert_allclose(y, poly(at), rtol=1e-12, atol=1e-12 * np.abs(poly(at)).max())
+    exact = poly.deriv()(at)
+    np.testing.assert_allclose(slope / h, exact, rtol=1e-12, atol=1e-12 * np.abs(exact).max())

@@ -259,6 +259,23 @@ class TestPushforwardMarginal:
         root, dens = (float(v) for v in exact(p))
         assert abs(marg.quantile(p) - root) <= 1e-12 * root + 4.0 * np.spacing(p) / dens
 
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.5])
+    def test_off_centre_fold_quantiles_against_mpmath(self, c):
+        # |X| for X ~ N(c, 2), whose fold at 0 lies off the mean: P(|X| <= y) =
+        # Phi((y - c)/sqrt 2) - Phi((-y - c)/sqrt 2), solved on the survival side above 1/2
+        p = np.array([1e-15, 1e-12, 1e-9, 1e-3, 0.05, 0.3, 0.7, 0.97, 1.0 - 1e-9])
+        marg = stt.pushforward_marginal(models.make_model("bm", x0=c), stt.absolute_value(), 2)
+        got = marg.quantile(p)
+        with mp.workdps(40):
+            s = mp.sqrt(2)
+            for pk, y in zip(p.tolist(), got.tolist()):
+                if pk <= 0.5:
+                    f = lambda r: mp.ncdf((r - c) / s) - mp.ncdf((-r - c) / s) - pk
+                else:
+                    f = lambda r: mp.ncdf((c - r) / s) + mp.ncdf((-r - c) / s) - (1.0 - pk)
+                root = mp.findroot(f, (mp.mpf(y), mp.mpf(y) * (1 + mp.mpf(1e-8))))
+                assert y == pytest.approx(float(root), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.1, math.nan])
     def test_quantile_rejects_p_outside_the_open_interval(self, p):
         marg = folded_normal(2.0)[0]
