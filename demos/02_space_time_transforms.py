@@ -10,7 +10,8 @@ Three experiments:
 2. The drift/diffusion condition for transformability into Brownian motion is
    evaluated: the OU process satisfies it with constant c1 = -alpha,
    c2 = beta/sigma, while the general square-root process fails for every
-   constant pair (it is transformable into a cir, not into a Wiener process).
+   constant pair: even the pair fitted by least squares leaves a residual (it
+   is transformable into a cir, not into a Wiener process).
 
 3. A non-monotone transformation, |x| applied to Brownian motion, yields the
    reflected process; its copula is assembled from the weighted preimage sum

@@ -2,14 +2,14 @@
 table of quantile starts, quadrature.
 
 Every OU-type time change runs on one clock, ``clock(a, t) = (e^{a t} - 1)/a``
-(t at a = 0), and ``clock_inv``: the kernels of `models`, the chains of `stt`
-and the OU and cir copulas.
+(t at a = 0), and ``clock_inv``: the kernels of `models`, the chains and the
+Wiener transformation of `stt`, and the OU and cir copulas.
 
 Every inversion of the package but the noncentral chi-square quantile
 (``chndtrix`` and the fixed-law table of `special`) goes through
 `invert_monotone_cdf`, one safeguarded Newton/bisection solver that first
 grows its bracket inside the state space: the reflected-BM kernel, pushed and
-tabulated marginals, that law's far left tail and the Wiener inverse maps.
+tabulated marginals, that law's far left tail and the Wiener space map.
 
 Every quantile table is one Hermite interpolant (Hoermann & Leydold, ACM TOMACS
 13, 2003): `hermite_table` builds per-cell coefficients from values and slopes
@@ -20,9 +20,9 @@ the mass.
 
 Every integral of the package goes through `integrate`, one vectorized
 adaptive Gauss-Legendre engine: the copula CDFs and conditionals, the
-Brownian-transformability integrals and the Wiener transformation of `stt`,
-the far left tail of the noncentral chi-square cdf, and the acceptance
-checks of `validation`.
+Brownian-transformability integrals and the Wiener space map of `stt`, the
+far left tail of the noncentral chi-square cdf, and the acceptance checks of
+`validation`.
 """
 
 from __future__ import annotations

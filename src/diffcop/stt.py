@@ -30,14 +30,16 @@ The catalog transformation chains (`builtin_chain`) change time on one
 exponential clock, `_numerics.clock`.  The module also ships the
 drift/diffusion condition for transformability into Brownian motion,
 
-    mu/sigma = sigma_x/2 + int sigma_t/sigma^2 dx + c1(t) int dx/sigma + c2(t),
+    mu/sigma = sigma_x/2 + int sigma_t/sigma^2 dx + c1 int dx/sigma + c2,
 
-with its constructive transformation.
+with constants c1, c2 fitted by least squares, and its constructive
+transformation on the same clock.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -541,10 +543,20 @@ def compose(outer: SpaceTimeTransform, inner: SpaceTimeTransform) -> SpaceTimeTr
         psi=psi, jacobian=jac, pieces=pieces, name=f"{outer.name}o{inner.name}")
 
 
+def _time_map(fn: Callable, a: float) -> Callable:
+    """The time map t -> fn(a, t) of `clock` or `clock_inv`: a float for a scalar time,
+    elementwise through the same call over an array of times."""
+    def mapped(t):
+        if np.ndim(t) == 0:
+            return fn(a, float(t))
+        return np.reshape([fn(a, r) for r in np.ravel(t).tolist()], np.shape(t))
+    return mapped
+
+
 def _ou_chain(alpha: float, beta: float, sigma: float, name: str) -> SpaceTimeTransform:
     require(sigma > 0.0, "sigma must be positive")
     return SpaceTimeTransform(
-        phi=lambda t: clock(2.0 * alpha, t), phi_inv=lambda tau: clock_inv(2.0 * alpha, tau),
+        phi=_time_map(clock, 2.0 * alpha), phi_inv=_time_map(clock_inv, 2.0 * alpha),
         psi=lambda t, x: (math.exp(alpha * t) * np.asarray(x, dtype=float)
                           - beta * clock(alpha, t)) / sigma,
         jacobian=lambda t, x: np.full_like(np.asarray(x, dtype=float),
@@ -571,7 +583,7 @@ def _chain_bm_to_special_cir(alpha: float, sigma: float) -> SpaceTimeTransform:
         return 2.0 * np.sqrt(np.asarray(y, dtype=float) * scale(t)) / sigma
 
     return SpaceTimeTransform(
-        phi=lambda t: clock_inv(alpha, t), phi_inv=lambda tau: clock(alpha, tau), psi=psi,
+        phi=_time_map(clock_inv, alpha), phi_inv=_time_map(clock, alpha), psi=psi,
         jacobian=lambda t, x: sigma ** 2 * np.asarray(x, dtype=float) / (2.0 * scale(t)),
         pieces=(MonotonePiece(-np.inf, 0.0, lambda t, y: -inv_pos(t, y), False),
                 MonotonePiece(0.0, np.inf, inv_pos, True)),
@@ -632,10 +644,6 @@ def builtin_chain(name: str, **params) -> SpaceTimeTransform:
 _DERIV_REL = 1e-5    # relative step of the sigma_x and sigma_t differences
 
 
-def _as_time_fn(c) -> Callable:
-    return c if callable(c) else (lambda t, _c=float(c): np.full(np.shape(t), _c))
-
-
 def _sigma(diffusion: Callable) -> Callable:
     """sigma(x, t) as an array of the shape of x."""
     return lambda x, t: np.broadcast_to(np.asarray(diffusion(x, t), dtype=float), np.shape(x))
@@ -662,74 +670,59 @@ def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float,
     return mu / s_val - sigma_x / 2.0 - i1, i2
 
 
+def _constant(name: str, c) -> float:
+    """``c`` as a float; a callable, non-real or non-finite ``c`` raises `DomainError`."""
+    require(isinstance(c, numbers.Real) and math.isfinite(c),
+            f"{name} must be a finite constant, got {c!r}")
+    return float(c)
+
+
 def wiener_transformability_check(spec: DiffusionSpec, c1, c2, x_grid, t_grid,
                                   x_ref: float = 0.0, tol: float = 1e-6):
     """Check the Brownian-transformability condition on an (x, t) grid.
 
-    Antiderivatives are taken from ``x_ref``; the supplied ``c1``/``c2``
-    (constants or functions of t) must follow the same convention.  Returns
-    ``(passed, max_residual)``.
+    Antiderivatives are taken from ``x_ref``; the constants ``c1`` and ``c2``
+    must follow the same convention, and a callable or non-finite one raises
+    `DomainError`.  Returns ``(passed, max_residual)``.
     """
-    c1f, c2f = _as_time_fn(c1), _as_time_fn(c2)
+    c1, c2 = _constant("c1", c1), _constant("c2", c2)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     worst = 0.0
     for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
         base, i2 = _condition_parts(spec, xs, float(t), x_ref)
-        worst = max(worst, float(np.max(np.abs(base - c1f(t) * i2 - c2f(t)))))
+        worst = max(worst, float(np.max(np.abs(base - c1 * i2 - c2))))
     return worst <= tol, worst
 
 
-def search_constant_c1_c2(spec: DiffusionSpec, x_grid, t_grid,
-                          c1_range=(-10.0, 10.0), c2_range=(-10.0, 10.0),
-                          n: int = 41, x_ref: float = 0.0):
-    """Coarse grid search for constant (c1, c2); returns (c1, c2, residual).
-
-    The condition is linear in (c1, c2), so the residual surface is evaluated
-    from precomputed condition parts.
+def search_constant_c1_c2(spec: DiffusionSpec, x_grid, t_grid, x_ref: float = 0.0):
+    """Constant (c1, c2) by one least-squares solve of the linear condition
+    base = c1 I2 + c2 on the (x, t) grid; returns ``(c1, c2, residual)``, the
+    residual being their worst |base - c1 I2 - c2|, as
+    `wiener_transformability_check` reads it.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     parts = [_condition_parts(spec, xs, float(t), x_ref) for t in np.atleast_1d(t_grid)]
     base = np.concatenate([p[0] for p in parts])
     i2 = np.concatenate([p[1] for p in parts])
-    c1s, c2s = np.linspace(*c1_range, n), np.linspace(*c2_range, n)
-    worst = np.abs((base - c1s[:, None] * i2)[:, None, :] - c2s[:, None]).max(axis=2)
-    i, j = np.unravel_index(np.argmin(worst), worst.shape)   # c1-major: the first minimum
-    return float(c1s[i]), float(c2s[j]), float(worst[i, j])
+    fit = np.linalg.lstsq(np.column_stack((i2, np.ones_like(i2))), base, rcond=None)[0]
+    c1, c2 = float(fit[0]), float(fit[1])
+    return c1, c2, float(np.max(np.abs(base - c1 * i2 - c2)))
 
 
-def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
-               t_ref: float = 0.0) -> SpaceTimeTransform:
-    """Constructive transformation into Brownian motion once the condition holds.
+def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0) -> SpaceTimeTransform:
+    """Constructive transformation into Brownian motion once the condition holds
+    with constants ``c1`` and ``c2``: the ``ou_to_bm`` chain of unit sigma (alpha =
+    -c1, beta = c2) after the space map S(t, x) = int_{x_ref}^x dy/sigma(y, t),
 
-        phi(t)    = int_{t_ref}^t exp(-2 int_{t_ref}^r c1) dr
-        psi(t, x) = sqrt(phi'(t)) int_{x_ref}^x dy/sigma(y, t)
-                    - int_{t_ref}^t c2(r) sqrt(phi'(r)) dr
+        phi(t) = clock(-2 c1, t),   psi(t, x) = e^{-c1 t} S(t, x) - c2 clock(-c1, t),
 
-    (the time-level term enters with a minus sign: with it the Ito drift of
-    psi(t, X_t) cancels identically, which is verified by the test suite).
-    ``c1`` and ``c2`` are constants or functions of t that take arrays.  An
-    infinite end of the interval where the space integral diverges maps to
-    -inf or +inf.
+    phi^{-1} = clock_inv(-2 c1, .) and J = e^{-c1 t}/sigma (the level term's minus
+    sign cancels the Ito drift of psi(t, X_t), which the test suite verifies).  A
+    callable or non-finite c1 or c2 raises `DomainError`.  An infinite end of the
+    interval where S diverges maps to -inf or +inf.
     """
-    c1f, c2f = _as_time_fn(c1), _as_time_fn(c2)
-    diffusion = spec.coefficients()[1]
-    sig = _sigma(diffusion)
-
-    def dphi(t):
-        return np.exp(-2.0 * integrate(lambda r, _: c1f(r), t_ref, t, t_ref,
-                                       abs_tol=1e-12, rel_tol=1e-12))
-
-    def phi(t):
-        out = integrate(lambda r, _: dphi(r), t_ref, t, t_ref, abs_tol=1e-11, rel_tol=1e-11)
-        return float(out) if out.ndim == 0 else out
-
-    def phi_inv(tau):
-        return invert_monotone_cdf(lambda t: (phi(t), dphi(t)), tau, t_ref, t_ref + 1.0,
-                                   f_tol=1e-12, x_rel_tol=1e-13)
-
-    def level(t):
-        return integrate(lambda r, _: c2f(r) * np.sqrt(dphi(r)), t_ref, t, t_ref,
-                         abs_tol=1e-11, rel_tol=1e-11)
+    c1, c2 = _constant("c1", c1), _constant("c2", c2)
+    sig = _sigma(spec.coefficients()[1])
 
     def space(t, x):
         return integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref,
@@ -743,12 +736,12 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
             if not np.all(np.isinf(x)):
                 raise
             s = np.copysign(np.inf, x)          # the improper integral diverges
-        out = np.sqrt(dphi(t)) * s - level(t)
+        level = c2 * clock(-c1, t)              # DomainError where e^{-c1 t} overflows
+        out = math.exp(-c1 * t) * s - level
         return float(out) if out.ndim == 0 else out
 
     def jacobian(t, x):
-        arr = np.asarray(x, dtype=float)
-        return np.sqrt(dphi(t)) / np.asarray(diffusion(arr, t), dtype=float)
+        return math.exp(-c1 * t) / sig(np.asarray(x, dtype=float), t)
 
     lo_i, hi_i = spec.interval
     if lo_i < x_ref < hi_i:
@@ -759,12 +752,12 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0,
         start = hi_i - 1.0
 
     def inverse(t, y):
-        # psi(t, x) = y  <=>  space(t, x) = (y + level(t)) / sqrt(phi'(t)), d space/dx = 1/sigma
-        target = (np.asarray(y, dtype=float) + level(t)) / np.sqrt(dphi(t))
+        # psi(t, x) = y  <=>  S(t, x) = (y + c2 clock(-c1, t)) / e^{-c1 t}, dS/dx = 1/sigma
+        target = (np.asarray(y, dtype=float) + c2 * clock(-c1, t)) / math.exp(-c1 * t)
         return invert_monotone_cdf(lambda x: (space(t, x), 1.0 / sig(x, t)), target, start,
                                    start, bounds=spec.interval, f_tol=0.0, x_rel_tol=1e-12)
 
     return SpaceTimeTransform(
-        phi=phi, phi_inv=phi_inv, psi=psi, jacobian=jacobian,
-        pieces=(MonotonePiece(lo_i, hi_i, inverse, True),),
+        phi=_time_map(clock, -2.0 * c1), phi_inv=_time_map(clock_inv, -2.0 * c1),
+        psi=psi, jacobian=jacobian, pieces=(MonotonePiece(lo_i, hi_i, inverse, True),),
         name="wiener_stt")

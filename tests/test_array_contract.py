@@ -20,6 +20,7 @@ from test_uniformize import ALL_MODELS as CATALOG, without_derivatives
 P = np.linspace(0.02, 0.98, 15).reshape(3, 5)        # probabilities and copula coordinates
 Z = np.linspace(-3.0, 3.0, 15).reshape(3, 5)         # real states
 POS = np.geomspace(0.05, 8.0, 15).reshape(3, 5)      # positive states
+T = np.linspace(0.1, 2.5, 15).reshape(3, 5)          # times
 
 
 def _model(name):
@@ -80,7 +81,8 @@ def _uniformized_cases():
 
 def _transform_cases(label, transform, xs):
     cases = [(f"{label}.psi", lambda x: transform.psi(1.3, x), xs),
-             (f"{label}.jacobian", lambda x: transform.jacobian(1.3, x), xs)]
+             (f"{label}.jacobian", lambda x: transform.jacobian(1.3, x), xs),
+             (f"{label}.phi", transform.phi, T), (f"{label}.phi_inv", transform.phi_inv, T)]
     for k, piece in enumerate(transform.pieces):
         ys = transform.psi(1.3, np.clip(xs, piece.lo + 0.01, piece.hi - 0.01))
         cases.append((f"{label}.pieces[{k}].inverse", lambda y, p=piece: p.inverse(1.3, y), ys))

@@ -511,26 +511,32 @@ class TestWienerCondition:
     def test_general_cir_fails_all_constants(self):
         cir = models.make_model("cir", CIR_P, x0=1.2)
         c1, c2, best = stt.search_constant_c1_c2(
-            cir.spec, np.linspace(0.3, 2.5, 6), [0.5, 1.0], n=41)
+            cir.spec, np.linspace(0.3, 2.5, 6), [0.5, 1.0])
         assert best > 1e-6
 
-    @pytest.mark.parametrize("name", ["cir", "ou", "cir_special"])
-    def test_search_matches_double_loop(self, name):
-        # the broadcast search returns the first minimum in c1-major order, as a double
-        # loop with a strict < does
-        model = {"cir": lambda: models.make_model("cir", CIR_P, x0=1.2), "ou": ou_model,
-                 "cir_special": lambda: models.make_model(
-                     "cir_special", {"alpha": 0.6, "sigma": 1.1}, x0=0.4)}[name]()
+    @pytest.mark.parametrize("name, params, x_ref, constants", [
+        ("bm_drift", {"mu": 0.3, "sigma": 1.2}, 0.0, (0.0, 0.3 / 1.2)),
+        ("ou", OU_P, 0.0, (-OU_P["alpha"], OU_P["beta"] / OU_P["sigma"])),
+        ("cir_special", {"alpha": 0.6, "sigma": 1.1}, 0.0, (-0.3, 0.0)),
+        ("gbm", {"mu": 0.1, "sigma": 0.4}, 1.0, (0.0, 0.1 / 0.4)),
+    ])
+    def test_search_recovers_exact_constants(self, name, params, x_ref, constants):
+        spec = models.make_model(name, params, x0=1.0).spec
         xs, ts = np.linspace(0.3, 2.5, 6), [0.5, 1.0]
-        parts = [stt._condition_parts(model.spec, xs, t, 0.0) for t in ts]
-        base, i2 = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-        best = (math.nan, math.nan, math.inf)
-        for c1 in np.linspace(-10.0, 10.0, 41):
-            for c2 in np.linspace(-10.0, 10.0, 41):
-                worst = np.max(np.abs(base - c1 * i2 - c2))
-                if worst < best[2]:
-                    best = (float(c1), float(c2), float(worst))
-        assert stt.search_constant_c1_c2(model.spec, xs, ts) == best
+        c1, c2, best = stt.search_constant_c1_c2(spec, xs, ts, x_ref=x_ref)
+        assert (c1, c2) == pytest.approx(constants, abs=1e-9)
+        assert best <= 1e-10
+        assert stt.wiener_transformability_check(spec, c1, c2, xs, ts, x_ref=x_ref) == (True, best)
+
+    @pytest.mark.parametrize("c1, c2", [(lambda t: 0.0 * t, 0.0), (0.0, lambda t: 0.0 * t),
+                                        (math.nan, 0.0), (0.0, math.inf)],
+                             ids=["callable_c1", "callable_c2", "nan_c1", "inf_c2"])
+    def test_constants_only(self, c1, c2):
+        spec = models.make_model("bm", x0=0.0).spec
+        with pytest.raises(DomainError, match="must be a finite constant"):
+            stt.wiener_transformability_check(spec, c1, c2, [0.5, 1.0], [0.5])
+        with pytest.raises(DomainError, match="must be a finite constant"):
+            stt.wiener_stt(spec, c1, c2)
 
     def test_vanishing_diffusion_rejected(self):
         spec = models.DiffusionSpec(
@@ -585,3 +591,68 @@ class TestWienerInverse:
         for t in ts:
             assert transform.phi_inv(transform.phi(float(t))) == pytest.approx(t, rel=1e-12)
         np.testing.assert_allclose(transform.phi_inv(transform.phi(ts)), ts, rtol=1e-12, atol=0)
+
+
+class TestWienerClosedForm:
+    """`wiener_stt` with constants against routes that do not share its code."""
+
+    def test_ou_equals_ou_to_bm_chain(self):
+        ou = ou_model()
+        transform = stt.wiener_stt(ou.spec, -OU_P["alpha"], OU_P["beta"] / OU_P["sigma"])
+        chain = stt.builtin_chain("ou_to_bm", **OU_P)
+        ts = np.array([0.05, 0.7, 1.3, 2.5])
+        xs = np.linspace(-4.0, 4.0, 9)
+        for f in ("phi", "phi_inv"):
+            np.testing.assert_allclose(getattr(transform, f)(ts), getattr(chain, f)(ts),
+                                       rtol=1e-13, atol=0)
+        for t in ts:
+            for f in ("psi", "jacobian"):
+                got, want = getattr(transform, f)(t, xs), getattr(chain, f)(t, xs)
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+            ys = chain.psi(t, xs)
+            got = transform.pieces[0].inverse(t, ys)
+            assert np.all(np.abs(got - xs) <= 1e-13 * np.maximum(1.0, np.abs(xs)))
+
+    def test_special_cir_equals_inverse_of_bm_chain(self):
+        # psi of cir_special is the inverse of bm_to_special_cir's positive piece, whose
+        # time is the Brownian one phi(t)
+        alpha, sigma = 0.6, 1.1
+        sc = models.make_model("cir_special", {"alpha": alpha, "sigma": sigma}, x0=0.4)
+        transform = stt.wiener_stt(sc.spec, -alpha / 2.0, 0.0)
+        chain = stt.builtin_chain("bm_to_special_cir", alpha=alpha, sigma=sigma)
+        xs = np.array([1e-3, 0.05, 0.4, 1.0, 3.0, 12.0])
+        for t in (0.4, 1.3):
+            tau = transform.phi(t)
+            assert chain.phi(tau) == pytest.approx(t, rel=1e-14)
+            got, want = transform.psi(t, xs), chain.pieces[1].inverse(tau, xs)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("c1", [-0.8, 0.0, 0.5])
+    def test_time_maps_start_at_zero(self, c1):
+        transform = stt.wiener_stt(ou_model().spec, c1, 0.3)
+        assert transform.phi(0.0) == 0.0 and transform.phi_inv(0.0) == 0.0
+        assert stt.push_transition(ou_model(), transform).t0 == 0.0
+
+    def test_pushed_ou_is_brownian(self):
+        ou = ou_model()
+        pushed = stt.push_transition(
+            ou, stt.wiener_stt(ou.spec, -OU_P["alpha"], OU_P["beta"] / OU_P["sigma"]))
+        bm = models.make_model("bm", x0=pushed.x0)
+        for (s, t, y, x) in [(0.5, 1.2, 0.1, 0.5), (0.8, 1.6, -0.4, 0.2), (0.3, 2.0, 1.5, -2.5)]:
+            assert float(pushed.kernel.pdf(s, y, t, x)) == pytest.approx(
+                float(bm.kernel.pdf(s, y, t, x)), rel=1e-12)
+            assert float(pushed.kernel.cdf(s, y, t, x)) == pytest.approx(
+                float(bm.kernel.cdf(s, y, t, x)), rel=1e-12)
+
+    @pytest.mark.parametrize("s, t", [(0.5, 1.2), (0.7, 1.4), (0.2, 2.0)])
+    def test_pushed_ou_copula_is_gaussian(self, s, t):
+        ou = ou_model()
+        transform = stt.wiener_stt(ou.spec, -OU_P["alpha"], OU_P["beta"] / OU_P["sigma"])
+        ps, pt = transform.phi(s), transform.phi(t)
+        pushed = copula.from_transition(stt.push_transition(ou, transform), ps, pt)
+        closed = copula.gaussian_closed_form(ps, pt)
+        w = np.linspace(1e-6, 1.0 - 1e-6, 7)
+        u, v = w[None, :], w[:, None]
+        for f in ("density", "conditional"):
+            got, want = getattr(pushed, f)(u, v), getattr(closed, f)(u, v)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
