@@ -56,7 +56,7 @@ from .special import (_BVN_MAX_PROBIT, _PLACKETT_MAX_RHO, _bvn_upper, _half_norm
 __all__ = [
     "CopulaSurface", "from_transition", "gaussian_closed_form", "ou_closed_form",
     "rbm_closed_form", "cir_closed_form", "independence_surface",
-    "conditional", "cdf", "grid_eval", "cdf_on_grid", "cell_masses",
+    "grid_eval", "cdf_on_grid", "cell_masses",
     "write_grid_csv", "read_grid_csv",
 ]
 
@@ -176,23 +176,6 @@ class CopulaSurface:
         if self._conditional_core is not None:
             return self._conditional_core(u, v)
         return _unit_integral(lambda y, u: self._density_core(u, y), 0.0, v, u)
-
-
-def conditional(surface: CopulaSurface, u, v):
-    """C_{t|s}(v|u), the uniformized transition distribution of the surface."""
-    return surface.conditional(u, v)
-
-
-def cdf(surface: CopulaSurface, u, v):
-    """The copula CDF C_{s,t}(u, v) = int_0^u C_{t|s}(v|w) dw.
-
-    From the surface's CDF core where it has one (the Gaussian closed forms, and
-    the rbm one below rho = 0.925).  Otherwise integrated in z = Phi^-1(w) over
-    [-8.5, Phi^-1(u)] by Gauss-Legendre rounds, with nodes mapped back to
-    w = Phi(z) <= 1 - 1e-12; the cut range costs at most 9.5e-18 per end.
-    Both are clipped to the Frechet bounds.
-    """
-    return surface.cdf(u, v)
 
 
 # ---------------------------------------------------------------------------

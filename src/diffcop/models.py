@@ -148,7 +148,8 @@ class Kernel(Protocol):
     (0, 1)) and calls the unchecked cores of `special`.  ``pdf(s, y, t, x)`` and
     the other methods read the same bound law, so every formula is written
     once.  ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments
-    of ``pdf``; each is an analytic method, or None where the kernel has none.
+    of ``pdf``; each is an analytic method, or None where the kernel has none,
+    and a model without them has no uniformized coefficients.
     At x = -inf and +inf the pdf is 0 and the cdf 0 and 1.  Scalar arguments
     give a float (an ndarray exit ends in ``[()]``, which unwraps 0-d arrays).
     """
@@ -398,9 +399,9 @@ class _Ncx2Law:
             out *= out
             out += 2.0 * rng.standard_gamma(0.5 * (df - 1.0), lam.shape)
         else:
-            out = 2.0 * rng.standard_gamma(0.5 * df + rng.poisson(0.5 * lam))
+            out = 2.0 * rng.standard_gamma(0.5 * df + rng.poisson(0.5 * lam), lam.shape)
         out /= self.twoc
-        return out
+        return out[()]
 
     def pdf_dx(self, x):
         """d pdf/dx; at x = 0 the right-hand limit (see `special._chi2nc_pdf_dz`)."""

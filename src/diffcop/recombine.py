@@ -23,6 +23,7 @@ any exact-crossing claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -84,7 +85,8 @@ def tabulated_marginal_family(xs, cdf_values) -> Callable[[float], Marginal]:
 class RecombinedProcess:
     """Z_t = (F^Z_t)^{-1}(F^X_t(X_t)): source copula, target marginals ``target(t)``.
 
-    The transition ``kernel`` of Z is the `MappedKernel` of the source kernel through `map`.
+    The transition ``kernel`` of Z, built once per process, is the `MappedKernel` of the
+    source kernel through `map`; it is read as ``kernel.pdf``/``kernel.cdf``, as for a `Model`.
     """
 
     source: Model
@@ -99,7 +101,7 @@ class RecombinedProcess:
         p = np.clip(self.target(t).cdf(z), 1e-15, 1.0 - 1e-15)
         return self.source.marginal(t).quantile(p)
 
-    @property
+    @cached_property
     def kernel(self) -> MappedKernel:
         return MappedKernel(self.source.kernel, self.map, self.inverse_map, self._jacobian,
                             (-np.inf, np.inf))
@@ -109,22 +111,17 @@ class RecombinedProcess:
         with np.errstate(divide="ignore"):
             return self.source.marginal(t).pdf(x) / np.asarray(self.target(t).pdf(z), dtype=float)
 
-    def transition_pdf(self, s: float, z1, t: float, z2):
-        return self.kernel.pdf(s, z1, t, z2)
-
-    def transition_cdf(self, s: float, z1, t: float, z2):
-        return self.kernel.cdf(s, z1, t, z2)
-
     def sample_paths(self, times, n_paths: int, rng=None, seed=None) -> PathEnsemble:
         """Exact Z-paths: exact X-paths mapped pointwise through the recombination."""
         return _map_paths(self.source, times, n_paths, rng, seed, self.map, "recombined")
 
 
 def recombine(model: Model, target, probe_time: float | None = None) -> RecombinedProcess:
-    """Wrap a source model and a target ``t -> Marginal``; validates invertibility."""
+    """Wrap a source model and a target ``t -> Marginal``: `DomainError` unless the target's
+    law at ``probe_time`` (default t0 + 1) is a `Marginal` with strictly increasing quantiles."""
     t_probe = probe_time if probe_time is not None else model.t0 + 1.0
     law = target(t_probe) if callable(target) else None
-    if not hasattr(law, "quantile"):
+    if not isinstance(law, Marginal):
         raise DomainError("target must be a callable t -> Marginal, as Model.marginal is")
     q = np.asarray(law.quantile(np.linspace(0.05, 0.95, 7)), dtype=float)
     if not (np.all(np.isfinite(q)) and np.all(np.diff(q) > 0)):

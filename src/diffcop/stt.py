@@ -497,18 +497,12 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
 # ---------------------------------------------------------------------------
 
 def identity_transform() -> SpaceTimeTransform:
-    return SpaceTimeTransform(
-        phi=lambda t: t, phi_inv=lambda tau: tau,
-        psi=lambda t, x: np.asarray(x, dtype=float)[()],
-        jacobian=lambda t, x: np.ones_like(np.asarray(x, dtype=float))[()],
-        pieces=(MonotonePiece(-np.inf, np.inf, lambda t, y: np.asarray(y, dtype=float)[()],
-                              True),),
-        name="identity")
+    return _ou_chain(0.0, 0.0, 1.0, "identity")
 
 
 def absolute_value() -> SpaceTimeTransform:
     return SpaceTimeTransform(
-        phi=lambda t: t, phi_inv=lambda tau: tau,
+        phi=_IDENTITY_CLOCK, phi_inv=_IDENTITY_CLOCK,
         psi=lambda t, x: np.abs(np.asarray(x, dtype=float)),
         jacobian=lambda t, x: np.sign(np.asarray(x, dtype=float)),
         pieces=(MonotonePiece(-np.inf, 0.0, lambda t, y: -np.asarray(y, dtype=float), False),
@@ -553,6 +547,9 @@ def _time_map(fn: Callable, a: float) -> Callable:
     return mapped
 
 
+_IDENTITY_CLOCK = _time_map(clock, 0.0)    # t itself, as a float or a new array
+
+
 def _ou_chain(alpha: float, beta: float, sigma: float, name: str) -> SpaceTimeTransform:
     require(sigma > 0.0, "sigma must be positive")
     return SpaceTimeTransform(
@@ -593,7 +590,7 @@ def _chain_bm_to_special_cir(alpha: float, sigma: float) -> SpaceTimeTransform:
 def _chain_cir_to_rayleigh(sigma: float) -> SpaceTimeTransform:
     require(sigma > 0.0, "sigma must be positive")
     return SpaceTimeTransform(
-        phi=lambda t: t, phi_inv=lambda tau: tau,
+        phi=_IDENTITY_CLOCK, phi_inv=_IDENTITY_CLOCK,
         psi=lambda t, x: 2.0 * np.sqrt(np.asarray(x, dtype=float)) / sigma,
         jacobian=lambda t, x: 1.0 / (sigma * np.sqrt(np.asarray(x, dtype=float))),
         pieces=(MonotonePiece(0.0, np.inf,
@@ -698,10 +695,15 @@ def search_constant_c1_c2(spec: DiffusionSpec, x_grid, t_grid, x_ref: float = 0.
     """Constant (c1, c2) by one least-squares solve of the linear condition
     base = c1 I2 + c2 on the (x, t) grid; returns ``(c1, c2, residual)``, the
     residual being their worst |base - c1 I2 - c2|, as
-    `wiener_transformability_check` reads it.
+    `wiener_transformability_check` reads it.  A grid of fewer than three
+    distinct states raises `DomainError`: two unknowns fit two states exactly
+    whatever the spec, and a time-homogeneous spec repeats its equations at
+    every t.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     parts = [_condition_parts(spec, xs, float(t), x_ref) for t in np.atleast_1d(t_grid)]
+    n_states = np.unique(xs).size
+    require(n_states >= 3, f"need at least 3 distinct states to fit (c1, c2), got {n_states}")
     base = np.concatenate([p[0] for p in parts])
     i2 = np.concatenate([p[1] for p in parts])
     fit = np.linalg.lstsq(np.column_stack((i2, np.ones_like(i2))), base, rcond=None)[0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numerics import central_diff, rel_step, require
+from ._numerics import require
 from .copula import CopulaSurface
 from .errors import DomainError
 from .models import Model, PathEnsemble, _map_paths
@@ -39,19 +39,19 @@ __all__ = [
     "pseudo_observations", "ks_statistic",
 ]
 
-_DERIV_REL = 1e-5    # relative step for coefficient derivatives
 
-
-def _coefficients(model: Model, law, u, s: float, dF_ds):
+def _coefficients(model: Model, law, u, s: float, stationary: bool = False):
     """(drift, diffusion) of the uniformized process at x = law.quantile(u), time s.
 
-    ``law`` has ``quantile``, ``pdf`` and ``pdf_dx``; a ``pdf_dx`` of None is
-    replaced by central differences at relative step 1e-5 per element.
-    ``dF_ds`` maps x to dF_s/ds, or is None in the stationary regime.  A scalar
-    u runs on Python floats and returns floats, an array u returns arrays of
-    its shape.
+    ``law`` is a `Marginal`; its analytic ``pdf_dx`` is read, and its ``cdf_dt`` for
+    dF_s/ds unless ``stationary``, where that term is 0.  A law without one raises
+    `DomainError`, after the model's own check that it has coefficients.  A
+    scalar u runs on Python floats and returns floats, an array u returns arrays
+    of its shape.
     """
     mu, sigma = model.spec.coefficients()
+    pdf_dx = _analytic(model, law.pdf_dx, "pdf_dx")
+    cdf_dt = None if stationary else _analytic(model, law.cdf_dt, "cdf_dt")
     # isinstance first: np.ndim of a float goes through a caught AttributeError
     scalar = isinstance(u, float) or np.ndim(u) == 0
     val = float if scalar else (lambda a: np.asarray(a, dtype=float))
@@ -60,31 +60,31 @@ def _coefficients(model: Model, law, u, s: float, dF_ds):
     require(0.0 < lo and hi < 1.0, f"u = {lo if not 0.0 < lo else hi} lies outside (0, 1)")
     x = val(law.quantile(u))
     f = val(law.pdf(x))
-    fp = val(law.pdf_dx(x) if law.pdf_dx is not None
-             else central_diff(law.pdf, x, rel_step(x, _DERIV_REL)))
+    fp = val(pdf_dx(x))
     mu_x = val(mu(x, s))
     sg_x = val(sigma(x, s))
-    drift = mu_x * f if dF_ds is None else val(dF_ds(x)) + mu_x * f
+    drift = mu_x * f if cdf_dt is None else val(cdf_dt(x)) + mu_x * f
     return drift + 0.5 * (sg_x * sg_x) * fp, sg_x * f
+
+
+def _analytic(model: Model, derivative, name: str):
+    if derivative is None:   # the message is formatted only on failure: ops loop scalar calls
+        raise DomainError(f"model '{model.name}' has no analytic {name}, so no uniformized "
+                          "coefficients")
+    return derivative
 
 
 def uniformized_coefficients(model: Model, u, s: float):
     """Drift and diffusion coefficient of the uniformized process at (u, s).
 
     u is a scalar or an array in (0, 1) and s a scalar time after t0; returns
-    ``(drift, diffusion)`` as floats or as arrays of the shape of u.  Marginal
-    derivatives are the analytic ``pdf_dx`` and ``cdf_dt`` of the bound marginal,
-    which every catalog model has; a kernel without them gets central
-    differences at relative step 1e-5.
+    ``(drift, diffusion)`` as floats or as arrays of the shape of u.  The
+    marginal's derivatives are the analytic ``pdf_dx`` and ``cdf_dt`` of the bound
+    marginal, which every catalog model has.  A model without coefficients, or
+    whose kernel lacks either derivative, raises `DomainError`.
     """
     require(s > model.t0, f"need s > t0 = {model.t0}")
-    marg = model.marginal(s)
-    dF_ds = marg.cdf_dt
-    if dF_ds is None:
-        h = float(rel_step(s, _DERIV_REL))        # a float keeps the kernel's scalar math
-        require(s - h > model.t0, "s too close to t0 for the time derivative")
-        dF_ds = lambda x: central_diff(lambda r: model.marginal(r).cdf(x), s, h)
-    return _coefficients(model, marg, u, s, dF_ds)
+    return _coefficients(model, model.marginal(s), u, s)
 
 
 def stationary_uniformized_coefficients(model: Model, u):
@@ -99,7 +99,7 @@ def stationary_uniformized_coefficients(model: Model, u):
     """
     if model.stationary is None:
         raise DomainError(f"model '{model.name}' admits no stationary law")
-    return _coefficients(model, model.stationary, u, 0.0, None)
+    return _coefficients(model, model.stationary, u, 0.0, stationary=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ requests take the checked fixed-law table, which matches the scalar route only
 to 1e-12 (tests/test_quantile_properties.py).
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
 import diffcop as dc
 from diffcop import uniformize
 
-from test_uniformize import ALL_MODELS as CATALOG, without_derivatives
+from test_uniformize import ALL_MODELS as CATALOG
 
 P = np.linspace(0.02, 0.98, 15).reshape(3, 5)        # probabilities and copula coordinates
 Z = np.linspace(-3.0, 3.0, 15).reshape(3, 5)         # real states
@@ -67,16 +70,8 @@ def _recombine_cases():
     z = dc.recombine(source, dc.model_marginal_family(target), probe_time=1.3)
     return [("ou_to_cir.map", lambda x: z.map(1.3, x), Z),
             ("ou_to_cir.inverse_map", lambda y: z.inverse_map(1.3, y), POS),
-            ("ou_to_cir.transition_pdf", lambda y: z.transition_pdf(0.8, 1.1, 1.3, y), POS),
-            ("ou_to_cir.transition_cdf", lambda y: z.transition_cdf(0.8, 1.1, 1.3, y), POS)]
-
-
-def _uniformized_cases():
-    cases = [(name, lambda u, m=_model(name): dc.uniformized_coefficients(m, u, 1.3), P)
-             for name in CATALOG]
-    fd = without_derivatives(_model("ou"))
-    cases.append(("ou_by_differences", lambda u: dc.uniformized_coefficients(fd, u, 1.3), P))
-    return cases
+            ("ou_to_cir.kernel.pdf", lambda y: z.kernel.pdf(0.8, 1.1, 1.3, y), POS),
+            ("ou_to_cir.kernel.cdf", lambda y: z.kernel.cdf(0.8, 1.1, 1.3, y), POS)]
 
 
 def _transform_cases(label, transform, xs):
@@ -94,6 +89,15 @@ CHAINS = {"ou_to_bm": ({"alpha": 1.0, "beta": 0.5, "sigma": 0.9}, Z),
           "cir_to_rayleigh": ({"sigma": 0.8}, POS),
           "rayleigh_to_bessel": ({"b": -0.5}, POS),
           "cir_to_bessel": ({"alpha": 1.0, "sigma": 0.8}, POS)}
+# every transform the package builds, with the states its cases read
+TRANSFORMS = {
+    "identity": (dc.identity_transform(), Z),
+    "abs": (dc.absolute_value(), Z),
+    **{name: (dc.builtin_chain(name, **params), xs) for name, (params, xs) in CHAINS.items()},
+    "cir_to_rayleigh_to_bessel": (dc.compose(dc.builtin_chain("rayleigh_to_bessel", b=-0.5),
+                                             dc.builtin_chain("cir_to_rayleigh", sigma=0.8)), POS),
+    "ou": (dc.wiener_stt(_model("ou").spec, -1.0, 0.5 / 0.9), Z),
+}
 
 RANDOM = "draws from an rng: an array call and a scalar loop consume the stream differently"
 SURFACE = ("surface constructor: tests/test_copula.py::test_grid_eval_matches_pointwise "
@@ -139,14 +143,13 @@ TABLE = {
     "SpaceTimeTransform": "transform record: the constructors' cases cover psi, jacobian "
                           "and the piece inverses",
     "MonotonePiece": "piece record: the constructors' cases cover the piece inverses",
-    "identity_transform": _transform_cases("identity", dc.identity_transform(), Z),
-    "absolute_value": _transform_cases("abs", dc.absolute_value(), Z),
-    "builtin_chain": [case for name, (params, xs) in CHAINS.items()
-                      for case in _transform_cases(name, dc.builtin_chain(name, **params), xs)],
-    "compose": _transform_cases("cir_to_rayleigh_to_bessel", dc.compose(
-        dc.builtin_chain("rayleigh_to_bessel", b=-0.5),
-        dc.builtin_chain("cir_to_rayleigh", sigma=0.8)), POS),
-    "wiener_stt": _transform_cases("ou", dc.wiener_stt(_model("ou").spec, -1.0, 0.5 / 0.9), Z),
+    "identity_transform": _transform_cases("identity", *TRANSFORMS["identity"]),
+    "absolute_value": _transform_cases("abs", *TRANSFORMS["abs"]),
+    "builtin_chain": [case for name in CHAINS
+                      for case in _transform_cases(name, *TRANSFORMS[name])],
+    "compose": _transform_cases("cir_to_rayleigh_to_bessel",
+                                *TRANSFORMS["cir_to_rayleigh_to_bessel"]),
+    "wiener_stt": _transform_cases("ou", *TRANSFORMS["ou"]),
     "push_transition": _marginal_cases("cir_to_bessel", dc.push_transition(
         _model("cir"), dc.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8)).marginal(1.3),
         POS),
@@ -163,7 +166,9 @@ TABLE = {
     "first_passage_times": RANDOM,
     "FirstPassageSample": RECORD,
     # uniformized process and empirical copulas
-    "uniformized_coefficients": _uniformized_cases(),
+    "uniformized_coefficients": [
+        (name, lambda u, m=_model(name): dc.uniformized_coefficients(m, u, 1.3), P)
+        for name in CATALOG],
     "stationary_uniformized_coefficients": [
         (name, lambda u, m=_model(name): dc.stationary_uniformized_coefficients(m, u), P)
         for name in CATALOG if _model(name).stationary is not None],
@@ -207,3 +212,31 @@ def test_array_call_equals_scalar_loop(fn, xs):
     for k, got in enumerate(out):
         assert np.shape(got) == xs.shape
         np.testing.assert_array_equal(got, np.reshape([value[k] for value in loop], xs.shape))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_time_maps_return_floats_and_new_arrays(name):
+    transform = TRANSFORMS[name][0]
+    for time_map in (transform.phi, transform.phi_inv):
+        assert type(time_map(1)) is float
+        out = time_map(T)
+        assert isinstance(out, np.ndarray) and out.shape == T.shape
+        assert not np.shares_memory(out, T)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_draws_at_a_scalar_start_are_floats(name):
+    model = _model(name)
+    rng = np.random.default_rng(7)
+    assert isinstance(model.kernel.sample(0.5, model.x0, 1.0, rng), float)
+    assert isinstance(dc.sample_transition(model, 0.5, model.x0, 1.0, rng), float)
+
+
+@pytest.mark.parametrize("module", ["diffcop"] + sorted(
+    f"diffcop.{m.name}" for m in pkgutil.iter_modules(dc.__path__) if m.name != "__main__"))
+def test_module_all_names_defined_attributes(module):
+    # `__main__` is left out: importing it runs the command line
+    mod = importlib.import_module(module)
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"{module}.__all__ names missing {name!r}"
+    exec(f"from {module} import *", {})

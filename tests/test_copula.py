@@ -360,11 +360,6 @@ class TestConditionalCdfGrid:
             assert float(surf.cdf(w, 0.0)) == pytest.approx(0.0, abs=1e-9)
             assert float(surf.cdf(0.0, w)) == pytest.approx(0.0, abs=1e-9)
 
-    def test_module_level_wrappers(self):
-        surf = copula.gaussian_closed_form(1.0, 2.0)
-        assert copula.conditional(surf, 0.4, 0.7) == surf.conditional(0.4, 0.7)
-        assert copula.cdf(surf, 0.4, 0.7) == surf.cdf(0.4, 0.7)
-
     def test_partial_u_of_cdf_equals_conditional(self):
         for surf in (copula.gaussian_closed_form(1.0, 2.0),
                      copula.cir_closed_form(0.6, 4.0, 0.9, 0.8, 1.5)):

@@ -1,6 +1,7 @@
 """Recombination and first-passage-time tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ class TestTargets:
         with pytest.raises(DomainError, match=r"t -> Marginal"):
             recombine(ou_model(), target)
 
+    def test_law_with_the_methods_of_a_marginal_is_not_one(self):
+        # pdf, cdf and quantile alone do not make a target: its law must be a `Marginal`
+        law = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8},
+                                x0=1.2).marginal(1.0)
+        lookalike = SimpleNamespace(pdf=law.pdf, cdf=law.cdf, quantile=law.quantile)
+        with pytest.raises(DomainError, match=r"t -> Marginal"):
+            recombine(ou_model(), lambda t: lookalike)
+
+    def test_one_kernel_per_process(self):
+        proc = recombine(ou_model(), _bm_folded)
+        assert proc.kernel is proc.kernel
+
 
 class TestRecombination:
     def test_own_marginals_give_identity_map(self):
@@ -188,14 +201,14 @@ class TestRecombination:
         target = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
         proc = recombine(ou_model(), model_marginal_family(target))
         s, t, z1 = 0.8, 1.4, 1.1
-        mass = integrate(lambda z2: float(proc.transition_pdf(s, z1, t, z2)), 0.0, np.inf,
+        mass = integrate(lambda z2: float(proc.kernel.pdf(s, z1, t, z2)), 0.0, np.inf,
                          abs_tol=1e-8, rel_tol=1e-8)
         assert mass == pytest.approx(1.0, abs=1e-6)
         h = 1e-5
         z2 = 1.3
-        fd = (float(proc.transition_cdf(s, z1, t, z2 + h))
-              - float(proc.transition_cdf(s, z1, t, z2 - h))) / (2.0 * h)
-        assert fd == pytest.approx(float(proc.transition_pdf(s, z1, t, z2)), rel=1e-4)
+        fd = (float(proc.kernel.cdf(s, z1, t, z2 + h))
+              - float(proc.kernel.cdf(s, z1, t, z2 - h))) / (2.0 * h)
+        assert fd == pytest.approx(float(proc.kernel.pdf(s, z1, t, z2)), rel=1e-4)
 
     @pytest.mark.parametrize("name, params, x0", [
         ("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, 1.2),
@@ -206,7 +219,7 @@ class TestRecombination:
         proc = recombine(models.make_model(name, params, x0=x0), model_marginal_family(ou_model()))
         s, t, z2 = 0.8, 1.4, 0.6
         z1 = np.array([-0.4, 0.3, 1.1])
-        for method in (proc.transition_pdf, proc.transition_cdf):
+        for method in (proc.kernel.pdf, proc.kernel.cdf):
             loop = np.array([float(method(s, z, t, z2)) for z in z1])
             np.testing.assert_array_equal(method(s, z1, t, z2), loop)
 
@@ -219,7 +232,7 @@ class TestRecombination:
         xs = proc.inverse_map(1.0, zs)
         assert xs[0] == xs[1] and np.all(np.diff(xs[1:]) > 0.0)
         assert xs[0] == pytest.approx(1.31e-15, rel=0.15)
-        assert np.isfinite(float(proc.transition_pdf(0.5, 0.8, 1.0, 1e-9)))
+        assert np.isfinite(float(proc.kernel.pdf(0.5, 0.8, 1.0, 1e-9)))
 
     def test_map_monotone(self):
         target = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)

@@ -514,6 +514,13 @@ class TestWienerCondition:
             cir.spec, np.linspace(0.3, 2.5, 6), [0.5, 1.0])
         assert best > 1e-6
 
+    @pytest.mark.parametrize("xs", [[1.0], [1.0, 2.0], [1.0, 2.0, 1.0, 2.0]])
+    def test_search_rejects_fewer_than_three_states(self, xs):
+        # two states fit (c1, c2) exactly whatever the spec: the cir here fails on six
+        cir = models.make_model("cir", CIR_P, x0=1.2)
+        with pytest.raises(DomainError, match="at least 3 distinct states"):
+            stt.search_constant_c1_c2(cir.spec, xs, [0.5, 1.0])
+
     @pytest.mark.parametrize("name, params, x_ref, constants", [
         ("bm_drift", {"mu": 0.3, "sigma": 1.2}, 0.0, (0.0, 0.3 / 1.2)),
         ("ou", OU_P, 0.0, (-OU_P["alpha"], OU_P["beta"] / OU_P["sigma"])),

@@ -29,13 +29,14 @@ STATIONARY = sorted(name for name, (params, x0) in ALL_MODELS.items()
                     if models.make_model(name, params, x0=x0).stationary is not None)
 
 
-def without_derivatives(model):
-    """The model with a kernel that hides pdf_dx and cdf_dt: both come from differences."""
-    k = model.kernel
-    bind = lambda s, y, t: replace(k.bind(s, y, t), pdf_dx=None, cdf_dt=None)
-    return replace(model, kernel=SimpleNamespace(bind=bind, pdf=k.pdf, cdf=k.cdf,
-                                                 quantile=k.quantile, sample=k.sample,
-                                                 pdf_dx=None, cdf_dt=None))
+def without_derivatives(model, hidden=("pdf_dx", "cdf_dt")):
+    """The model with a kernel, and a stationary law, that hide the ``hidden`` derivatives."""
+    k, none = model.kernel, dict.fromkeys(hidden)
+    methods = {m: getattr(k, m) for m in ("pdf", "cdf", "quantile", "sample", "pdf_dx", "cdf_dt")}
+    kernel = SimpleNamespace(**{**methods, **none},
+                             bind=lambda s, y, t: replace(k.bind(s, y, t), **none))
+    law = None if model.stationary is None else replace(model.stationary, **none)
+    return replace(model, kernel=kernel, stationary=law)
 
 
 class TestZeroFlux:
@@ -58,12 +59,6 @@ class TestZeroFlux:
     def test_time_dependent(self, name, s):
         params, x0 = ALL_MODELS[name]
         model = models.make_model(name, params, x0=x0)
-        self.check(lambda u: uniformize.uniformized_coefficients(model, u, s))
-
-    @pytest.mark.parametrize("s", [0.5, 2.0])
-    def test_finite_difference_derivatives(self, s):
-        params, x0 = ALL_MODELS["ou"]
-        model = without_derivatives(models.make_model("ou", params, x0=x0))
         self.check(lambda u: uniformize.uniformized_coefficients(model, u, s))
 
     @pytest.mark.parametrize("name", STATIONARY)
@@ -108,6 +103,19 @@ class TestStationaryCoefficients:
         for u in (0.0, 1.0):
             with pytest.raises(DomainError):
                 uniformize.stationary_uniformized_coefficients(ou, u)
+
+
+@pytest.mark.parametrize("hidden, call", [
+    (("pdf_dx", "cdf_dt"), lambda m: uniformize.uniformized_coefficients(m, 0.5, 1.3)),
+    (("cdf_dt",), lambda m: uniformize.uniformized_coefficients(m, 0.5, 1.3)),
+    (("pdf_dx", "cdf_dt"), lambda m: uniformize.stationary_uniformized_coefficients(m, 0.5)),
+], ids=["both", "cdf_dt", "stationary"])
+def test_kernel_without_derivatives_has_no_coefficients(hidden, call):
+    # the coefficients read only the analytic derivatives, with no differences in their place
+    params, x0 = ALL_MODELS["ou"]
+    model = without_derivatives(models.make_model("ou", params, x0=x0), hidden)
+    with pytest.raises(DomainError, match=f"'ou' has no analytic {hidden[0]}"):
+        call(model)
 
 
 class TestTimeDependentCoefficients:
