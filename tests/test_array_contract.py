@@ -89,6 +89,7 @@ CHAINS = {"ou_to_bm": ({"alpha": 1.0, "beta": 0.5, "sigma": 0.9}, Z),
           "cir_to_rayleigh": ({"sigma": 0.8}, POS),
           "rayleigh_to_bessel": ({"b": -0.5}, POS),
           "cir_to_bessel": ({"alpha": 1.0, "sigma": 0.8}, POS)}
+
 # every transform the package builds, with the states its cases read
 TRANSFORMS = {
     "identity": (dc.identity_transform(), Z),
