@@ -21,7 +21,9 @@ C(u, v) = Phi_2(Phi^-1 u, Phi^-1 v; rho), by Genz's bivariate normal
 (`special._bvn_upper`), and so has the rbm copula below rho = 0.925, by
 Plackett's integral for a square.  Both sum positive terms on one fixed
 20-point Gauss-Legendre rule, so they keep their relative accuracy in the
-copula corners.
+copula corners.  `from_transition` takes the Gaussian core wherever the kernel
+reports its rho, ``kernel.copula_rho`` (bm, bm_drift, gbm, ou and their monotone
+pushes: a monotone map keeps the copula), and the closed forms read that rho too.
 
 Every other CDF, and the conditional of a surface without a conditional
 core, is an integral of the surface over the unit interval.  Each runs in
@@ -47,9 +49,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import clock, integrate, require
+from ._numerics import integrate, require
 from .errors import DomainError
-from .models import FoldedGaussianKernel, Model, _cir_family
+from .models import FoldedGaussianKernel, GaussianKernel, Model, _cir_family
 from .special import (_BVN_MAX_PROBIT, _PLACKETT_MAX_RHO, _bvn_upper, _half_norm_quantile,
                       _norm_cdf, _norm_pdf, _norm_quantile, _plackett_rule)
 
@@ -64,6 +66,7 @@ _CLAMP = 1e-12   # corner clamp before quantile evaluation
 _Z_END = 8.5     # probit range of the unit-interval integrals: Phi(-8.5) = 9.5e-18
 _W_END = float(_norm_cdf(-_Z_END))
 _FOLD = FoldedGaussianKernel()    # the rbm density and conditional
+_BM = GaussianKernel(0.0, 0.0, 1.0)    # the Brownian copula's rho
 
 
 def _unit(x, name: str) -> np.ndarray:
@@ -183,10 +186,15 @@ class CopulaSurface:
 # ---------------------------------------------------------------------------
 
 def from_transition(model: Model, s: float, t: float) -> CopulaSurface:
-    """Copula surface of (X_s, X_t) straight from the model's exact kernel."""
+    """Copula surface of (X_s, X_t) straight from the model's exact kernel: its quotient.
+
+    A kernel with a ``copula_rho`` below 1 (bm, bm_drift, gbm, ou and their monotone
+    pushes) gives the Gaussian copula's CDF core; the other CDFs are integrated.
+    """
     require(t > s > model.t0, f"need t0 < s < t, got t0={model.t0}, s={s}, t={t}")
     marg_s, marg_t = model.marginal(s), model.marginal(t)
     kernel = model.kernel
+    rho = None if kernel.copula_rho is None else kernel.copula_rho(model.t0, s, t)
 
     def dens(u, v):
         xu, xv = marg_s.quantile(u), marg_t.quantile(v)
@@ -197,8 +205,15 @@ def from_transition(model: Model, s: float, t: float) -> CopulaSurface:
 
     params = {"model": model.name, **dict(model.spec.params),
               "x0": model.x0, "t0": model.t0}
-    return CopulaSurface(dens, cond, time_pair=(s, t),
+    cdf = None if rho is None or rho >= 1.0 else _gaussian_cdf(rho)
+    return CopulaSurface(dens, cond, cdf, time_pair=(s, t),
                          provenance="from_transition", params=params)
+
+
+def _gaussian_cdf(rho: float) -> Callable:
+    """The Gaussian copula's CDF core for 0 <= rho < 1."""
+    # Phi_2(Phi^-1 u, Phi^-1 v; rho) as the upper probability of the negated probits
+    return lambda u, v: _bvn_upper(-_norm_quantile(u), -_norm_quantile(v), rho)
 
 
 def _gaussian_rho_surface(rho: float, time_pair, provenance, params) -> CopulaSurface:
@@ -213,11 +228,7 @@ def _gaussian_rho_surface(rho: float, time_pair, provenance, params) -> CopulaSu
         zu, zv = _norm_quantile(u), _norm_quantile(v)
         return _norm_cdf((zv - rho * zu) / w)
 
-    def cdf(u, v):
-        # Phi_2(Phi^-1 u, Phi^-1 v; rho) as the upper probability of the negated probits
-        return _bvn_upper(-_norm_quantile(u), -_norm_quantile(v), rho)
-
-    return CopulaSurface(dens, cond, cdf, time_pair=time_pair,
+    return CopulaSurface(dens, cond, _gaussian_cdf(rho), time_pair=time_pair,
                          provenance=provenance, params=params)
 
 
@@ -228,14 +239,8 @@ def gaussian_closed_form(s: float, t: float) -> CopulaSurface:
     geometric Brownian motion, independently of their drift and scale.
     """
     require(t > s > 0.0, f"need 0 < s < t, got s={s}, t={t}")
-    return _gaussian_rho_surface(math.sqrt(s / t), (s, t), "closed_form", {"family": "gaussian"})
-
-
-def _ou_rho(alpha: float, s: float, t: float) -> float:
-    # sqrt(phi(s)/phi(t)) on the clock phi = clock(2 alpha, .), read as clock(-2|alpha|, .)
-    # with the factor e^{2 alpha (s - t)} taken out for alpha > 0: nothing overflows
-    a = -2.0 * abs(alpha)
-    return math.exp(max(alpha, 0.0) * (s - t)) * math.sqrt(clock(a, s) / clock(a, t))
+    return _gaussian_rho_surface(_BM.copula_rho(0.0, s, t), (s, t), "closed_form",
+                                 {"family": "gaussian"})
 
 
 def ou_closed_form(alpha: float, s: float, t: float) -> CopulaSurface:
@@ -246,8 +251,8 @@ def ou_closed_form(alpha: float, s: float, t: float) -> CopulaSurface:
     """
     require(t > s > 0.0, f"need 0 < s < t, got s={s}, t={t}")
     require(np.isfinite(alpha), "alpha must be finite")
-    return _gaussian_rho_surface(_ou_rho(alpha, s, t), (s, t), "time_change",
-                                 {"family": "ou", "alpha": alpha})
+    return _gaussian_rho_surface(GaussianKernel(alpha, 0.0, 1.0).copula_rho(0.0, s, t), (s, t),
+                                 "time_change", {"family": "ou", "alpha": alpha})
 
 
 def rbm_closed_form(s: float, t: float) -> CopulaSurface:

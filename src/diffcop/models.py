@@ -36,6 +36,9 @@ and bessel, over the cir-family law).  A monotone map of a kernel is a kernel:
 `MappedKernel` holds the pushforward f^Y = f^X / |d psi/dx| of exp and sqrt, and
 `stt.push_transition` and the recombined process build theirs from it too.
 
+``kernel.copula_rho`` is the Gaussian law's copula correlation, kept by every
+monotone map; it is None for the fold and the cir-family law.
+
 A stationary law is the transition law at an infinite lag: `Model.stationary`
 is ``model.marginal(math.inf)`` for ou with alpha > 0, cir, cir_special and
 rayleigh with b < 0, and None for the other models.
@@ -56,11 +59,12 @@ from functools import cached_property
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
+from scipy.special import erfcx
 
 from ._numerics import any_true, clock, invert_monotone_cdf, require
 from .errors import DomainError
-from .special import (_chi2nc_cdf, _chi2nc_pdf, _chi2nc_pdf_dz, _chi2nc_quantile, _norm_cdf,
-                      _norm_pdf, _norm_quantile, _validate_nu_lambda)
+from .special import (_SQRT2, _chi2nc_cdf, _chi2nc_pdf, _chi2nc_pdf_dz, _chi2nc_quantile,
+                      _norm_cdf, _norm_pdf, _norm_quantile, _validate_nu_lambda)
 
 __all__ = [
     "DiffusionSpec", "Marginal", "Kernel", "MappedKernel", "Model",
@@ -150,12 +154,15 @@ class Kernel(Protocol):
     once.  ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments
     of ``pdf``; each is an analytic method, or None where the kernel has none,
     and a model without them has no uniformized coefficients.
+    ``copula_rho(t0, s, t)`` is rho of the Gaussian copula of (X_s, X_t) from a
+    start fixed at t0, or None where the copula is not Gaussian.
     At x = -inf and +inf the pdf is 0 and the cdf 0 and 1.  Scalar arguments
     give a float (an ndarray exit ends in ``[()]``, which unwraps 0-d arrays).
     """
 
     pdf_dx: Callable | None
     cdf_dt: Callable | None
+    copula_rho: Callable | None
 
     def bind(self, s, y, t) -> Marginal: ...
     def pdf(self, s, y, t, x): ...
@@ -166,6 +173,8 @@ class Kernel(Protocol):
 
 class _LawKernel:
     """The kernel methods of a class whose ``_law(s, y, t)`` is its law bound at (s, y, t)."""
+
+    copula_rho = None         # the copula is not Gaussian
 
     def bind(self, s, y, t) -> Marginal:
         law = self._law(s, y, t)
@@ -202,6 +211,13 @@ class GaussianKernel(_LawKernel):
 
     def __init__(self, alpha: float, beta: float, sigma: float):
         self.alpha, self.beta, self.sigma = alpha, beta, sigma
+
+    def copula_rho(self, t0: float, s: float, t: float) -> float:
+        """sqrt(phi(s - t0)/phi(t - t0)) on phi = clock(2 alpha, .), free of beta, sigma and
+        x0: read as clock(-2|alpha|, .), e^{2 alpha (s - t)} taken out for alpha > 0."""
+        a = -2.0 * abs(self.alpha)
+        return (math.exp(max(self.alpha, 0.0) * (s - t))
+                * math.sqrt(clock(a, s - t0) / clock(a, t - t0)))
 
     def _law(self, s, y, t):
         return _NormalLaw(self, s, y, t)
@@ -291,22 +307,35 @@ class _FoldedLaw:
         return self._fold(self.bm.pdf, np.add, x)
 
     def cdf(self, x):
-        """Phi(c + h) - Phi(c - h) with c = -y/sd, h = x/sd.
+        """Phi(c + h) - Phi(c - h) with c = -|y|/sd, h = x/sd: the fold of Normal(y, sd^2)
+        is that of Normal(-y, sd^2).
 
         The difference cancels for small h; there the odd Taylor series
         2 phi(c) [h + He2(c) h^3/3! + He4(c) h^5/5! + He6(c) h^7/7!]
-        (He_n the Hermite polynomials) is used instead.
+        (He_n the Hermite polynomials) is used instead, and `_lower_tail` where c + h < 0.
         """
         out = self._fold(self.bm.cdf, np.subtract, x)
         sd = self.bm.sd
-        h, c = np.maximum(x, 0.0) / sd, -self.bm.y / sd
-        small = h * (1.0 + np.abs(c)) < self._SERIES_BELOW
+        h, c = np.maximum(x, 0.0) / sd, -np.abs(self.bm.y) / sd
+        small = h * (1.0 - c) < self._SERIES_BELOW
+        far = ~small & (c + h < 0.0)
+        if any_true(far):
+            out = np.where(far, self._lower_tail(np.where(far, h, 0.0), np.where(far, c, -1.0)),
+                           out)
         h = np.where(small, h, 0.0)
         c2, h2 = c * c, h * h
         he2, he4, he6 = c2 - 1.0, (c2 - 6.0) * c2 + 3.0, ((c2 - 15.0) * c2 + 45.0) * c2 - 15.0
         series = 2.0 * _norm_pdf(c) * h * (
             1.0 + h2 * (he2 / 6.0 + h2 * (he4 / 120.0 + h2 * he6 / 5040.0)))
         return np.clip(np.where(small, series, out), 0.0, 1.0)
+
+    @staticmethod
+    def _lower_tail(h, c):
+        """Phi(c + h) - Phi(c - h) for 0 <= h < -c as Phi(c + h) (1 - r), with the ratio
+        r = e^{2hc} erfcx(-(c - h)/sqrt 2)/erfcx(-(c + h)/sqrt 2) and 2hc from h and c: the
+        difference grows ndtr's error (1e-13 many sd out) by 1/(1 - r), 2e-12 at 25 sd."""
+        log_r = 2.0 * h * c + np.log(erfcx(-(c - h) / _SQRT2) / erfcx(-(c + h) / _SQRT2))
+        return _norm_cdf(c + h) * -np.expm1(log_r)
 
     def quantile(self, p):
         p, y = np.broadcast_arrays(_check_p(p), self.bm.y)
@@ -445,6 +474,8 @@ class MappedKernel(_LawKernel):
     ``phi_inv`` the base kernel is read at times phi_inv(s), phi_inv(t).
     ``djac_dx`` (dJ/du at (t, u, x)) gives the analytic ``pdf_dx``; a
     ``static`` map, one that does not depend on time, keeps the base ``cdf_dt``.
+    A monotone map keeps the copula, so ``copula_rho`` is the base's at the phi_inv
+    times; a decreasing one too, as the Gaussian copula is its own survival copula.
     """
 
     def __init__(self, base: Kernel, psi: Callable, inverse: Callable, jacobian: Callable,
@@ -460,6 +491,8 @@ class MappedKernel(_LawKernel):
             self.pdf_dx = None
         if not static or base.cdf_dt is None:
             self.cdf_dt = None
+        if base.copula_rho is None:
+            self.copula_rho = None
 
     def _times(self, s, t):
         if self._phi_inv is None:
@@ -467,6 +500,10 @@ class MappedKernel(_LawKernel):
         ts, tt = float(self._phi_inv(s)), float(self._phi_inv(t))
         require(ts < tt, "time map is not increasing over the requested pair")
         return ts, tt
+
+    def copula_rho(self, t0, s, t):
+        t0 = t0 if self._phi_inv is None else float(self._phi_inv(t0))
+        return self.base.copula_rho(t0, *self._times(s, t))
 
     def _law(self, s, y, t):
         return _MappedLaw(self, s, y, t)

@@ -1,6 +1,7 @@
 """Copula surface tests: closed forms, quotient construction, grids, CSV."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -110,6 +111,30 @@ class TestFromTransition:
                     for u in pts for v in pts)
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("name", ["cir", "cir_special", "rbm", "rayleigh", "bessel",
+                                      "push_cir_to_bessel"])
+    def test_kernels_without_a_gaussian_copula_integrate_the_cdf(self, name):
+        if name == "push_cir_to_bessel":
+            model = stt.push_transition(
+                models.make_model("cir", CATALOG["cir"][0], x0=CATALOG["cir"][1]),
+                stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8))
+        else:
+            model = models.make_model(name, CATALOG[name][0], x0=CATALOG[name][1])
+        assert model.kernel.copula_rho is None
+        assert copula.from_transition(model, 0.8, 1.5)._cdf_core is None
+
+    def test_explosive_ou_at_a_lag_of_one_ulp_integrates_the_cdf(self):
+        # rho rounds to 1 there, where the Genz core would divide by 0
+        ou = models.make_model("ou", {"alpha": -3.0, "beta": 0.0, "sigma": 1.0}, x0=0.0)
+        t = float(np.nextafter(50.0, np.inf))
+        assert ou.kernel.copula_rho(ou.t0, 50.0, t) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surf = copula.from_transition(ou, 50.0, t)
+            got = surf.cdf(0.3, 0.6)
+        assert surf._cdf_core is None
+        assert got == pytest.approx(0.3, rel=0.0, abs=1e-15)
+
     def test_domain_validation(self):
         bm = models.make_model("bm", x0=0.0)
         surf = copula.from_transition(bm, 1.0, 2.0)
@@ -187,7 +212,8 @@ class TestOuClosedForm:
             rho = mpmath.sqrt(mpmath.expm1(a2 * s) / mpmath.expm1(a2 * t))
             w, zu, zv = mpmath.sqrt(1 - rho ** 2), _mp_norm_quantile(0.3), _mp_norm_quantile(0.6)
             dens = mpmath.npdf((zv - rho * zu) / w) / (w * mpmath.npdf(zv))
-        assert copula._ou_rho(alpha, s, t) == pytest.approx(float(rho), rel=1e-14, abs=0)
+        got = models.GaussianKernel(alpha, 0.0, 1.0).copula_rho(0.0, s, t)
+        assert got == pytest.approx(float(rho), rel=1e-14, abs=0)
         surf = copula.ou_closed_form(alpha, s, t)
         assert float(surf.density(0.3, 0.6)) == pytest.approx(float(dens), rel=1e-12, abs=0)
 
@@ -533,18 +559,43 @@ def test_cdf_matches_mpmath_at_corners(family, s, t):
 
 
 FAR_CORNERS = np.array([1e-12, 1e-6])
+_OU = models.make_model("ou", CATALOG["ou"][0], x0=CATALOG["ou"][1])
+_GBM = models.make_model("gbm", CATALOG["gbm"][0], x0=CATALOG["gbm"][1])
+_CIR = models.make_model("cir", CATALOG["cir"][0], x0=CATALOG["cir"][1])
+_BM = models.make_model("bm", x0=0.0)
 
 
-@pytest.mark.parametrize("family,lag", [("gaussian", 1.0), ("gaussian", 1e-4), ("rbm", 1.0)])
+def _far_corner_surface(family, lag):
+    """(surface at (1, 1 + lag), its mpmath rho); the ou models have alpha = 1, a clock of
+    2 alpha from t0 = 0 or 0.4."""
+    with mpmath.workdps(30):
+        bm_rho = mpmath.sqrt(1 / (1 + mpmath.mpf(lag)))
+        ou_rho, ou_t0_rho = (mpmath.sqrt(mpmath.expm1(2 * d) / mpmath.expm1(2 * (d + lag)))
+                             for d in (mpmath.mpf(1), 1 - mpmath.mpf(0.4)))
+    if family == "from_transition_ou":
+        return copula.from_transition(_OU, 1.0, 1.0 + lag), ou_rho
+    if family == "from_transition_ou_t0":
+        ou = models.make_model("ou", CATALOG["ou"][0], x0=CATALOG["ou"][1], t0=0.4)
+        return copula.from_transition(ou, 1.0, 1.0 + lag), ou_t0_rho
+    if family == "from_transition_gbm":
+        return copula.from_transition(_GBM, 1.0, 1.0 + lag), bm_rho
+    closed = copula.gaussian_closed_form if family == "gaussian" else copula.rbm_closed_form
+    return closed(1.0, 1.0 + lag), bm_rho
+
+
+@pytest.mark.parametrize("family,lag", [("gaussian", 1.0), ("gaussian", 1e-4), ("rbm", 1.0),
+                                        ("from_transition_ou", 1.0),
+                                        ("from_transition_ou", 1e-4),
+                                        ("from_transition_ou_t0", 1.0),
+                                        ("from_transition_gbm", 1.0),
+                                        ("from_transition_gbm", 1e-4)])
 def test_closed_form_cdf_matches_mpmath_in_far_corners(family, lag):
     # the CDF cores sum positive terms, so they stay relative where C is 1e-24 to 1e-6; rbm
     # has its core only below rho = 0.925 (a lag of 0.17 at s = 1)
-    surf = (copula.gaussian_closed_form if family == "gaussian" else copula.rbm_closed_form)(
-        1.0, 1.0 + lag)
+    surf, rho = _far_corner_surface(family, lag)
     assert surf._cdf_core is not None
-    oracle = _mp_gaussian_cdf if family == "gaussian" else _mp_rbm_cdf
+    oracle = _mp_rbm_cdf if family == "rbm" else _mp_gaussian_cdf
     with mpmath.workdps(30):
-        rho = mpmath.sqrt(1 / (1 + mpmath.mpf(lag)))
         exact = np.array([[float(oracle(rho, u, v)) for v in FAR_CORNERS] for u in FAR_CORNERS])
     got = copula.cdf_on_grid(surf, FAR_CORNERS, FAR_CORNERS)
     np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
@@ -562,9 +613,6 @@ def test_integrated_cdf_obeys_the_frechet_bounds(t):
         assert np.all(np.maximum(u + v - 1.0, 0.0) <= got) and np.all(got <= np.minimum(u, v))
 
 
-_OU = models.make_model("ou", CATALOG["ou"][0], x0=CATALOG["ou"][1])
-_CIR = models.make_model("cir", CATALOG["cir"][0], x0=CATALOG["cir"][1])
-_BM = models.make_model("bm", x0=0.0)
 MARGIN_SURFACES = {
     "gaussian": copula.gaussian_closed_form,
     "ou": lambda s, t: copula.ou_closed_form(0.5, s, t),
@@ -592,7 +640,7 @@ def test_cdf_has_uniform_margins(name, lag):
 def test_cdf_on_grid_takes_few_rounds(name, monkeypatch):
     # each quadrature round is one call of the conditional at the nodes; integrands in probit
     # coordinates converge in a few rounds where w-space rules bisect toward w = 0 for a
-    # dozen or more.  The closed forms are rebuilt without their CDF core, which needs no rounds
+    # dozen or more.  Each surface is rebuilt without its CDF core, which needs no rounds
     surf = MESH_SURFACES[name]()
     surf = copula.CopulaSurface(surf._density_core, surf._conditional_core,
                                 time_pair=surf.time_pair, provenance=surf.provenance)
@@ -623,17 +671,23 @@ def test_conditional_fallback_matches_closed_form(lag):
 BATCH_US, BATCH_VS = np.array([0.02, 0.5, 0.98]), np.array([0.02, 0.25, 0.75, 0.98])
 
 
-@pytest.mark.parametrize("name", ["gaussian", "rbm", "from_transition_ou", "nonmonotone_abs_bm"])
+@pytest.mark.parametrize("name", ["gaussian", "rbm", "from_transition_ou", "from_transition_cir",
+                                  "nonmonotone_abs_bm"])
 def test_cdf_is_independent_of_the_batch(name):
-    # every value owns its panels, so the points sharing a call change nothing
+    # every value owns its panels, so the points sharing a call change nothing.  The cir
+    # marginal quantiles take the fixed-law table from 201 points a call
+    # (`special._FIXED_LAW_MIN_SIZE`), so there the batch picks their route, and the values
+    # agree to round-off, as a cir grid and its cells do
+    rtol = 1e-14 if name == "from_transition_cir" else 0.0
     surf = MESH_SURFACES[name]()
     us, vs = BATCH_US, BATCH_VS
     grid = copula.cdf_on_grid(surf, us, vs)
     for j in range(vs.size):
-        np.testing.assert_array_equal(grid[:, j], copula.cdf_on_grid(surf, us, vs[j:j + 1])[:, 0])
+        np.testing.assert_allclose(grid[:, j], copula.cdf_on_grid(surf, us, vs[j:j + 1])[:, 0],
+                                   rtol=rtol, atol=0.0)
     mesh = surf.cdf(us[:, None], vs[None, :])
-    assert mesh[1, 2] == surf.cdf(us[1], vs[2])
-    assert mesh[2, 0] == surf.cdf(us[2], vs[0])
+    assert mesh[1, 2] == pytest.approx(surf.cdf(us[1], vs[2]), rel=rtol, abs=0.0)
+    assert mesh[2, 0] == pytest.approx(surf.cdf(us[2], vs[0]), rel=rtol, abs=0.0)
 
 
 def test_conditional_fallback_is_independent_of_the_batch():

@@ -292,6 +292,20 @@ class TestRbmFolding:
             else:                          # below the normal doubles
                 assert 0.0 <= g <= 1e-290
 
+    @pytest.mark.parametrize("y", [8.0, 20.0, 25.0, 37.0])
+    @pytest.mark.parametrize("sd", [0.3, 1.0])
+    def test_cdf_far_from_the_fold_matches_mpmath(self, y, sd):
+        # with the mean many sd out, Phi(c + h) - Phi(c - h) cancels beyond the series cut
+        # h (1 + |c|) = 0.03 as well: from just above the cut to near the mean
+        k = build("rbm").kernel
+        cut = 0.03 * sd / (1.0 + y)
+        x = np.concatenate((cut * np.array([1.0001, 1.01, 1.3, 3.0, 30.0]),
+                            sd * y * np.array([0.1, 0.5, 0.9, 0.99])))
+        got = k.cdf(0.0, sd * y, sd * sd, x)
+        for xi, g in zip(x, got):
+            ref = float(self.mp_folded_cdf(xi, sd * y, sd * sd))
+            assert ref >= 1e-307 and abs(g / ref - 1.0) <= 5e-13, (xi, g, ref)   # normal doubles
+
     @pytest.mark.parametrize("y", [0.0, 0.3, 1.0, 3.0])
     @pytest.mark.parametrize("p", [1e-15, 1e-12, 1e-9])
     def test_quantile_in_left_tail_matches_mpmath(self, y, p):
