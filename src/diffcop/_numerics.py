@@ -9,7 +9,8 @@ Every inversion of the package but the noncentral chi-square quantile
 (``chndtrix`` and the fixed-law table of `special`) goes through
 `invert_monotone_cdf`, one safeguarded Newton/bisection solver that first
 grows its bracket inside the state space: the reflected-BM kernel, pushed and
-tabulated marginals, that law's far left tail and the Wiener space map.
+tabulated marginals, that law's far left tail and the Wiener space map, each law
+with its density, under a fixed iteration cap.
 
 Every quantile table is one Hermite interpolant (Hoermann & Leydold, ACM TOMACS
 13, 2003): `hermite_table` builds per-cell coefficients from values and slopes
@@ -36,6 +37,7 @@ from .errors import DomainError, NumericsError
 
 _TINY = 1e-300
 _MAX_MOVES = 200                                   # bracket moves per side
+_MAX_ITER = 200                                    # solver iterations
 
 _GL20, _GL10 = np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(10)
 _GL_NODES = np.concatenate((_GL20[0], _GL10[0]))   # ascending per rule: 0 and 19 are outermost
@@ -68,11 +70,10 @@ def clock_inv(a: float, tau: float) -> float:
 
 def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
                         bounds=(-np.inf, np.inf), f_tol: float = 1e-12,
-                        x_rel_tol: float = 1e-14, max_iter: int = 200):
+                        x_rel_tol: float = 1e-14):
     """Solve ``cdf(x) = p`` for nondecreasing ``cdf`` on the open interval ``bounds``.
 
-    ``law(x)`` returns ``(cdf(x), pdf(x))`` from one evaluation, with ``pdf``
-    None where the law has no density to offer.
+    ``law(x)`` returns ``(cdf(x), pdf(x))`` from one evaluation.
 
     The start bracket [lo, hi] need not hold the root.  While ``cdf(hi) < p``
     the upper end moves out by the bracket width (at least 1) when the upper
@@ -83,7 +84,7 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
     land on its bound, raises `NumericsError`: the target is out of reach.
 
     Inside the bracket, vectorized safeguarded Newton as in rtsafe from
-    ``start``: a Newton step is taken when ``law`` gives a density, the step
+    ``start``: a Newton step is taken when the density is positive, the step
     stays strictly inside the current bracket and it is at most half the step
     before last; otherwise the bracket is bisected.  So a flat or quantized
     ``cdf``, on which Newton would creep, costs at most about two iterations
@@ -95,7 +96,7 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
     Parameters
     ----------
     law : callable accepting an ndarray of the shape of ``p`` and returning
-        the pair of ndarrays (or the cdf and None) at those points.
+        the pair of ndarrays at those points.
     p : target probabilities (scalar or array).
     lo, hi : start bracket, broadcast to the shape of ``p``, inside [bounds].
     start : the first iterate, strictly inside [lo, hi]; default the midpoint
@@ -106,9 +107,8 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
         the smaller tail probability (0 disables).  For targets outside
         (0, 1), met when a monotone map that is not a CDF is inverted, only
         the bracket-width test applies.
-    x_rel_tol : stop where the bracket is this small relative to ``|x|``.
-    max_iter : raise `NumericsError` if some root has not converged after
-        this many iterations.
+    x_rel_tol : stop where the bracket is this small relative to ``|x|``.  A root still
+        open after ``_MAX_ITER`` (200) iterations raises `NumericsError`.
 
     Returns
     -------
@@ -140,32 +140,26 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
 
     f_scale = f_tol * np.minimum(p_arr, 1.0 - p_arr)
     step_old = step = hi - lo
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         cdf, d = law(x)
         f = cdf - p_arr
         lo = np.where(f <= 0.0, x, lo)
         hi = np.where(f > 0.0, x, hi)
         done = (np.abs(f) <= f_scale) | (hi - lo <= x_rel_tol * (np.abs(x) + 1e-30))
-        if d is not None:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                newton = f / d
-            x_newton = x - newton
-            # the bracket test also rejects a step to inf or nan
-            ok = (x_newton > lo) & (x_newton < hi) & (d > _TINY)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = f / d
+        x_newton = x - newton
+        # the bracket test also rejects a step to inf or nan
+        ok = (x_newton > lo) & (x_newton < hi) & (d > _TINY)
         if done.all():
-            if d is not None:                 # the last evaluation's Newton step, for free
-                x = np.where(ok, x_newton, x)
+            x = np.where(ok, x_newton, x)     # the last evaluation's Newton step, for free
             break
-        if d is not None:
-            ok &= np.abs(newton) <= 0.5 * step_old
-        else:
-            x_newton = x
-            ok = np.zeros_like(x, dtype=bool)
+        ok &= np.abs(newton) <= 0.5 * step_old
         x_next = np.where(ok, x_newton, 0.5 * (lo + hi))
         step_old, step = step, np.abs(x_next - x)
         x = np.where(done, x, x_next)
     else:
-        raise NumericsError(f"monotone inversion did not converge in {max_iter} iterations "
+        raise NumericsError(f"monotone inversion did not converge in {_MAX_ITER} iterations "
                             f"({int(np.sum(~done))} of {done.size} roots open)")
     return float(x[0]) if np.ndim(p) == 0 else x.reshape(np.shape(p))
 

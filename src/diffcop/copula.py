@@ -274,7 +274,7 @@ def rbm_closed_form(s: float, t: float) -> CopulaSurface:
     integrated (see `special._PLACKETT_MAX_RHO`).
     """
     require(t > s > 0.0, f"need 0 < s < t, got s={s}, t={t}")
-    rho = math.sqrt(s / t)
+    rho = _BM.copula_rho(0.0, s, t)
     w2 = 1.0 - rho * rho
 
     # the fold of Normal(rho zu, w^2): B_{w^2} of a standard Brownian motion from rho zu,

@@ -75,12 +75,8 @@ __all__ = [
 # numpy draws no Poisson mean above this, about 9.2e18
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
-_CATALOG_IDS = ("bm", "bm_drift", "gbm", "ou", "rbm", "cir", "cir_special",
-                "rayleigh", "bessel")
-
-
 def catalog_ids() -> tuple[str, ...]:
-    return _CATALOG_IDS
+    return tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -748,7 +744,7 @@ def make_model(name: str, params: Mapping[str, float] | None = None, *,
     x0 on the boundary (rbm may start at its reflecting boundary 0).
     """
     if name not in _BUILDERS:
-        raise DomainError(f"unknown catalog id '{name}'; known: {', '.join(_CATALOG_IDS)}")
+        raise DomainError(f"unknown catalog id '{name}'; known: {', '.join(_BUILDERS)}")
     require(np.isfinite(x0), "x0 must be finite")
     require(np.isfinite(t0) and t0 >= 0.0, "t0 must be finite and nonnegative")
     return _BUILDERS[name](params, float(x0), float(t0))

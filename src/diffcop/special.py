@@ -4,7 +4,7 @@ chi-square.
 The noncentral chi-square cdf and quantile are validated wrappers over
 scipy's compiled ``scipy.special.chndtr`` and ``scipy.special.chndtrix``.
 The density, `chi2nc_pdf`, sums the cells of an outer mesh as one matrix
-product, and takes one of three routes per element otherwise (`_pdf`).
+product, and takes one of three routes per element otherwise (`_chi2nc_pdf`).
 
 * An outer mesh: z of shape (n, 1) against lam of shape (1, m), or the
   transpose, as the cir-family copula numerators pass (a scalar copula call
@@ -320,7 +320,7 @@ def _validate_nu_lambda(nu: float, lam) -> np.ndarray:
     return lam
 
 
-# `_pdf` takes the Bessel form for lam above this.  Boost leaves its own Bessel
+# `_chi2nc_pdf` takes the Bessel form for lam above this.  Boost leaves its own Bessel
 # form for its Poisson series there, and its cost jumps.  Per element, 2-vCPU
 # x86-64, scipy 1.17.1, 2e4 points across mean +- 5 sd, best of 7, two runs,
 # nu = 1, 6.25, 625:
@@ -476,26 +476,6 @@ def _add_log_ive(out: np.ndarray, x: np.ndarray, a: float) -> None:
     out -= 0.5 * math.log(2.0 * math.pi * a)
 
 
-def _pdf(z, nu: float, lam):
-    """The noncentral chi-square density at z >= 0, broadcasting ``lam``.
-
-    Up to nu = ``_BESSEL_MAX_NU``, an outer mesh of z and lam takes `_mesh_pdf`,
-    and the cells it leaves go to `_pdf_elements` one by one; every other call is
-    `_pdf_elements`.
-    """
-    z, lam = np.asarray(z, dtype=float), np.asarray(lam, dtype=float)
-    if nu > _BESSEL_MAX_NU:
-        return _ncx2_pdf(z, nu, lam)
-    mesh = _mesh_pdf(z, nu, lam)
-    if mesh is None:
-        return _pdf_elements(z, nu, lam)
-    out, redo = mesh
-    if any_true(redo):
-        zb, lb = np.broadcast_arrays(z, lam)
-        out[redo] = _pdf_elements(zb[redo], nu, lb[redo])
-    return out
-
-
 # `_mesh_pdf` sums the Poisson mixture to the term K where the 0F1 terms of the cell with
 # the largest q = lam z / 4 have fallen this many e-folds below their largest: the rest
 # are below 1e-17 of the sum in every cell, since a smaller q only shortens the tail.
@@ -529,7 +509,7 @@ _LOG_FLOOR = -708.0
 
 
 def _mesh_pdf(z, nu: float, lam):
-    """`_pdf` on an outer mesh as one matrix product, or None where it does not apply.
+    """`_chi2nc_pdf` on an outer mesh as one matrix product, or None where it does not apply.
 
     The mesh is z of shape (n, 1) against lam of shape (1, m), or z of shape (1, m)
     against lam of shape (n, 1); a 1 x 1 mesh is one cell of a grid.  On it the
@@ -611,7 +591,7 @@ def _poisson_terms(x, mu):
 
 
 def _pdf_elements(z, nu: float, lam):
-    """`_pdf` element by element, for nu <= ``_BESSEL_MAX_NU``.
+    """`_chi2nc_pdf` element by element, for nu <= ``_BESSEL_MAX_NU``.
 
     Elements with lam > ``_BESSEL_MIN_LAM`` take `_bessel_form` and the others
     Boost's ``_ncx2_pdf``.  Boost's values below ``_BOOST_MIN_PDF`` are replaced by
@@ -665,9 +645,24 @@ def chi2nc_pdf(z, nu: float, lam):
 
 
 def _chi2nc_pdf(z, nu: float, lam):
-    """`chi2nc_pdf`'s core: `_pdf`, and the density's limit at z = 0."""
+    """`chi2nc_pdf`'s core: the density at z >= 0, broadcasting ``lam``.
+
+    Up to nu = ``_BESSEL_MAX_NU``, an outer mesh of z and lam takes `_mesh_pdf`,
+    and the cells it leaves go to `_pdf_elements` one by one; every other call is
+    `_pdf_elements`.  At z = 0 it returns the density's limit.
+    """
     z, lam = np.asarray(z, dtype=float), np.asarray(lam, dtype=float)
-    out = _pdf(z, nu, lam)
+    if nu > _BESSEL_MAX_NU:
+        out = _ncx2_pdf(z, nu, lam)
+    else:
+        mesh = _mesh_pdf(z, nu, lam)
+        if mesh is None:
+            out = _pdf_elements(z, nu, lam)
+        else:
+            out, redo = mesh
+            if any_true(redo):
+                zb, lb = np.broadcast_arrays(z, lam)
+                out[redo] = _pdf_elements(zb[redo], nu, lb[redo])
     zero = z == 0.0
     if any_true(zero):
         # Boost returns 0 at the origin whenever lam > 0, whatever nu is
@@ -691,10 +686,10 @@ def _chi2nc_pdf_dz(z, nu: float, lam, f=None):
     zero = z == 0.0
     zp = np.where(zero, 1.0, z)
     if f is None:
-        f = _pdf(zp, nu, lam)
+        f = _chi2nc_pdf(zp, nu, lam)
     out = 0.5 * ((nu - 2.0) / zp - 1.0) * f
     if any_true(lam != 0.0):                # the first term vanishes for a central law
-        out = out + 0.5 * lam / zp * _pdf(zp, nu + 2.0, lam)
+        out = out + 0.5 * lam / zp * _chi2nc_pdf(zp, nu + 2.0, lam)
     if any_true(zero):
         e = np.exp(-lam / 2.0)
         at_zero = (-np.inf if nu < 2.0 else 0.25 * e * (0.5 * lam - 1.0) if nu == 2.0
@@ -715,7 +710,7 @@ _CHNDTR_MIN_CDF = 1e-30
 
 def _chi2nc_cdf(z, nu: float, lam):
     """`chi2nc_cdf`'s core: ``chndtr`` at z >= 0, its values below ``_CHNDTR_MIN_CDF``
-    redone as the integral of `_pdf` from 0, where the density is exact."""
+    redone as the integral of `_chi2nc_pdf` from 0, where the density is exact."""
     out = np.asarray(chndtr(z, nu, lam))
     redo = out < _CHNDTR_MIN_CDF
     if any_true(redo):
@@ -726,7 +721,7 @@ def _chi2nc_cdf(z, nu: float, lam):
         e = max(2.0 / nu, 1.0)
         # `at` carries each integral's lam to the density; the split it also sets is
         # clipped into [0, z^(1/e)], so any value serves
-        out[redo] = integrate(lambda s, ls: e * s ** (e - 1.0) * _pdf(s ** e, nu, ls),
+        out[redo] = integrate(lambda s, ls: e * s ** (e - 1.0) * _chi2nc_pdf(s ** e, nu, ls),
                               0.0, zb[redo] ** (1.0 / e), lb[redo], abs_tol=0.0, rel_tol=1e-13)
     return out
 
@@ -794,7 +789,7 @@ def _chi2nc_quantile(p, nu: float, lam):
     if p.min(initial=1.0) < _CHNDTR_MIN_CDF:             # also for an empty p
         tail = np.broadcast_to(p < _CHNDTR_MIN_CDF, out.shape)
         pt, lt = (np.broadcast_to(v, out.shape)[tail] for v in (p, lam))
-        law = lambda x: (_chi2nc_cdf(x, nu, lt), _pdf(x, nu, lt))
+        law = lambda x: (_chi2nc_cdf(x, nu, lt), _chi2nc_pdf(x, nu, lt))
         # chndtr reads low there, so its root lies above the true one; the solver
         # grows the bracket where it does not
         hi = np.where(out[tail] > 0.0, out[tail], 1.0)
@@ -810,7 +805,7 @@ def _fixed_law_quantile(p: np.ndarray, nu: float, lam: float) -> np.ndarray:
     zk = lo + (hi - lo) / m * np.arange(m + 1.0)
     with np.errstate(all="ignore"):
         xk = chndtrix(ndtr(zk), nu, lam)
-        f = _pdf(xk, nu, lam)
+        f = _chi2nc_pdf(xk, nu, lam)
         d1 = _norm_pdf(zk) / (f * xk)                           # y' and y'' of y = log x
         d2 = -zk * d1 - d1 * d1 * (1.0 + xk * _chi2nc_pdf_dz(xk, nu, lam, f) / f)
         if not (np.all(xk[1:] > xk[:-1]) and np.all(d1 > 0.0) and np.isfinite(d2).all()):

@@ -33,7 +33,7 @@ drift/diffusion condition for transformability into Brownian motion,
     mu/sigma = sigma_x/2 + int sigma_t/sigma^2 dx + c1 int dx/sigma + c2,
 
 with constants c1, c2 fitted by least squares, and its constructive
-transformation on the same clock.
+transformation on the same clock; both read one space integral (`_space`).
 """
 
 from __future__ import annotations
@@ -646,25 +646,31 @@ def _sigma(diffusion: Callable) -> Callable:
     return lambda x, t: np.broadcast_to(np.asarray(diffusion(x, t), dtype=float), np.shape(x))
 
 
-def _condition_parts(spec: DiffusionSpec, x: np.ndarray, t: float,
-                     x_ref: float) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (base, I2) at the states x, with base = mu/sigma - sigma_x/2 - int sigma_t/sigma^2.
+def _space(sig: Callable, t: float, x_ref: float, x):
+    """The space map S(t, x) = int_{x_ref}^x dy/sigma(y, t), one `integrate` call for all of x."""
+    return integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref, abs_tol=1e-12, rel_tol=1e-12)
 
-    Each integral over [x_ref, x] is one `integrate` call for all of x.
-    """
+
+def _condition_rows(spec: DiffusionSpec, x_grid, t_grid,
+                    x_ref: float) -> tuple[np.ndarray, np.ndarray]:
+    """(base, I2) at the states x_grid, stacked t by t over t_grid: base = mu/sigma - sigma_x/2
+    - int sigma_t/sigma^2 and I2 = `_space`, each integral one `integrate` call per t."""
     drift, diffusion = spec.coefficients()
     sig = _sigma(diffusion)
-    s_val = sig(x, t)
-    vanish = ~(s_val > 0.0)
-    if np.any(vanish):
-        raise DomainError(f"diffusion coefficient vanishes at x={x[vanish][0]}")
-    sigma_x = central_diff(lambda xx: sig(xx, t), x, rel_step(x, _DERIV_REL))
-    h_t = rel_step(t, _DERIV_REL)
-    i1 = integrate(lambda y, _: central_diff(lambda tt: sig(y, tt), t, h_t) / sig(y, t) ** 2,
-                   x_ref, x, x_ref, abs_tol=1e-10, rel_tol=1e-10)
-    i2 = integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref, abs_tol=1e-12, rel_tol=1e-12)
-    mu = np.asarray(drift(x, t), dtype=float)
-    return mu / s_val - sigma_x / 2.0 - i1, i2
+    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    base, i2 = [], []
+    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)).tolist():
+        s_val = sig(x, t)
+        vanish = ~(s_val > 0.0)
+        if np.any(vanish):
+            raise DomainError(f"diffusion coefficient vanishes at x={x[vanish][0]}")
+        sigma_x = central_diff(lambda xx: sig(xx, t), x, rel_step(x, _DERIV_REL))
+        h_t = rel_step(t, _DERIV_REL)
+        i1 = integrate(lambda y, _: central_diff(lambda tt: sig(y, tt), t, h_t) / sig(y, t) ** 2,
+                       x_ref, x, x_ref, abs_tol=1e-10, rel_tol=1e-10)
+        base.append(np.asarray(drift(x, t), dtype=float) / s_val - sigma_x / 2.0 - i1)
+        i2.append(_space(sig, t, x_ref, x))
+    return np.concatenate(base), np.concatenate(i2)
 
 
 def _constant(name: str, c) -> float:
@@ -683,11 +689,8 @@ def wiener_transformability_check(spec: DiffusionSpec, c1, c2, x_grid, t_grid,
     `DomainError`.  Returns ``(passed, max_residual)``.
     """
     c1, c2 = _constant("c1", c1), _constant("c2", c2)
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    worst = 0.0
-    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-        base, i2 = _condition_parts(spec, xs, float(t), x_ref)
-        worst = max(worst, float(np.max(np.abs(base - c1 * i2 - c2))))
+    base, i2 = _condition_rows(spec, x_grid, t_grid, x_ref)
+    worst = float(np.max(np.abs(base - c1 * i2 - c2)))
     return worst <= tol, worst
 
 
@@ -700,12 +703,9 @@ def search_constant_c1_c2(spec: DiffusionSpec, x_grid, t_grid, x_ref: float = 0.
     whatever the spec, and a time-homogeneous spec repeats its equations at
     every t.
     """
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    parts = [_condition_parts(spec, xs, float(t), x_ref) for t in np.atleast_1d(t_grid)]
-    n_states = np.unique(xs).size
+    base, i2 = _condition_rows(spec, x_grid, t_grid, x_ref)
+    n_states = np.unique(np.asarray(x_grid, dtype=float)).size
     require(n_states >= 3, f"need at least 3 distinct states to fit (c1, c2), got {n_states}")
-    base = np.concatenate([p[0] for p in parts])
-    i2 = np.concatenate([p[1] for p in parts])
     fit = np.linalg.lstsq(np.column_stack((i2, np.ones_like(i2))), base, rcond=None)[0]
     c1, c2 = float(fit[0]), float(fit[1])
     return c1, c2, float(np.max(np.abs(base - c1 * i2 - c2)))
@@ -726,14 +726,10 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0) -> SpaceTimeTran
     c1, c2 = _constant("c1", c1), _constant("c2", c2)
     sig = _sigma(spec.coefficients()[1])
 
-    def space(t, x):
-        return integrate(lambda y, _: 1.0 / sig(y, t), x_ref, x, x_ref,
-                         abs_tol=1e-11, rel_tol=1e-11)
-
     def psi(t, x):
         x = np.asarray(x, dtype=float)
         try:
-            s = space(t, x)
+            s = _space(sig, t, x_ref, x)
         except NumericsError:
             if not np.all(np.isinf(x)):
                 raise
@@ -756,8 +752,8 @@ def wiener_stt(spec: DiffusionSpec, c1, c2, x_ref: float = 0.0) -> SpaceTimeTran
     def inverse(t, y):
         # psi(t, x) = y  <=>  S(t, x) = (y + c2 clock(-c1, t)) / e^{-c1 t}, dS/dx = 1/sigma
         target = (np.asarray(y, dtype=float) + c2 * clock(-c1, t)) / math.exp(-c1 * t)
-        return invert_monotone_cdf(lambda x: (space(t, x), 1.0 / sig(x, t)), target, start,
-                                   start, bounds=spec.interval, f_tol=0.0, x_rel_tol=1e-12)
+        return invert_monotone_cdf(lambda x: (_space(sig, t, x_ref, x), 1.0 / sig(x, t)), target,
+                                   start, start, bounds=spec.interval, f_tol=0.0, x_rel_tol=1e-12)
 
     return SpaceTimeTransform(
         phi=_time_map(clock, -2.0 * c1), phi_inv=_time_map(clock_inv, -2.0 * c1),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numerics import require
+from ._numerics import central_diff, require
 from .copula import CopulaSurface
 from .errors import DomainError
 from .models import Model, PathEnsemble, _map_paths
@@ -145,8 +145,7 @@ def kolmogorov_copula_residual(surface: CopulaSurface, model: Model,
 def conditional_du(surface: CopulaSurface, u, v, h: float = 1e-4):
     """Central difference d/du of the conditional at broadcast arrays u and v;
     used for reflection checks."""
-    return (np.asarray(surface.conditional(u + h, v))
-            - np.asarray(surface.conditional(u - h, v))) / (2.0 * h)
+    return central_diff(lambda uu: np.asarray(surface.conditional(uu, v)), u, h)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ def rbm_density_oracle(u, v, s, t):
     return trans / marg
 
 
-def _pushed_bessel():
+def _pushed_bessel(s=1.0, t=2.0):
     cir = models.make_model("cir", {"alpha": 1.0, "beta": 1.0, "sigma": 0.8}, x0=1.2)
     chain = stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8)
-    return copula.from_transition(stt.push_transition(cir, chain), 1.0, 2.0)
+    return copula.from_transition(stt.push_transition(cir, chain), s, t)
 
 
 def _quadrature_conditional():
@@ -477,7 +477,7 @@ class TestConditionalCdfGrid:
         ("from_transition_rayleigh", 51), ("from_transition_bessel", 51),
         ("push_cir_to_bessel", 51)])
     def test_benchmark_sized_grid_matches_pointwise(self, name, n):
-        # the chi-square numerators of these grids take the mesh route of `special._pdf`
+        # the chi-square numerators of these grids take the mesh route of `special._chi2nc_pdf`
         # (K up to about 600 terms), and a scalar call is a 1 x 1 grid: each cell is on
         # the same route either way, so the two differ only in the order of the K-term
         # sum, as in the 5 x 5 grids above
@@ -721,3 +721,57 @@ def test_conditional_fallback_fails_loudly_on_a_nan_density():
     surf = _bad_surface(density_core=lambda u, v: np.full(np.broadcast(u, v).shape, np.nan))
     with pytest.raises(NumericsError):
         surf.conditional(0.4, 0.7)
+
+
+# The Markov copula identity (Darsow, Nguyen & Olsen, Illinois J. Math. 36, 1992):
+# C_{s,t} = C_{s,r} * C_{r,t}, for densities c_{s,t}(u, v) = int_0^1 c_{s,r}(u, w) c_{r,t}(w, v) dw.
+# Each constructor maps a time pair (s, t) to its surface.
+def _from_catalog(name):
+    model = models.make_model(name, CATALOG[name][0], x0=CATALOG[name][1])
+    return lambda s, t: copula.from_transition(model, s, t)
+
+
+MARKOV_SURFACES = {
+    "gaussian": copula.gaussian_closed_form,
+    "ou_mean_reverting": lambda s, t: copula.ou_closed_form(0.7, s, t),
+    "ou_explosive": lambda s, t: copula.ou_closed_form(-0.4, s, t),
+    "rbm": copula.rbm_closed_form,
+    "cir_gamma6.25": lambda s, t: copula.cir_closed_form(1.0, 6.25, 0.9, s, t),
+    "cir_gamma1_x0_zero": lambda s, t: copula.cir_closed_form(1.0, 1.0, 0.0, s, t),
+    **{f"from_transition_{name}": _from_catalog(name)
+       for name in ("cir", "rayleigh", "gbm", "rbm")},
+    "nonmonotone_abs_bm": lambda s, t: stt.nonmonotone_copula(
+        models.make_model("bm", x0=0.0), stt.absolute_value(), s, t),
+    "push_cir_to_bessel": _pushed_bessel,
+}
+MARKOV_TIMES = (1.0, 1.5, 2.5)                 # s < r < t
+MARKOV_POINTS = ((0.3, 0.6), (0.05, 0.9), (0.9, 0.2), (1e-4, 1e-3), (0.999, 0.995))
+
+
+def _composed_density(first, second, u, v):
+    """int_0^1 c1(u, w) c2(w, v) dw through the density cores: the public `density` clamps
+    its arguments at 1e-12, which the quadrature nodes pass below."""
+    c1, c2 = first._density_core, second._density_core
+    return float(copula._unit_integral(lambda w, _: c1(u, w) * c2(w, v), 0.0, 1.0, u))
+
+
+@pytest.mark.parametrize("name", MARKOV_SURFACES)
+def test_markov_identity_composes_time_pairs(name):
+    make, (s, r, t) = MARKOV_SURFACES[name], MARKOV_TIMES
+    first, second, direct = make(s, r), make(r, t), make(s, t)
+    for u, v in MARKOV_POINTS:
+        want = float(direct._density_core(np.array(u), np.array(v)))
+        got = _composed_density(first, second, np.array(u), np.array(v))
+        assert got == pytest.approx(want, rel=1e-9, abs=0), (u, v)
+
+
+def test_markov_identity_rejects_independence_composed_with_ou():
+    # at (1e-4, 1e-3) the ou density is 15.5; independence composed with ou integrates a
+    # copula density over its first argument and reads 1
+    s, r, t = MARKOV_TIMES
+    u, v = np.array(1e-4), np.array(1e-3)
+    want = float(copula.ou_closed_form(0.7, s, t)._density_core(u, v))
+    got = _composed_density(copula.independence_surface((s, r)),
+                            copula.ou_closed_form(0.7, r, t), u, v)
+    assert want == pytest.approx(15.5, rel=0.01)
+    assert got == pytest.approx(1.0, rel=1e-9, abs=0)

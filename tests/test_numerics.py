@@ -114,7 +114,8 @@ def _inside_only(f, lo, hi):
 
 
 def _law(cdf, pdf=None):
-    """The ``(cdf, pdf)`` pair that `invert_monotone_cdf` evaluates, pdf None if absent."""
+    """The ``(cdf, pdf)`` pair that `invert_monotone_cdf` evaluates.  Bracket growth reads
+    the cdf alone, so a law whose solve fails there may leave pdf None."""
     return lambda x: (cdf(x), None if pdf is None else pdf(x))
 
 
@@ -185,7 +186,7 @@ def test_solver_takes_the_last_evaluations_newton_step():
 
 
 def test_solver_returns_a_float_for_a_scalar_and_the_shape_of_an_array():
-    solve = lambda p: invert_monotone_cdf(_law(special.norm_cdf), p, -1.0, 1.0)
+    solve = lambda p: invert_monotone_cdf(_law(special.norm_cdf, special.norm_pdf), p, -1.0, 1.0)
     for p in (0.3, np.float64(0.3), np.array(0.3)):
         assert type(solve(p)) is float
     p = np.array([[0.1, 0.5], [0.9, 1e-6]])

@@ -1,11 +1,11 @@
 """Property test of the noncentral chi-square density against mpmath.
 
 `special.chi2nc_pdf` takes the scaled Bessel form above lam = 50 and Boost's
-density below (see `special._pdf`); the form's Bessel factor is scipy's ``ive``
+density below (see `special._chi2nc_pdf`); the form's Bessel factor is scipy's ``ive``
 below the order ``_DEBYE_MIN_ORDER`` and the uniform expansion from it on.
 Over nu up to the form's bound and lam up to 1e5, from mean + 8 sd down to
 z = 1e-8, it must agree with mpmath to 1e-12 relative wherever the true
-density is a normal double.  On an outer mesh `special._pdf` sums the Poisson
+density is a normal double.  On an outer mesh `special._chi2nc_pdf` sums the Poisson
 mixture as one matrix product (`special._mesh_pdf`); that route must agree with
 the per-element ones to 1e-12, or with mpmath where they are off.
 """
@@ -106,7 +106,7 @@ def test_routes_meet_at_the_debye_order(lam):
        lam_decades=st.floats(0.0, 3.0), z_sd=st.floats(-8.0, 8.0),
        z_decades=st.floats(0.01, 6.0))
 def test_mesh_matches_elements(nu, lam_hi, lam_decades, z_sd, z_decades):
-    # the mesh route of `special._pdf` against the per-element routes on 19 x 17 meshes:
+    # the mesh route of `special._chi2nc_pdf` against the per-element routes on 19 x 17 meshes:
     # lam up to 2000, and up to 50 where larger lam takes the Debye route; z from its top,
     # mean + z_sd sd of the largest lam, down z_decades decades (not below 1e-8)
     top = 10.0 ** lam_hi
@@ -119,7 +119,7 @@ def test_mesh_matches_elements(nu, lam_hi, lam_decades, z_sd, z_decades):
     assume(route is not None)                    # every q above the route's
     mesh, redo = route
     each = special._pdf_elements(z, nu, lam)
-    np.testing.assert_array_equal(special._pdf(z, nu, lam)[redo], each[redo])
+    np.testing.assert_array_equal(special._chi2nc_pdf(z, nu, lam)[redo], each[redo])
     with np.errstate(divide="ignore", invalid="ignore"):
         apart = ~redo & ~(np.abs(mesh / each - 1.0) <= 1e-12)
     # where the per-element route is itself off (up to 1.1e-12 at nu near 1000, far in

@@ -14,7 +14,7 @@ from scipy.special import chndtrix, iv, ndtr
 from scipy.special._ufuncs import _ncx2_pdf
 
 import diffcop
-from diffcop import copula, models, special
+from diffcop import _numerics, copula, models, special
 from diffcop._numerics import invert_monotone_cdf
 from diffcop.errors import DomainError, NumericsError
 
@@ -314,7 +314,7 @@ def outer(z_range, lam_range, n):
 
 
 class TestChi2ncMesh:
-    """The mesh route of `special._pdf`: the Poisson mixture as one matrix product."""
+    """The mesh route of `special._chi2nc_pdf`: the Poisson mixture as one matrix product."""
 
     @pytest.mark.parametrize("nu, z_range, lam_range, n", BENCHMARK_MESHES)
     def test_against_mpmath(self, mp30, nu, z_range, lam_range, n):
@@ -348,7 +348,7 @@ class TestChi2ncMesh:
         lam = np.geomspace(0.1, 5.0, 20)[None, :]
         _, redo = special._mesh_pdf(z, 1.0, lam)
         assert redo[-1, 0] and not redo[0].any()
-        f = special._pdf(z, 1.0, lam)
+        f = special._chi2nc_pdf(z, 1.0, lam)
         np.testing.assert_array_equal(f[redo], special._pdf_elements(z, 1.0, lam)[redo])
         with mp.workdps(30):
             assert f[-1, 0] == pytest.approx(float(mp_chi2nc_pdf(1380.0, 1.0, 0.1)), rel=1e-12)
@@ -610,14 +610,16 @@ class TestCopulaCorner:
 
 
 class TestMonotoneInversion:
-    def test_unconverged_root_raises(self):
-        # three bisections of [-50, 50] stop at -6.25, whose cdf is 2.1e-10, not 0.3
+    def test_unconverged_root_raises(self, monkeypatch):
+        # three Newton iterations from 0 leave the cdf 4.7e-5 above 0.3, far outside f_tol
+        monkeypatch.setattr(_numerics, "_MAX_ITER", 3)
         with pytest.raises(NumericsError):
-            invert_monotone_cdf(lambda x: (ndtr(x), None), 0.3, -50.0, 50.0, max_iter=3)
+            invert_monotone_cdf(lambda x: (ndtr(x), special._norm_pdf(x)), 0.3, -50.0, 50.0)
 
     def test_tolerance_relative_to_tail(self):
         # an absolute f_tol of 1e-9 would accept any x whose cdf is below 1.001e-9
-        x = invert_monotone_cdf(lambda x: (ndtr(x), None), 1e-12, -50.0, 50.0, f_tol=1e-9)
+        x = invert_monotone_cdf(lambda x: (ndtr(x), special._norm_pdf(x)), 1e-12, -50.0, 50.0,
+                                f_tol=1e-9)
         assert ndtr(x) == pytest.approx(1e-12, rel=1e-9, abs=0)
 
 
