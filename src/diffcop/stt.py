@@ -46,8 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import (central_diff, clock, clock_inv, hermite_eval, hermite_table, integrate,
-                        invert_monotone_cdf, rel_step, require)
+from ._numerics import (any_true, central_diff, clock, clock_inv, hermite_eval, hermite_table,
+                        integrate, invert_monotone_cdf, rel_step, require)
 from .copula import CopulaSurface
 from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
@@ -91,7 +91,8 @@ def _clip_pieces(transform: SpaceTimeTransform, interval) -> list[MonotonePiece]
     for piece in transform.pieces:
         lo, hi = max(piece.lo, lo_i), min(piece.hi, hi_i)
         if lo < hi:
-            out.append(MonotonePiece(lo, hi, piece.inverse, piece.increasing))
+            out.append(piece if (lo, hi) == (piece.lo, piece.hi)
+                       else MonotonePiece(lo, hi, piece.inverse, piece.increasing))
     if not out:
         raise DomainError("transform has no monotone piece overlapping the diffusion interval")
     return out
@@ -106,24 +107,46 @@ def _piece_range(transform: SpaceTimeTransform, piece: MonotonePiece, t: float):
 class _Split:
     """psi(t, .) at one time t, cut into its monotone pieces on the diffusion interval.
 
-    The ranges (``lo_v``, ``hi_v``), ``increasing``, ``states`` and their levels
-    have shape ``(pieces, 1)``, to broadcast against levels on one axis.
+    Per piece, as columns of shape ``(pieces, 1)`` that broadcast against levels on
+    one axis: the ends ``lo_x``, ``hi_x`` of its interval, the ends ``lo_v``,
+    ``hi_v`` of its open range, ``increasing``, and one state inside it
+    (``states``, read in place of a missing preimage) and that state's level.
+    ``bounds`` holds the interval ends as rows, ``inner`` marks those inside the
+    diffusion interval and ``probe`` reads them there, a state elsewhere.
     """
 
     def __init__(self, transform: SpaceTimeTransform, interval, t: float):
         self.transform, self.t = transform, t
         self.pieces = tuple(_clip_pieces(transform, interval))
-        ranges = np.array([_piece_range(transform, p, t) for p in self.pieces])  # open ranges
-        self.lo_v, self.hi_v = ranges[:, :1], ranges[:, 1:]
-        self.support = (float(ranges[:, 0].min()), float(ranges[:, 1].max()))
-        self.bounds = np.array([(p.lo, p.hi) for p in self.pieces])
+        rows = []
+        for p in self.pieces:
+            lo, hi = p.lo, p.hi
+            state = (0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi)
+                     else min(max(0.0, lo + 1.0), hi - 1.0))
+            rows.append((lo, hi, *_piece_range(transform, p, t), state, p.increasing))  # open ranges
+        cols = np.array(rows).T[:, :, None]
+        self.lo_x, self.hi_x, self.lo_v, self.hi_v, self.states = cols[:5]
+        self.increasing = cols[5] > 0.0
+        self.support = (min(r[2] for r in rows), max(r[3] for r in rows))
+        self.bounds = cols[:2, :, 0].T
         self.inner = (interval[0] < self.bounds) & (self.bounds < interval[1])
-        self.increasing = np.array([[p.increasing] for p in self.pieces])
-        # one state inside each piece, read in place of a missing preimage, and its level
-        self.states = np.array([[0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi)
-                                 else min(max(0.0, lo + 1.0), hi - 1.0)]
-                                for lo, hi in self.bounds.tolist()])
         self.state_levels = np.asarray(transform.psi(t, self.states), dtype=float)
+        self.probe = np.where(self.inner, self.bounds, self.states)
+
+
+def _complete(mask) -> bool:
+    """Whether ``mask`` is set everywhere: one count costs less than the `np.where`
+    that a complete mask makes idle."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _over_pieces(a):
+    """``a.sum(axis=0)``, the sum over the leading pieces axis row by row, at less cost
+    for the few pieces of a transform."""
+    out = a[0]
+    for row in a[1:]:
+        out = out + row
+    return out
 
 
 def _piece_inverses(split: _Split, q):
@@ -131,14 +154,18 @@ def _piece_inverses(split: _Split, q):
     inside each piece's open range, ``x`` is their inverse there and the piece's
     fixed state elsewhere, and ``found`` marks the inverses strictly inside their
     piece."""
-    flat = np.reshape(q, (1, -1))
+    flat = np.asarray(q).reshape(1, -1)
     hit = (split.lo_v < flat) & (flat < split.hi_v)
-    y = np.where(hit, flat, split.state_levels)
-    x = np.empty(y.shape)
+    every = _complete(hit)                        # every level on every piece
+    y = flat[0] if every else np.where(hit, flat, split.state_levels)
+    x = np.empty(hit.shape)
     for k, piece in enumerate(split.pieces):
-        x[k] = piece.inverse(split.t, y[k])
-    x = np.where(hit, x, split.states)
-    found = hit & (split.bounds[:, :1] < x) & (x < split.bounds[:, 1:])
+        x[k] = piece.inverse(split.t, y if every else y[k])
+    if not every:
+        x = np.where(hit, x, split.states)
+    found = hit & (split.lo_x < x) & (x < split.hi_x)
+    if np.ndim(q) == 1:
+        return x, found, hit
     shape = (len(split.pieces),) + np.shape(q)
     return x.reshape(shape), found.reshape(shape), hit.reshape(shape)
 
@@ -148,11 +175,16 @@ def _jacobian(split: _Split, x, found):
     rounds onto its piece's end is no preimage) read at its piece's state, and |J_t|
     there.  A preimage on a zero of the Jacobian raises `DomainError`, naming the
     point."""
-    xf = np.where(found, x, split.states.reshape((-1,) + (1,) * (np.ndim(x) - 1)))
+    complete = _complete(found)
+    if complete:
+        xf = x
+    else:
+        states = split.states.reshape((-1,) + (1,) * (x.ndim - 1))
+        xf = np.where(found, x, states)
     jac = np.abs(np.asarray(split.transform.jacobian(split.t, xf), dtype=float))
-    if not (jac.min(initial=np.inf, where=found) >= 1e-300
-            and jac.max(initial=0.0, where=found) < np.inf):
-        vanish = found & ~((jac >= 1e-300) & (jac < np.inf))
+    ok = (jac >= 1e-300) & (jac < np.inf)
+    if not _complete(ok if complete else ok | ~found):
+        vanish = found & ~ok
         raise DomainError(f"Jacobian vanishes at preimage x={xf[vanish][0]:.6g} (time {split.t})")
     return xf, jac
 
@@ -161,7 +193,12 @@ def _terms(f, jac, found):
     """The pushed density's terms f(x)/|J_t(x)| per piece, 0 on a piece without a
     preimage; ``f`` is X's density at `_jacobian`'s states, of any shape they
     broadcast to."""
+    if _complete(found):
+        return f / jac
     return np.divide(f, jac, out=np.zeros(np.shape(f)), where=found)
+
+
+_EDGE = np.array([0.0, 1.0])
 
 
 def _piece_ends(cdf: Callable, split: _Split, ndim: int = 0):
@@ -169,12 +206,11 @@ def _piece_ends(cdf: Callable, split: _Split, ndim: int = 0):
     shape, for a ``cdf`` whose own arguments have ``ndim`` axes.  The ends of the
     diffusion interval read 0 and 1 without a call."""
     # only a piece's lower end can be the interval's lower end
-    edge = np.array([0.0, 1.0]).reshape((2,) + (1,) * ndim)
+    edge = _EDGE.reshape((2,) + (1,) * ndim)
     shape = split.inner.shape + (1,) * ndim
-    if not split.inner.any():
+    if not any_true(split.inner):
         return np.broadcast_to(edge, shape)
-    probe = np.where(split.inner, split.bounds, split.states).reshape(shape)
-    return np.where(split.inner.reshape(shape), cdf(probe), edge)
+    return np.where(split.inner.reshape(shape), cdf(split.probe.reshape(shape)), edge)
 
 
 def _piece_parts(F, ends, split: _Split, upper=False):
@@ -192,8 +228,10 @@ def _sum_parts(part, whole, split: _Split, q, hit, upper=False):
     """Sum over the pieces of ``part`` where the level ``q`` lies inside the piece's
     range, else of the whole piece's mass ``whole`` or nothing, as the range lies
     below (above where ``upper``) the level or not."""
+    if _complete(hit):
+        return _over_pieces(part)
     over = q >= split.hi_v.reshape((-1,) + (1,) * np.ndim(q))
-    return np.where(hit, part, np.where(over != upper, whole, 0.0)).sum(axis=0)
+    return _over_pieces(np.where(hit, part, np.where(over != upper, whole, 0.0)))
 
 
 def _pushed_cdf(cdf: Callable, ends, split: _Split, q):
@@ -207,10 +245,13 @@ def _pushed_cdf(cdf: Callable, ends, split: _Split, q):
 # A cdf difference below this share of its larger term has lost more than 8 bits;
 # where such parts decide a pushed mass, they are integrated from the density.
 _CANCELLED = 1.0 / 256
-# X's quantiles at these probabilities place the start table's levels: a probit
-# grid, out to where a monotone map's levels fall below the table's floor of
-# `_CANCELLED` per piece.
-_TABLE_U = _norm_cdf(np.linspace(-3.0, 3.0, 25))
+# The start table's levels are psi of X's quantiles at these shares of each piece's
+# mass: a probit grid, out to where a monotone map's levels fall below the table's
+# floor of `_CANCELLED` per piece, fine enough that two Newton steps finish a solve.
+_TABLE_U = _norm_cdf(np.linspace(-3.0, 3.0, 49))
+# Levels closer than this, relative, are one level: two pieces that mirror each other
+# give each level twice, to a few ulps.
+_TABLE_MERGE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -220,7 +261,9 @@ class _StartTable:
     coefficients of the cubic Hermite interpolant of y in zeta
     (`_numerics.hermite_table`).  Per support end, the mass between it and the end
     level (``end_mass``) and the exponent ``kappa`` of the power law of that mass
-    which meets the end level's density."""
+    which meets the end level's density.  The levels are psi of X's quantiles at
+    `_TABLE_U` of every piece's own share of X's mass, so each piece places its own
+    grid of levels over its part of the range."""
 
     y: np.ndarray
     zeta: np.ndarray
@@ -243,13 +286,12 @@ class _PushedMarginal:
         self.ends = _piece_ends(marg.cdf, split, 1)
         lo, hi = self.ends[:, 0], self.ends[:, 1]
         whole = hi - lo
-        self.whole = self._integrated(whole, whole < _CANCELLED * hi,
-                                      split.bounds[:, :1], split.bounds[:, 1:])
+        self.whole = self._integrated(whole, whole < _CANCELLED * hi, split.lo_x, split.hi_x)
 
     def _integrated(self, mass, redo, a, b):
         """``mass`` with its ``redo`` elements replaced by the integrals of X's density
         over (a, b)."""
-        if not redo.any():
+        if not any_true(redo):
             return mass
         mass = mass.copy()
         mass[redo] = integrate(lambda x, _: self.marg.pdf(x), a[redo], b[redo], a[redo],
@@ -267,20 +309,20 @@ class _PushedMarginal:
         of its larger term, where the rounding of that term is more than `_CANCELLED`
         of the mass, is the integral of X's density over the part instead."""
         mass, part, big, left = self._side(F, hit, q, upper)
-        if not (mass < _CANCELLED * len(self.split.pieces)).any():   # each term is <= 1
+        if not any_true(mass < _CANCELLED * len(self.split.pieces)):   # each term is <= 1
             return mass
         cancelled = (hit & (part < _CANCELLED * big)
-                     & (mass < _CANCELLED * np.where(hit, big, 0.0).sum(axis=0)))
-        if not cancelled.any():
+                     & (mass < _CANCELLED * _over_pieces(np.where(hit, big, 0.0))))
+        if not any_true(cancelled):
             return mass
-        bounds = self.split.bounds
-        part = self._integrated(part, cancelled, np.where(left, bounds[:, :1], x),
-                                np.where(left, x, bounds[:, 1:]))
-        return _sum_parts(part, self.whole, self.split, q, hit, upper)
+        split = self.split
+        part = self._integrated(part, cancelled, np.where(left, split.lo_x, x),
+                                np.where(left, x, split.hi_x))
+        return _sum_parts(part, self.whole, split, q, hit, upper)
 
     def _density(self, x, found):
         xf, jac = _jacobian(self.split, x, found)
-        return _terms(self.marg.pdf(xf), jac, found).sum(axis=0)
+        return _over_pieces(_terms(self.marg.pdf(xf), jac, found))
 
     def law(self, q, upper):
         """``(mass, density)`` at levels ``q`` on one axis from one call each of X's
@@ -302,14 +344,18 @@ class _PushedMarginal:
 
     @cached_property
     def _table(self) -> _StartTable:
-        """psi of X's quantiles at `_TABLE_U`, the levels kept where the mass on
-        the level's side is at least `_CANCELLED` per piece, so exact as a
-        difference, the density is positive and zeta rises.  zeta is Phi^-1 of the
-        mass below a level up to the median, and -Phi^-1 of the mass above it
-        beyond; every cell interpolates y in zeta."""
+        """psi of X's quantiles at `_TABLE_U` of each piece's share of X's mass,
+        F(lo_k) + (F(hi_k) - F(lo_k)) u, the levels merged within `_TABLE_MERGE` and
+        kept where the mass on the level's side is at least `_CANCELLED` per piece,
+        so exact as a difference, the density is positive and zeta rises.  zeta is
+        Phi^-1 of the mass below a level up to the median, and -Phi^-1 of the mass
+        above it beyond; every cell interpolates y in zeta."""
         split, marg = self.split, self.marg
-        y = np.sort(np.asarray(split.transform.psi(split.t, marg.quantile(_TABLE_U)),
-                               dtype=float))
+        lo, hi = self.ends[:, 0], self.ends[:, 1]
+        u = (lo + (hi - lo) * _TABLE_U).ravel()
+        u = u[(u > 0.0) & (u < 1.0)]                  # a piece without mass gives none
+        y = np.sort(np.asarray(split.transform.psi(split.t, marg.quantile(u)), dtype=float))
+        y = y[np.concatenate(([True], y[1:] - y[:-1] > _TABLE_MERGE * np.abs(y[1:])))]
         x, found, hit = _piece_inverses(split, y)
         g = self._density(x, found)
         below = self._side(marg.cdf(x), hit, y, False)[0]
@@ -331,9 +377,9 @@ class _PushedMarginal:
         return _StartTable(y, zeta, d_zeta, hermite_table(zeta, y, d_zeta),
                            (g_lo * (y_lo - lo) / mass[0], g_hi * (hi - y_hi) / mass[1]), mass)
 
-    def _start(self, p, tail, upper):
+    def _start(self, p, tail, sign):
         """Each target's cell of the table in y, ``(lo, hi, start, (lo_bound,
-        hi_bound))``.
+        hi_bound))``; ``sign`` is -1 for a target solved on the survival side.
 
         Inside the table the cell lies between two levels, its bounds, and the
         start is the cell's cubic, kept inside it.  Beyond an end level the cell
@@ -343,44 +389,49 @@ class _PushedMarginal:
         bound, and the bracket reaches twice as far out.
         """
         tab = self._table
-        y = tab.y
-        z = np.where(upper, -1.0, 1.0) * _norm_quantile(tail)
-        k = np.searchsorted(tab.zeta, z)
-        j = np.clip(k - 1, 0, y.size - 2)
-        lo, hi = y[j], y[j + 1]
-        t = (z - tab.zeta[j]) / (tab.zeta[j + 1] - tab.zeta[j])
+        y, zeta = tab.y, tab.zeta
+        z = sign * _norm_quantile(tail)
+        k = np.searchsorted(zeta, z)
+        j = np.minimum(np.maximum(k - 1, 0), y.size - 2)
+        j1 = j + 1
+        lo, hi = y[j], y[j1]
+        t = (z - zeta[j]) / (zeta[j1] - zeta[j])
         start = np.minimum(np.maximum(hermite_eval(tab.cubic, j, t)[0], lo), hi)
-        lo_bound, hi_bound = lo.copy(), hi.copy()
-        for out, n, end, mass in ((k == 0, 0, self.split.support[0], p),
-                                  (k == y.size, -1, self.split.support[1], 1.0 - p)):
-            if not out.any():
+        lo_bound = hi_bound = None                    # the cell's ends, unless one lies out
+        for n, out in ((0, k == 0), (-1, k == y.size)):
+            if not any_true(out):
                 continue
+            if lo_bound is None:
+                lo_bound, hi_bound = lo.copy(), hi.copy()
+            end = self.split.support[n]
             if math.isinf(end):
-                x0 = y[n] + (z[out] - tab.zeta[n]) * tab.d_zeta[n]
+                x0 = y[n] + (z[out] - zeta[n]) * tab.d_zeta[n]
                 reach = y[n] + 2.0 * (x0 - y[n])
             else:
-                x0 = end + (y[n] - end) * (mass[out] / tab.end_mass[n]) ** (1.0 / tab.kappa[n])
+                mass = p[out] if n == 0 else 1.0 - p[out]
+                x0 = end + (y[n] - end) * (mass / tab.end_mass[n]) ** (1.0 / tab.kappa[n])
                 reach = end
             near, near_b, far, far_b = ((hi, hi_bound, lo, lo_bound) if n == 0
                                         else (lo, lo_bound, hi, hi_bound))
             near[out] = near_b[out] = y[n]
             far[out], far_b[out] = reach, end
             start[out] = x0
-        return lo, hi, start, (lo_bound, hi_bound)
+        return lo, hi, start, (lo, hi) if lo_bound is None else (lo_bound, hi_bound)
 
     def quantile(self, p):
         """Solves P(Y <= y) = p up to the median, and P(Y > y) = 1 - p above it (for
         -y, so that the solver's cdf increases)."""
         p = np.asarray(p, dtype=float)
-        require(bool(((p > 0.0) & (p < 1.0)).all()), "p must lie in the open interval (0, 1)")
+        require(_complete((p > 0.0) & (p < 1.0)), "p must lie in the open interval (0, 1)")
         flat = p.reshape(-1)
         upper = flat > 0.5
         tail = np.where(upper, 1.0 - flat, flat)          # 1 - p is exact above 1/2
         sign = np.where(upper, -1.0, 1.0)
-        lo, hi, start, (a, b) = self._start(flat, tail, upper)
-        lo, hi = np.where(upper, -hi, lo), np.where(upper, -lo, hi)
-        bounds = (np.where(upper, -b, a), np.where(upper, -a, b))
-        w = invert_monotone_cdf(lambda w: self.law(sign * w, upper), tail, lo, hi,
+        lo, hi, start, (a, b) = self._start(flat, tail, sign)
+        lo_w, hi_w = np.where(upper, -hi, lo), np.where(upper, -lo, hi)
+        bounds = ((lo_w, hi_w) if a is lo
+                  else (np.where(upper, -b, a), np.where(upper, -a, b)))
+        w = invert_monotone_cdf(lambda w: self.law(sign * w, upper), tail, lo_w, hi_w,
                                 sign * start, bounds=bounds, f_tol=1e-13, x_rel_tol=1e-14)
         out = sign * w
         return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
@@ -393,11 +444,12 @@ def _decompose(marg: Marginal, split: _Split, q):
     x, found, _ = _piece_inverses(split, q)
     xf, jac = _jacobian(split, x, found)
     terms = _terms(marg.pdf(xf), jac, found)
-    missing = ~found.any(axis=0)
-    if missing.any():
-        raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
-                          f"under the transform at time {split.t}")
-    return xf, found, terms / terms.sum(axis=0)
+    if not _complete(found):
+        missing = ~found.any(axis=0)
+        if any_true(missing):
+            raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
+                              f"under the transform at time {split.t}")
+    return xf, found, terms / _over_pieces(terms)
 
 
 def preimage_weights(model: Model, transform: SpaceTimeTransform, t: float, q: float):
@@ -476,14 +528,14 @@ def nonmonotone_copula(model: Model, transform: SpaceTimeTransform,
         x, found, _ = _piece_inverses(split_t, q_v)
         xf, jac = _jacobian(split_t, x, found)
         pushed = _terms(kernel.pdf(s, z, t, xf[:, None]), jac[:, None], found[:, None])
-        marginal = _terms(push_t.marg.pdf(xf), jac, found).sum(axis=0)
-        return (w * pushed.sum(axis=0)).sum(axis=0) / marginal
+        marginal = _over_pieces(_terms(push_t.marg.pdf(xf), jac, found))
+        return _over_pieces(w * _over_pieces(pushed)) / marginal
 
     def cond(u, v):
         z, w, q_v = levels(u, v)
         law = lambda x: kernel.cdf(s, z, t, x)
         mass = _pushed_cdf(law, _piece_ends(law, split_t, z.ndim), split_t, q_v[None])
-        return np.clip((w * mass).sum(axis=0), 0.0, 1.0)
+        return np.clip(_over_pieces(w * mass), 0.0, 1.0)
 
     params = {"model": model.name, "transform": transform.name or "stt",
               **dict(model.spec.params), "x0": model.x0, "t0": model.t0}

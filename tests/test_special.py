@@ -569,12 +569,23 @@ class TestChi2ncCdfQuantile:
                   special.chi2nc_quantile(ref, nu, np.array([lam, 2.0 * lam]))[0]):
             assert abs(q - z) <= 1e-12 * z + width
 
-    def test_far_left_tail_quantile_against_mpmath(self, mp30):
-        # chndtrix returned 0.8898 here, where the root is 0.1000217
-        q = special.chi2nc_quantile(7e-69, 5.0, 300.0)
-        root = mp_chi2nc_quantile(7e-69, 5.0, 300.0, q)
-        width = 4.0 * np.spacing(7e-69) / float(mp_chi2nc_pdf(root, 5.0, 300.0))
+    @pytest.mark.parametrize("p, nu, lam", [
+        (7e-69, 5.0, 300.0),     # chndtrix returned 0.8898 here, where the root is 0.1000217
+        # a bracket grown by at least 1 and a width test floored at 1e-30 read 1.94e-62
+        # at the first two, 4.4% low in mass at the third and 75% low at the fourth
+        (1e-100, 2.0, 0.0), (1e-300, 2.0, 0.0), (1e-60, 1.0, 50.0), (1e-100, 4.0, 10.0)])
+    def test_far_left_tail_quantile_against_mpmath(self, mp30, p, nu, lam):
+        q = special.chi2nc_quantile(p, nu, lam)
+        root = mp_chi2nc_quantile(p, nu, lam, q)
+        width = 4.0 * np.spacing(p) / float(mp_chi2nc_pdf(root, nu, lam))
         assert abs(q - float(root)) <= 1e-12 * float(root) + width
+
+    def test_far_left_tail_quantile_out_of_reach_raises(self):
+        # the cdf falls as z^(nu/2) there, so the root lies near 5e-233, which bisection from
+        # the chndtrix bracket does not reach in 200 halvings; it read 5.6e-45 without an
+        # error when the bracket-width test ended every root below 1e-44
+        with pytest.raises(NumericsError):
+            special.chi2nc_quantile(1e-100, 0.3, 300.0)
 
     def test_large_noncentrality(self):
         # stable at the noncentrality scale of the cir surfaces

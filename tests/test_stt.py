@@ -338,6 +338,17 @@ class TestNonmonotone:
         assert surf.time_pair == (1.0, 2.0)
         assert surf.provenance == "nonmonotone"
 
+    @pytest.mark.parametrize("s, t", [(1.0, 2.0), (0.5, 1.0), (1.9, 3.9)])
+    def test_grids_match_reflected_bm_copula(self, s, t):
+        # every cell of the benchmark's grid sizes and beyond, relative to the closed form;
+        # the worst cell read 7.0e-15 with 25 table levels and 6.2e-15 with 49 per piece
+        bm = models.make_model("bm", x0=0.0)
+        surf = stt.nonmonotone_copula(bm, stt.absolute_value(), s, t)
+        ref = copula.rbm_closed_form(s, t)
+        for n in (7, 9, 11, 51, 101, 201):
+            np.testing.assert_allclose(copula.grid_eval(surf, n), copula.grid_eval(ref, n),
+                                       rtol=1e-13, atol=0)
+
     def test_density_has_uniform_margins(self):
         bm = models.make_model("bm", x0=0.0)
         surf = stt.nonmonotone_copula(bm, stt.absolute_value(), 1.0, 2.0)
@@ -444,27 +455,46 @@ class TestCallEconomy:
 
     def test_nonmonotone_mesh_calls_at_most_the_seed_count(self, calls):
         # 3 x 3 meshes at (1, 2).  Each quantile solve makes one call of each law for its
-        # start table and one per Newton step (3 here), and the first mesh builds both tables
-        # (at the parent: cdf 28, then pdf 22 and cdf 20)
+        # start table and one per Newton step (2 here), and the first mesh builds both
+        # tables; the weights, the kernel and the conditional's piece ends add the rest
+        # (with 25 table levels: cdf 10 and pdf 9, then pdf 9 and cdf 6)
         surf = stt.nonmonotone_copula(models.make_model("bm", x0=0.0), stt.absolute_value(),
                                       1.0, 2.0)
         mesh = np.array([0.1, 0.5, 0.9])
         calls.update(pdf=0, cdf=0)
         surf.conditional(mesh[None, :], mesh[:, None])
-        assert 1 <= calls["cdf"] <= 10 and 1 <= calls["pdf"] <= 9
+        assert 1 <= calls["cdf"] <= 8 and 1 <= calls["pdf"] <= 7
         calls.update(pdf=0, cdf=0)
         surf.density(mesh[None, :], mesh[:, None])
-        assert 1 <= calls["pdf"] <= 9 and 1 <= calls["cdf"] <= 6
+        assert 1 <= calls["pdf"] <= 7 and 1 <= calls["cdf"] <= 4
 
-    @pytest.mark.parametrize("p, cdf, pdf", [(0.3, 4, 4), (1e-12, 3, 5)])
+    @pytest.mark.parametrize("p, cdf, pdf", [(0.3, 3, 3), (0.97, 3, 3), (1e-12, 3, 5)])
     def test_quantile_calls_the_law_a_few_times(self, calls, p, cdf, pdf):
         # one call of each for the start table, then one of each per Newton step; at 1e-12
-        # the cancelled fold masses add one pdf call each, inside `integrate` (at the
-        # parent: 7 cdf and 4 pdf calls at 0.3, 52 and 49 at 1e-12)
+        # the cancelled fold masses add one pdf call each, inside `integrate` (with 25
+        # table levels: 4 cdf and 4 pdf calls at 0.3 and 0.97)
         marg = stt.pushforward_marginal(models.make_model("bm", x0=0.0), stt.absolute_value(), 2)
         calls.update(pdf=0, cdf=0)
         marg.quantile(p)
         assert 1 <= calls["cdf"] <= cdf and 1 <= calls["pdf"] <= pdf
+
+    @pytest.mark.parametrize("n", [7, 9, 11, 51])
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_grid_levels_solve_in_two_law_evaluations(self, monkeypatch, n, t):
+        # the pushed law of a cdf-quadrature |BM| grid, both sides of the median in one
+        # solve: the start table puts every target within two Newton evaluations (three
+        # with 25 table levels on Phi(zeta) alone)
+        calls = []
+        law = stt._PushedMarginal.law
+
+        def counted(self, q, upper):
+            calls.append(q.size)
+            return law(self, q, upper)
+
+        monkeypatch.setattr(stt._PushedMarginal, "law", counted)
+        marg = stt.pushforward_marginal(models.make_model("bm", x0=0.0), stt.absolute_value(), t)
+        marg.quantile((np.arange(n) + 0.5) / n)
+        assert 1 <= len(calls) <= 2
 
 
 class TestTheorem7Constructive:
