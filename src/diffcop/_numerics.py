@@ -76,9 +76,11 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
     ``law(x)`` returns ``(cdf(x), pdf(x))`` from one evaluation.
 
     The start bracket [lo, hi] need not hold the root.  While ``cdf(hi) < p``
-    the upper end moves out by the bracket width (at least 1) when the upper
-    bound is infinite, or halfway to it when it is finite; then the lower end
-    likewise while ``cdf(lo) > p``.  So ``cdf`` is never evaluated outside the
+    the upper end moves out by max(hi - lo, |hi|), or by 1 where both are 0,
+    when the upper bound is infinite, and halfway to it when it is finite; then
+    the lower end likewise while ``cdf(lo) > p``.  A step relative to the end's
+    own size reaches a root far from 1, such as a far-tail quantile near
+    1e-100, in a few doublings.  So ``cdf`` is never evaluated outside the
     open ``bounds``, and an end that starts on a bound holds without being
     evaluated.  A side that still misses after 200 moves, or whose end would
     land on its bound, raises `NumericsError`: the target is out of reach.
@@ -88,10 +90,12 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
     stays strictly inside the current bracket and it is at most half the step
     before last; otherwise the bracket is bisected.  So a flat or quantized
     ``cdf``, on which Newton would creep, costs at most about two iterations
-    per halving of the bracket.  Once every root has met a stopping test, each
-    takes the Newton step of its last evaluation where that step stays
-    strictly inside its bracket: it costs no evaluation and leaves the root
-    far closer than ``f_tol``.
+    per halving of the bracket.  The bracket is updated in place and the Newton
+    step divided only where the density is usable, so an iteration costs about
+    30 array operations besides ``law``.  Once every root has met a stopping
+    test, each takes the Newton step of its last evaluation where that step
+    stays strictly inside its bracket: it costs no evaluation and leaves the
+    root far closer than ``f_tol``.
 
     Parameters
     ----------
@@ -107,8 +111,10 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
         the smaller tail probability (0 disables).  For targets outside
         (0, 1), met when a monotone map that is not a CDF is inverted, only
         the bracket-width test applies.
-    x_rel_tol : stop where the bracket is this small relative to ``|x|``.  A root still
-        open after ``_MAX_ITER`` (200) iterations raises `NumericsError`.
+    x_rel_tol : stop where the bracket is at most ``x_rel_tol (|x| + tiny)``, tiny the
+        smallest normal double: relative to ``|x|`` down to the normal range, so a root
+        near 1e-100 is not ended at a width of 1e-44.  A root still open after
+        ``_MAX_ITER`` (200) iterations raises `NumericsError`.
 
     Returns
     -------
@@ -127,17 +133,17 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
     for k, sign in ((1, 1.0), (0, -1.0)):                 # the upper end first
         edge = full(bounds[k])
         free = ends[k] != edge                            # an end that starts on its bound holds
-        for moves in range(_MAX_MOVES if np.count_nonzero(free) else 0):
+        for moves in range(_MAX_MOVES if any_true(free) else 0):
             end = ends[k]
             probe = np.where(free, end, 0.5 * (ends[0] + ends[1]))
             miss = free & (sign * (law(probe)[0] - p_arr) < 0.0)
-            if not np.count_nonzero(miss):
+            if not any_true(miss):
                 break
             width = np.maximum(ends[1] - ends[0], np.abs(end))
             step = np.where(np.isinf(edge), sign * np.where(width > 0.0, width, 1.0),
                             0.5 * (edge - end))
             ends[k] = np.where(miss, end + step, end)
-            if moves == _MAX_MOVES - 1 or np.count_nonzero(miss & (ends[k] == edge)):
+            if moves == _MAX_MOVES - 1 or any_true(miss & (ends[k] == edge)):
                 raise NumericsError(f"bracket growth failed on the {('lower', 'upper')[k]} side")
     lo, hi = ends
     x = 0.5 * (lo + hi) if start is None else full(start)
@@ -150,14 +156,14 @@ def invert_monotone_cdf(law: Callable, p, lo, hi, start=None,
         np.copyto(lo, x, where=f <= 0.0)
         np.copyto(hi, x, where=f > 0.0)
         done = np.abs(f) <= f_scale
-        if np.count_nonzero(done) < done.size:
+        if not all_true(done):
             done |= hi - lo <= x_rel_tol * (np.abs(x) + _NORMAL_MIN)
         # the bracket test also rejects a step to inf or nan
         usable = d > _TINY
         newton = np.divide(f, d, out=np.zeros(shape), where=usable)
         x_newton = x - newton
         ok = (x_newton > lo) & (x_newton < hi) & usable
-        if np.count_nonzero(done) == done.size:
+        if all_true(done):
             x = np.where(ok, x_newton, x)     # the last evaluation's Newton step, for free
             break
         ok &= np.abs(newton) <= 0.5 * step_old
@@ -297,6 +303,12 @@ def any_true(mask) -> bool:
     """``mask.any()``, reading a NumPy bool directly: a ufunc gives one for 0-d operands.
     An array's ``.any()`` costs about 2 us, its ``np.count_nonzero`` a fifth of that."""
     return bool(np.count_nonzero(mask)) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def all_true(mask) -> bool:
+    """``mask.all()`` for an array, by one count: cheaper than ``.all()``, and than the
+    `np.where` that a mask set everywhere makes idle."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def rel_step(x, rel: float):

@@ -15,9 +15,12 @@ from one pass, one call each of X's cdf and density; where a mass difference
 cancels in a tail, the part is integrated from the density instead, and above
 the median it solves on the survival side.  Each quantile solve starts inside
 its cell of a table of the law at psi of X's quantiles, by the cubic Hermite
-interpolant of `_numerics` in the probit of the side's mass, so a few Newton
-steps finish it.  Pushed marginals give the Y
-quantiles and the weights
+interpolant of `_numerics` in the probit of the side's mass.  Every piece
+places its own levels, at X's quantiles over that piece's share of X's mass,
+so a fold's pieces fill the table's tails as a monotone map's one piece does,
+and a target inside the table takes two law evaluations: the start's and one
+Newton step's.  Where every level has a preimage on every piece, the law skips
+its masks.  Pushed marginals give the Y quantiles and the weights
 
     w(s, z, q) = (f_s(z)/|J_s(z)|) / sum_{a: psi(s,a)=q} (f_s(a)/|J_s(a)|);
 
@@ -46,8 +49,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import (any_true, central_diff, clock, clock_inv, hermite_eval, hermite_table,
-                        integrate, invert_monotone_cdf, rel_step, require)
+from ._numerics import (all_true, any_true, central_diff, clock, clock_inv, hermite_eval,
+                        hermite_table, integrate, invert_monotone_cdf, rel_step, require)
 from .copula import CopulaSurface
 from .errors import DomainError, NumericsError
 from .models import DiffusionSpec, MappedKernel, Marginal, Model
@@ -123,7 +126,8 @@ class _Split:
             lo, hi = p.lo, p.hi
             state = (0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi)
                      else min(max(0.0, lo + 1.0), hi - 1.0))
-            rows.append((lo, hi, *_piece_range(transform, p, t), state, p.increasing))  # open ranges
+            # the interval's ends, the open range's ends, the state and the direction
+            rows.append((lo, hi, *_piece_range(transform, p, t), state, p.increasing))
         cols = np.array(rows).T[:, :, None]
         self.lo_x, self.hi_x, self.lo_v, self.hi_v, self.states = cols[:5]
         self.increasing = cols[5] > 0.0
@@ -132,12 +136,6 @@ class _Split:
         self.inner = (interval[0] < self.bounds) & (self.bounds < interval[1])
         self.state_levels = np.asarray(transform.psi(t, self.states), dtype=float)
         self.probe = np.where(self.inner, self.bounds, self.states)
-
-
-def _complete(mask) -> bool:
-    """Whether ``mask`` is set everywhere: one count costs less than the `np.where`
-    that a complete mask makes idle."""
-    return np.count_nonzero(mask) == mask.size
 
 
 def _over_pieces(a):
@@ -156,7 +154,7 @@ def _piece_inverses(split: _Split, q):
     piece."""
     flat = np.asarray(q).reshape(1, -1)
     hit = (split.lo_v < flat) & (flat < split.hi_v)
-    every = _complete(hit)                        # every level on every piece
+    every = all_true(hit)                         # every level on every piece
     y = flat[0] if every else np.where(hit, flat, split.state_levels)
     x = np.empty(hit.shape)
     for k, piece in enumerate(split.pieces):
@@ -175,7 +173,7 @@ def _jacobian(split: _Split, x, found):
     rounds onto its piece's end is no preimage) read at its piece's state, and |J_t|
     there.  A preimage on a zero of the Jacobian raises `DomainError`, naming the
     point."""
-    complete = _complete(found)
+    complete = all_true(found)
     if complete:
         xf = x
     else:
@@ -183,7 +181,7 @@ def _jacobian(split: _Split, x, found):
         xf = np.where(found, x, states)
     jac = np.abs(np.asarray(split.transform.jacobian(split.t, xf), dtype=float))
     ok = (jac >= 1e-300) & (jac < np.inf)
-    if not _complete(ok if complete else ok | ~found):
+    if not all_true(ok if complete else ok | ~found):
         vanish = found & ~ok
         raise DomainError(f"Jacobian vanishes at preimage x={xf[vanish][0]:.6g} (time {split.t})")
     return xf, jac
@@ -193,7 +191,7 @@ def _terms(f, jac, found):
     """The pushed density's terms f(x)/|J_t(x)| per piece, 0 on a piece without a
     preimage; ``f`` is X's density at `_jacobian`'s states, of any shape they
     broadcast to."""
-    if _complete(found):
+    if all_true(found):
         return f / jac
     return np.divide(f, jac, out=np.zeros(np.shape(f)), where=found)
 
@@ -228,7 +226,7 @@ def _sum_parts(part, whole, split: _Split, q, hit, upper=False):
     """Sum over the pieces of ``part`` where the level ``q`` lies inside the piece's
     range, else of the whole piece's mass ``whole`` or nothing, as the range lies
     below (above where ``upper``) the level or not."""
-    if _complete(hit):
+    if all_true(hit):
         return _over_pieces(part)
     over = q >= split.hi_v.reshape((-1,) + (1,) * np.ndim(q))
     return _over_pieces(np.where(hit, part, np.where(over != upper, whole, 0.0)))
@@ -247,7 +245,10 @@ def _pushed_cdf(cdf: Callable, ends, split: _Split, q):
 _CANCELLED = 1.0 / 256
 # The start table's levels are psi of X's quantiles at these shares of each piece's
 # mass: a probit grid, out to where a monotone map's levels fall below the table's
-# floor of `_CANCELLED` per piece, fine enough that two Newton steps finish a solve.
+# floor of `_CANCELLED` per piece, and fine enough that a target inside the table
+# takes two law evaluations (25 levels take three).  Per piece, because read over X's
+# whole mass, as Phi(zeta) alone, the fold at 0 of a symmetric X gives 12 distinct
+# levels, the lowest at pushed mass 0.197.
 _TABLE_U = _norm_cdf(np.linspace(-3.0, 3.0, 49))
 # Levels closer than this, relative, are one level: two pieces that mirror each other
 # give each level twice, to a few ulps.
@@ -422,7 +423,7 @@ class _PushedMarginal:
         """Solves P(Y <= y) = p up to the median, and P(Y > y) = 1 - p above it (for
         -y, so that the solver's cdf increases)."""
         p = np.asarray(p, dtype=float)
-        require(_complete((p > 0.0) & (p < 1.0)), "p must lie in the open interval (0, 1)")
+        require(all_true((p > 0.0) & (p < 1.0)), "p must lie in the open interval (0, 1)")
         flat = p.reshape(-1)
         upper = flat > 0.5
         tail = np.where(upper, 1.0 - flat, flat)          # 1 - p is exact above 1/2
@@ -444,7 +445,7 @@ def _decompose(marg: Marginal, split: _Split, q):
     x, found, _ = _piece_inverses(split, q)
     xf, jac = _jacobian(split, x, found)
     terms = _terms(marg.pdf(xf), jac, found)
-    if not _complete(found):
+    if not all_true(found):
         missing = ~found.any(axis=0)
         if any_true(missing):
             raise DomainError(f"value q={np.ravel(q)[np.ravel(missing)][0]} has no preimage "
