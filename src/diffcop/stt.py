@@ -430,6 +430,7 @@ class _PushedMarginal:
         sign = np.where(upper, -1.0, 1.0)
         lo, hi, start, (a, b) = self._start(flat, tail, sign)
         lo_w, hi_w = np.where(upper, -hi, lo), np.where(upper, -lo, hi)
+        # the cells are their own bounds unless a target lies beyond the table
         bounds = ((lo_w, hi_w) if a is lo
                   else (np.where(upper, -b, a), np.where(upper, -a, b)))
         w = invert_monotone_cdf(lambda w: self.law(sign * w, upper), tail, lo_w, hi_w,

@@ -482,8 +482,8 @@ class TestCallEconomy:
     @pytest.mark.parametrize("t", [1.0, 2.0])
     def test_grid_levels_solve_in_two_law_evaluations(self, monkeypatch, n, t):
         # the pushed law of a cdf-quadrature |BM| grid, both sides of the median in one
-        # solve: the start table puts every target within two Newton evaluations (three
-        # with 25 table levels on Phi(zeta) alone)
+        # solve: the start table leaves every target two law evaluations, the start's and
+        # one Newton step's (three with 25 table levels on Phi(zeta) alone)
         calls = []
         law = stt._PushedMarginal.law
 
