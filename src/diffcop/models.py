@@ -48,7 +48,8 @@ mean and sd, 2c and lam, or the base law bound at the mapped times.  The
 marginals (`Model.marginal(t)` is ``kernel.bind(t0, x0, t)``) and the kernel
 methods read that bound law, whose methods check their argument and call the
 unchecked cores of `special`.  Every catalog marginal has an analytic
-``pdf_dx`` and ``cdf_dt``.
+``pdf_dx`` and ``cdf_dt``, and a ``jet`` that gives both with the quantile and
+the pdf from one evaluation of the law.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ class Marginal:
     """Law of X_t for one start, as `Kernel.bind` returns it; t = inf is the stationary law.
 
     The package's one law type: a recombination target is a callable t -> Marginal.
+    ``jet(p)`` is ``(x, pdf(x), pdf_dx(x), cdf_dt(x))`` at x = quantile(p) from one
+    evaluation of the law.  It reads the quantile's own standard variable where the
+    four methods read x, so the two agree up to rounding.  It is present wherever
+    ``pdf_dx`` is, and its last entry is None where ``cdf_dt`` is.  A scalar p
+    gives floats, an array p arrays of its shape.
     """
 
     t: float
@@ -110,6 +116,7 @@ class Marginal:
     quantile: Callable
     pdf_dx: Callable | None = None       # d pdf / dx, analytic when registered
     cdf_dt: Callable | None = None       # d cdf / dt, analytic when registered
+    jet: Callable | None = None          # p -> (x, pdf, pdf_dx, cdf_dt) at x = quantile(p)
 
 
 def _check_order(s: float, t: float) -> None:
@@ -149,7 +156,9 @@ class Kernel(Protocol):
     the other methods read the same bound law, so every formula is written
     once.  ``pdf_dx`` (d pdf/dx) and ``cdf_dt`` (d cdf/dt) take the arguments
     of ``pdf``; each is an analytic method, or None where the kernel has none,
-    and a model without them has no uniformized coefficients.
+    and a model without them has no uniformized coefficients.  Where the kernel
+    has ``pdf_dx``, the bound law also carries ``jet``, which the uniformized
+    coefficients read (see `Marginal`).
     ``copula_rho(t0, s, t)`` is rho of the Gaussian copula of (X_s, X_t) from a
     start fixed at t0, or None where the copula is not Gaussian.
     At x = -inf and +inf the pdf is 0 and the cdf 0 and 1.  Scalar arguments
@@ -174,9 +183,11 @@ class _LawKernel:
 
     def bind(self, s, y, t) -> Marginal:
         law = self._law(s, y, t)
-        return Marginal(t, law.pdf, law.cdf, law.quantile,
-                        None if self.pdf_dx is None else law.pdf_dx,
-                        None if self.cdf_dt is None else law.cdf_dt)
+        if self.pdf_dx is None:
+            return Marginal(t, law.pdf, law.cdf, law.quantile, None,
+                            None if self.cdf_dt is None else law.cdf_dt)
+        return Marginal(t, law.pdf, law.cdf, law.quantile, law.pdf_dx,
+                        None if self.cdf_dt is None else law.cdf_dt, law.jet)
 
     def pdf(self, s, y, t, x):
         return self._law(s, y, t).pdf(x)
@@ -220,11 +231,14 @@ class GaussianKernel(_LawKernel):
 
 
 class _NormalLaw:
-    """`GaussianKernel` bound at (s, y, t): its mean, variance and sd."""
+    """`GaussianKernel` bound at (s, y, t): its mean, variance and sd, Python floats at a
+    scalar start."""
 
     def __init__(self, k: GaussianKernel, s, y, t):
         _check_order(s, t)
-        self.k, self.d, self.y = k, t - s, np.asarray(y, dtype=float)
+        self.k, self.d = k, t - s
+        # isinstance first: np.ndim of a float goes through a caught AttributeError
+        self.y = float(y) if isinstance(y, float) or np.ndim(y) == 0 else np.asarray(y, float)
         # first: at alpha < 0 this clock overflows (`DomainError`) before the mean's e^{-alpha d}
         self.var = k.sigma ** 2 * clock(-2.0 * k.alpha, self.d)
         self.sd = math.sqrt(self.var)
@@ -241,6 +255,30 @@ class _NormalLaw:
         _check_nan(z, "x and y")
         return z
 
+    def _root(self, p):
+        """(z, x) with z = Phi^-1(p) and x = mean + sd z, the quantile; a float p gives
+        floats.  One check for both arguments: Phi^-1 is infinite or NaN at p outside
+        (0, 1)."""
+        z = _norm_quantile(p)
+        if isinstance(p, float):
+            z = float(z)
+        x = self.mean + self.sd * z
+        if math.isfinite(x) if isinstance(x, float) else not any_true(~np.isfinite(x)):
+            return z, x
+        _check_p(p)
+        raise DomainError("y must be finite")
+
+    def _dx(self, z, phi):
+        """d pdf/dx at the standard variable z, with phi = phi(z)."""
+        return -z * phi / self.var
+
+    def _dt(self, z, phi):
+        """d cdf/dt at the standard variable z: -phi(z) (dmean/dt + z dsd/dt) / sd."""
+        k = self.k
+        dmean = (k.beta - k.alpha * self.y) * math.exp(-k.alpha * self.d)
+        dsd = k.sigma ** 2 * math.exp(-2.0 * k.alpha * self.d) / (2.0 * self.sd)
+        return -phi * (dmean + z * dsd) / self.sd
+
     def pdf(self, x):
         return (_norm_pdf(self._z(x)) / self.sd)[()]
 
@@ -248,13 +286,15 @@ class _NormalLaw:
         return _norm_cdf(self._z(x))[()]
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        out = self.mean + self.sd * _norm_quantile(p)
-        # one check for both arguments: Phi^-1 is infinite or NaN at p outside (0, 1)
-        if any_true(~np.isfinite(out)):
-            _check_p(p)
-            raise DomainError("y must be finite")
-        return out[()]
+        return self._root(np.asarray(p, dtype=float))[1][()]
+
+    def jet(self, p):
+        """(x, pdf, pdf_dx, cdf_dt) at x = quantile(p), from one Phi^-1(p) and one phi(z)."""
+        z, x = self._root(p)
+        phi = _norm_pdf(z)
+        if isinstance(z, float):
+            phi = float(phi)
+        return x, phi / self.sd, self._dx(z, phi), self._dt(z, phi)
 
     def sample(self, rng, size=None):
         return self.mean + self.sd * rng.standard_normal(np.shape(self.y) if size is None
@@ -262,14 +302,11 @@ class _NormalLaw:
 
     def pdf_dx(self, x):
         z = self._z(x)
-        return (-z * _norm_pdf(z) / self.var)[()]
+        return self._dx(z, _norm_pdf(z))[()]
 
     def cdf_dt(self, x):
-        k = self.k
         z = self._z(x)
-        dmean = (k.beta - k.alpha * self.y) * math.exp(-k.alpha * self.d)
-        dsd = k.sigma ** 2 * math.exp(-2.0 * k.alpha * self.d) / (2.0 * self.sd)
-        return (-_norm_pdf(z) * (dmean + z * dsd) / self.sd)[()]
+        return self._dt(z, _norm_pdf(z))[()]
 
 
 class FoldedGaussianKernel(_LawKernel):
@@ -342,6 +379,14 @@ class _FoldedLaw:
     def sample(self, rng, size=None):
         return np.abs(self.bm.sample(rng, size))
 
+    def jet(self, p):
+        """(x, pdf, pdf_dx, cdf_dt) at x = quantile(p) >= 0, from B's z at x and at -x."""
+        x, bm = self.quantile(p), self.bm
+        z, zm = bm._z(x), bm._z(-x)
+        phi, phim = _norm_pdf(z), _norm_pdf(zm)
+        return (x, (phi / bm.sd + phim / bm.sd)[()], (bm._dx(z, phi) - bm._dx(zm, phim))[()],
+                (bm._dt(z, phi) - bm._dt(zm, phim))[()])
+
     def pdf_dx(self, x):
         return self._fold(self.bm.pdf_dx, np.subtract, x)
 
@@ -400,6 +445,17 @@ class _Ncx2Law:
     def quantile(self, p):
         return (_chi2nc_quantile(_check_p(p), self.k.df, self.lam) / self.twoc)[()]
 
+    def jet(self, p):
+        """(x, pdf, pdf_dx, cdf_dt) at x = quantile(p), from one chi-square quantile and the
+        densities f(z; df, lam) and f(z; df + 2, lam) once each.  They are read at
+        z = 2c x, as the four methods read them, so the jet equals those bit for bit."""
+        k, twoc, lam = self.k, self.twoc, self.lam
+        x = _chi2nc_quantile(_check_p(p), k.df, lam) / twoc
+        z = twoc * x
+        f, f2 = _chi2nc_pdf(z, k.df, lam), _chi2nc_pdf(z, k.df + 2.0, lam)
+        return (x[()], (twoc * f)[()], (twoc ** 2 * _chi2nc_pdf_dz(z, k.df, lam, f, f2))[()],
+                self._dt(x, f, f2)[()])
+
     def sample(self, rng, size=None):
         """Draws of X_t: chi2nc(df, lam) / 2c, by one of two exact routes.
 
@@ -434,28 +490,32 @@ class _Ncx2Law:
         return _masked(self.twoc ** 2 * _chi2nc_pdf_dz(self.twoc * x, self.k.df, self.lam),
                        miss, 0.0)
 
-    def cdf_dt(self, x):
-        """d cdf/dt of F = P(chi2nc(df, lam) <= 2c x), with r = t - s:
+    def _dt(self, x, f, f2):
+        """d cdf/dt at x > 0 of F = P(chi2nc(df, lam) <= 2c x), with r = t - s, from
+        f = f(2c x; df, lam) and f2 = f(2c x; df + 2, lam):
 
-            dF/dt = f(2c x; df, lam) x d(2c)/dr - f(2c x; df + 2, lam) dlam/dr,
+            dF/dt = f x d(2c)/dr - f2 dlam/dr,
 
         since a noncentral chi-square is a Poisson mixture of central ones, so
         dF/dlam = -f(z; df + 2, lam).  From d clock(-alpha, r)/dr = e^{-alpha r},
         d(2c)/dr = -2c e^{-alpha r} / clock(-alpha, r) and
         dlam/dr = y e^{-alpha r} (d(2c)/dr - alpha 2c); alpha = 0 needs no branch.
-        0 where F is constant in t: x <= 0 and x = inf.
         """
         k, twoc = self.k, self.twoc
+        decay = math.exp(-k.alpha * self.d)
+        dtwoc = -twoc * decay / clock(-k.alpha, self.d)
+        dlam = self.y * decay * (dtwoc - k.alpha * twoc)
+        return f * x * dtwoc - f2 * dlam
+
+    def cdf_dt(self, x):
+        """d cdf/dt (see `_dt`); 0 where F is constant in t: x <= 0 and x = inf."""
+        k = self.k
         x = np.asarray(x, dtype=float)
         _check_nan(x, "x")
         miss = (x <= 0.0) | (x == np.inf)
         xin = np.where(miss, 1.0, x)
-        decay = math.exp(-k.alpha * self.d)
-        dtwoc = -twoc * decay / clock(-k.alpha, self.d)
-        dlam = self.y * decay * (dtwoc - k.alpha * twoc)
-        z = twoc * xin
-        out = (_chi2nc_pdf(z, k.df, self.lam) * xin * dtwoc
-               - _chi2nc_pdf(z, k.df + 2.0, self.lam) * dlam)
+        z = self.twoc * xin
+        out = self._dt(xin, _chi2nc_pdf(z, k.df, self.lam), _chi2nc_pdf(z, k.df + 2.0, self.lam))
         return np.where(miss, 0.0, out)[()]
 
 
@@ -529,6 +589,11 @@ class _MappedLaw:
         x = np.where(miss, k._inner, x)
         return x, k.inverse(self.tt, x), miss, above
 
+    def _dx(self, u, x, jac, f, fp):
+        """d/dx [f(u) / |J(u)|] = (f'(u) - f(u) J'(u) / J(u)) / (J |J|) at u = inverse(t, x),
+        from J = jac and the base's f and f' at u."""
+        return (fp - f * self.k._djac_dx(self.tt, u, x) / jac) / (jac * abs(jac))
+
     def pdf(self, x):
         x, u, miss, _ = self._source(x)
         return _masked(self.base.pdf(u) / np.abs(self.k.jacobian(self.tt, u, x)), miss, 0.0)
@@ -542,13 +607,24 @@ class _MappedLaw:
         p = np.asarray(p, dtype=float)
         return self.k.psi(self.tt, self.base.quantile(p if self.k.increasing else 1.0 - p))
 
+    def jet(self, p):
+        """(x, pdf, pdf_dx, cdf_dt) at x = quantile(p), from the base's jet at its quantile u
+        (at 1 - p for a decreasing map) and the chain rule at u: no inverse(t, x) and no
+        image mask, as the quantile lies in the image.  cdf_dt is None where the map
+        depends on time."""
+        k = self.k
+        u, f, fp, ft = self.base.jet(p if k.increasing else 1.0 - p)
+        x = k.psi(self.tt, u)
+        jac = k.jacobian(self.tt, u, x)
+        if isinstance(u, float):
+            x, jac = float(x), float(jac)
+        return (x, f / abs(jac), self._dx(u, x, jac, f, fp),
+                None if k.cdf_dt is None else ft if k.increasing else -ft)
+
     def pdf_dx(self, x):
-        # d/dx [f(u) / |J(u)|] = (f'(u) - f(u) J'(u) / J(u)) / (J |J|), u = inverse(t, x)
         x, u, miss, _ = self._source(x)
         jac = self.k.jacobian(self.tt, u, x)
-        f, fp = self.base.pdf(u), self.base.pdf_dx(u)
-        out = (fp - f * self.k._djac_dx(self.tt, u, x) / jac) / (jac * np.abs(jac))
-        return _masked(out, miss, 0.0)
+        return _masked(self._dx(u, x, jac, self.base.pdf(u), self.base.pdf_dx(u)), miss, 0.0)
 
     def cdf_dt(self, x):
         _, u, miss, _ = self._source(x)
@@ -580,7 +656,8 @@ class Model:
 
     def marginal(self, t: float) -> Marginal:
         """The law of X_t, the kernel bound at (t0, x0, t); requires t > t0."""
-        require(t > self.t0, f"marginal requires t > t0 = {self.t0}, got t = {t}")
+        if not t > self.t0:      # the message is formatted only on failure: ops loop calls
+            raise DomainError(f"marginal requires t > t0 = {self.t0}, got t = {t}")
         return self.kernel.bind(self.t0, self.x0, t)
 
 

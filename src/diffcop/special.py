@@ -671,7 +671,7 @@ def _chi2nc_pdf(z, nu: float, lam):
     return out
 
 
-def _chi2nc_pdf_dz(z, nu: float, lam, f=None):
+def _chi2nc_pdf_dz(z, nu: float, lam, f=None, f2=None):
     """d/dz of `chi2nc_pdf` (z >= 0), from the degree-raising recurrence
 
         f'(z; nu, lam) = 1/2 [(lam/z) f(z; nu+2, lam) + ((nu-2)/z - 1) f(z; nu, lam)].
@@ -679,7 +679,8 @@ def _chi2nc_pdf_dz(z, nu: float, lam, f=None):
     At z = 0 it returns the right-hand limit, set by the j = 0 and j = 1 terms
     w_j z^{nu/2+j-1} e^{-z/2} of the Poisson mixture: -inf for nu < 2,
     e^{-lam/2} (lam/2 - 1)/4 at nu = 2, +inf for 2 < nu < 4, e^{-lam/2}/4 at
-    nu = 4 and 0 above.  A caller that holds f(z; nu, lam) at z > 0 passes it as ``f``.
+    nu = 4 and 0 above.  A caller that holds f(z; nu, lam) at z > 0 passes it as ``f``,
+    and f(z; nu + 2, lam) as ``f2``.
     """
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -689,7 +690,7 @@ def _chi2nc_pdf_dz(z, nu: float, lam, f=None):
         f = _chi2nc_pdf(zp, nu, lam)
     out = 0.5 * ((nu - 2.0) / zp - 1.0) * f
     if any_true(lam != 0.0):                # the first term vanishes for a central law
-        out = out + 0.5 * lam / zp * _chi2nc_pdf(zp, nu + 2.0, lam)
+        out = out + 0.5 * lam / zp * (_chi2nc_pdf(zp, nu + 2.0, lam) if f2 is None else f2)
     if any_true(zero):
         e = np.exp(-lam / 2.0)
         at_zero = (-np.inf if nu < 2.0 else 0.25 * e * (0.5 * lam - 1.0) if nu == 2.0

@@ -7,8 +7,11 @@ with coefficients (all quantities evaluated at x = F_s^{-1}(u))
     mu~(u, s)    = dF_s/ds + mu(x, s) f_s(x) + 1/2 sigma^2(x, s) f_s'(x),
     sigma~(u, s) = sigma(x, s) f_s(x),
 
-and its transition distribution is the conditional copula C_{t|s}(v|u), the
-unique solution of the backward equation
+all read from one ``jet`` call of the bound marginal, which gives x, f_s, f_s'
+and dF_s/ds together (one Phi^-1(u) and one phi(z) for a Gaussian law).  U is
+the same process for X and for psi(X) with psi increasing and static, so the
+coefficients are too.  Its transition distribution is the conditional copula
+C_{t|s}(v|u), the unique solution of the backward equation
 
     d_s C + mu~ d_u C + 1/2 sigma~^2 d_uu C = 0,     C -> 1[v >= u] as s -> t.
 
@@ -23,6 +26,8 @@ discretized.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,35 +48,45 @@ __all__ = [
 def _coefficients(model: Model, law, u, s: float, stationary: bool = False):
     """(drift, diffusion) of the uniformized process at x = law.quantile(u), time s.
 
-    ``law`` is a `Marginal`; its analytic ``pdf_dx`` is read, and its ``cdf_dt`` for
-    dF_s/ds unless ``stationary``, where that term is 0.  A law without one raises
-    `DomainError`, after the model's own check that it has coefficients.  A
-    scalar u runs on Python floats and returns floats, an array u returns arrays
-    of its shape.
+    ``law`` is a `Marginal`.  One call of its ``jet`` gives x, f, the analytic
+    ``pdf_dx`` and the analytic ``cdf_dt`` for dF_s/ds, whose term is 0 when
+    ``stationary``; then mu(x, s) and sigma(x, s) are read.  A law without either
+    derivative raises `DomainError`, after the model's own check that it has
+    coefficients, and so do coefficients that are not finite, such as those of
+    states past double precision.  A scalar u runs on Python floats and returns
+    floats, an array u returns arrays of its shape.
     """
     mu, sigma = model.spec.coefficients()
-    pdf_dx = _analytic(model, law.pdf_dx, "pdf_dx")
-    cdf_dt = None if stationary else _analytic(model, law.cdf_dt, "cdf_dt")
+    _analytic(model, law.pdf_dx, "pdf_dx")
+    if not stationary:
+        _analytic(model, law.cdf_dt, "cdf_dt")
     # isinstance first: np.ndim of a float goes through a caught AttributeError
     scalar = isinstance(u, float) or np.ndim(u) == 0
     val = float if scalar else (lambda a: np.asarray(a, dtype=float))
     u = val(u)
     lo, hi = (u, u) if scalar else (u.min(initial=0.5), u.max(initial=0.5))  # empty u passes
-    require(0.0 < lo and hi < 1.0, f"u = {lo if not 0.0 < lo else hi} lies outside (0, 1)")
-    x = val(law.quantile(u))
-    f = val(law.pdf(x))
-    fp = val(pdf_dx(x))
-    mu_x = val(mu(x, s))
-    sg_x = val(sigma(x, s))
-    drift = mu_x * f if cdf_dt is None else val(cdf_dt(x)) + mu_x * f
-    return drift + 0.5 * (sg_x * sg_x) * fp, sg_x * f
+    if not (0.0 < lo and hi < 1.0):
+        raise DomainError(f"u = {lo if not 0.0 < lo else hi} lies outside (0, 1)")
+    # the finite check below reports an overflow: x past double precision, or sigma^2 and
+    # the Jacobian's square past it for a finite x
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, f, fp, ft = law.jet(u)
+        mu_x = val(mu(x, s))
+        sg_x = val(sigma(x, s))
+        drift = mu_x * f if stationary else ft + mu_x * f
+        drift, diffusion = drift + 0.5 * (sg_x * sg_x) * fp, sg_x * f
+    if not (math.isfinite(drift) and math.isfinite(diffusion) if scalar
+            else np.isfinite(drift).all() and np.isfinite(diffusion).all()):
+        where = "in the stationary law" if stationary else f"at s = {s}"
+        raise DomainError(f"model '{model.name}' has uniformized coefficients that are not "
+                          f"finite {where}: its states or their terms pass double precision")
+    return drift, diffusion
 
 
 def _analytic(model: Model, derivative, name: str):
     if derivative is None:   # the message is formatted only on failure: ops loop scalar calls
         raise DomainError(f"model '{model.name}' has no analytic {name}, so no uniformized "
                           "coefficients")
-    return derivative
 
 
 def uniformized_coefficients(model: Model, u, s: float):
@@ -80,10 +95,16 @@ def uniformized_coefficients(model: Model, u, s: float):
     u is a scalar or an array in (0, 1) and s a scalar time after t0; returns
     ``(drift, diffusion)`` as floats or as arrays of the shape of u.  The
     marginal's derivatives are the analytic ``pdf_dx`` and ``cdf_dt`` of the bound
-    marginal, which every catalog model has.  A model without coefficients, or
-    whose kernel lacks either derivative, raises `DomainError`.
+    marginal, which every catalog model has, read through its ``jet``.  A model
+    without coefficients, or whose kernel lacks either derivative, raises
+    `DomainError`; so does s = inf for a model without a stationary law, and an s
+    whose coefficients are not finite.
     """
-    require(s > model.t0, f"need s > t0 = {model.t0}")
+    if not s > model.t0:   # the messages are formatted only on failure: ops loop scalar calls
+        raise DomainError(f"need s > t0 = {model.t0}")
+    if s == math.inf and model.stationary is None:
+        raise DomainError(f"model '{model.name}' has no law at s = inf: it admits no "
+                          "stationary law")
     return _coefficients(model, model.marginal(s), u, s)
 
 

@@ -382,6 +382,81 @@ class TestMarginals:
         assert float(marg.cdf_dt(x)) == pytest.approx(fd_t, rel=1e-5)
 
 
+def composed_jet(law, p):
+    """The jet's oracle: quantile, then pdf, pdf_dx and cdf_dt at that state, four calls."""
+    x = law.quantile(p)
+    return x, law.pdf(x), law.pdf_dx(x), law.cdf_dt(x)
+
+
+def decreasing_push():
+    """Y = e^{-X} of bm_drift: psi(u) = e^{-u}, J = -e^{-u} = -y and dJ/du = y."""
+    return models.MappedKernel(models.GaussianKernel(0.0, 0.3, 1.2), lambda t, x: np.exp(-x),
+                               lambda t, y: -np.log(y), lambda t, x, y: -y, (0.0, np.inf),
+                               increasing=False, djac_dx=lambda t, x, y: y, static=True)
+
+
+def jet_laws():
+    """Every catalog marginal at s = 0.3, 1 and 2, the stationary laws and a decreasing push."""
+    laws = {}
+    for name in CATALOG:
+        model = build(name)
+        laws.update({f"{name}@{s}": model.marginal(s) for s in (0.3, 1.0, 2.0)})
+        if model.stationary is not None:
+            laws[f"{name}@stationary"] = model.stationary
+    laws.update({f"exp(-bm_drift)@{s}": decreasing_push().bind(0.0, 0.5, s) for s in (0.3, 2.0)})
+    return laws
+
+
+JET_LAWS = jet_laws()
+JET_P = np.concatenate([[1e-9, 1e-6], np.linspace(0.01, 0.99, 99), [1.0 - 1e-6]])
+
+
+class TestJet:
+    """``Marginal.jet(p)`` against the four calls it stands for, at 1e-13 of each scale."""
+
+    @pytest.mark.parametrize("label", sorted(JET_LAWS))
+    def test_array_jet_matches_four_calls(self, label):
+        law = JET_LAWS[label]
+        got, want = law.jet(JET_P), composed_jet(law, JET_P)
+        for name, g, w in zip(("x", "pdf", "pdf_dx", "cdf_dt"), got, want):
+            assert np.shape(g) == JET_P.shape, name
+            scale = np.max(np.abs(w))
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-13 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("label", sorted(JET_LAWS))
+    def test_scalar_jet_matches_four_calls(self, label):
+        law = JET_LAWS[label]
+        rows = [law.jet(float(p)) for p in JET_P]
+        assert all(isinstance(v, float) for row in rows for v in row)
+        got, want = np.array(rows).T, composed_jet(law, JET_P)
+        for name, g, w in zip(("x", "pdf", "pdf_dx", "cdf_dt"), got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-13 * np.max(np.abs(w)), err_msg=name)
+
+    def test_jet_checks_p(self):
+        for law in (JET_LAWS["ou@1.0"], JET_LAWS["gbm@1.0"], JET_LAWS["cir@1.0"],
+                    JET_LAWS["rbm@1.0"]):
+            for p in (0.0, 1.0, math.nan, np.array([0.5, 1.5])):
+                with pytest.raises(DomainError):
+                    law.jet(p)
+
+    def test_time_dependent_map_has_no_time_derivative_in_its_jet(self):
+        gauss = models.GaussianKernel(0.0, 0.3, 1.2)
+        kern = models.MappedKernel(gauss, lambda t, x: t + x, lambda t, y: y - t,
+                                   lambda t, x, y: 1.0, (-np.inf, np.inf),
+                                   djac_dx=lambda t, x, y: 0.0)
+        law = kern.bind(0.0, 0.5, 1.0)
+        assert law.cdf_dt is None and law.jet(0.3)[3] is None
+        x, f, fp, _ = law.jet(0.3)
+        assert (x, f, fp) == pytest.approx(composed_jet(gauss.bind(0.0, 0.5, 1.0), 0.3)[:3]
+                                           + np.array([1.0, 0.0, 0.0]), rel=1e-15)
+
+    def test_marginals_without_pdf_dx_have_no_jet(self):
+        cir = build("cir")
+        chain = stt.builtin_chain("cir_to_bessel", alpha=1.0, sigma=0.8)
+        assert stt.push_transition(cir, chain).marginal(1.3).jet is None
+        assert stt.pushforward_marginal(build("bm"), stt.absolute_value(), 1.3).jet is None
+
+
 def _normal_oracle(mean, var):
     m, v = mp.mpf(mean), mp.mpf(var)
     sd = mp.sqrt(v)

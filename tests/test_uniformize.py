@@ -1,6 +1,7 @@
 """Uniformized process tests: coefficients, backward equation, exact simulation."""
 
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -116,6 +117,69 @@ def test_kernel_without_derivatives_has_no_coefficients(hidden, call):
     model = without_derivatives(models.make_model("ou", params, x0=x0), hidden)
     with pytest.raises(DomainError, match=f"'ou' has no analytic {hidden[0]}"):
         call(model)
+
+
+class TestLongHorizon:
+    """gbm's states pass double precision at long horizons: x^2 in sigma^2 and in the
+    Jacobian's square overflows once x > 1.3e154.  The coefficients then raise, naming s,
+    and warn of nothing first, as `simulate_paths` does for overflowing paths."""
+
+    GBM = models.make_model("gbm", {"mu": 0.1, "sigma": 0.3}, x0=1.0)
+
+    @pytest.mark.parametrize("s, u", [(6000.0, 0.3), (6000.0, np.linspace(0.01, 0.99, 9)),
+                                      (7000.0, 0.3), (math.inf, 0.3)])
+    def test_overflowing_coefficients_raise_naming_s(self, s, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"'gbm' .* s = {s}"):
+                uniformize.uniformized_coefficients(self.GBM, u, s)
+
+    def test_finite_before_the_overflow(self):
+        mu, sg = uniformize.uniformized_coefficients(self.GBM, np.linspace(0.01, 0.99, 9), 3000.0)
+        assert np.isfinite(mu).all() and (sg > 0.0).all()
+
+    def test_stationary_law_serves_s_inf(self):
+        params, x0 = ALL_MODELS["ou"]
+        ou = models.make_model("ou", params, x0=x0)
+        assert (uniformize.uniformized_coefficients(ou, 0.3, math.inf)
+                == uniformize.stationary_uniformized_coefficients(ou, 0.3))
+
+
+# U_t = F_t(X_t) is the same process for X and psi(X) with psi increasing and static
+INVARIANT_PAIRS = {
+    "gbm=exp(bm_drift)": (("gbm", {"mu": 0.1, "sigma": 0.4}, 1.5),
+                          ("bm_drift", {"mu": 0.1, "sigma": 0.4}, math.log(1.5))),
+    "rayleigh=sqrt(cir)": (("rayleigh", {"a": 1.0, "b": -0.5}, 1.0),
+                           ("cir", {"alpha": 1.0, "beta": 3.0, "sigma": 2.0}, 1.0)),
+}
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0, 30.0])
+@pytest.mark.parametrize("pair", sorted(INVARIANT_PAIRS))
+def test_coefficients_invariant_under_increasing_static_maps(pair, s):
+    (name, params, x0), (base, base_params, base_x0) = INVARIANT_PAIRS[pair]
+    pushed = models.make_model(name, params, x0=x0)
+    source = models.make_model(base, base_params, x0=base_x0)
+    u = np.linspace(0.01, 0.99, 99)
+    for got, want in zip(uniformize.uniformized_coefficients(pushed, u, s),
+                         uniformize.uniformized_coefficients(source, u, s)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["cir", "rayleigh", "bessel"])
+def test_cir_family_coefficients_take_two_density_calls(name, monkeypatch):
+    # one jet: f(z; df, lam) and f(z; df + 2, lam) once each, for the pdf and both derivatives
+    calls = []
+    core = special._chi2nc_pdf
+    counted = lambda *args: calls.append(1) or core(*args)
+    monkeypatch.setattr(special, "_chi2nc_pdf", counted)
+    monkeypatch.setattr(models, "_chi2nc_pdf", counted)
+    params, x0 = ALL_MODELS[name]
+    model = models.make_model(name, params, x0=x0)
+    for u in (0.3, np.array([0.1, 0.5, 0.9])):
+        calls.clear()
+        uniformize.uniformized_coefficients(model, u, 1.3)
+        assert 1 <= len(calls) <= 2, (u, len(calls))
 
 
 class TestTimeDependentCoefficients:
